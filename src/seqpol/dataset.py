@@ -57,16 +57,32 @@ def _check_stage_contiguity(patient_id: str, ts: list[int]) -> None:
         raise DataError(f"patient {patient_id!r}: non-contiguous stages {ts}")
 
 
+def _finite_number(value: Any) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None.
+
+    ``json`` parses NaN and +-Infinity, which would poison the preprocessor's
+    means and standard deviations.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _coerce_context_value(patient_id: str, var: VariableSpec, value: Any, where: str):
     if value is None:
         return None
     if var.kind == "numeric":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        number = _finite_number(value)
+        if number is None:
             raise DataError(
                 f"{where}: patient {patient_id!r}, variable {var.name!r}: "
-                f"expected a number, got {value!r}"
+                f"expected a finite number, got {value!r}"
             )
-        return float(value)
+        return number
     return str(value)
 
 
@@ -105,9 +121,15 @@ def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
                 if action not in schema.action_labels:
                     raise DataError(f"{where}: patient {pid!r}: unknown action {action!r}")
                 severity = raw.get("severity")
-                stages.append(
-                    Stage(context, action, None if severity is None else float(severity))
-                )
+                if severity is not None:
+                    number = _finite_number(severity)
+                    if number is None:
+                        raise DataError(
+                            f"{where}: patient {pid!r}: severity: "
+                            f"expected a finite number, got {severity!r}"
+                        )
+                    severity = number
+                stages.append(Stage(context, action, severity))
             _check_stage_contiguity(pid, ts)
             episodes.append(Episode(pid, stages))
     return episodes
@@ -163,11 +185,15 @@ def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
                     context[name] = None
                 elif var.kind == "numeric":
                     try:
-                        context[name] = float(cell)
+                        value = float(cell)
                     except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
                         raise DataError(
-                            f"{where}: variable {name!r}: expected a number, got {cell!r}"
-                        ) from None
+                            f"{where}: variable {name!r}: "
+                            f"expected a finite number, got {cell!r}"
+                        )
+                    context[name] = value
                 else:
                     context[name] = cell
             severity = None
@@ -177,7 +203,11 @@ def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
                     try:
                         severity = float(cell)
                     except ValueError:
-                        raise DataError(f"{where}: bad severity value {cell!r}") from None
+                        severity = math.nan
+                    if not math.isfinite(severity):
+                        raise DataError(
+                            f"{where}: severity: expected a finite number, got {cell!r}"
+                        )
             stages.append(Stage(context, action, severity))
         flush()
     return episodes

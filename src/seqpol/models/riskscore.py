@@ -2,12 +2,20 @@
 
 The model is sigmoid(intercept + sum_i w_i * x_i) with integer weights
 bounded by max_coef and at most max_size of them nonzero. Training
-approximates the exact mixed-integer problem: an L1 regularization path
-picks a candidate feature pool, the continuous solution is scaled and
-rounded, and a greedy +-1 local search (with the intercept re-optimized at
-every candidate) polishes the integers. The search restarts from several
-points, including the best exhaustively enumerated single-feature model, and
-keeps the lowest class-weighted log-loss.
+approximates the exact mixed-integer problem (RiskSLIM, Ustun & Rudin 2019):
+an L1 regularization path picks a candidate feature pool, the continuous
+solution is scaled and rounded, and a greedy +-1 local search polishes the
+integers. The search restarts from several points, including the best
+exhaustively enumerated single-feature model, and keeps the lowest
+class-weighted log-loss.
+
+Every candidate set of weights is scored with its own optimal intercept.
+That 1-D convex problem is solved by a safeguarded Newton iteration
+(``optimal_intercept``): gradient and Hessian come from one sigmoid pass,
+each evaluated point narrows a bracket on the root, and a step that leaves
+the bracket falls back to bisection. Inside the L1 path the solve starts
+from the previous proximal step's intercept, which is usually a few
+Newton steps from the new one.
 """
 
 from __future__ import annotations
@@ -15,27 +23,17 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import FitError, UnsupportedModelError
 from ..staterep import StateMatrix
 from .base import PolicyModel, register_model
 
 _B_LO, _B_HI = -30.0, 30.0
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _log1pexp(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) without overflow."""
-    out = np.where(z > 0, z, 0.0)
-    return out + np.log1p(np.exp(-np.abs(z)))
+# The intercept solve stops once a step moves it by no more than this.
+_B_TOL = 1e-12
+# A guard only: bisection alone narrows the range below _B_TOL in 46 steps.
+_B_MAX_ITER = 200
 
 
 def weighted_logloss(
@@ -43,32 +41,50 @@ def weighted_logloss(
 ) -> float:
     """Mean weighted logistic loss of raw scores against 0/1 labels."""
     sign = 2.0 * y - 1.0
-    return float((sample_weight * _log1pexp(-sign * scores)).sum() / sample_weight.sum())
+    return float(
+        (sample_weight * np.logaddexp(0.0, -sign * scores)).sum() / sample_weight.sum()
+    )
 
 
 def optimal_intercept(
-    partial_scores: np.ndarray, y: np.ndarray, sample_weight: np.ndarray
+    partial_scores: np.ndarray,
+    y: np.ndarray,
+    sample_weight: np.ndarray,
+    start: float = 0.0,
 ) -> float:
     """Intercept minimizing weighted log-loss for fixed feature scores.
 
-    The derivative in the intercept is monotone increasing, so bisection on a
-    clamped range converges deterministically.
+    The derivative in the intercept, g(b) = sum(sw * (p - y)) with
+    p = sigmoid(b + partial_scores), is monotone increasing, so the minimizer
+    is its root. Newton steps b - g/h take the Hessian h = sum(sw * p * (1-p))
+    from the same sigmoid pass, starting at ``start`` (a warm start, such as
+    the intercept of a nearby problem). Each evaluated point becomes the
+    lower or upper end of a bracket on the root by the sign of g. A step that
+    leaves the bracket, or a zero Hessian (every p saturated at 0 or 1), is
+    replaced by the bracket's midpoint, so the iteration always converges.
+    Iterates are clipped to [_B_LO, _B_HI]: when the root lies beyond that
+    range, the iteration stops at, and returns, its nearer end.
     """
-    def grad(b: float) -> float:
-        return float((sample_weight * (_sigmoid(b + partial_scores) - y)).sum())
-
-    lo, hi = _B_LO, _B_HI
-    if grad(lo) >= 0:
-        return lo
-    if grad(hi) <= 0:
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if grad(mid) > 0:
-            hi = mid
+    lo, hi = -np.inf, np.inf
+    b = min(max(float(start), _B_LO), _B_HI)
+    for _ in range(_B_MAX_ITER):
+        p = expit(b + partial_scores)
+        g = float(sample_weight @ (p - y))
+        if g == 0.0:
+            return b
+        if g > 0.0:
+            hi = b
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo = b
+        h = float(sample_weight @ (p * (1.0 - p)))
+        nxt = b - g / h if h > 0.0 else np.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (max(lo, _B_LO) + min(hi, _B_HI))
+        nxt = min(max(nxt, _B_LO), _B_HI)
+        if abs(nxt - b) <= _B_TOL:
+            return nxt
+        b = nxt
+    return b
 
 
 def _loss_with_best_intercept(
@@ -109,8 +125,9 @@ def _l1_feature_order(
     step = 1.0 / L
 
     w = np.zeros(d)
-    b = optimal_intercept(np.zeros(n), y, sample_weight)
-    resid = sample_weight * (_sigmoid(np.full(n, b)) - y)
+    xw = np.zeros(n)
+    b = optimal_intercept(xw, y, sample_weight)
+    resid = sample_weight * (expit(np.full(n, b)) - y)
     lam_max = float(np.abs(X.T @ resid).max() / wsum)
     if lam_max <= 0:
         return []
@@ -119,11 +136,11 @@ def _l1_feature_order(
     for _ in range(40):
         lam *= 0.7
         for _ in range(200):
-            scores = b + X @ w
-            g = X.T @ (sample_weight * (_sigmoid(scores) - y)) / wsum
+            g = X.T @ (sample_weight * (expit(b + xw) - y)) / wsum
             w_new = w - step * g
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
-            b = optimal_intercept(X @ w_new, y, sample_weight)
+            xw = X @ w_new
+            b = optimal_intercept(xw, y, sample_weight, b)
             if np.abs(w_new - w).max() < 1e-9:
                 w = w_new
                 break
@@ -149,9 +166,9 @@ def _continuous_refit(
         w, b = theta[:-1], theta[-1]
         z = b + Xs @ w
         sign = 2.0 * y - 1.0
-        loss = (sample_weight * _log1pexp(-sign * z)).sum() / wsum
+        loss = (sample_weight * np.logaddexp(0.0, -sign * z)).sum() / wsum
         loss += 1e-6 * float(w @ w)
-        r = sample_weight * (_sigmoid(z) - y) / wsum
+        r = sample_weight * (expit(z) - y) / wsum
         gw = Xs.T @ r + 2e-6 * w
         gb = r.sum()
         return loss, np.concatenate([gw, [gb]])
@@ -208,7 +225,7 @@ class RiskScorePolicy(PolicyModel):
         self.intercept = float(intercept)
 
     def _predict_proba_impl(self, X: np.ndarray) -> np.ndarray:
-        p1 = _sigmoid(self.intercept + X @ self.weights.astype(float))
+        p1 = expit(self.intercept + X @ self.weights.astype(float))
         return np.column_stack([1.0 - p1, p1])
 
     def score_table(self) -> list[tuple[str, int]]:

@@ -493,6 +493,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     )
                 )
                 continue
+            if len(units) < 2:
+                cell_skips[key] = "1 test patient; the bootstrap needs at least 2"
+                cells.append(CellResult(spec_name, kind, skip_reason=cell_skips[key]))
+                continue
             cell = CellResult(spec_name, kind)
             cell.auroc_split_values = split_auroc[key]
             B = cfg.bootstrap_B

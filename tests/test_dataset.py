@@ -106,6 +106,33 @@ class TestLoadEpisodes:
         assert a.stages[1].context["bmi"] is None
         assert eps.episodes[1].stages[0].context["hr"] is None
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    @pytest.mark.parametrize("field", ["hr", "severity"])
+    def test_jsonl_non_finite_rejected(self, tmp_path, field, value):
+        rec = record("b", 2)
+        stage = rec["stages"][1]
+        if field == "severity":
+            stage["severity"] = value
+        else:
+            stage["context"][field] = value
+        path = write_jsonl(tmp_path, [record("a", 1), rec])
+        with pytest.raises(DataError, match=rf"episodes.jsonl:2: .*{field}.*finite"):
+            load_episodes(path, make_schema())
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    @pytest.mark.parametrize("field", ["hr", "severity"])
+    def test_csv_non_finite_rejected(self, tmp_path, field, cell):
+        row = {"severity": "1.0", "hr": "70"}
+        row[field] = cell
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            "a,1,fluids,2.0,70,obese\n"
+            f"a,2,fluids,{row['severity']},{row['hr']},obese\n"
+        )
+        with pytest.raises(DataError, match=rf"eps.csv:3: .*{field}.*finite"):
+            load_episodes(str(path), make_schema())
+
     def test_csv_non_contiguous_stage_column(self, tmp_path):
         path = tmp_path / "eps.csv"
         path.write_text(
