@@ -109,7 +109,13 @@ def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
             for raw in raw_stages:
                 if not isinstance(raw, dict) or "t" not in raw or "action" not in raw:
                     raise DataError(f"{where}: patient {pid!r}: stage needs 't' and 'action'")
-                ts.append(int(raw["t"]))
+                t = raw["t"]
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise DataError(
+                        f"{where}: patient {pid!r}: bad stage index {t!r}; "
+                        "expected an integer"
+                    )
+                ts.append(t)
                 context = {}
                 for name, value in (raw.get("context") or {}).items():
                     if name not in known:

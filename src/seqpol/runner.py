@@ -6,8 +6,9 @@ candidate models per (state, model) pair, select by validation score and
 evaluate the winner on the test fold. Results are pooled across splits and
 summarized with patient-level bootstrap intervals, stratified breakdowns
 (severity subgroup, stage, switch states), off-policy diagnostics and an
-optional tree-complexity sweep. Rendering writes fixed-precision CSV tables
-and SVG figures so repeated runs are byte-identical.
+optional tree-complexity sweep. Rendering writes fixed-precision CSV tables,
+SVG figures and a report.json without wall times, so repeated runs are
+byte-identical; only run_manifest.json records how long the run took.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from .dataset import apply_preprocessor, fit_preprocessor, load_episodes, split_
 from .errors import ConfigError, SeqpolError, UndefinedMetricError
 from .metrics import (
     MetricEstimate,
+    RowWeightedMetrics,
     accuracy,
     auroc_multiclass,
     bootstrap_ci,
     compute_metric,
     confusion_matrix,
-    expected_calibration_error,
-    static_calibration_error,
 )
 from .models import (
     MODEL_KINDS,
@@ -339,12 +339,19 @@ def _pooled_arrays(units: list) -> tuple[np.ndarray, np.ndarray]:
     return probs, labels
 
 
-def _estimate(units: list, func, B: int, seed: int) -> MetricEstimate:
-    def statistic(sample):
-        probs, labels = _pooled_arrays(sample)
-        return func(probs, labels)
+def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstimate:
+    """Patient bootstrap of ``metric``, a function of per-row weights.
 
-    return bootstrap_ci(units, statistic, B=B, seed=seed)
+    ``row_patient`` holds each row's patient index, ascending from 0.
+    ``bootstrap_ci`` draws patient indices; a replicate's weights are each
+    patient's multiplicity in the draw, repeated over that patient's rows.
+    """
+    n_patients = int(row_patient[-1]) + 1
+
+    def statistic(patients):
+        return metric(np.bincount(patients, minlength=n_patients)[row_patient])
+
+    return bootstrap_ci(range(n_patients), statistic, B=B, seed=seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -499,29 +506,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 continue
             cell = CellResult(spec_name, kind)
             cell.auroc_split_values = split_auroc[key]
-            B = cfg.bootstrap_B
+            probs, labels = _pooled_arrays(units)
+            scored = RowWeightedMetrics(probs, labels)
+            row_patient = np.repeat(np.arange(len(units)), [len(u[1]) for u in units])
+
+            def estimate(metric, name):
+                seed = derive_seed(cfg.seed, "boot", spec_name, kind, name)
+                return _estimate(metric, row_patient, cfg.bootstrap_B, seed)
+
             try:
-                cell.auroc = _estimate(
-                    units,
-                    auroc_multiclass,
-                    B,
-                    derive_seed(cfg.seed, "boot", spec_name, kind, "auroc"),
-                )
+                cell.auroc = estimate(scored.auroc, "auroc")
             except UndefinedMetricError:
                 cell.skip_reason = "test AUROC undefined (single class)"
-            cell.ece = _estimate(
-                units,
-                expected_calibration_error,
-                B,
-                derive_seed(cfg.seed, "boot", spec_name, kind, "ece"),
-            )
-            cell.sce = _estimate(
-                units,
-                static_calibration_error,
-                B,
-                derive_seed(cfg.seed, "boot", spec_name, kind, "sce"),
-            )
-            probs, labels = _pooled_arrays(units)
+                cell_skips[key] = cell.skip_reason
+            cell.ece = estimate(scored.ece, "ece")
+            cell.sce = estimate(scored.sce, "sce")
             cell.accuracy_value = accuracy(probs, labels)
             cells.append(cell)
 
@@ -740,6 +739,11 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         ):
             if est is None:
                 continue
+            if est.warning is not None:
+                notes.append(
+                    f"bootstrap warning ({cell.state}, {cell.model}, {metric_name}): "
+                    f"{est.warning}"
+                )
             rows.append(
                 [
                     dataset,
@@ -907,9 +911,14 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
                 fh.write("\n")
             written.append(f"models/{name}")
 
-    # full report for re-rendering
+    # full report for re-rendering; the run's wall time goes to the manifest
+    # only, so identical runs write identical report.json bytes
+    payload = report.to_dict()
+    payload["metadata"] = {
+        k: v for k, v in report.metadata.items() if k != "duration_seconds"
+    }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")
     written.append("report.json")
 

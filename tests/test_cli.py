@@ -3,6 +3,9 @@ import json
 import pytest
 
 from seqpol.cli import main
+from seqpol.dataset import save_episodes_jsonl, split_dataset
+from seqpol.runner import derive_seed
+from seqpol.synthgen import GeneratorConfig, generate_cohort
 
 
 @pytest.mark.parametrize("n_patients", [5, 6, 7])
@@ -26,3 +29,59 @@ def test_single_patient_test_fold_is_recorded_skip(tmp_path, n_patients):
     )
     assert all("bootstrap needs at least 2" in s["reason"] for s in skips)
     assert all(c["skip_reason"] for c in report["cells"])
+
+
+def test_single_class_test_fold_is_recorded_skip(tmp_path):
+    # Every test patient takes the same action, so the pooled test AUROC is
+    # undefined: the cell still gets ECE/SCE and its skip reaches metadata.
+    episodes, _ = generate_cohort(
+        GeneratorConfig(n_patients=20, n_actions=2, t_fixed=4, seed=3)
+    )
+    _, _, test = split_dataset(episodes, derive_seed(0, "split", 0))
+    only = episodes.schema.action_labels[0]
+    for ep in episodes:
+        if ep.patient_id in test.patient_ids:
+            for stage in ep.stages:
+                stage.action = only
+    save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
+    episodes.schema.to_json(str(tmp_path / "schema.json"))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "data_path": str(tmp_path / "episodes.jsonl"),
+        "schema_path": str(tmp_path / "schema.json"),
+        "states": [{"current": True}],
+        "model_kinds": ["logreg"],
+        "n_candidates": 1,
+        "n_splits": 1,
+        "bootstrap_B": 20,
+    }))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    (cell,) = report["cells"]
+    reason = "test AUROC undefined (single class)"
+    assert cell["skip_reason"] == reason
+    assert cell["auroc"] is None and cell["ece"] is not None
+    assert report["metadata"]["skips"] == [
+        {"state": cell["state"], "model": "logreg", "reason": reason}
+    ]
+
+
+def test_identical_runs_write_identical_report_json(tmp_path):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "generator": {"n_patients": 30, "n_actions": 3, "t_fixed": 4, "seed": 2},
+        "states": [{"current": True}, {"window_k": 1}],
+        "model_kinds": ["logreg", "tree"],
+        "n_candidates": 1,
+        "n_splits": 1,
+        "bootstrap_B": 20,
+    }))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    a, b = ((out / "report.json").read_bytes() for out in outs)
+    assert a == b
+    assert "duration_seconds" not in json.loads(a)["metadata"]
+    manifest = json.loads((outs[0] / "run_manifest.json").read_text())
+    assert manifest["metadata"]["duration_seconds"] >= 0.0

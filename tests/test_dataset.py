@@ -119,6 +119,14 @@ class TestLoadEpisodes:
         with pytest.raises(DataError, match=rf"episodes.jsonl:2: .*{field}.*finite"):
             load_episodes(path, make_schema())
 
+    @pytest.mark.parametrize("t", ["x", "2", 2.7, 2.0, True, None])
+    def test_jsonl_non_integer_stage_index_rejected(self, tmp_path, t):
+        rec = record("b", 2)
+        rec["stages"][1]["t"] = t
+        path = write_jsonl(tmp_path, [record("a", 1), rec])
+        with pytest.raises(DataError, match=r"episodes.jsonl:2: patient 'b': bad stage index"):
+            load_episodes(path, make_schema())
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
     @pytest.mark.parametrize("field", ["hr", "severity"])
     def test_csv_non_finite_rejected(self, tmp_path, field, cell):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from seqpol.errors import ConfigError, UndefinedMetricError
 from seqpol.metrics import (
+    RowWeightedMetrics,
     accuracy,
     auroc_binary,
     auroc_multiclass,
@@ -13,6 +15,7 @@ from seqpol.metrics import (
     expected_calibration_error,
     static_calibration_error,
 )
+from seqpol.runner import _estimate
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,54 @@ def sce_direct(probs, labels, bins=10):
             avg = sum(probs[i, k] for i in members) / len(members)
             total += len(members) / n * abs(acc - avg)
     return total / K
+
+
+def auroc_ranked(probs, labels):
+    """Macro one-vs-rest AUROC from scipy ranks, one class at a time."""
+    present = np.unique(labels)
+    if present.size < 2:
+        raise UndefinedMetricError("one class")
+    aucs = []
+    for k in present:
+        pos = labels == k
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        ranks = rankdata(probs[:, int(k)], method="average")
+        aucs.append(float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)))
+    return float(np.mean(aucs))
+
+
+def binned_gap_masks(pred, hit, bins):
+    """Sum over bins of bin mass times |mean hit - mean prediction|, one mask per bin."""
+    idx = np.clip(np.ceil(pred * bins).astype(int) - 1, 0, bins - 1)
+    total = 0.0
+    for b in range(bins):
+        mask = idx == b
+        if mask.any():
+            total += mask.sum() / pred.size * abs(hit[mask].mean() - pred[mask].mean())
+    return total
+
+
+def ece_masks(probs, labels, bins=10):
+    correct = (probs.argmax(axis=1) == labels).astype(float)
+    return binned_gap_masks(probs.max(axis=1), correct, bins)
+
+
+def sce_masks(probs, labels, bins=10):
+    K = probs.shape[1]
+    return sum(
+        binned_gap_masks(probs[:, k], (labels == k).astype(float), bins) for k in range(K)
+    ) / K
+
+
+def list_resampling_estimate(units, func, B, seed):
+    """The bootstrap that copies and re-stacks the resampled patients' rows."""
+
+    def statistic(sample):
+        probs = np.vstack([u[0] for u in sample])
+        labels = np.concatenate([u[1] for u in sample])
+        return func(probs, labels)
+
+    return bootstrap_ci(units, statistic, B=B, seed=seed)
 
 
 def random_probs(rng, n, K):
@@ -295,6 +346,100 @@ class TestBootstrap:
     def test_too_few_patients_rejected(self):
         with pytest.raises(ConfigError):
             bootstrap_ci([1.0], lambda s: 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Row weights: the patient bootstrap's multiplicities
+# ---------------------------------------------------------------------------
+
+def random_cohort(seed, n_patients, K, rare_patients=None):
+    """Per-patient (probs, labels) units of unequal length with tied scores.
+
+    With ``rare_patients`` set, class K - 1 occurs only in the first that
+    many patients, so many resamples lose it.
+    """
+    rng = np.random.default_rng(seed)
+    units = []
+    for i in range(n_patients):
+        m = int(rng.integers(1, 7))
+        probs = np.round(rng.dirichlet(np.ones(K), size=m), 1)
+        probs /= probs.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, K, m)
+        if rare_patients is not None:
+            labels = rng.integers(0, K - 1, m)
+            if i < rare_patients:
+                labels[0] = K - 1
+        units.append((probs, labels))
+    return units
+
+
+def weighted_estimates(units, B, seed):
+    probs = np.vstack([u[0] for u in units])
+    labels = np.concatenate([u[1] for u in units])
+    scored = RowWeightedMetrics(probs, labels)
+    row_patient = np.repeat(np.arange(len(units)), [len(u[1]) for u in units])
+    return {
+        name: _estimate(metric, row_patient, B, seed)
+        for name, metric in (("auroc", scored.auroc), ("ece", scored.ece),
+                             ("sce", scored.sce))
+    }
+
+
+class TestRowWeights:
+    @pytest.mark.parametrize(
+        "seed, n_patients, K, rare",
+        [(0, 30, 3, None), (1, 12, 4, None), (2, 40, 2, None), (3, 25, 3, 1),
+         (4, 8, 2, 1), (5, 20, 2, 2)],
+    )
+    def test_bootstrap_matches_list_resampling(self, seed, n_patients, K, rare):
+        units = random_cohort(seed, n_patients, K, rare)
+        got = weighted_estimates(units, B=150, seed=seed)
+        want = {
+            name: list_resampling_estimate(units, func, B=150, seed=seed)
+            for name, func in (("auroc", auroc_ranked), ("ece", ece_masks),
+                               ("sce", sce_masks))
+        }
+        a, b = got["auroc"], want["auroc"]
+        assert (a.value, a.ci_low, a.ci_high, a.warning) == (
+            b.value, b.ci_low, b.ci_high, b.warning)
+        for name in ("ece", "sce"):
+            a, b = got[name], want[name]
+            assert a.warning == b.warning
+            assert np.allclose([a.value, a.ci_low, a.ci_high],
+                               [b.value, b.ci_low, b.ci_high], rtol=0, atol=1e-12)
+
+    def test_lost_class_resamples_warn_as_before(self):
+        # One patient of eight holds the only positive rows: about a third of
+        # resamples lose the class and the AUROC is undefined on them.
+        units = random_cohort(4, 8, 2, rare_patients=1)
+        est = weighted_estimates(units, B=150, seed=4)["auroc"]
+        assert est.warning is not None and est.warning.startswith("statistic undefined")
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_weights_equal_row_repetition(self, seed):
+        rng = np.random.default_rng(seed)
+        n, K = int(rng.integers(2, 40)), int(rng.integers(2, 5))
+        probs, labels = random_probs(rng, n, K)
+        labels[:2] = [0, 1]
+        if seed % 2:
+            probs = np.round(probs, 1)
+        counts = rng.integers(0, 4, n)
+        rep_probs, rep_labels = np.repeat(probs, counts, axis=0), np.repeat(labels, counts)
+        scored = RowWeightedMetrics(probs, labels)
+        assert auroc_multiclass(probs, labels) == auroc_ranked(probs, labels)
+        try:
+            want = auroc_ranked(rep_probs, rep_labels)
+        except UndefinedMetricError:
+            with pytest.raises(UndefinedMetricError):
+                scored.auroc(counts)
+        else:
+            assert scored.auroc(counts) == want == auroc_multiclass(rep_probs, rep_labels)
+        if counts.sum():
+            assert scored.ece(counts) == pytest.approx(
+                ece_masks(rep_probs, rep_labels), abs=1e-12)
+            assert scored.sce(counts) == pytest.approx(
+                sce_masks(rep_probs, rep_labels), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
