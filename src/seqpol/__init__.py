@@ -73,14 +73,11 @@ from .strata import (
     SubgroupAssignment,
     assign_severity_groups,
     filter_switch_states,
-    metric_by_stage,
     tree_complexity_sweep,
 )
 from .ope import (
-    ImportanceRatios,
     InverseProductSeries,
     ProductCurve,
-    importance_ratios,
     inverse_probability_products,
     median_product_curve,
 )

@@ -3,8 +3,8 @@
 Subcommands:
   generate     sample a synthetic cohort (episodes.jsonl + oracle.csv)
   experiment   run the full protocol and render the report tables
-  sweep-trees  tree-complexity sweep on a single split
-  ope          inverse-probability product diagnostics for a saved model
+  sweep-trees  tree-complexity sweep on split 0 (complexity.csv + .svg only)
+  ope          inverse-probability product diagnostics for a saved model bundle
   report       re-render tables/figures from a saved report.json
 
 Exit codes: 0 success, 1 configuration error, 2 data error. The environment
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .dataset import (
+    Preprocessor,
     apply_preprocessor,
     fit_preprocessor,
     load_episodes,
@@ -27,7 +28,15 @@ from .dataset import (
 from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import inverse_probability_products, median_product_curve
-from .runner import ExperimentConfig, load_report, render_report, run_experiment
+from .runner import (
+    ExperimentConfig,
+    load_report,
+    render_complexity,
+    render_report,
+    resolve_episodes,
+    run_experiment,
+    tree_sweep,
+)
 from .schema import CohortSchema
 from .staterep import StateSpec
 from .svg import line_chart
@@ -60,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ope", help="inverse-probability product diagnostics")
     p.add_argument("--model", required=True, help="saved model bundle JSON")
     p.add_argument("--data", required=True, help="episodes (JSONL or CSV)")
-    p.add_argument("--spec", required=True, help="state spec JSON")
+    p.add_argument(
+        "--spec", default=None, help="state spec JSON (default: the bundle's own)"
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-stage", type=int, default=10)
 
@@ -105,12 +116,7 @@ def _cmd_sweep_trees(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.tree_sweep_n = args.n
-    # Only the sweep runs; skip the candidate protocol by keeping one split
-    # and rendering just the sweep-bearing report.
-    cfg.n_splits = 1
-    cfg.n_candidates = 1
-    report = run_experiment(cfg)
-    written = render_report(report, args.out)
+    written = render_complexity(tree_sweep(cfg, resolve_episodes(cfg)), args.out)
     print(f"wrote {len(written)} files -> {args.out}")
     return 0
 
@@ -118,18 +124,22 @@ def _cmd_sweep_trees(args) -> int:
 def _cmd_ope(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
-    if "model" in bundle:  # bundle with preprocessor + schema
-        model = model_from_dict(bundle["model"])
-        schema = CohortSchema.from_dict(bundle["schema"])
-        from .dataset import Preprocessor
-
-        prep = Preprocessor.from_dict(bundle["preprocessor"])
-    else:
+    if not {"model", "schema", "preprocessor", "state_spec"} <= bundle.keys():
         raise ConfigError(
-            "model file must be a bundle with 'model', 'schema' and "
-            "'preprocessor' sections (see runner.save_model_bundle)"
+            "model file must be a bundle with 'model', 'schema', 'preprocessor' "
+            "and 'state_spec' sections, as `seqpol experiment` writes to models/"
         )
-    spec = StateSpec.from_json(args.spec)
+    model = model_from_dict(bundle["model"])
+    schema = CohortSchema.from_dict(bundle["schema"])
+    prep = Preprocessor.from_dict(bundle["preprocessor"])
+    spec = StateSpec.from_dict(bundle["state_spec"])
+    if args.spec is not None:
+        given = StateSpec.from_json(args.spec)
+        if given != spec:
+            raise ConfigError(
+                f"--spec {args.spec} is state {given.name!r}, but the model was "
+                f"fitted on state {spec.name!r}"
+            )
     episodes = load_episodes(args.data, schema)
     encoded = apply_preprocessor(episodes, prep)
     products = inverse_probability_products(encoded, model, spec)

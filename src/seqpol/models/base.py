@@ -48,10 +48,17 @@ class PolicyModel(ABC):
                     f"got {X.shape[1]}"
                 )
         elif list(feature_names) != self.feature_names:
+            got, want = list(feature_names), self.feature_names
+            i = next(
+                (j for j, (a, b) in enumerate(zip(got, want)) if a != b),
+                min(len(got), len(want)),
+            )
+            got_i = repr(got[i]) if i < len(got) else "no feature"
+            want_i = repr(want[i]) if i < len(want) else "no feature"
             raise ContractError(
-                f"{self.kind}: feature names do not match training "
-                f"(got {list(feature_names)[:3]}..., expected "
-                f"{self.feature_names[:3]}...)"
+                f"{self.kind}: feature names do not match training: at position "
+                f"{i} got {got_i}, expected {want_i} ({len(got)} features, "
+                f"{len(want)} in training)"
             )
         return X
 

@@ -1,4 +1,4 @@
-"""Importance ratios and cumulative inverse-probability products.
+"""Cumulative inverse-probability products of observed actions.
 
 The growth of the per-patient product of inverse action probabilities is a
 variance diagnostic for importance-weighted off-policy evaluation: the faster
@@ -9,7 +9,7 @@ floored events are counted and reported instead of silently clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .schema import EpisodeSet
 from .staterep import StateSpec, assemble_state
 
 PROB_FLOOR = 1e-6
-OVERLAP_THRESHOLD = 1e-3
 
 
 @dataclass
@@ -92,49 +91,3 @@ def median_product_curve(
         medians.append(float(np.median(active)))
         counts.append(len(active))
     return ProductCurve(stages, medians, counts, products.floored_events)
-
-
-@dataclass
-class ImportanceRatios:
-    """Per-row target/behavior probability ratios, aligned with the matrix rows."""
-
-    rho: np.ndarray
-    overlap_flags: np.ndarray  # True where p_target > 0 but p_behavior ~ 0
-    patient_ids: list[str] = field(default_factory=list)
-    stages: np.ndarray | None = None
-
-
-def importance_ratios(
-    episodes: EpisodeSet,
-    behavior_model: PolicyModel,
-    target_policy,
-    spec: StateSpec,
-) -> ImportanceRatios:
-    """Ratio of target to estimated behavior probability per observed action.
-
-    ``target_policy`` is either a PolicyModel evaluated on the same states, a
-    mapping from action label to a state-independent probability, or an
-    (n_rows, K) array of per-row target probabilities. Rows where the target
-    assigns positive probability but the behavior estimate is near zero are
-    flagged as overlap-violation candidates.
-    """
-    matrix = assemble_state(episodes, spec)
-    behavior = behavior_model.predict_proba(matrix)
-    p_mu = behavior[np.arange(matrix.n_rows), matrix.y]
-
-    if isinstance(target_policy, PolicyModel):
-        target = target_policy.predict_proba(matrix)
-    elif isinstance(target_policy, dict):
-        row = np.array([target_policy.get(a, 0.0) for a in matrix.action_labels])
-        target = np.tile(row, (matrix.n_rows, 1))
-    else:
-        target = np.asarray(target_policy, dtype=float)
-        if target.shape != (matrix.n_rows, matrix.n_actions):
-            raise ConfigError(
-                f"target probability table must have shape "
-                f"({matrix.n_rows}, {matrix.n_actions}), got {target.shape}"
-            )
-    p_pi = target[np.arange(matrix.n_rows), matrix.y]
-    rho = p_pi / np.maximum(p_mu, PROB_FLOOR)
-    flags = (p_pi > 0) & (p_mu < OVERLAP_THRESHOLD)
-    return ImportanceRatios(rho, flags, matrix.patient_ids, matrix.stages)

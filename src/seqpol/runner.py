@@ -3,12 +3,16 @@
 For each of several seeded splits: fit the preprocessor on training patients,
 assemble every configured state representation, train randomly sampled
 candidate models per (state, model) pair, select by validation score and
-evaluate the winner on the test fold. Results are pooled across splits and
-summarized with patient-level bootstrap intervals, stratified breakdowns
-(severity subgroup, stage, switch states), off-policy diagnostics and an
-optional tree-complexity sweep. Rendering writes fixed-precision CSV tables,
-SVG figures and a report.json without wall times, so repeated runs are
-byte-identical; only run_manifest.json records how long the run took.
+evaluate the winner on the test fold. Each cell's test rows of every split
+are stacked once into one pooled table (split, patient, stage, switch flag,
+probabilities, action) with one ``RowWeightedMetrics``; the patient-level
+bootstrap intervals, the AUROC by stage and by severity subgroup and the
+switch-state confusion all read that table. Off-policy diagnostics and an
+optional tree-complexity sweep (``tree_sweep``, also run alone by
+``seqpol sweep-trees``) complete the report. Rendering writes fixed-precision
+CSV tables, SVG figures and a report.json without wall times, so repeated
+runs are byte-identical; only run_manifest.json records how long the run
+took. Preprocessor and bootstrap warnings become run_manifest.json notes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +52,12 @@ from .models import (
 from .ope import inverse_probability_products, median_product_curve
 from .schema import CohortSchema, EpisodeSet
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
-from .strata import assign_severity_groups, filter_switch_states, tree_complexity_sweep
+from .strata import (
+    assign_severity_groups,
+    auroc_by_level,
+    filter_switch_states,
+    tree_complexity_sweep,
+)
 from .svg import line_chart
 from .synthgen import GeneratorConfig, generate_cohort
 
@@ -287,12 +297,6 @@ def make_model_bundle(model: PolicyModel, prep, spec: StateSpec) -> dict:
     }
 
 
-def save_model_bundle(path: str, model: PolicyModel, prep, spec: StateSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(make_model_bundle(model, prep, spec), fh)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Candidate selection
 # ---------------------------------------------------------------------------
@@ -318,7 +322,8 @@ def select_best_candidate(
 # Experiment
 # ---------------------------------------------------------------------------
 
-def _resolve_episodes(cfg: ExperimentConfig) -> EpisodeSet:
+def resolve_episodes(cfg: ExperimentConfig) -> EpisodeSet:
+    """The cohort of a config: generated, or loaded with its schema."""
     if cfg.generator is not None:
         episodes, _ = generate_cohort(cfg.generator)
         return episodes
@@ -328,15 +333,47 @@ def _resolve_episodes(cfg: ExperimentConfig) -> EpisodeSet:
     return load_episodes(cfg.data_path, schema)
 
 
-def _pooled_units(per_patient: dict) -> list:
-    """Bootstrap units: one (probs, labels) pair per (split, patient)."""
-    return [per_patient[key] for key in sorted(per_patient)]
+@dataclass
+class _PooledRows:
+    """One cell's test rows of every split, stacked once.
 
+    Test matrices are sorted by patient and splits are stacked in order, so
+    each run of rows with equal (split, patient id) is one bootstrap unit.
+    The bootstrap, the stage and severity strata and the switch confusion all
+    read these rows; the first two score them through one ``RowWeightedMetrics``.
+    """
 
-def _pooled_arrays(units: list) -> tuple[np.ndarray, np.ndarray]:
-    probs = np.vstack([u[0] for u in units])
-    labels = np.concatenate([u[1] for u in units])
-    return probs, labels
+    split: np.ndarray
+    patient_ids: np.ndarray
+    stages: np.ndarray
+    switch: np.ndarray  # the chosen action differs from the previous one
+    probs: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def stack(cls, chunks: list[tuple[int, StateMatrix, np.ndarray]]) -> "_PooledRows":
+        """Rows of ``(split, test matrix, test probabilities)`` chunks."""
+        return cls(
+            split=np.concatenate([np.full(m.n_rows, s) for s, m, _ in chunks]),
+            patient_ids=np.array([pid for _, m, _ in chunks for pid in m.patient_ids]),
+            stages=np.concatenate([m.stages for _, m, _ in chunks]),
+            switch=np.concatenate([m.y != m.prev_actions for _, m, _ in chunks]),
+            probs=np.vstack([probs for _, _, probs in chunks]),
+            y=np.concatenate([m.y for _, m, _ in chunks]),
+        )
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """Each row's bootstrap unit, ascending from 0."""
+        new = np.ones(len(self.y), dtype=bool)
+        new[1:] = (self.split[1:] != self.split[:-1]) | (
+            self.patient_ids[1:] != self.patient_ids[:-1]
+        )
+        return np.cumsum(new) - 1
+
+    @property
+    def n_units(self) -> int:
+        return int(self.unit[-1]) + 1 if len(self.unit) else 0
 
 
 def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstimate:
@@ -354,6 +391,36 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     return bootstrap_ci(range(n_patients), statistic, B=B, seed=seed)
 
 
+def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[dict]:
+    """Rows of the tree-complexity sweep on the patients of split 0."""
+    train_raw, val_raw, test_raw = split_dataset(
+        raw, derive_seed(cfg.seed, "split", 0), cfg.test_frac, cfg.val_frac
+    )
+    prep = fit_preprocessor(train_raw, raw.schema)
+    buckets = tree_complexity_sweep(
+        apply_preprocessor(train_raw, prep),
+        apply_preprocessor(val_raw, prep),
+        apply_preprocessor(test_raw, prep),
+        cfg.resolved_states(),
+        n_models=cfg.tree_sweep_n,
+        leaf_bin_width=cfg.tree_sweep_leaf_bin,
+        profile=get_profile(cfg.profile),
+        space=HyperparamSpace(),
+        seed=derive_seed(cfg.seed, "sweep"),
+    )
+    return [
+        {
+            "state": b.spec_name,
+            "leaves_low": b.leaves_low,
+            "leaves_high": b.leaves_high,
+            "n_models": b.n_models,
+            "val_auroc": b.val_auroc,
+            "test_auroc": b.test_auroc,
+        }
+        for b in buckets
+    ]
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full protocol and assemble a report.
 
@@ -362,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     result or a recorded skip reason.
     """
     t_start = time.time()
-    raw = _resolve_episodes(cfg)
+    raw = resolve_episodes(cfg)
     schema = raw.schema
     specs = cfg.resolved_states()
     state_names = [s.name for s in specs]
@@ -378,14 +445,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     fits_attempted = 0
     failures: list[dict] = []
+    prep_warnings: list[dict] = []
     # (state, model) -> accumulators
     split_auroc: dict[tuple[str, str], list] = {
         (s, m): [] for s in state_names for m in cfg.model_kinds
     }
-    pooled: dict[tuple[str, str], dict] = {
-        (s, m): {} for s in state_names for m in cfg.model_kinds
-    }
-    pooled_rows: dict[tuple[str, str], list] = {
+    # (state, model) -> one (split, test matrix, test probabilities) per split
+    pooled: dict[tuple[str, str], list] = {
         (s, m): [] for s in state_names for m in cfg.model_kinds
     }
     cell_skips: dict[tuple[str, str], str] = {}
@@ -399,6 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             raw, split_seed, cfg.test_frac, cfg.val_frac
         )
         prep = fit_preprocessor(train_raw, schema)
+        prep_warnings.extend({"split": split_idx, "warning": w} for w in prep.warnings)
         train_e = apply_preprocessor(train_raw, prep)
         val_e = apply_preprocessor(val_raw, prep)
         test_e = apply_preprocessor(test_raw, prep)
@@ -470,49 +537,56 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     split_auroc[key].append(auroc_multiclass(probs, m_test.y))
                 except UndefinedMetricError:
                     split_auroc[key].append(None)
-                for rows in m_test.patient_groups():
-                    pid = m_test.patient_ids[rows[0]]
-                    pooled[key][(split_idx, pid)] = (probs[rows], m_test.y[rows])
-                pooled_rows[key].append(
-                    {
-                        "split": split_idx,
-                        "stages": m_test.stages,
-                        "patient_ids": list(m_test.patient_ids),
-                        "switch_mask": m_test.y != m_test.prev_actions,
-                        "probs": probs,
-                        "y": m_test.y,
-                    }
-                )
+                pooled[key].append((split_idx, m_test, probs))
 
-    # ---- aggregate cells -------------------------------------------------
-    cells = []
+    pooled_rows = {
+        key: _PooledRows.stack(chunks) for key, chunks in pooled.items() if chunks
+    }
+
+    # ---- per cell: stratified tables, then the bootstrap summary ---------
+    # A cell's sort orders live only while the cell is summarized.
+    report = ExperimentReport(
+        config=cfg.to_dict(),
+        states=state_names,
+        model_kinds=list(cfg.model_kinds),
+        cells=[],
+    )
+    group_of = severity_groups.groups
     for spec_name in state_names:
         for kind in cfg.model_kinds:
             key = (spec_name, kind)
-            if key in cell_skips and not pooled[key]:
-                cells.append(CellResult(spec_name, kind, skip_reason=cell_skips[key]))
-                continue
-            units = _pooled_units(pooled[key])
-            if not units:
-                cells.append(
+            rows = pooled_rows.get(key)
+            n_units = 0
+            if rows is not None:
+                n_units = rows.n_units
+                scored = RowWeightedMetrics(rows.probs, rows.y)
+                stages = range(1, cfg.by_stage_max + 1)
+                for t, value, n in auroc_by_level(scored, rows.stages, stages):
+                    report.by_stage.append(
+                        {"state": spec_name, "model": kind, "stage": t,
+                         "auroc": value, "n": n}
+                    )
+                if group_of:
+                    groups = np.array([group_of.get(pid, 0) for pid in rows.patient_ids])
+                    for g, value, n in auroc_by_level(scored, groups, range(1, 7)):
+                        report.by_group.append(
+                            {"group": g, "state": spec_name, "model": kind,
+                             "auroc": value, "n": n}
+                        )
+            if n_units == 1:
+                cell_skips[key] = "1 test patient; the bootstrap needs at least 2"
+            if n_units < 2:
+                report.cells.append(
                     CellResult(
                         spec_name, kind, skip_reason=cell_skips.get(key, "no results")
                     )
                 )
                 continue
-            if len(units) < 2:
-                cell_skips[key] = "1 test patient; the bootstrap needs at least 2"
-                cells.append(CellResult(spec_name, kind, skip_reason=cell_skips[key]))
-                continue
-            cell = CellResult(spec_name, kind)
-            cell.auroc_split_values = split_auroc[key]
-            probs, labels = _pooled_arrays(units)
-            scored = RowWeightedMetrics(probs, labels)
-            row_patient = np.repeat(np.arange(len(units)), [len(u[1]) for u in units])
+            cell = CellResult(spec_name, kind, auroc_split_values=split_auroc[key])
 
             def estimate(metric, name):
                 seed = derive_seed(cfg.seed, "boot", spec_name, kind, name)
-                return _estimate(metric, row_patient, cfg.bootstrap_B, seed)
+                return _estimate(metric, rows.unit, cfg.bootstrap_B, seed)
 
             try:
                 cell.auroc = estimate(scored.auroc, "auroc")
@@ -521,84 +595,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 cell_skips[key] = cell.skip_reason
             cell.ece = estimate(scored.ece, "ece")
             cell.sce = estimate(scored.sce, "sce")
-            cell.accuracy_value = accuracy(probs, labels)
-            cells.append(cell)
-
-    report = ExperimentReport(
-        config=cfg.to_dict(),
-        states=state_names,
-        model_kinds=list(cfg.model_kinds),
-        cells=cells,
-    )
-
-    # ---- stratified tables ----------------------------------------------
-    for spec_name in state_names:
-        for kind in cfg.model_kinds:
-            chunks = pooled_rows[(spec_name, kind)]
-            if not chunks:
-                continue
-            stages = np.concatenate([c["stages"] for c in chunks])
-            probs = np.vstack([c["probs"] for c in chunks])
-            y = np.concatenate([c["y"] for c in chunks])
-            pids = [pid for c in chunks for pid in c["patient_ids"]]
-            for t in range(1, cfg.by_stage_max + 1):
-                mask = stages == t
-                n = int(mask.sum())
-                value = None
-                if n > 0:
-                    try:
-                        value = auroc_multiclass(probs[mask], y[mask])
-                    except UndefinedMetricError:
-                        value = None
-                report.by_stage.append(
-                    {
-                        "state": spec_name,
-                        "model": kind,
-                        "stage": t,
-                        "auroc": value,
-                        "n": n,
-                    }
-                )
-            if severity_groups.groups:
-                group_of = severity_groups.groups
-                row_groups = np.array([group_of.get(pid, 0) for pid in pids])
-                for g in range(1, 7):
-                    mask = row_groups == g
-                    n = int(mask.sum())
-                    value = None
-                    if n > 0:
-                        try:
-                            value = auroc_multiclass(probs[mask], y[mask])
-                        except UndefinedMetricError:
-                            value = None
-                    report.by_group.append(
-                        {
-                            "group": g,
-                            "state": spec_name,
-                            "model": kind,
-                            "auroc": value,
-                            "n": n,
-                        }
-                    )
+            cell.accuracy_value = accuracy(rows.probs, rows.y)
+            report.cells.append(cell)
 
     # ---- switch-state confusion between two selected models --------------
     ref = cfg.confusion_reference or (cfg.model_kinds[-1], state_names[-1])
     cmp_ = cfg.confusion_comparison or (cfg.model_kinds[0], state_names[0])
     ref_key = (ref[1], ref[0])
     cmp_key = (cmp_[1], cmp_[0])
+    ref_rows, cmp_rows = pooled_rows.get(ref_key), pooled_rows.get(cmp_key)
+    # the two cells must hold the same test rows: those of the same splits
     if (
         ref_key != cmp_key
-        and pooled_rows.get(ref_key)
-        and pooled_rows.get(cmp_key)
-        and len(pooled_rows[ref_key]) == len(pooled_rows[cmp_key])
+        and ref_rows is not None
+        and cmp_rows is not None
+        and np.array_equal(ref_rows.split, cmp_rows.split)
     ):
-        ref_preds, cmp_preds = [], []
-        for rc, cc in zip(pooled_rows[ref_key], pooled_rows[cmp_key]):
-            mask = rc["switch_mask"]
-            ref_preds.append(np.argmax(rc["probs"][mask], axis=1))
-            cmp_preds.append(np.argmax(cc["probs"][mask], axis=1))
+        mask = ref_rows.switch
         matrix = confusion_matrix(
-            np.concatenate(ref_preds), np.concatenate(cmp_preds), K
+            np.argmax(ref_rows.probs[mask], axis=1),
+            np.argmax(cmp_rows.probs[mask], axis=1),
+            K,
         )
         report.switch_confusion = {
             "reference": {"model": ref[0], "state": ref[1]},
@@ -644,33 +661,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     # ---- optional tree-complexity sweep ----------------------------------
     if cfg.tree_sweep_n > 0:
-        split_seed = derive_seed(cfg.seed, "split", 0)
-        train_raw, val_raw, test_raw = split_dataset(
-            raw, split_seed, cfg.test_frac, cfg.val_frac
-        )
-        prep = fit_preprocessor(train_raw, schema)
-        buckets = tree_complexity_sweep(
-            apply_preprocessor(train_raw, prep),
-            apply_preprocessor(val_raw, prep),
-            apply_preprocessor(test_raw, prep),
-            specs,
-            n_models=cfg.tree_sweep_n,
-            leaf_bin_width=cfg.tree_sweep_leaf_bin,
-            profile=profile,
-            space=space,
-            seed=derive_seed(cfg.seed, "sweep"),
-        )
-        report.complexity = [
-            {
-                "state": b.spec_name,
-                "leaves_low": b.leaves_low,
-                "leaves_high": b.leaves_high,
-                "n_models": b.n_models,
-                "val_auroc": b.val_auroc,
-                "test_auroc": b.test_auroc,
-            }
-            for b in buckets
-        ]
+        report.complexity = tree_sweep(cfg, raw)
 
     report.metadata = {
         "package_version": _pkg_version,
@@ -684,6 +675,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             {"state": s, "model": m, "reason": r}
             for (s, m), r in sorted(cell_skips.items())
         ],
+        "preprocessor_warnings": prep_warnings,
         "severity_excluded": dict(sorted(severity_groups.excluded.items())),
         "n_patients": len(raw),
         "n_rows": raw.n_stages,
@@ -710,12 +702,48 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def render_complexity(complexity: list[dict], outdir: str) -> list[str]:
+    """Write complexity.csv and complexity.svg from ``tree_sweep`` rows."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out / "complexity.csv",
+        ["state", "leaves_low", "leaves_high", "n_models", "val_auroc", "test_auroc"],
+        [
+            [r["state"], r["leaves_low"], r["leaves_high"], r["n_models"],
+             _fmt(r["val_auroc"]), _fmt(r["test_auroc"])]
+            for r in complexity
+        ],
+    )
+    series = []
+    for state in dict.fromkeys(r["state"] for r in complexity):
+        rows_s = [r for r in complexity if r["state"] == state]
+        series.append(
+            (
+                state,
+                [0.5 * (r["leaves_low"] + r["leaves_high"]) for r in rows_s],
+                [r["test_auroc"] for r in rows_s],
+            )
+        )
+    line_chart(
+        series,
+        str(out / "complexity.svg"),
+        title="Switch-state test AUROC by tree size",
+        x_label="leaves (bucket midpoint)",
+        y_label="AUROC",
+    )
+    return ["complexity.csv", "complexity.svg"]
+
+
 def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     """Write all report tables and figures; returns the file names written."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    notes: list[str] = []
+    notes = [
+        f"preprocessor warning (split {w['split']}): {w['warning']}"
+        for w in report.metadata.get("preprocessor_warnings", [])
+    ]
     dataset = report.config.get("name", "cohort")
 
     # results.csv: state rows x model columns of pooled test AUROC
@@ -866,37 +894,8 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     else:
         notes.append("ope_curve.csv omitted: no OPE-eligible models")
 
-    # complexity.csv + svg
     if report.complexity is not None:
-        _write_csv(
-            out / "complexity.csv",
-            ["state", "leaves_low", "leaves_high", "n_models", "val_auroc",
-             "test_auroc"],
-            [
-                [r["state"], r["leaves_low"], r["leaves_high"], r["n_models"],
-                 _fmt(r["val_auroc"]), _fmt(r["test_auroc"])]
-                for r in report.complexity
-            ],
-        )
-        written.append("complexity.csv")
-        series = []
-        for state in dict.fromkeys(r["state"] for r in report.complexity):
-            rows_s = [r for r in report.complexity if r["state"] == state]
-            series.append(
-                (
-                    state,
-                    [0.5 * (r["leaves_low"] + r["leaves_high"]) for r in rows_s],
-                    [r["test_auroc"] for r in rows_s],
-                )
-            )
-        line_chart(
-            series,
-            str(out / "complexity.svg"),
-            title="Switch-state test AUROC by tree size",
-            x_label="leaves (bucket midpoint)",
-            y_label="AUROC",
-        )
-        written.append("complexity.svg")
+        written.extend(render_complexity(report.complexity, outdir))
     else:
         notes.append("complexity.csv omitted: tree sweep not configured")
 

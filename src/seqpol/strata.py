@@ -1,21 +1,23 @@
 """Stratified evaluation: severity subgroups, stages, switch states, tree size.
 
 Patients are grouped by the average per-stage rate of change of their severity
-score into six intervals; metrics can be broken down by treatment stage; rows
-where the chosen action differs from the previous one form the switch-state
-subset; and randomly configured trees are swept to relate model size (leaf
-count) to discrimination.
+score into six intervals; AUROC is broken down by any per-row level (stage,
+severity group) from one set of pooled predictions; rows where the chosen
+action differs from the previous one form the switch-state subset; and
+randomly configured trees are swept to relate model size (leaf count) to
+discrimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
-from .metrics import auroc_multiclass, compute_metric
-from .models import PolicyModel, fit_tree, sample_hyperparams
+from .metrics import RowWeightedMetrics, auroc_multiclass
+from .models import fit_tree, sample_hyperparams
 from .models.hyperparams import DatasetProfile, HyperparamSpace, get_profile
 from .schema import EpisodeSet
 from .staterep import StateMatrix, StateSpec, assemble_state
@@ -31,9 +33,6 @@ class SubgroupAssignment:
 
     groups: dict[str, int]
     excluded: dict[str, str] = field(default_factory=dict)
-
-    def patients_in(self, group: int) -> set[str]:
-        return {pid for pid, g in self.groups.items() if g == group}
 
 
 def severity_rate_of_change(severity: np.ndarray) -> float:
@@ -63,39 +62,27 @@ def assign_severity_groups(episodes: EpisodeSet) -> SubgroupAssignment:
     return assignment
 
 
-@dataclass
-class StageMetric:
-    stage: int
-    value: float | None
-    n: int
+def auroc_by_level(
+    scored: RowWeightedMetrics, levels: np.ndarray, values: Iterable[int]
+) -> list[tuple[int, float | None, int]]:
+    """(level, AUROC or None, row count) for each level in ``values``.
 
-
-def metric_by_stage(
-    matrix: StateMatrix,
-    model: PolicyModel,
-    metric: str = "auroc",
-    max_stage: int = 10,
-) -> list[StageMetric]:
-    """Evaluate a metric on the rows of each stage t = 1..max_stage.
-
-    Stages where the metric is undefined (e.g. a single action class) yield a
-    None entry rather than an error.
+    A level's AUROC is that of the rows whose ``levels`` entry equals it,
+    scored under 0/1 row weights on the sort orders ``scored`` already holds;
+    it equals bit for bit the AUROC of those rows alone. It is None where the
+    level has no rows or its rows hold fewer than two classes.
     """
-    if max_stage < 1:
-        raise ConfigError("max_stage must be >= 1")
-    probs = model.predict_proba(matrix)
     out = []
-    for t in range(1, max_stage + 1):
-        mask = matrix.stages == t
-        n = int(mask.sum())
-        if n == 0:
-            out.append(StageMetric(t, None, 0))
-            continue
-        try:
-            value = compute_metric(metric, probs[mask], matrix.y[mask])
-        except UndefinedMetricError:
-            value = None
-        out.append(StageMetric(t, value, n))
+    for level in values:
+        weights = (levels == level).astype(np.int64)
+        n = int(weights.sum())
+        value = None
+        if n:
+            try:
+                value = scored.auroc(weights)
+            except UndefinedMetricError:
+                pass
+        out.append((level, value, n))
     return out
 
 

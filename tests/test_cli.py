@@ -85,3 +85,95 @@ def test_identical_runs_write_identical_report_json(tmp_path):
     assert "duration_seconds" not in json.loads(a)["metadata"]
     manifest = json.loads((outs[0] / "run_manifest.json").read_text())
     assert manifest["metadata"]["duration_seconds"] >= 0.0
+
+
+def _write_experiment(tmp_path, **options):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "generator": {"n_patients": 40, "n_actions": 3, "t_fixed": 4, "seed": 5},
+        "states": [{"current": True}, {"window_k": 1}],
+        "model_kinds": ["logreg", "tree"],
+        "n_candidates": 1,
+        "n_splits": 1,
+        "bootstrap_B": 10,
+        **options,
+    }))
+    return config
+
+
+def test_sweep_trees_writes_only_the_experiments_complexity_table(tmp_path):
+    config = _write_experiment(tmp_path, n_splits=2, tree_sweep_n=4)
+    full, sweep = tmp_path / "full", tmp_path / "sweep"
+    assert main(["experiment", "--config", str(config), "--out", str(full)]) == 0
+    assert main(["sweep-trees", "--config", str(config), "--n", "4",
+                 "--out", str(sweep)]) == 0
+    assert sorted(p.name for p in sweep.iterdir()) == ["complexity.csv", "complexity.svg"]
+    for name in ("complexity.csv", "complexity.svg"):
+        assert (sweep / name).read_bytes() == (full / name).read_bytes()
+
+
+def _write_generator(tmp_path):
+    config = tmp_path / "generator.json"
+    config.write_text(json.dumps(
+        {"n_patients": 12, "n_actions": 3, "t_fixed": 4, "seed": 6}
+    ))
+    return config
+
+
+def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
+    fit = tmp_path / "fit"
+    assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
+                 "--out", str(fit)]) == 0
+    data = tmp_path / "cohort"
+    assert main(["generate", "--config", str(_write_generator(tmp_path)),
+                 "--out", str(data)]) == 0
+    bundle = fit / "models" / "window1__logreg.json"
+    spec = json.loads(bundle.read_text())["state_spec"]
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    same.write_text(json.dumps(spec))
+    other.write_text(json.dumps({"current": True}))
+    ope = ["ope", "--model", str(bundle), "--data", str(data / "episodes.jsonl")]
+
+    assert main(ope + ["--out", str(tmp_path / "a")]) == 0
+    assert main(ope + ["--spec", str(same), "--out", str(tmp_path / "b")]) == 0
+    curve = (tmp_path / "a" / "ope_curve.csv").read_bytes()
+    assert curve == (tmp_path / "b" / "ope_curve.csv").read_bytes()
+    capsys.readouterr()
+
+    assert main(ope + ["--spec", str(other), "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "'current'" in err and "'window1'" in err
+
+
+def test_preprocessor_warnings_become_manifest_notes(tmp_path):
+    # x0 is constant, so every split's preprocessor clamps its stddev to 1.
+    episodes, _ = generate_cohort(
+        GeneratorConfig(n_patients=30, n_actions=2, t_fixed=3, seed=4)
+    )
+    for ep in episodes:
+        for stage in ep.stages:
+            stage.context["x0"] = 1.5
+    save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
+    episodes.schema.to_json(str(tmp_path / "schema.json"))
+    config = _write_experiment(
+        tmp_path,
+        generator=None,
+        data_path=str(tmp_path / "episodes.jsonl"),
+        schema_path=str(tmp_path / "schema.json"),
+        n_splits=2,
+    )
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    warning = "variable 'x0': zero variance, stddev clamped to 1"
+    report = json.loads((out / "report.json").read_text())
+    assert report["metadata"]["preprocessor_warnings"] == [
+        {"split": 0, "warning": warning}, {"split": 1, "warning": warning}
+    ]
+    notes = json.loads((out / "run_manifest.json").read_text())["notes"]
+    assert [n for n in notes if n.startswith("preprocessor warning")] == [
+        f"preprocessor warning (split 0): {warning}",
+        f"preprocessor warning (split 1): {warning}",
+    ]
+    header = (out / "by_stage.csv").read_text().splitlines()[0]
+    assert header == "state,model,stage,auroc,n"

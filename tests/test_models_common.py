@@ -83,6 +83,17 @@ class TestInputValidation:
             with pytest.raises(ContractError):
                 model.predict_proba(train.X, ["wrong", "names", "here"])
 
+    def test_feature_name_mismatch_names_first_difference(self):
+        train = random_matrix(seed=21, n=80, d=3, K=2)
+        model = fit_logreg(train, C=1.0)
+        with pytest.raises(ContractError, match="at position 2 got 'f9', expected 'f2'"):
+            model.predict_proba(train.X, ["f0", "f1", "f9"])
+        with pytest.raises(
+            ContractError,
+            match=r"at position 2 got no feature, expected 'f2' \(2 features, 3 in",
+        ):
+            model.predict_proba(train.X, ["f0", "f1"])
+
     def test_wrong_width_rejected(self):
         train = random_matrix(seed=22, n=80, d=3, K=2)
         for name, model in fit_all(train).items():

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
+
 from seqpol.metrics import MetricEstimate
-from seqpol.runner import CellResult, ExperimentReport, render_report
+from seqpol.runner import CellResult, ExperimentReport, _PooledRows, render_report
+from seqpol.staterep import StateSpec, assemble_state
 
 
 def test_bootstrap_warnings_become_manifest_notes(tmp_path):
@@ -23,3 +26,17 @@ def test_bootstrap_warnings_become_manifest_notes(tmp_path):
     ]
     header = (tmp_path / "metrics_long.csv").read_text().splitlines()[0]
     assert header == "dataset,state,model,metric,value,ci_low,ci_high,n"
+
+
+def test_pooled_rows_count_one_unit_per_split_and_patient(therapy_episodes):
+    # p2 ends split 0 and is split 1's only test patient: two units, not one.
+    matrix = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
+    p2 = matrix.subset(np.array(matrix.patient_ids) == "p2")
+    rows = _PooledRows.stack([
+        (0, matrix, np.full((6, 3), 1 / 3)), (1, p2, np.full((3, 3), 1 / 3))
+    ])
+    assert rows.unit.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert rows.n_units == 3
+    assert rows.switch.tolist() == [False, True, True, True, False, True] + [
+        True, False, True
+    ]

@@ -1,0 +1,88 @@
+import numpy as np
+import pytest
+
+from seqpol.errors import UndefinedMetricError
+from seqpol.metrics import RowWeightedMetrics, auroc_multiclass
+from seqpol.staterep import StateSpec, assemble_state
+from seqpol.strata import assign_severity_groups, auroc_by_level, filter_switch_states
+
+from conftest import encoded_episode_set
+
+
+def severity_patients(schema, severities: dict):
+    """Encoded episodes whose stages carry the given severity values."""
+    ctx = {"age": 50.0, "cdai": 1.0, "crp": 1.0}
+    return encoded_episode_set(
+        schema,
+        [(pid, [(ctx, "MTX", s) for s in sev]) for pid, sev in severities.items()],
+    )
+
+
+def test_severity_group_boundaries_fall_upward(therapy_schema):
+    episodes = severity_patients(
+        therapy_schema,
+        {
+            "steep_fall": [0.0, -0.5],
+            "at_low_edge": [0.0, -0.4],
+            "flat": [2.0, 2.0, 2.0],
+            "just_below_zero": [0.0, -0.01],
+            "at_high_edge": [0.0, 0.4],
+            "steep_rise": [0.0, 0.8, 1.6],
+        },
+    )
+    groups = assign_severity_groups(episodes).groups
+    assert groups == {
+        "steep_fall": 1,
+        "at_low_edge": 2,
+        "just_below_zero": 3,
+        "flat": 4,
+        "at_high_edge": 6,
+        "steep_rise": 6,
+    }
+
+
+def test_severity_exclusions_name_their_reason(therapy_schema):
+    episodes = severity_patients(
+        therapy_schema,
+        {"one_stage": [1.0], "gap": [1.0, None, 2.0], "kept": [1.0, 1.1]},
+    )
+    assignment = assign_severity_groups(episodes)
+    assert assignment.groups == {"kept": 4}
+    assert assignment.excluded == {"gap": "missing severity", "one_stage": "single stage"}
+
+
+def test_switch_states_compare_stage_one_with_the_default_action(therapy_episodes):
+    # Default action MTX: p1 starts on MTX (no switch), p2 on JAK (a switch).
+    matrix = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
+    switched = filter_switch_states(matrix)
+    rows = [
+        (pid, int(t), switched.action_labels[a])
+        for pid, t, a in zip(switched.patient_ids, switched.stages, switched.y)
+    ]
+    assert rows == [("p1", 2, "TNF"), ("p1", 3, "MTX"), ("p2", 1, "JAK"), ("p2", 3, "TNF")]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_auroc_by_level_equals_auroc_of_each_subset(seed):
+    rng = np.random.default_rng(seed)
+    n, K = 300, 3
+    # Scores on a coarse grid, so most rows sit in tie groups.
+    probs = rng.integers(0, 5, size=(n, K)) + 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    labels = rng.integers(0, K, n)
+    levels = rng.integers(1, 5, n)
+    labels[levels == 4] = 2  # level 4 holds a single class
+    scored = RowWeightedMetrics(probs, labels)
+
+    table = auroc_by_level(scored, levels, range(1, 7))
+
+    assert [(level, n_rows) for level, _, n_rows in table] == [
+        (level, int((levels == level).sum())) for level in range(1, 7)
+    ]
+    for level, value, _ in table[:3]:
+        mask = levels == level
+        assert value == auroc_multiclass(probs[mask], labels[mask])
+    assert table[3][1] is None  # one class
+    with pytest.raises(UndefinedMetricError):
+        auroc_multiclass(probs[levels == 4], labels[levels == 4])
+    assert table[4] == (5, None, 0) and table[5] == (6, None, 0)  # no rows
