@@ -520,7 +520,8 @@ def split_dataset(
 
     The split is at patient level: every stage of a patient lands in the same
     fold. ``test_frac`` is taken from the whole cohort and ``val_frac`` from
-    the remaining training portion, both rounded to the nearest patient.
+    the remaining training portion, both rounded to the nearest patient; a
+    fold that would get no patient is a ``ConfigError``.
     """
     if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
         raise ConfigError("split fractions must lie in (0, 1)")
@@ -534,6 +535,14 @@ def split_dataset(
     order = rng.permutation(n)
     n_test = int(round(n * test_frac))
     n_val = int(round((n - n_test) * val_frac))
+    for fold, size, share in (
+        ("test", n_test, f"test_frac {test_frac} of {n} patients"),
+        ("validation", n_val, f"val_frac {val_frac} of the {n - n_test} non-test patients"),
+        ("training", n - n_test - n_val,
+         f"what test_frac {test_frac} and val_frac {val_frac} leave of {n} patients"),
+    ):
+        if size == 0:
+            raise ConfigError(f"the {fold} fold would be empty: {share} rounds to 0")
     test_ids = {ids[i] for i in order[:n_test]}
     val_ids = {ids[i] for i in order[n_test : n_test + n_val]}
     train_ids = {ids[i] for i in order[n_test + n_val :]}

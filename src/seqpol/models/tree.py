@@ -1,15 +1,22 @@
-"""CART-style decision tree with class-frequency leaves.
+"""CART-style decision tree with class-frequency leaves, stored as flat arrays.
 
 Greedy binary splits on single features, thresholds at midpoints between
 consecutive distinct sorted values, impurity measured by Gini or entropy.
 Ties between equal-gain splits go to the lowest feature index and then the
 lowest threshold, so fitting is fully deterministic. Leaves store training
 class counts; predicted probabilities are the empirical frequencies.
+
+A tree is a set of node arrays indexed in preorder (a node before its left
+subtree, the left subtree before the right one): ``feature`` (-1 at a
+leaf), ``threshold``, ``left``, ``right`` (-1 at a leaf) and ``counts``, the
+per-class training counts reaching each node. The split search scores
+features in column blocks of at most ``_BLOCK_POSITIONS`` candidate
+positions; prediction descends all rows one level at a time. Model files
+keep the nested ``{"counts", "feature", "threshold", "left", "right"}``
+form.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,86 +25,79 @@ from ..staterep import StateMatrix
 from .base import PolicyModel, register_model
 
 _MIN_GAIN = 1e-12
+# Rows x features scored at once in the split search; bounds its temporaries.
+_BLOCK_POSITIONS = 1 << 13
 
 
-@dataclass
-class _Node:
-    counts: np.ndarray  # per-class training counts reaching this node
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+def _sum_classes(terms: np.ndarray) -> np.ndarray:
+    """Sum over the class axis (axis 0) in numpy's pairwise order.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def to_dict(self) -> dict:
-        d: dict = {"counts": [int(c) for c in self.counts]}
-        if not self.is_leaf:
-            d.update(
-                feature=int(self.feature),
-                threshold=float(self.threshold),
-                left=self.left.to_dict(),
-                right=self.right.to_dict(),
-            )
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Node":
-        node = cls(counts=np.asarray(d["counts"], dtype=float))
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
+    numpy adds the K entries of a row one by one when K < 8, in eight
+    interleaved partial sums when K <= 128, and by halves beyond. Adding
+    whole class columns in that order gives, bit for bit, what a row-wise
+    ``sum(axis=-1)`` over (..., K) counts gives, at a fraction of its cost.
+    """
+    K = len(terms)
+    if K > 128:
+        h = K // 2 - (K // 2) % 8
+        return _sum_classes(terms[:h]) + _sum_classes(terms[h:])
+    if K < 8:
+        head, tail = terms[0], terms[1:]
+    else:
+        r = list(terms[:8])
+        for i in range(8, K - K % 8, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = terms[K - K % 8 :]
+    for t in tail:
+        head = head + t
+    return head
 
 
-def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of count rows (..., K); gini or entropy in bits."""
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
+def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:
+    """Gini or entropy (bits) of class counts (K, ...) over positive totals."""
+    p = counts / totals
     if criterion == "gini":
-        return 1.0 - (p**2).sum(axis=-1)
-    logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -(p * logp).sum(axis=-1)
+        return 1.0 - _sum_classes(p * p)
+    return -_sum_classes(p * np.log2(np.where(p > 0, p, 1.0)))
 
 
 def _best_split(X: np.ndarray, Y: np.ndarray, criterion: str):
     """Best (gain, feature, threshold) over all features, or None.
 
-    Scans features in index order and thresholds in ascending order with a
-    strict improvement test, which makes tie-breaking deterministic.
+    Candidates are taken in feature order and, within a feature, in
+    ascending threshold order; the first one with the largest gain wins if
+    that gain exceeds ``_MIN_GAIN``. Each block of columns is sorted once,
+    and per-class cumulative counts give the class counts left of every
+    boundary between distinct values.
     """
-    n = X.shape[0]
-    total = Y.sum(axis=0)
-    parent = float(_impurity(total, criterion))
+    n, d = X.shape
+    total = Y.sum(axis=0)[:, None]
+    parent = float(_impurity(total, float(n), criterion)[0])
     best = None
     best_gain = _MIN_GAIN
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        vals = col[order]
-        cum = np.cumsum(Y[order], axis=0)
-        boundary = np.flatnonzero(vals[:-1] != vals[1:])
-        if boundary.size == 0:
+    width = max(1, _BLOCK_POSITIONS // n)
+    YT = Y.T
+    for j0 in range(0, d, width):
+        cols = X[:, j0 : j0 + width].T
+        order = np.argsort(cols, axis=1, kind="stable")
+        vals = np.take_along_axis(cols, order, axis=1)
+        f, pos = np.nonzero(vals[:, :-1] != vals[:, 1:])
+        if pos.size == 0:
             continue
-        left = cum[boundary]
-        right = total - left
-        n_left = (boundary + 1).astype(float)
+        left = np.cumsum(YT[:, order], axis=2)[:, f, pos]
+        n_left = (pos + 1).astype(float)
         n_right = n - n_left
         child = (
-            n_left * _impurity(left, criterion)
-            + n_right * _impurity(right, criterion)
+            n_left * _impurity(left, n_left, criterion)
+            + n_right * _impurity(total - left, n_right, criterion)
         ) / n
         gains = parent - child
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             best_gain = float(gains[i])
-            pos = boundary[i]
-            best = (best_gain, j, float((vals[pos] + vals[pos + 1]) / 2.0))
+            j, p = f[i], pos[i]
+            best = (best_gain, j0 + int(j), float((vals[j, p] + vals[j, p + 1]) / 2.0))
     return best
 
 
@@ -105,71 +105,138 @@ def _best_split(X: np.ndarray, Y: np.ndarray, criterion: str):
 class TreePolicy(PolicyModel):
     kind = "tree"
 
-    def __init__(self, feature_names, class_labels, root: _Node):
+    def __init__(
+        self,
+        feature_names,
+        class_labels,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        counts: np.ndarray,
+    ):
         super().__init__(feature_names, class_labels)
-        self.root = root
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.counts = np.asarray(counts, dtype=float)
+        split = np.flatnonzero(self.feature >= 0)
+        self._node_depth = np.zeros(self.feature.size, dtype=np.intp)
+        for i in split:  # preorder: a parent's depth is set before its children's
+            self._node_depth[self.left[i]] = self._node_depth[self.right[i]] = (
+                self._node_depth[i] + 1
+            )
+        # Descent arrays: a leaf points to itself, so extra levels keep rows there.
+        nodes = np.arange(self.feature.size)
+        self._step_feature = np.where(self.feature >= 0, self.feature, 0)
+        self._step_left = np.where(self.feature >= 0, self.left, nodes)
+        self._step_right = np.where(self.feature >= 0, self.right, nodes)
+        self._probs = self.counts / self.counts.sum(axis=1, keepdims=True)
 
     def _predict_proba_impl(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((X.shape[0], self.n_classes))
-        for i, x in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            out[i] = node.counts / node.counts.sum()
-        return out
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            go_left = X[rows, self._step_feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self._step_left[node], self._step_right[node])
+        return self._probs[node]
 
     @property
     def n_leaves(self) -> int:
-        def count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return count(node.left) + count(node.right)
-
-        return count(self.root)
+        return int(np.count_nonzero(self.feature < 0))
 
     @property
     def depth(self) -> int:
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
+        return int(self._node_depth.max())
 
-        return walk(self.root)
+    def truncated(self, max_depth: int, min_samples_split: int) -> "TreePolicy":
+        """This tree cut to tighter growth limits.
+
+        A node's split depends only on the training rows reaching it, so
+        when ``max_depth`` and ``min_samples_split`` are no looser than the
+        limits this tree was grown with, the result equals the tree
+        ``fit_tree`` grows with them on the same data: every node at depth
+        ``max_depth`` or with fewer than ``min_samples_split`` rows becomes
+        a leaf.
+        """
+        split = (
+            (self.feature >= 0)
+            & (self._node_depth < max_depth)
+            & (self.counts.sum(axis=1) >= min_samples_split)
+        )
+        keep = np.zeros(self.feature.size, dtype=bool)
+        keep[0] = True
+        for i in np.flatnonzero(split):  # preorder: parents come first
+            if keep[i]:
+                keep[self.left[i]] = keep[self.right[i]] = True
+        idx = np.flatnonzero(keep)
+        new_id = np.cumsum(keep) - 1
+        cut = split[idx]
+        return TreePolicy(
+            self.feature_names,
+            self.class_labels,
+            feature=np.where(cut, self.feature[idx], -1),
+            threshold=np.where(cut, self.threshold[idx], np.nan),
+            left=np.where(cut, new_id[self.left[idx]], -1),
+            right=np.where(cut, new_id[self.right[idx]], -1),
+            counts=self.counts[idx],
+        )
 
     def to_dot(self) -> str:
-        """Graphviz representation for inspection."""
+        """Graphviz representation for inspection; node ids are preorder."""
         lines = ["digraph policy_tree {", "  node [shape=box];"]
-        counter = [0]
-
-        def emit(node: _Node) -> int:
-            nid = counter[0]
-            counter[0] += 1
-            if node.is_leaf:
-                probs = node.counts / node.counts.sum()
+        for i, j in enumerate(self.feature):
+            if j < 0:
+                probs = self._probs[i]
                 top = int(np.argmax(probs))
                 lines.append(
-                    f'  n{nid} [label="{self.class_labels[top]}\\n'
-                    f'p={probs[top]:.3f} n={int(node.counts.sum())}"];'
+                    f'  n{i} [label="{self.class_labels[top]}\\n'
+                    f'p={probs[top]:.3f} n={int(self.counts[i].sum())}"];'
                 )
             else:
-                name = self.feature_names[node.feature]
-                lines.append(f'  n{nid} [label="{name} <= {node.threshold:.4g}"];')
-                left = emit(node.left)
-                right = emit(node.right)
-                lines.append(f'  n{nid} -> n{left} [label="yes"];')
-                lines.append(f'  n{nid} -> n{right} [label="no"];')
-            return nid
-
-        emit(self.root)
+                name = self.feature_names[j]
+                lines.append(f'  n{i} [label="{name} <= {self.threshold[i]:.4g}"];')
+                lines.append(f'  n{i} -> n{self.left[i]} [label="yes"];')
+                lines.append(f'  n{i} -> n{self.right[i]} [label="no"];')
         lines.append("}")
         return "\n".join(lines)
 
     def _params_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
+        def nested(i: int) -> dict:
+            d: dict = {"counts": [int(c) for c in self.counts[i]]}
+            if self.feature[i] >= 0:
+                d.update(
+                    feature=int(self.feature[i]),
+                    threshold=float(self.threshold[i]),
+                    left=nested(self.left[i]),
+                    right=nested(self.right[i]),
+                )
+            return d
+
+        return {"root": nested(0)}
 
     @classmethod
     def _from_params(cls, feature_names, class_labels, params) -> "TreePolicy":
-        return cls(feature_names, class_labels, _Node.from_dict(params["root"]))
+        feature, threshold, left, right, counts = [], [], [], [], []
+
+        def flatten(d: dict) -> int:
+            i = len(feature)
+            counts.append(d["counts"])
+            split = "feature" in d
+            feature.append(d["feature"] if split else -1)
+            threshold.append(d["threshold"] if split else np.nan)
+            left.append(-1)
+            right.append(-1)
+            if split:
+                left[i] = flatten(d["left"])
+                right[i] = flatten(d["right"])
+            return i
+
+        flatten(params["root"])
+        return cls(
+            feature_names, class_labels, feature, threshold, left, right, counts
+        )
 
 
 def fit_tree(
@@ -191,26 +258,38 @@ def fit_tree(
     Y = np.zeros((n, K))
     Y[np.arange(n), y] = 1.0
 
-    def build(rows: np.ndarray, depth: int) -> _Node:
-        counts = Y[rows].sum(axis=0)
-        node = _Node(counts=counts)
+    feature, threshold, left, right, counts = [], [], [], [], []
+    # (rows, depth, parent, child list of the parent); popping the left
+    # child first numbers the nodes in preorder.
+    stack = [(np.arange(n), 0, -1, left)]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            side[parent] = i
+        Yr = Y[rows]
+        node_counts = Yr.sum(axis=0)
+        counts.append(node_counts)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
         if (
             depth >= max_depth
             or rows.size < min_samples_split
-            or np.count_nonzero(counts) < 2
+            or np.count_nonzero(node_counts) < 2
         ):
-            return node
-        found = _best_split(X[rows], Y[rows], criterion)
+            continue
+        found = _best_split(X[rows], Yr, criterion)
         if found is None:
-            return node
-        _, j, threshold = found
-        mask = X[rows, j] <= threshold
-        node.feature = j
-        node.threshold = threshold
-        node.left = build(rows[mask], depth + 1)
-        node.right = build(rows[~mask], depth + 1)
-        return node
+            continue
+        _, j, t = found
+        mask = X[rows, j] <= t
+        feature[i], threshold[i] = j, t
+        stack.append((rows[~mask], depth + 1, i, right))
+        stack.append((rows[mask], depth + 1, i, left))
 
     return TreePolicy(
-        train.feature_names, train.action_labels, build(np.arange(n), 0)
+        train.feature_names, train.action_labels, feature, threshold, left, right,
+        counts,
     )

@@ -118,11 +118,20 @@ def tree_complexity_sweep(
 ) -> list[ComplexityBucket]:
     """Fit many randomly configured trees and keep the best per size bucket.
 
-    For every state spec, ``n_models`` trees with sampled hyperparameters are
-    fit on the training split. Models are bucketed by leaf count (buckets of
-    ``leaf_bin_width`` leaves); within each bucket the model with the best
-    switch-state validation AUROC is selected and its switch-state test AUROC
-    reported. Empty buckets are omitted.
+    For every state spec, ``n_models`` tree configurations are sampled and
+    each is fit on the training split. Models are bucketed by leaf count
+    (buckets of ``leaf_bin_width`` leaves); within each bucket the model with
+    the best switch-state validation AUROC is selected and its switch-state
+    test AUROC reported. Empty buckets are omitted.
+
+    A node's split depends only on the training rows reaching it and the
+    criterion, never on the growth limits; the limits only decide where
+    growth stops. So the tree with ``max_depth`` <= D and
+    ``min_samples_split`` >= m is the (D, m) tree with every node at depth
+    ``max_depth`` or with fewer than ``min_samples_split`` rows made a leaf.
+    The sweep therefore grows one tree per sampled criterion, with the
+    largest sampled depth and the smallest sampled split size, and reads
+    every configuration's tree off it with ``TreePolicy.truncated``.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
@@ -139,14 +148,20 @@ def tree_complexity_sweep(
         configs = sample_hyperparams(
             space, "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
         )
+        grown = {}
+        for c in dict.fromkeys(p["criterion"] for p in configs):
+            same = [p for p in configs if p["criterion"] == c]
+            grown[c] = fit_tree(
+                m_train,
+                criterion=c,
+                max_depth=max(p["max_depth"] for p in same),
+                min_samples_split=min(p["min_samples_split"] for p in same),
+            )
         # bucket index -> (best val auroc, test auroc, count)
         buckets: dict[int, list] = {}
         for params in configs:
-            model = fit_tree(
-                m_train,
-                criterion=params["criterion"],
-                max_depth=params["max_depth"],
-                min_samples_split=params["min_samples_split"],
+            model = grown[params["criterion"]].truncated(
+                params["max_depth"], params["min_samples_split"]
             )
             b = (model.n_leaves - 1) // leaf_bin_width
             entry = buckets.setdefault(b, [None, None, 0])

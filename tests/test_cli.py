@@ -31,6 +31,25 @@ def test_single_patient_test_fold_is_recorded_skip(tmp_path, n_patients):
     assert all(c["skip_reason"] for c in report["cells"])
 
 
+def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys):
+    # round(6 * 0.05) = 0 test patients: the run must stop, not report cells
+    # that all end with "no results".
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "generator": {"n_patients": 6, "t_fixed": 4, "seed": 1},
+        "model_kinds": ["logreg"],
+        "n_splits": 1,
+        "bootstrap_B": 20,
+        "test_frac": 0.05,
+    }))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "test fold would be empty: test_frac 0.05 of 6 patients" in err
+    assert not (out / "report.json").exists()
+
+
 def test_single_class_test_fold_is_recorded_skip(tmp_path):
     # Every test patient takes the same action, so the pooled test AUROC is
     # undefined: the cell still gets ECE/SCE and its skip reaches metadata.

@@ -333,6 +333,21 @@ class TestSplitDataset:
         with pytest.raises(ConfigError):
             split_dataset(eps, seed=0, test_frac=0.6, val_frac=0.5)
 
+    @pytest.mark.parametrize(
+        "n, test_frac, val_frac, message",
+        [
+            (6, 0.05, 0.2, "the test fold would be empty: test_frac 0.05 of 6 patients"),
+            (6, 0.2, 0.05,
+             "the validation fold would be empty: val_frac 0.05 of the 5 non-test"),
+            (5, 0.11, 0.88, "the training fold would be empty: what test_frac 0.11 "
+                            "and val_frac 0.88 leave of 5 patients"),
+        ],
+    )
+    def test_fractions_that_empty_a_fold_rejected(self, n, test_frac, val_frac, message):
+        with pytest.raises(ConfigError, match=message):
+            split_dataset(self.make_cohort(n), seed=0, test_frac=test_frac,
+                          val_frac=val_frac)
+
     def test_too_few_patients_rejected(self):
         with pytest.raises(DataError):
             split_dataset(self.make_cohort(4), seed=0)

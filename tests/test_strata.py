@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from seqpol.dataset import apply_preprocessor, fit_preprocessor, split_dataset
 from seqpol.errors import UndefinedMetricError
 from seqpol.metrics import RowWeightedMetrics, auroc_multiclass
+from seqpol.models import HyperparamSpace, fit_tree, get_profile, sample_hyperparams
 from seqpol.staterep import StateSpec, assemble_state
-from seqpol.strata import assign_severity_groups, auroc_by_level, filter_switch_states
+from seqpol.strata import (
+    ComplexityBucket,
+    assign_severity_groups,
+    auroc_by_level,
+    filter_switch_states,
+    tree_complexity_sweep,
+)
+from seqpol.synthgen import GeneratorConfig, generate_cohort
 
 from conftest import encoded_episode_set
 
@@ -86,3 +95,57 @@ def test_auroc_by_level_equals_auroc_of_each_subset(seed):
     with pytest.raises(UndefinedMetricError):
         auroc_multiclass(probs[levels == 4], labels[levels == 4])
     assert table[4] == (5, None, 0) and table[5] == (6, None, 0)  # no rows
+
+
+def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, seed):
+    """The sweep as one separate fit_tree per sampled configuration."""
+    results = []
+    for spec_idx, spec in enumerate(specs):
+        m_train = assemble_state(train, spec, fold="train")
+        sw_val = filter_switch_states(assemble_state(val, spec, fold="val"))
+        sw_test = filter_switch_states(assemble_state(test, spec, fold="test"))
+        configs = sample_hyperparams(
+            HyperparamSpace(), "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
+        )
+        buckets = {}
+        for params in configs:
+            model = fit_tree(m_train, **params)
+            b = (model.n_leaves - 1) // leaf_bin_width
+            entry = buckets.setdefault(b, [None, None, 0])
+            entry[2] += 1
+            try:
+                val_auc = auroc_multiclass(model.predict_proba(sw_val), sw_val.y)
+            except UndefinedMetricError:
+                continue
+            if entry[0] is None or val_auc > entry[0]:
+                try:
+                    test_auc = auroc_multiclass(model.predict_proba(sw_test), sw_test.y)
+                except UndefinedMetricError:
+                    continue
+                entry[0], entry[1] = val_auc, test_auc
+        for b in sorted(buckets):
+            best_val, best_test, count = buckets[b]
+            if best_val is not None:
+                results.append(ComplexityBucket(
+                    spec.name, b * leaf_bin_width + 1, (b + 1) * leaf_bin_width,
+                    count, best_val, best_test,
+                ))
+    return results
+
+
+@pytest.mark.parametrize("profile", ["ra-like", "adni-like"])
+def test_tree_sweep_equals_one_fit_per_configuration(profile):
+    episodes, _ = generate_cohort(
+        GeneratorConfig(n_patients=120, n_actions=3, t_fixed=5, seed=7)
+    )
+    folds = split_dataset(episodes, seed=1)
+    prep = fit_preprocessor(folds[0], episodes.schema)
+    train, val, test = (apply_preprocessor(f, prep) for f in folds)
+    specs = [StateSpec(include_current_context=True), StateSpec(window_k=1)]
+    args = (train, val, test, specs)
+    got = tree_complexity_sweep(
+        *args, n_models=40, leaf_bin_width=3, profile=profile, seed=5
+    )
+    want = reference_sweep(*args, 40, 3, get_profile(profile), 5)
+    assert got == want
+    assert sum(b.n_models for b in got) == 80  # no bucket lost its AUROC
