@@ -39,10 +39,8 @@ from .dataset import (
 from .staterep import (
     StateMatrix,
     StateSpec,
-    aggregate_history,
     assemble_state,
     enumerate_standard_states,
-    truncate_history,
 )
 from .metrics import (
     MetricEstimate,
@@ -81,7 +79,7 @@ from .ope import (
     inverse_probability_products,
     median_product_curve,
 )
-from .synthgen import GeneratorConfig, OracleTable, generate_cohort, oracle_probabilities
+from .synthgen import GeneratorConfig, OracleTable, generate_cohort
 from .runner import (
     ExperimentConfig,
     ExperimentReport,

@@ -1,11 +1,19 @@
 """Episode loading, preprocessing and patient-level splitting.
 
 Loading accepts two layouts: JSONL with one patient record per line, or a long
-CSV with one row per patient-stage. Preprocessing fits per-variable statistics
-on training episodes only, imputes missing values by carrying the last
-observation forward (falling back to the training mean or modal category),
-then standardizes, log-standardizes, discretizes into quintiles or one-hot
-encodes as declared in the schema.
+CSV with one row per patient-stage; it checks every record in the same pass
+that reads it. Raw episodes keep one ``Stage`` with a context dict per stage.
+
+Preprocessing fits per-variable statistics on training episodes only, imputes
+missing values by carrying the last observation forward (falling back to the
+training mean or modal category), then standardizes, log-standardizes,
+discretizes into quintiles or one-hot encodes as declared in the schema. Both
+fitting and applying read each raw variable as one column over all stages, and
+the carried observation is a forward fill of row indices that restarts at each
+patient. The encoded form is one ``EncodedCohort``: a float matrix of stages
+by encoded features, with patient offsets, action indices and severity beside
+it. Anything already of that type counts as encoded, so applying a
+preprocessor to it returns it unchanged.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ from .errors import ConfigError, DataError
 from .schema import (
     OTHER_TOKEN,
     CohortSchema,
+    EncodedCohort,
     EncodedFeature,
     Episode,
     EpisodeSet,
     Stage,
-    VariableSpec,
 )
 
 LOG_EPS = 1e-6
@@ -41,20 +49,19 @@ def load_episodes(path: str, schema: CohortSchema) -> EpisodeSet:
     """Load raw episodes from a JSONL or long-format CSV file.
 
     Raises DataError on malformed rows (with line numbers), non-contiguous
-    stage indices, unknown actions/columns, or an empty file.
+    stage indices, duplicate patients, unknown actions/columns, or an empty
+    file. Every check is made while reading, in one pass over the file.
     """
-    if str(path).endswith(".csv"):
-        episodes = _load_csv(path, schema)
-    else:
-        episodes = _load_jsonl(path, schema)
-    eps = EpisodeSet(episodes, schema)
-    eps.validate()
-    return eps
+    load = _load_csv if str(path).endswith(".csv") else _load_jsonl
+    episodes = load(path, schema)
+    if not episodes:
+        raise DataError("no episodes")
+    return EpisodeSet(episodes, schema)
 
 
-def _check_stage_contiguity(patient_id: str, ts: list[int]) -> None:
+def _check_stage_contiguity(where: str, patient_id: str, ts: list[int]) -> None:
     if ts != list(range(1, len(ts) + 1)):
-        raise DataError(f"patient {patient_id!r}: non-contiguous stages {ts}")
+        raise DataError(f"{where}: patient {patient_id!r}: non-contiguous stages {ts}")
 
 
 def _finite_number(value: Any) -> float | None:
@@ -72,23 +79,17 @@ def _finite_number(value: Any) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _coerce_context_value(patient_id: str, var: VariableSpec, value: Any, where: str):
-    if value is None:
-        return None
-    if var.kind == "numeric":
-        number = _finite_number(value)
-        if number is None:
-            raise DataError(
-                f"{where}: patient {patient_id!r}, variable {var.name!r}: "
-                f"expected a finite number, got {value!r}"
-            )
-        return number
-    return str(value)
-
-
 def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
+    """Episodes of a JSONL file; each record's parsed context dict is kept.
+
+    Finite floats and strings are taken as parsed; anything else goes through
+    ``_finite_number`` (numeric variables) or ``str`` (categorical ones).
+    """
     episodes = []
-    known = {v.name: v for v in schema.variables}
+    seen: set[str] = set()
+    numeric = {v.name: v.kind == "numeric" for v in schema.variables}
+    labels = set(schema.action_labels)
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -99,35 +100,56 @@ def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: parse error: {exc}") from exc
-            if not isinstance(record, dict) or "patient_id" not in record:
+            if type(record) is not dict or "patient_id" not in record:
                 raise DataError(f"{where}: record must be an object with patient_id")
             pid = str(record["patient_id"])
+            if pid in seen:
+                raise DataError(f"duplicate patient id {pid!r}")
+            seen.add(pid)
             raw_stages = record.get("stages")
-            if not isinstance(raw_stages, list) or not raw_stages:
+            if type(raw_stages) is not list or not raw_stages:
                 raise DataError(f"{where}: patient {pid!r}: 'stages' must be a nonempty list")
             ts, stages = [], []
             for raw in raw_stages:
-                if not isinstance(raw, dict) or "t" not in raw or "action" not in raw:
+                if type(raw) is not dict or "t" not in raw or "action" not in raw:
                     raise DataError(f"{where}: patient {pid!r}: stage needs 't' and 'action'")
                 t = raw["t"]
-                if isinstance(t, bool) or not isinstance(t, int):
+                if type(t) is not int:
                     raise DataError(
                         f"{where}: patient {pid!r}: bad stage index {t!r}; "
                         "expected an integer"
                     )
                 ts.append(t)
-                context = {}
-                for name, value in (raw.get("context") or {}).items():
-                    if name not in known:
+                context = raw.get("context") or {}
+                if type(context) is not dict:
+                    raise DataError(f"{where}: patient {pid!r}: 'context' must be an object")
+                for name, value in context.items():
+                    is_numeric = numeric.get(name)
+                    if is_numeric is None:
                         raise DataError(
                             f"{where}: patient {pid!r}: unknown variable {name!r}"
                         )
-                    context[name] = _coerce_context_value(pid, known[name], value, where)
+                    if value is None:
+                        continue
+                    if is_numeric:
+                        if type(value) is float and isfinite(value):
+                            continue
+                        number = _finite_number(value)
+                        if number is None:
+                            raise DataError(
+                                f"{where}: patient {pid!r}, variable {name!r}: "
+                                f"expected a finite number, got {value!r}"
+                            )
+                        context[name] = number
+                    elif type(value) is not str:
+                        context[name] = str(value)
                 action = str(raw["action"])
-                if action not in schema.action_labels:
+                if action not in labels:
                     raise DataError(f"{where}: patient {pid!r}: unknown action {action!r}")
                 severity = raw.get("severity")
-                if severity is not None:
+                if severity is not None and not (
+                    type(severity) is float and isfinite(severity)
+                ):
                     number = _finite_number(severity)
                     if number is None:
                         raise DataError(
@@ -136,7 +158,7 @@ def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
                         )
                     severity = number
                 stages.append(Stage(context, action, severity))
-            _check_stage_contiguity(pid, ts)
+            _check_stage_contiguity(where, pid, ts)
             episodes.append(Episode(pid, stages))
     return episodes
 
@@ -159,13 +181,14 @@ def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
                 raise DataError(f"{path}: missing required column {col!r}")
 
         current_pid: str | None = None
+        first_line = 0
         ts: list[int] = []
         stages: list[Stage] = []
         finished: set[str] = set()
 
         def flush() -> None:
             if current_pid is not None:
-                _check_stage_contiguity(current_pid, ts)
+                _check_stage_contiguity(f"{path}:{first_line}", current_pid, ts)
                 episodes.append(Episode(current_pid, list(stages)))
                 finished.add(current_pid)
 
@@ -176,7 +199,7 @@ def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
                 flush()
                 if pid in finished:
                     raise DataError(f"{where}: rows for patient {pid!r} are not contiguous")
-                current_pid, ts, stages = pid, [], []
+                current_pid, first_line, ts, stages = pid, lineno, [], []
             try:
                 ts.append(int(row["t"]))
             except (TypeError, ValueError):
@@ -261,8 +284,8 @@ class _CategoricalState:
 class Preprocessor:
     """Per-variable statistics fitted on training episodes.
 
-    Immutable once fitted; applying it is deterministic, and re-applying it to
-    already-encoded episodes is a no-op.
+    Immutable once fitted; applying it is deterministic, and applying it to an
+    ``EncodedCohort`` returns that cohort unchanged.
     """
 
     schema: CohortSchema
@@ -351,14 +374,34 @@ class Preprocessor:
         )
 
 
-def _locf(values: list) -> list:
-    """Carry the last non-missing value forward; leading gaps stay None."""
-    out, last = [], None
-    for v in values:
-        if v is not None:
-            last = v
-        out.append(last)
-    return out
+class _RawColumns:
+    """The stages of raw episodes in input order, read one variable at a time."""
+
+    def __init__(self, episodes: EpisodeSet):
+        self.stages = [stage for ep in episodes for stage in ep.stages]
+        lengths = np.array([ep.n_stages for ep in episodes], dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
+        self._first_row = np.repeat(self.offsets[:-1], lengths)
+
+    def locf(self, name: str) -> tuple[list, np.ndarray]:
+        """Raw values of ``name`` and, per row, where its carried value sits.
+
+        The source of a row is the row of the last observation of its patient
+        up to that stage (a forward fill of row indices that restarts at each
+        patient), or -1 before the patient's first observation.
+        """
+        values = [stage.context.get(name) for stage in self.stages]
+        source = np.arange(len(values))
+        source[[v is None for v in values]] = -1
+        source = np.maximum.accumulate(source)
+        source[source < self._first_row] = -1
+        return values, source
+
+    def numeric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Carried-forward values of a numeric variable and where they exist."""
+        values, source = self.locf(name)
+        numbers = np.array([0.0 if v is None else v for v in values], dtype=float)
+        return numbers[source], source >= 0
 
 
 def _log_domain(x: np.ndarray) -> np.ndarray:
@@ -373,32 +416,25 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
     computed after imputation. A zero-variance numeric variable gets its
     standard deviation clamped to 1 with a recorded warning.
     """
-    if train.is_encoded:
+    if isinstance(train, EncodedCohort):
         raise ConfigError("fit_preprocessor expects raw (non-encoded) episodes")
     if len(train) == 0:
         raise DataError("no episodes")
     prep = Preprocessor(schema=schema)
+    raw = _RawColumns(train)
 
     for var in schema.variables:
-        per_patient = [
-            _locf([stage.context.get(var.name) for stage in ep.stages])
-            for ep in train
-        ]
-        observed = [v for series in per_patient for v in series if v is not None]
-
         if var.kind == "numeric":
-            if observed:
-                mean = float(np.mean(np.asarray(observed, dtype=float)))
+            carried, observed = raw.numeric(var.name)
+            if observed.any():
+                mean = float(np.mean(carried[observed]))
             else:
                 mean = 0.0
                 prep.warnings.append(
                     f"variable {var.name!r}: no observed training values, mean set to 0"
                 )
             fill = var.fill_value if var.imputation == "constant" else mean
-            values = np.asarray(
-                [fill if v is None else v for series in per_patient for v in series],
-                dtype=float,
-            )
+            values = np.where(observed, carried, float(fill))
             state = _NumericState(mean=mean)
             if var.transform == "standardize":
                 std = float(values.std())
@@ -424,11 +460,13 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
                 state.quintile_cuts = tuple(float(c) for c in cuts)
             prep.numeric[var.name] = state
         else:
-            tokens = sorted({str(v) for v in observed if str(v) != OTHER_TOKEN})
+            values, source = raw.locf(var.name)
+            observed = [str(values[i]) for i in source[source >= 0].tolist()]
+            tokens = sorted({v for v in observed if v != OTHER_TOKEN})
             if observed:
                 counts: dict[str, int] = {}
                 for v in observed:
-                    counts[str(v)] = counts.get(str(v), 0) + 1
+                    counts[v] = counts.get(v, 0) + 1
                 top = max(counts.values())
                 mode = min(t for t, c in counts.items() if c == top)
             else:
@@ -446,64 +484,70 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
     return prep
 
 
-def _quintile_bin(x: float, cuts: tuple[float, ...]) -> int:
-    """Bin index 0..4; values at a cut point fall in the lower bin."""
-    return int(np.searchsorted(np.asarray(cuts), x, side="left"))
+def apply_preprocessor(
+    episodes: EpisodeSet | EncodedCohort, prep: Preprocessor
+) -> EncodedCohort:
+    """Impute, transform and one-hot encode episodes into one numeric matrix.
 
-
-def apply_preprocessor(episodes: EpisodeSet, prep: Preprocessor) -> EpisodeSet:
-    """Impute, transform and one-hot encode episodes into numeric form.
-
-    Already-encoded input is returned unchanged, which makes application
-    idempotent. Output contexts map encoded feature names to floats and
-    contain no missing values.
+    Each variable is one column operation over all stages: the last
+    observation carried forward within each patient, the fill value before
+    the first one, then the variable's transform. An ``EncodedCohort`` is
+    already encoded and is returned unchanged, which makes application
+    idempotent.
     """
-    if episodes.is_encoded:
+    if isinstance(episodes, EncodedCohort):
         return episodes
-    out = []
     schema = prep.schema
-    for ep in episodes:
-        rows: list[dict[str, float]] = [dict() for _ in ep.stages]
-        for var in schema.variables:
-            series = _locf([stage.context.get(var.name) for stage in ep.stages])
-            if var.kind == "numeric":
-                state = prep.numeric[var.name]
-                fill = var.fill_value if var.imputation == "constant" else state.mean
-                vals = np.asarray(
-                    [fill if v is None else v for v in series], dtype=float
-                )
-                if var.transform == "standardize":
-                    enc = (vals - state.mean) / state.std
-                    for row, v in zip(rows, enc):
-                        row[var.name] = float(v)
-                elif var.transform == "log-standardize":
-                    enc = (_log_domain(vals) - state.log_mean) / state.log_std
-                    for row, v in zip(rows, enc):
-                        row[var.name] = float(v)
-                elif var.transform == "discretize-quintiles":
-                    for row, v in zip(rows, vals):
-                        b = _quintile_bin(float(v), state.quintile_cuts)
-                        for q in range(5):
-                            row[f"{var.name}=q{q + 1}"] = 1.0 if q == b else 0.0
-                else:
-                    for row, v in zip(rows, vals):
-                        row[var.name] = float(v)
-            else:
-                state = prep.categorical[var.name]
-                fill = str(var.fill_value) if var.imputation == "constant" else state.mode
-                vocab = state.vocabulary
-                for row, v in zip(rows, series):
-                    token = fill if v is None else str(v)
-                    if token not in vocab:
-                        token = OTHER_TOKEN
-                    for cand in vocab:
-                        row[f"{var.name}={cand}"] = 1.0 if cand == token else 0.0
-        stages = [
-            Stage(row, stage.action, stage.severity)
-            for row, stage in zip(rows, ep.stages)
-        ]
-        out.append(Episode(ep.patient_id, stages))
-    return EpisodeSet(out, schema, prep.encoded_features())
+    features = prep.encoded_features()
+    raw = _RawColumns(episodes)
+    rows = np.arange(len(raw.stages))
+    X = np.zeros((len(rows), len(features)))
+    col = 0
+    for var in schema.variables:
+        if var.kind == "numeric":
+            state = prep.numeric[var.name]
+            fill = var.fill_value if var.imputation == "constant" else state.mean
+            carried, observed = raw.numeric(var.name)
+            vals = np.where(observed, carried, float(fill))
+            if var.transform == "discretize-quintiles":
+                # values at a cut point fall in the lower bin
+                bins = np.searchsorted(np.asarray(state.quintile_cuts), vals, side="left")
+                X[rows, col + bins] = 1.0
+                col += 5
+                continue
+            if var.transform == "standardize":
+                vals = (vals - state.mean) / state.std
+            elif var.transform == "log-standardize":
+                vals = (_log_domain(vals) - state.log_mean) / state.log_std
+            X[:, col] = vals
+            col += 1
+        else:
+            state = prep.categorical[var.name]
+            fill = str(var.fill_value) if var.imputation == "constant" else state.mode
+            position = {token: j for j, token in enumerate(state.vocabulary)}
+            other = position[OTHER_TOKEN]
+            values, source = raw.locf(var.name)
+            codes = np.array(
+                [-1 if v is None else position.get(str(v), other) for v in values],
+                dtype=np.int64,
+            )
+            codes = np.where(source >= 0, codes[source], position.get(fill, other))
+            X[rows, col + codes] = 1.0
+            col += len(state.vocabulary)
+    return EncodedCohort(
+        schema=schema,
+        features=features,
+        patient_ids=episodes.patient_ids,
+        offsets=raw.offsets,
+        X=X,
+        actions=np.array(
+            [schema.action_index(stage.action) for stage in raw.stages], dtype=np.int64
+        ),
+        severity=np.array(
+            [np.nan if stage.severity is None else stage.severity for stage in raw.stages],
+            dtype=float,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import PolicyModel
-from .schema import EpisodeSet
+from .schema import EncodedCohort
 from .staterep import StateSpec, assemble_state
 
 PROB_FLOOR = 1e-6
@@ -45,35 +45,23 @@ class ProductCurve:
         ]
 
 
-def _observed_action_probs(
-    episodes: EpisodeSet, model: PolicyModel, spec: StateSpec
-) -> tuple[list[str], list[np.ndarray]]:
-    """Model probability of each observed action, grouped per patient."""
-    matrix = assemble_state(episodes, spec)
-    probs = model.predict_proba(matrix)
-    picked = probs[np.arange(matrix.n_rows), matrix.y]
-    out_ids, out_probs = [], []
-    for rows in matrix.patient_groups():
-        out_ids.append(matrix.patient_ids[rows[0]])
-        out_probs.append(picked[rows])
-    return out_ids, out_probs
-
-
 def inverse_probability_products(
-    episodes: EpisodeSet, model: PolicyModel, spec: StateSpec
+    cohort: EncodedCohort, model: PolicyModel, spec: StateSpec
 ) -> InverseProductSeries:
     """Cumulative product of inverse model probabilities per patient.
 
     Probabilities are floored at 1e-6 before inversion; each floored stage is
     counted. Every series is non-decreasing and at least 1.
     """
-    ids, picked = _observed_action_probs(episodes, model, spec)
-    series: dict[str, np.ndarray] = {}
-    floored = 0
-    for pid, p in zip(ids, picked):
-        floored += int((p < PROB_FLOOR).sum())
-        series[pid] = np.cumprod(1.0 / np.maximum(p, PROB_FLOOR))
-    return InverseProductSeries(series, floored)
+    matrix = assemble_state(cohort, spec)
+    probs = model.predict_proba(matrix)
+    picked = probs[np.arange(matrix.n_rows), matrix.y]
+    inverse = 1.0 / np.maximum(picked, PROB_FLOOR)
+    series = {
+        matrix.patient_ids[rows[0]]: np.cumprod(inverse[rows])
+        for rows in matrix.patient_groups()
+    }
+    return InverseProductSeries(series, int((picked < PROB_FLOOR).sum()))
 
 
 def median_product_curve(
@@ -82,11 +70,16 @@ def median_product_curve(
     """Per-stage median over patients whose trajectory reaches that stage."""
     if max_stage < 1:
         raise ConfigError("max_stage must be >= 1")
+    series = list(products.series.values())
+    lengths = np.array([len(s) for s in series], dtype=np.int64)
+    # one row per patient, its first stages up to the last that is reported
+    width = min(max_stage, int(lengths.max(initial=0)))
+    table = np.zeros((len(series), width))
+    for row, s in zip(table, series):
+        row[: len(s)] = s[:width]
     stages, medians, counts = [], [], []
-    for t in range(1, max_stage + 1):
-        active = [s[t - 1] for s in products.series.values() if len(s) >= t]
-        if not active:
-            break
+    for t in range(1, width + 1):
+        active = table[lengths >= t, t - 1]
         stages.append(t)
         medians.append(float(np.median(active)))
         counts.append(len(active))

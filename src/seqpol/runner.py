@@ -50,7 +50,7 @@ from .models import (
     sample_hyperparams,
 )
 from .ope import inverse_probability_products, median_product_curve
-from .schema import CohortSchema, EpisodeSet
+from .schema import CohortSchema, EncodedCohort, EpisodeSet
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
     assign_severity_groups,
@@ -456,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     cell_skips: dict[tuple[str, str], str] = {}
     split0_models: dict[tuple[str, str], PolicyModel] = {}
-    split0_test: EpisodeSet | None = None
+    split0_test: EncodedCohort | None = None
     split0_prep = None
 
     for split_idx in range(cfg.n_splits):

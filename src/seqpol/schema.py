@@ -3,14 +3,17 @@
 An episode is one patient's trajectory: a context vector, an action and an
 optional severity score at each stage t = 1..T. The schema declares the
 variables, their preprocessing recipe, the action labels and which action pads
-missing history.
+missing history. Raw episodes keep one context dict per stage; a preprocessed
+cohort is one ``EncodedCohort`` of arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -188,6 +191,7 @@ class Episode:
         if not self.stages:
             raise DataError(f"patient {self.patient_id!r}: episode has no stages")
         labels = set(schema.action_labels)
+        names = {v.name for v in schema.variables}
         for stage in self.stages:
             if stage.action not in labels:
                 raise DataError(
@@ -195,9 +199,7 @@ class Episode:
                     f"{stage.action!r}"
                 )
             for name in stage.context:
-                # Encoded feature names ("var=token") are produced downstream;
-                # raw episodes must only carry declared variables.
-                if name not in {v.name for v in schema.variables}:
+                if name not in names:
                     raise DataError(
                         f"patient {self.patient_id!r}: unknown variable {name!r}"
                     )
@@ -213,25 +215,16 @@ class EncodedFeature:
 
 @dataclass
 class EpisodeSet:
-    """A cohort of episodes sharing one schema.
-
-    ``encoded_features`` is None for raw episodes and set once the
-    preprocessor has mapped contexts to numeric feature columns.
-    """
+    """A cohort of raw episodes sharing one schema."""
 
     episodes: list[Episode]
     schema: CohortSchema
-    encoded_features: list[EncodedFeature] | None = field(default=None)
 
     def __len__(self) -> int:
         return len(self.episodes)
 
     def __iter__(self) -> Iterator[Episode]:
         return iter(self.episodes)
-
-    @property
-    def is_encoded(self) -> bool:
-        return self.encoded_features is not None
 
     @property
     def patient_ids(self) -> list[str]:
@@ -243,7 +236,7 @@ class EpisodeSet:
 
     def subset(self, patient_ids: set[str]) -> "EpisodeSet":
         eps = [ep for ep in self.episodes if ep.patient_id in patient_ids]
-        return EpisodeSet(eps, self.schema, self.encoded_features)
+        return EpisodeSet(eps, self.schema)
 
     def validate(self) -> None:
         if not self.episodes:
@@ -254,3 +247,29 @@ class EpisodeSet:
                 raise DataError(f"duplicate patient id {ep.patient_id!r}")
             seen.add(ep.patient_id)
             ep.validate(self.schema)
+
+
+@dataclass
+class EncodedCohort:
+    """A preprocessed cohort as arrays, one row per (patient, stage).
+
+    Patients keep their input order: patient ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of every array, in stage order. ``X`` has
+    one column per encoded feature and no missing value; ``actions`` holds
+    indices into the schema's action labels; ``severity`` is NaN where absent.
+    """
+
+    schema: CohortSchema
+    features: list[EncodedFeature]
+    patient_ids: list[str]
+    offsets: np.ndarray
+    X: np.ndarray
+    actions: np.ndarray
+    severity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
+
+    @property
+    def n_stages(self) -> int:
+        return self.X.shape[0]

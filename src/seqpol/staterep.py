@@ -12,6 +12,16 @@ Lagged stages before the first visit are padded with the first observation;
 missing prior actions are padded with the schema's default action. Running
 aggregates of actions cover stages 1..t-1 and are zero at t=1 for every
 operator; context aggregates cover stages 1..t.
+
+Assembly reads an ``EncodedCohort`` and writes each block into one
+preallocated matrix. The current context and the context lags are row gathers
+from the encoded matrix (the lag-l source of stage t is the row
+``min(t - 1, l)`` stages back, so early stages repeat the first one), and
+action lags are one-hot gathers. Only the running aggregates go through a
+padded (patients x longest episode x columns) array, accumulated along the
+time axis: every patient's values are then added in stage order, exactly as
+a per-patient cumulative sum would, so the matrix does not depend on which
+other patients are in the cohort.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .schema import CohortSchema, Episode, EpisodeSet
+from .schema import EncodedCohort
 
 AGG_OPS = ("none", "sum", "max", "mean")
 
@@ -159,13 +169,11 @@ class StateMatrix:
 
     def patient_groups(self) -> list[np.ndarray]:
         """Row-index arrays, one per patient, preserving matrix order."""
-        groups: list[np.ndarray] = []
-        start = 0
-        for i in range(1, self.n_rows + 1):
-            if i == self.n_rows or self.patient_ids[i] != self.patient_ids[start]:
-                groups.append(np.arange(start, i))
-                start = i
-        return groups
+        if self.n_rows == 0:
+            return []
+        ids = np.array(self.patient_ids, dtype=object)
+        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        return np.split(np.arange(self.n_rows), starts)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -189,161 +197,46 @@ class StateMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Per-episode block builders
+# Assembly
 # ---------------------------------------------------------------------------
 
-def _episode_arrays(
-    episode: Episode, episodes: EpisodeSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Context matrix (T x d_enc) and action index vector for one episode."""
-    feats = episodes.encoded_features
-    if feats is None:
-        raise ConfigError("episodes must be preprocessed to numeric form first")
-    names = [f.name for f in feats]
-    T = episode.n_stages
-    C = np.empty((T, len(names)), dtype=float)
-    for t, stage in enumerate(episode.stages):
-        for j, name in enumerate(names):
-            C[t, j] = stage.context[name]
-    actions = np.array(
-        [episodes.schema.action_index(s.action) for s in episode.stages], dtype=int
-    )
-    return C, actions
-
-
-def _lagged_context(C: np.ndarray, lag: int) -> np.ndarray:
-    """Shift contexts down by ``lag`` rows, padding with the first observation."""
-    if lag == 0:
-        return C
-    out = np.empty_like(C)
-    out[:lag] = C[0]
-    out[lag:] = C[:-lag]
-    return out
-
-
-def _lagged_action_onehot(
-    actions: np.ndarray, lag: int, K: int, default_idx: int
-) -> np.ndarray:
-    """One-hot of the action ``lag`` stages back, padded with the default action."""
-    T = actions.shape[0]
-    idx = np.full(T, default_idx, dtype=int)
-    if lag < T:
-        idx[lag:] = actions[: T - lag]
-    out = np.zeros((T, K), dtype=float)
-    out[np.arange(T), idx] = 1.0
-    return out
-
-
-def _running_aggregate(C: np.ndarray, op: str) -> np.ndarray:
-    """Aggregate over stages 1..t (inclusive of the current stage)."""
-    if op == "sum":
-        return np.cumsum(C, axis=0)
-    if op == "max":
-        return np.maximum.accumulate(C, axis=0)
-    if op == "mean":
-        counts = np.arange(1, C.shape[0] + 1, dtype=float)[:, None]
-        return np.cumsum(C, axis=0) / counts
-    raise ConfigError(f"unknown aggregation operator {op!r}")
-
-
-def _running_action_aggregate(actions: np.ndarray, op: str, K: int) -> np.ndarray:
-    """Aggregate one-hot actions over stages 1..t-1; all-zero at t=1."""
-    T = actions.shape[0]
-    onehot = np.zeros((T, K), dtype=float)
-    onehot[np.arange(T), actions] = 1.0
-    shifted = np.zeros_like(onehot)
-    shifted[1:] = onehot[:-1]
-    if op == "sum":
-        return np.cumsum(shifted, axis=0)
-    if op == "max":
-        return np.maximum.accumulate(shifted, axis=0)
-    if op == "mean":
-        counts = np.arange(0, T, dtype=float)[:, None]
-        sums = np.cumsum(shifted, axis=0)
-        return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    raise ConfigError(f"unknown aggregation operator {op!r}")
-
-
-def _eligible_columns(episodes: EpisodeSet, flag: str) -> list[int]:
-    schema = episodes.schema
-    cols = []
-    for j, feat in enumerate(episodes.encoded_features or []):
-        var = schema.variable(feat.variable)
-        if getattr(var, flag):
-            cols.append(j)
-    return cols
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-def aggregate_history(
-    episode: Episode, t: int, op: str, episodes: EpisodeSet
-) -> tuple[list[str], np.ndarray]:
-    """Running aggregates at stage ``t`` for one episode.
-
-    Returns feature names and values: one aggregate per aggregation-eligible
-    context column (over stages 1..t) and one per action label (over the
-    one-hot indicators of actions 1..t-1; zero when t=1).
-    """
-    if not 1 <= t <= episode.n_stages:
-        raise ConfigError(f"stage {t} out of range 1..{episode.n_stages}")
-    C, actions = _episode_arrays(episode, episodes)
-    cols = _eligible_columns(episodes, "aggregate_eligible")
-    feats = episodes.encoded_features or []
-    ctx_agg = _running_aggregate(C[:, cols], op)[t - 1]
-    act_agg = _running_action_aggregate(
-        actions, op, episodes.schema.n_actions
-    )[t - 1]
-    names = [f"{feats[j].name}@agg_{op}" for j in cols] + [
-        f"action:{label}@agg_{op}" for label in episodes.schema.action_labels
+def _eligible_columns(cohort: EncodedCohort, flag: str) -> list[int]:
+    schema = cohort.schema
+    return [
+        j for j, feat in enumerate(cohort.features)
+        if getattr(schema.variable(feat.variable), flag)
     ]
-    return names, np.concatenate([ctx_agg, act_agg])
 
 
-def truncate_history(
-    episode: Episode, t: int, k: int, episodes: EpisodeSet
-) -> tuple[list[str], np.ndarray]:
-    """Rolling-window features at stage ``t`` for one episode.
+def _running_aggregates(
+    values: np.ndarray, lengths: np.ndarray, op: str
+) -> np.ndarray:
+    """Running ``op`` of each patient's rows over its stages 1..t.
 
-    Emits every context column at lag 0, lag-eligible columns at lags 1..k and
-    action one-hots at lags 1..k+1. Context lags before stage 1 repeat the
-    first observation; action lags before stage 1 use the default action.
+    ``values`` holds the rows of consecutive patients with the given lengths.
+    They are padded to (patients x longest x columns) and accumulated along
+    the time axis, so each patient's values are added in stage order.
     """
-    if k < 0:
-        raise ConfigError("window size k must be >= 0")
-    if not 1 <= t <= episode.n_stages:
-        raise ConfigError(f"stage {t} out of range 1..{episode.n_stages}")
-    schema = episodes.schema
-    C, actions = _episode_arrays(episode, episodes)
-    feats = episodes.encoded_features or []
-    lag_cols = _eligible_columns(episodes, "lag_eligible")
-    default_idx = schema.action_index(schema.default_action)
-
-    names: list[str] = [f.name for f in feats]
-    blocks: list[np.ndarray] = [C[t - 1]]
-    for lag in range(1, k + 1):
-        blocks.append(_lagged_context(C[:, lag_cols], lag)[t - 1])
-        names.extend(f"{feats[j].name}@lag{lag}" for j in lag_cols)
-    for lag in range(1, k + 2):
-        blocks.append(
-            _lagged_action_onehot(actions, lag, schema.n_actions, default_idx)[t - 1]
-        )
-        names.extend(f"action:{label}@lag{lag}" for label in schema.action_labels)
-    return names, np.concatenate(blocks)
+    valid = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+    padded = np.zeros(valid.shape + values.shape[1:])
+    padded[valid] = values
+    if op == "max":
+        return np.maximum.accumulate(padded, axis=1)[valid]
+    return np.cumsum(padded, axis=1)[valid]
 
 
-def assemble_state(episodes: EpisodeSet, spec: StateSpec, fold: str | None = None) -> StateMatrix:
-    """Build the design matrix for a state spec over a whole episode set."""
-    if not episodes.is_encoded:
+def assemble_state(
+    cohort: EncodedCohort, spec: StateSpec, fold: str | None = None
+) -> StateMatrix:
+    """Build the design matrix for a state spec over a whole cohort."""
+    if not isinstance(cohort, EncodedCohort):
         raise ConfigError("episodes must be preprocessed to numeric form first")
-    schema = episodes.schema
-    feats = episodes.encoded_features or []
+    schema = cohort.schema
+    feats = cohort.features
     K = schema.n_actions
     default_idx = schema.action_index(schema.default_action)
-    lag_cols = _eligible_columns(episodes, "lag_eligible")
-    agg_cols = _eligible_columns(episodes, "aggregate_eligible")
+    lag_cols = _eligible_columns(cohort, "lag_eligible")
+    agg_cols = _eligible_columns(cohort, "aggregate_eligible")
     k = spec.window_k
     op = spec.aggregate_op
 
@@ -362,48 +255,65 @@ def assemble_state(episodes: EpisodeSet, spec: StateSpec, fold: str | None = Non
         names.extend(f"{feats[j].name}@agg_{op}" for j in agg_cols)
         names.extend(f"action:{label}@agg_{op}" for label in schema.action_labels)
 
-    ordered = sorted(episodes.episodes, key=lambda ep: ep.patient_id)
-    rows, labels, pids, stages, prevs, sevs = [], [], [], [], [], []
-    for ep in ordered:
-        C, actions = _episode_arrays(ep, episodes)
-        T = ep.n_stages
-        blocks: list[np.ndarray] = []
-        if spec.include_current_context:
-            blocks.append(C)
-        if k is not None:
-            for lag in range(1, k + 1):
-                blocks.append(_lagged_context(C[:, lag_cols], lag))
-        prev_onehot = _lagged_action_onehot(actions, 1, K, default_idx)
-        if spec.include_prev_action:
-            blocks.append(prev_onehot)
-        if k is not None:
-            for lag in range(2, k + 2):
-                blocks.append(_lagged_action_onehot(actions, lag, K, default_idx))
-        if op != "none":
-            blocks.append(_running_aggregate(C[:, agg_cols], op))
-            blocks.append(_running_action_aggregate(actions, op, K))
-        rows.append(np.hstack(blocks))
-        labels.append(actions)
-        pids.extend([ep.patient_id] * T)
-        stages.append(np.arange(1, T + 1))
-        prev_idx = np.full(T, default_idx, dtype=int)
-        prev_idx[1:] = actions[:-1]
-        prevs.append(prev_idx)
-        sevs.append(
-            np.array(
-                [np.nan if s.severity is None else s.severity for s in ep.stages]
-            )
-        )
+    # Output rows run over patients sorted by id, each in stage order; ``src``
+    # is each output row's row in the cohort and ``before`` its stage - 1.
+    order = sorted(range(len(cohort)), key=cohort.patient_ids.__getitem__)
+    lengths = np.diff(cohort.offsets)[order]
+    n = int(lengths.sum())
+    out_start = np.cumsum(lengths) - lengths
+    before = np.arange(n) - np.repeat(out_start, lengths)
+    src = np.repeat(cohort.offsets[:-1][order], lengths) + before
+    rows = np.arange(n)
+
+    def lagged(lag: int) -> np.ndarray:
+        """Cohort row ``lag`` stages back, clamped at the patient's first."""
+        return src - np.minimum(before, lag)
+
+    def action_lag(lag: int) -> np.ndarray:
+        return np.where(before >= lag, cohort.actions[lagged(lag)], default_idx)
+
+    X = np.zeros((n, len(names)))
+    col = 0
+    if spec.include_current_context:
+        X[:, : len(feats)] = cohort.X[src]
+        col = len(feats)
+    if k is not None:
+        lag_X = cohort.X[:, lag_cols]
+        for lag in range(1, k + 1):
+            X[:, col : col + len(lag_cols)] = lag_X[lagged(lag)]
+            col += len(lag_cols)
+    prev_idx = action_lag(1)
+    if spec.include_prev_action:
+        X[rows, col + prev_idx] = 1.0
+        col += K
+    if k is not None:
+        for lag in range(2, k + 2):
+            X[rows, col + action_lag(lag)] = 1.0
+            col += K
+    if op != "none":
+        n_ctx = len(agg_cols)
+        values = np.zeros((n, n_ctx + K))
+        values[:, :n_ctx] = cohort.X[src][:, agg_cols]
+        later = before > 0  # the previous action counts from stage 2 on
+        values[rows[later], n_ctx + prev_idx[later]] = 1.0
+        agg = _running_aggregates(values, lengths, op)
+        if op == "mean":
+            agg[:, :n_ctx] /= (before + 1.0)[:, None]
+            prior = before.astype(float)[:, None]
+            np.divide(agg[:, n_ctx:], prior, out=agg[:, n_ctx:], where=prior > 0)
+        X[:, col:] = agg
 
     return StateMatrix(
-        X=np.vstack(rows) if rows else np.empty((0, len(names))),
+        X=X,
         feature_names=names,
-        y=np.concatenate(labels) if labels else np.empty(0, dtype=int),
+        y=cohort.actions[src],
         action_labels=list(schema.action_labels),
-        patient_ids=pids,
-        stages=np.concatenate(stages) if stages else np.empty(0, dtype=int),
-        prev_actions=np.concatenate(prevs) if prevs else np.empty(0, dtype=int),
-        severity=np.concatenate(sevs) if sevs else np.empty(0),
+        patient_ids=np.repeat(
+            np.array(cohort.patient_ids, dtype=object)[order], lengths
+        ).tolist(),
+        stages=before + 1,
+        prev_actions=prev_idx,
+        severity=cohort.severity[src],
         spec_name=spec.name,
         fold=fold,
     )

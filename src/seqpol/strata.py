@@ -19,7 +19,7 @@ from .errors import ConfigError, UndefinedMetricError
 from .metrics import RowWeightedMetrics, auroc_multiclass
 from .models import fit_tree, sample_hyperparams
 from .models.hyperparams import DatasetProfile, HyperparamSpace, get_profile
-from .schema import EpisodeSet
+from .schema import EncodedCohort, EpisodeSet
 from .staterep import StateMatrix, StateSpec, assemble_state
 
 # Upper edges of the severity rate-of-change intervals for groups 1..5;
@@ -106,9 +106,9 @@ class ComplexityBucket:
 
 
 def tree_complexity_sweep(
-    train: EpisodeSet,
-    val: EpisodeSet,
-    test: EpisodeSet,
+    train: EncodedCohort,
+    val: EncodedCohort,
+    test: EncodedCohort,
     specs: list[StateSpec],
     n_models: int = 500,
     leaf_bin_width: int = 5,

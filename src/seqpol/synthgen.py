@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import auroc_multiclass
 from .schema import CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
 from .staterep import StateMatrix
 
@@ -251,38 +250,3 @@ def generate_cohort(cfg: GeneratorConfig) -> tuple[EpisodeSet, OracleTable]:
     eps.validate()
     return eps, OracleTable(oracle, list(schema.action_labels))
 
-
-def oracle_probabilities(
-    cfg: GeneratorConfig, episodes: EpisodeSet
-) -> tuple[OracleTable, float]:
-    """Recompute exact policy probabilities from stored histories.
-
-    Returns the oracle table and the Bayes AUROC, i.e. the multiclass AUROC
-    of the true probabilities against the sampled actions - the ceiling any
-    fitted model can reach on this cohort up to sampling noise.
-    """
-    params = _policy_params(cfg)
-    schema = episodes.schema
-    table: dict[str, np.ndarray] = {}
-    all_probs, all_actions = [], []
-    for ep in episodes:
-        T = ep.n_stages
-        probs = np.empty((T, cfg.n_actions))
-        counts = np.zeros(cfg.n_actions)
-        prev_action = 0
-        x_prev = None
-        for t, stage in enumerate(ep.stages):
-            x = np.array(
-                [stage.context[f"x{j}"] for j in range(cfg.context_dim)], dtype=float
-            )
-            if t == 0:
-                x_prev = x
-            probs[t] = _true_probs(cfg, params, x, x_prev, prev_action, counts)
-            action = schema.action_index(stage.action)
-            counts[action] += 1.0
-            x_prev, prev_action = x, action
-            all_probs.append(probs[t])
-            all_actions.append(action)
-        table[ep.patient_id] = probs
-    bayes = auroc_multiclass(np.asarray(all_probs), np.asarray(all_actions))
-    return OracleTable(table, list(schema.action_labels)), bayes

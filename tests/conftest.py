@@ -3,6 +3,7 @@ import pytest
 
 from seqpol.schema import (
     CohortSchema,
+    EncodedCohort,
     EncodedFeature,
     Episode,
     EpisodeSet,
@@ -28,28 +29,49 @@ def therapy_schema() -> CohortSchema:
     )
 
 
-def encoded_episode_set(schema: CohortSchema, patients) -> EpisodeSet:
-    """Episodes that are already numeric, bypassing the preprocessor.
-
-    ``patients`` is a list of (patient_id, stages) with stages given as
-    (context dict, action label, severity or None).
-    """
-    episodes = []
-    for pid, stages in patients:
-        episodes.append(
-            Episode(
-                pid,
-                [Stage(dict(ctx), action, sev) for ctx, action, sev in stages],
-            )
-        )
-    feats = [EncodedFeature(v.name, v.name) for v in schema.variables]
-    eps = EpisodeSet(episodes, schema, feats)
+def raw_episode_set(schema: CohortSchema, patients) -> EpisodeSet:
+    """Raw episodes from a list of (patient_id, stages), with stages given as
+    (context dict, action label, severity or None)."""
+    episodes = [
+        Episode(pid, [Stage(dict(ctx), action, sev) for ctx, action, sev in stages])
+        for pid, stages in patients
+    ]
+    eps = EpisodeSet(episodes, schema)
     eps.validate()
     return eps
 
 
+def encoded_episode_set(schema: CohortSchema, patients) -> EncodedCohort:
+    """A cohort that is already numeric, bypassing the preprocessor.
+
+    Takes the same ``patients`` as ``raw_episode_set``; each variable's
+    context values become its encoded column unchanged.
+    """
+    eps = raw_episode_set(schema, patients)
+    stages = [stage for ep in eps for stage in ep.stages]
+    return EncodedCohort(
+        schema=schema,
+        features=[EncodedFeature(v.name, v.name) for v in schema.variables],
+        patient_ids=eps.patient_ids,
+        offsets=np.cumsum([0] + [ep.n_stages for ep in eps]),
+        X=np.array(
+            [[stage.context[v.name] for v in schema.variables] for stage in stages],
+            dtype=float,
+        ),
+        actions=np.array([schema.action_index(s.action) for s in stages], dtype=np.int64),
+        severity=np.array(
+            [np.nan if s.severity is None else s.severity for s in stages], dtype=float
+        ),
+    )
+
+
+def column(cohort: EncodedCohort, name: str) -> np.ndarray:
+    """The encoded column of feature ``name``, one value per stage."""
+    return cohort.X[:, [f.name for f in cohort.features].index(name)]
+
+
 @pytest.fixture
-def therapy_episodes(therapy_schema) -> EpisodeSet:
+def therapy_episodes(therapy_schema) -> EncodedCohort:
     """Two encoded patients, three stages each."""
     return encoded_episode_set(
         therapy_schema,

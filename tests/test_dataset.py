@@ -15,6 +15,15 @@ from seqpol.dataset import (
 from seqpol.errors import ConfigError, DataError
 from seqpol.schema import CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
 
+from conftest import column
+from reference_encoding import (
+    ACTIONS,
+    raw_cohorts,
+    reference_apply_preprocessor,
+    reference_fit_preprocessor,
+    schemas,
+)
+
 
 def make_schema(**kwargs) -> CohortSchema:
     defaults = dict(
@@ -67,6 +76,19 @@ class TestLoadEpisodes:
         with pytest.raises(DataError, match="non-contiguous stages"):
             load_episodes(path, make_schema())
 
+    def test_non_contiguous_stages_name_file_and_line(self, tmp_path):
+        rec = record("b", 1)
+        rec["stages"].append({"t": 3, "context": {}, "action": "fluids"})
+        path = write_jsonl(tmp_path, [record("a", 2), rec])
+        with pytest.raises(DataError) as err:
+            load_episodes(path, make_schema())
+        assert str(err.value) == f"{path}:2: patient 'b': non-contiguous stages [1, 3]"
+
+    def test_duplicate_patient_rejected(self, tmp_path):
+        path = write_jsonl(tmp_path, [record("a", 1), record("b", 1), record("a", 2)])
+        with pytest.raises(DataError, match="duplicate patient id 'a'"):
+            load_episodes(path, make_schema())
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -83,6 +105,13 @@ class TestLoadEpisodes:
         rec["stages"][0]["context"]["creatinine"] = 1.0
         path = write_jsonl(tmp_path, [rec])
         with pytest.raises(DataError, match="unknown variable"):
+            load_episodes(path, make_schema())
+
+    def test_context_that_is_not_an_object_rejected(self, tmp_path):
+        rec = record("a", 2)
+        rec["stages"][1]["context"] = [70.0]
+        path = write_jsonl(tmp_path, [rec])
+        with pytest.raises(DataError, match=r"episodes.jsonl:1: patient 'a': 'context' must"):
             load_episodes(path, make_schema())
 
     def test_parse_error_reports_line_number(self, tmp_path):
@@ -150,6 +179,19 @@ class TestLoadEpisodes:
         )
         with pytest.raises(DataError, match="non-contiguous stages"):
             load_episodes(str(path), make_schema())
+
+    def test_csv_non_contiguous_stages_name_the_patients_first_line(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            "a,1,fluids,,70,obese\n"
+            "b,2,fluids,,70,obese\n"
+            "b,3,fluids,,71,obese\n"
+            "c,1,fluids,,71,obese\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), make_schema())
+        assert str(err.value) == f"{path}:3: patient 'b': non-contiguous stages [2, 3]"
 
     def test_csv_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "eps.csv"
@@ -230,8 +272,7 @@ class TestApplyPreprocessor:
             schema,
         )
         out = apply_preprocessor(target, prep)
-        vals = [s.context["v"] for s in out.episodes[0].stages]
-        assert vals == [2.0, 3.0, 3.0, 5.0]
+        assert column(out, "v").tolist() == [2.0, 3.0, 3.0, 5.0]
 
     def test_unseen_category_maps_to_other(self):
         schema = CohortSchema(
@@ -245,15 +286,15 @@ class TestApplyPreprocessor:
         prep = fit_preprocessor(train, schema)
         target = EpisodeSet([Episode("q", [Stage({"c": "c"}, "x")])], schema)
         out = apply_preprocessor(target, prep)
-        ctx = out.episodes[0].stages[0].context
-        assert (ctx["c=a"], ctx["c=b"], ctx["c=other"]) == (0.0, 0.0, 1.0)
+        assert (column(out, "c=a")[0], column(out, "c=b")[0],
+                column(out, "c=other")[0]) == (0.0, 0.0, 1.0)
 
     def test_standardize_arithmetic(self):
         eps, schema = numeric_set({"a": [3.0, 7.0]})  # mean 5, std 2
         prep = fit_preprocessor(eps, schema)
         target = EpisodeSet([Episode("p", [Stage({"v": 7.0}, "x")])], schema)
         out = apply_preprocessor(target, prep)
-        assert out.episodes[0].stages[0].context["v"] == pytest.approx(1.0)
+        assert column(out, "v")[0] == pytest.approx(1.0)
 
     def test_no_missing_values_and_onehot_sums(self):
         schema = CohortSchema(
@@ -274,11 +315,10 @@ class TestApplyPreprocessor:
         )
         prep = fit_preprocessor(train, schema)
         out = apply_preprocessor(train, prep)
-        for ep in out:
-            for stage in ep.stages:
-                assert all(np.isfinite(v) for v in stage.context.values())
-                onehot = [v for k, v in stage.context.items() if k.startswith("c=")]
-                assert sum(onehot) == 1.0
+        assert out.X.shape == (3, 1 + 3)  # v, then c=a, c=b, c=other
+        assert np.isfinite(out.X).all()
+        onehot = [f.name.startswith("c=") for f in out.features]
+        assert out.X[:, onehot].sum(axis=1).tolist() == [1.0, 1.0, 1.0]
 
     def test_apply_is_idempotent_on_encoded_output(self):
         eps, schema = numeric_set({"a": [1.0, 2.0], "b": [3.0, 4.0]})
@@ -292,7 +332,32 @@ class TestApplyPreprocessor:
         prep = fit_preprocessor(eps, schema)
         target = EpisodeSet([Episode("p", [Stage({"v": -5.0}, "x")])], schema)
         out = apply_preprocessor(target, prep)
-        assert np.isfinite(out.episodes[0].stages[0].context["v"])
+        assert np.isfinite(column(out, "v")[0])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_the_per_stage_reference(self, data):
+        schema = data.draw(schemas())
+        train = data.draw(raw_cohorts(schema, tokens=("a", "b", "c")))
+        # unseen tokens, and one spelled like the reserved bucket
+        target = data.draw(raw_cohorts(schema, tokens=("a", "b", "c", "d", "other")))
+        prep = fit_preprocessor(train, schema)
+        reference = reference_fit_preprocessor(train, schema)
+        assert prep.to_dict() == reference.to_dict()
+        assert prep.digest() == reference.digest()
+
+        out = apply_preprocessor(target, prep)
+        expected = reference_apply_preprocessor(target, prep)
+        stages = [stage for ep in expected for stage in ep.stages]
+        names = [f.name for f in out.features]
+        want = np.array([[stage.context[name] for name in names] for stage in stages])
+        assert sorted(names) == sorted(stages[0].context)
+        assert out.X.tobytes() == want.tobytes()
+        assert out.patient_ids == target.patient_ids
+        assert out.offsets.tolist() == np.cumsum([0] + [ep.n_stages for ep in target]).tolist()
+        assert [ACTIONS[a] for a in out.actions] == [s.action for s in stages]
+        assert out.severity.tobytes() == np.array(
+            [np.nan if s.severity is None else s.severity for s in stages]).tobytes()
 
 
 class TestSplitDataset:

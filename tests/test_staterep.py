@@ -5,16 +5,167 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
+from seqpol.schema import EncodedCohort
 from seqpol.staterep import (
+    AGG_OPS,
+    StateMatrix,
     StateSpec,
-    aggregate_history,
     assemble_state,
     enumerate_standard_states,
-    truncate_history,
 )
 
-from conftest import encoded_episode_set
+from conftest import column, encoded_episode_set
+from reference_encoding import raw_cohorts, reference_apply_preprocessor, schemas
+
+# ---------------------------------------------------------------------------
+# Per-patient reference: each block built from one patient's (T x d) context
+# matrix and action vector, as the state definitions read.
+# ---------------------------------------------------------------------------
+
+
+def _lagged_context(C, lag):
+    """Shift contexts down by ``lag`` rows, padding with the first observation."""
+    if lag == 0:
+        return C
+    out = np.empty_like(C)
+    out[:lag] = C[0]
+    out[lag:] = C[:-lag]
+    return out
+
+
+def _lagged_action_onehot(actions, lag, K, default_idx):
+    """One-hot of the action ``lag`` stages back, padded with the default action."""
+    T = actions.shape[0]
+    idx = np.full(T, default_idx, dtype=int)
+    if lag < T:
+        idx[lag:] = actions[: T - lag]
+    out = np.zeros((T, K), dtype=float)
+    out[np.arange(T), idx] = 1.0
+    return out
+
+
+def _running_aggregate(C, op):
+    """Aggregate over stages 1..t (inclusive of the current stage)."""
+    if op == "sum":
+        return np.cumsum(C, axis=0)
+    if op == "max":
+        return np.maximum.accumulate(C, axis=0)
+    counts = np.arange(1, C.shape[0] + 1, dtype=float)[:, None]
+    return np.cumsum(C, axis=0) / counts
+
+
+def _running_action_aggregate(actions, op, K):
+    """Aggregate one-hot actions over stages 1..t-1; all-zero at t=1."""
+    T = actions.shape[0]
+    onehot = np.zeros((T, K), dtype=float)
+    onehot[np.arange(T), actions] = 1.0
+    shifted = np.zeros_like(onehot)
+    shifted[1:] = onehot[:-1]
+    if op == "sum":
+        return np.cumsum(shifted, axis=0)
+    if op == "max":
+        return np.maximum.accumulate(shifted, axis=0)
+    counts = np.arange(0, T, dtype=float)[:, None]
+    sums = np.cumsum(shifted, axis=0)
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+
+
+def _eligible_columns(schema, features, flag):
+    return [j for j, f in enumerate(features) if getattr(schema.variable(f.variable), flag)]
+
+
+def _patient_arrays(cohort: EncodedCohort, patient_id: str):
+    i = cohort.patient_ids.index(patient_id)
+    rows = slice(cohort.offsets[i], cohort.offsets[i + 1])
+    return cohort.X[rows], cohort.actions[rows]
+
+
+def aggregate_history(cohort: EncodedCohort, patient_id: str, t: int, op: str):
+    """Running aggregates at stage ``t`` for one patient.
+
+    Returns feature names and values: one aggregate per aggregation-eligible
+    context column (over stages 1..t) and one per action label (over the
+    one-hot indicators of actions 1..t-1; zero when t=1).
+    """
+    C, actions = _patient_arrays(cohort, patient_id)
+    schema, feats = cohort.schema, cohort.features
+    cols = _eligible_columns(schema, feats, "aggregate_eligible")
+    ctx_agg = _running_aggregate(C[:, cols], op)[t - 1]
+    act_agg = _running_action_aggregate(actions, op, schema.n_actions)[t - 1]
+    names = [f"{feats[j].name}@agg_{op}" for j in cols] + [
+        f"action:{label}@agg_{op}" for label in schema.action_labels
+    ]
+    return names, np.concatenate([ctx_agg, act_agg])
+
+
+def truncate_history(cohort: EncodedCohort, patient_id: str, t: int, k: int):
+    """Rolling-window features at stage ``t`` for one patient.
+
+    Emits every context column at lag 0, lag-eligible columns at lags 1..k and
+    action one-hots at lags 1..k+1. Context lags before stage 1 repeat the
+    first observation; action lags before stage 1 use the default action.
+    """
+    C, actions = _patient_arrays(cohort, patient_id)
+    schema, feats = cohort.schema, cohort.features
+    lag_cols = _eligible_columns(schema, feats, "lag_eligible")
+    default_idx = schema.action_index(schema.default_action)
+    names = [f.name for f in feats]
+    blocks = [C[t - 1]]
+    for lag in range(1, k + 1):
+        blocks.append(_lagged_context(C[:, lag_cols], lag)[t - 1])
+        names.extend(f"{feats[j].name}@lag{lag}" for j in lag_cols)
+    for lag in range(1, k + 2):
+        blocks.append(_lagged_action_onehot(actions, lag, schema.n_actions, default_idx)[t - 1])
+        names.extend(f"action:{label}@lag{lag}" for label in schema.action_labels)
+    return names, np.concatenate(blocks)
+
+
+def reference_assemble_state(schema, features, episodes, spec):
+    """The state matrix built episode by episode from per-stage encoded dicts."""
+    K = schema.n_actions
+    default_idx = schema.action_index(schema.default_action)
+    lag_cols = _eligible_columns(schema, features, "lag_eligible")
+    agg_cols = _eligible_columns(schema, features, "aggregate_eligible")
+    k, op = spec.window_k, spec.aggregate_op
+    rows, labels, pids, stages, prevs, sevs = [], [], [], [], [], []
+    for ep in sorted(episodes, key=lambda ep: ep.patient_id):
+        T = ep.n_stages
+        C = np.empty((T, len(features)))
+        for t, stage in enumerate(ep.stages):
+            for j, feat in enumerate(features):
+                C[t, j] = stage.context[feat.name]
+        actions = np.array([schema.action_index(s.action) for s in ep.stages], dtype=int)
+        blocks = []
+        if spec.include_current_context:
+            blocks.append(C)
+        if k is not None:
+            for lag in range(1, k + 1):
+                blocks.append(_lagged_context(C[:, lag_cols], lag))
+        if spec.include_prev_action:
+            blocks.append(_lagged_action_onehot(actions, 1, K, default_idx))
+        if k is not None:
+            for lag in range(2, k + 2):
+                blocks.append(_lagged_action_onehot(actions, lag, K, default_idx))
+        if op != "none":
+            blocks.append(_running_aggregate(C[:, agg_cols], op))
+            blocks.append(_running_action_aggregate(actions, op, K))
+        rows.append(np.hstack(blocks))
+        labels.append(actions)
+        pids.extend([ep.patient_id] * T)
+        stages.append(np.arange(1, T + 1))
+        prev_idx = np.full(T, default_idx, dtype=int)
+        prev_idx[1:] = actions[:-1]
+        prevs.append(prev_idx)
+        sevs.append(np.array([np.nan if s.severity is None else s.severity
+                              for s in ep.stages], dtype=float))
+    return StateMatrix(
+        X=np.vstack(rows), feature_names=[], y=np.concatenate(labels),
+        action_labels=list(schema.action_labels), patient_ids=pids,
+        stages=np.concatenate(stages), prev_actions=np.concatenate(prevs),
+        severity=np.concatenate(sevs), spec_name=spec.name,
+    )
 
 
 class TestStateSpec:
@@ -64,8 +215,7 @@ class TestEnumerateStandardStates:
 class TestAggregateHistory:
     def test_action_counts_sum(self, therapy_episodes):
         # therapy p1 has actions (MTX, TNF, MTX); at t=3 the prefix is stages 1..2
-        ep = therapy_episodes.episodes[0]
-        names, values = aggregate_history(ep, 3, "sum", therapy_episodes)
+        names, values = aggregate_history(therapy_episodes, "p1", 3, "sum")
         got = dict(zip(names, values))
         assert got["action:MTX@agg_sum"] == 1.0
         assert got["action:TNF@agg_sum"] == 1.0
@@ -77,34 +227,31 @@ class TestAggregateHistory:
             [("p", [({"age": 1.0, "cdai": 0.0, "crp": 0.0}, a, None)
                     for a in ("MTX", "TNF", "MTX", "JAK")])],
         )
-        names, values = aggregate_history(eps.episodes[0], 4, "sum", eps)
+        names, values = aggregate_history(eps, "p", 4, "sum")
         got = dict(zip(names, values))
         # prefix of length 3: MTX, TNF, MTX
         assert (got["action:MTX@agg_sum"], got["action:TNF@agg_sum"],
                 got["action:JAK@agg_sum"]) == (2.0, 1.0, 0.0)
 
     def test_numeric_max(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]  # cdai: 3.2, 5.1, 4.0
-        names, values = aggregate_history(ep, 3, "max", therapy_episodes)
+        # p1 cdai: 3.2, 5.1, 4.0
+        names, values = aggregate_history(therapy_episodes, "p1", 3, "max")
         assert dict(zip(names, values))["cdai@agg_max"] == 5.1
 
     def test_empty_action_prefix_is_zero(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
         for op in ("sum", "max", "mean"):
-            names, values = aggregate_history(ep, 1, op, therapy_episodes)
+            names, values = aggregate_history(therapy_episodes, "p1", 1, op)
             acts = [v for n, v in zip(names, values) if n.startswith("action:")]
             assert acts == [0.0, 0.0, 0.0]
 
     def test_ineligible_variables_not_aggregated(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
-        names, _ = aggregate_history(ep, 2, "sum", therapy_episodes)
+        names, _ = aggregate_history(therapy_episodes, "p1", 2, "sum")
         assert not any(n.startswith("age@") for n in names)
 
     def test_length_one_prefix_max_is_identity(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
-        names, values = aggregate_history(ep, 1, "max", therapy_episodes)
+        names, values = aggregate_history(therapy_episodes, "p1", 1, "max")
         got = dict(zip(names, values))
-        assert got["cdai@agg_max"] == ep.stages[0].context["cdai"]
+        assert got["cdai@agg_max"] == column(therapy_episodes, "cdai")[0]
 
     @given(
         values=st.lists(
@@ -130,27 +277,24 @@ class TestAggregateHistory:
             ({"age": 0.0, "cdai": v, "crp": 0.0}, "MTX", None) for v in values
         ]
         eps = encoded_episode_set(schema, [("p", stages)])
-        ep = eps.episodes[0]
-        names, now = aggregate_history(ep, t, "sum", eps)
-        _, before = aggregate_history(ep, t - 1, "sum", eps)
+        names, now = aggregate_history(eps, "p", t, "sum")
+        _, before = aggregate_history(eps, "p", t - 1, "sum")
         idx = names.index("cdai@agg_sum")
         assert now[idx] == pytest.approx(before[idx] + values[t - 1])
 
 
 class TestTruncateHistory:
     def test_t1_padding(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
-        names, values = truncate_history(ep, 1, 2, therapy_episodes)
+        names, values = truncate_history(therapy_episodes, "p1", 1, 2)
         got = dict(zip(names, values))
         # lagged contexts repeat the first observation
-        assert got["cdai@lag1"] == got["cdai@lag2"] == ep.stages[0].context["cdai"]
+        assert got["cdai@lag1"] == got["cdai@lag2"] == column(therapy_episodes, "cdai")[0]
         # all lagged actions are the default action (MTX)
         for lag in (1, 2, 3):
             assert got[f"action:MTX@lag{lag}"] == 1.0
 
     def test_k0_is_current_plus_prev_action(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
-        names, values = truncate_history(ep, 3, 0, therapy_episodes)
+        names, values = truncate_history(therapy_episodes, "p1", 3, 0)
         got = dict(zip(names, values))
         assert set(names) == {
             "age", "cdai", "crp",
@@ -159,8 +303,7 @@ class TestTruncateHistory:
         assert got["action:TNF@lag1"] == 1.0  # A_2 = TNF
 
     def test_k1_index_arithmetic(self, therapy_episodes):
-        ep = therapy_episodes.episodes[0]
-        names, values = truncate_history(ep, 3, 1, therapy_episodes)
+        names, values = truncate_history(therapy_episodes, "p1", 3, 1)
         got = dict(zip(names, values))
         assert got["cdai"] == 4.0  # X_3
         assert got["cdai@lag1"] == 5.1  # X_2
@@ -174,8 +317,7 @@ class TestTruncateHistory:
             for i in range(1, 6)
         ]
         eps = encoded_episode_set(therapy_schema, [("p", stages)])
-        ep = eps.episodes[0]
-        names, values = truncate_history(ep, 4, 2, eps)
+        names, values = truncate_history(eps, "p", 4, 2)
         got = dict(zip(names, values))
         # t=4 > k+1=3: every lag resolves to a real stage, no stage-1 repeats
         assert (got["cdai"], got["cdai@lag1"], got["cdai@lag2"]) == (4.0, 3.0, 2.0)
@@ -209,9 +351,8 @@ class TestAssembleState:
         combined = assemble_state(
             therapy_episodes, StateSpec(window_k=1, aggregate_op="sum")
         )
-        ep = therapy_episodes.episodes[0]
-        tr_names, tr_vals = truncate_history(ep, 2, 1, therapy_episodes)
-        ag_names, ag_vals = aggregate_history(ep, 2, "sum", therapy_episodes)
+        tr_names, tr_vals = truncate_history(therapy_episodes, "p1", 2, 1)
+        ag_names, ag_vals = aggregate_history(therapy_episodes, "p1", 2, "sum")
         assert set(combined.feature_names) == set(tr_names) | set(ag_names)
         row = dict(zip(combined.feature_names, combined.X[1]))  # p1, t=2
         expected = dict(zip(tr_names, tr_vals)) | dict(zip(ag_names, ag_vals))
@@ -256,3 +397,47 @@ class TestAssembleState:
         header = lines[0].split(",")
         assert header[:5] == ["patient_id", "t", "action", "prev_action", "severity"]
         assert header[5:] == m.feature_names
+
+
+class TestAssembleMatchesPerPatientReference:
+    SPECS = [spec for op in AGG_OPS[1:] for spec in enumerate_standard_states(op)]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_standard_state_is_bit_equal(self, data):
+        schema = data.draw(schemas())
+        train = data.draw(raw_cohorts(schema, tokens=("a", "b", "c")))
+        target = data.draw(raw_cohorts(schema, tokens=("a", "b", "d")))
+        prep = fit_preprocessor(train, schema)
+        cohort = apply_preprocessor(target, prep)
+        per_stage = reference_apply_preprocessor(target, prep)
+        for spec in self.SPECS:
+            got = assemble_state(cohort, spec)
+            want = reference_assemble_state(
+                schema, prep.encoded_features(), per_stage, spec
+            )
+            assert got.X.shape == want.X.shape == (target.n_stages, len(got.feature_names))
+            assert got.X.tobytes() == want.X.tobytes(), spec.name
+            for name in ("y", "prev_actions", "stages", "severity"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (spec.name, name)
+            assert got.patient_ids == want.patient_ids
+
+
+def test_patient_groups_are_the_runs_of_equal_ids():
+    def by_loop(ids):
+        groups, start = [], 0
+        for i in range(1, len(ids) + 1):
+            if i == len(ids) or ids[i] != ids[start]:
+                groups.append(list(range(start, i)))
+                start = i
+        return groups
+
+    for ids in ([], ["a"], ["a", "a", "b"], ["b", "a", "a", "c", "c", "c", "d"]):
+        m = StateMatrix(
+            X=np.zeros((len(ids), 1)), feature_names=["f"], y=np.zeros(len(ids), dtype=int),
+            action_labels=["x", "y"], patient_ids=ids, stages=np.ones(len(ids), dtype=int),
+            prev_actions=np.zeros(len(ids), dtype=int), severity=np.full(len(ids), np.nan),
+            spec_name="f",
+        )
+        assert [g.tolist() for g in m.patient_groups()] == by_loop(ids)

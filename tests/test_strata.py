@@ -15,13 +15,13 @@ from seqpol.strata import (
 )
 from seqpol.synthgen import GeneratorConfig, generate_cohort
 
-from conftest import encoded_episode_set
+from conftest import raw_episode_set
 
 
 def severity_patients(schema, severities: dict):
-    """Encoded episodes whose stages carry the given severity values."""
+    """Episodes whose stages carry the given severity values."""
     ctx = {"age": 50.0, "cdai": 1.0, "crp": 1.0}
-    return encoded_episode_set(
+    return raw_episode_set(
         schema,
         [(pid, [(ctx, "MTX", s) for s in sev]) for pid, sev in severities.items()],
     )
