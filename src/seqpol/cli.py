@@ -5,7 +5,8 @@ Subcommands:
   experiment   run the full protocol and render the report tables
   sweep-trees  tree-complexity sweep on split 0 (complexity.csv + .svg only)
   ope          inverse-probability product diagnostics for a saved model bundle
-  report       re-render tables/figures from a saved report.json
+  report       re-render tables, figures and model bundles from a saved
+               report.json and the models/ files it lists
 
 Exit codes: 0 success, 1 configuration error, 2 data error. The environment
 variable SEQPOL_THREADS controls candidate-level parallelism.
@@ -14,6 +15,7 @@ variable SEQPOL_THREADS controls candidate-level parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -75,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-stage", type=int, default=10)
 
-    p = sub.add_parser("report", help="re-render tables from report.json")
+    p = sub.add_parser("report", help="re-render a report directory")
     p.add_argument("--in", dest="indir", required=True, help="report directory")
     p.add_argument("--out", default=None, help="output directory (default: --in)")
     return parser
@@ -84,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     gen = GeneratorConfig.from_json(args.config)
     if args.seed is not None:
-        gen = GeneratorConfig.from_dict({**gen.to_dict(), "seed": args.seed})
+        gen = dataclasses.replace(gen, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     episodes, oracle = generate_cohort(gen)
@@ -92,7 +94,7 @@ def _cmd_generate(args) -> int:
     oracle.to_csv(str(outdir / "oracle.csv"))
     episodes.schema.to_json(str(outdir / "schema.json"))
     with open(outdir / "generator.json", "w", encoding="utf-8") as fh:
-        json.dump(gen.to_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(gen), fh, indent=2)
         fh.write("\n")
     print(
         f"generated {len(episodes)} patients, {episodes.n_stages} stages "

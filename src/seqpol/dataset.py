@@ -192,7 +192,10 @@ def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
                 episodes.append(Episode(current_pid, list(stages)))
                 finished.add(current_pid)
 
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the last physical line of the row: DictReader skips blank
+            # lines, and a quoted cell may span lines
+            lineno = reader.line_num
             where = f"{path}:{lineno}"
             pid = row["patient_id"]
             if pid != current_pid:

@@ -217,16 +217,6 @@ class MetricEstimate:
     unit: str = "fraction"
     warning: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_bootstrap": self.n_bootstrap,
-            "unit": self.unit,
-            "warning": self.warning,
-        }
-
 
 def bootstrap_ci(
     samples: Sequence,

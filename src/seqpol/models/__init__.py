@@ -1,6 +1,6 @@
 """Probabilistic policy models behind one shared classifier contract."""
 
-from .base import PolicyModel, load_model, model_from_dict
+from .base import PolicyModel, model_from_dict
 from .hyperparams import (
     MODEL_KINDS,
     PROFILES,
@@ -61,7 +61,6 @@ __all__ = [
     "fit_riskscore",
     "fit_mlp",
     "fit_model",
-    "load_model",
     "model_from_dict",
     "HyperparamSpace",
     "DatasetProfile",

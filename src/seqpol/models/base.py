@@ -7,7 +7,6 @@ refuses inputs whose feature names do not match training.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -26,10 +25,6 @@ class PolicyModel(ABC):
     def __init__(self, feature_names: list[str], class_labels: list[str]):
         self.feature_names = list(feature_names)
         self.class_labels = list(class_labels)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_labels)
 
     def _validate_input(
         self, X, feature_names: list[str] | None
@@ -74,10 +69,6 @@ class PolicyModel(ABC):
             return probs[0]
         return probs
 
-    def predict(self, X, feature_names: list[str] | None = None) -> np.ndarray:
-        probs = self.predict_proba(X, feature_names)
-        return np.argmax(np.atleast_2d(probs), axis=1)
-
     @abstractmethod
     def _predict_proba_impl(self, X: np.ndarray) -> np.ndarray:
         ...
@@ -94,11 +85,6 @@ class PolicyModel(ABC):
             "class_labels": self.class_labels,
             "params": self._params_dict(),
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
 
 
 _REGISTRY: dict[str, type] = {}
@@ -118,8 +104,3 @@ def model_from_dict(d: dict) -> PolicyModel:
     return _REGISTRY[kind]._from_params(
         d["feature_names"], d["class_labels"], d["params"]
     )
-
-
-def load_model(path: str) -> PolicyModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

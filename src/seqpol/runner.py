@@ -10,9 +10,12 @@ bootstrap intervals, the AUROC by stage and by severity subgroup and the
 switch-state confusion all read that table. Off-policy diagnostics and an
 optional tree-complexity sweep (``tree_sweep``, also run alone by
 ``seqpol sweep-trees``) complete the report. Rendering writes fixed-precision
-CSV tables, SVG figures and a report.json without wall times, so repeated
-runs are byte-identical; only run_manifest.json records how long the run
-took. Preprocessor and bootstrap warnings become run_manifest.json notes.
+CSV tables, SVG figures, one bundle per split-0 selected model under models/
+and a report.json without wall times, so repeated runs are byte-identical;
+only run_manifest.json records how long the run took. report.json lists the
+bundles by file name (``model_files``): models/ holds the only copy, and
+``load_report`` reads them back from there. Preprocessor and bootstrap
+warnings become run_manifest.json notes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .dataset import apply_preprocessor, fit_preprocessor, load_episodes, split_dataset
-from .errors import ConfigError, SeqpolError, UndefinedMetricError
+from .errors import ConfigError, DataError, SeqpolError, UndefinedMetricError
 from .metrics import (
     MetricEstimate,
     RowWeightedMetrics,
@@ -110,6 +113,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_candidates < 1 or self.n_splits < 1:
             raise ConfigError("n_candidates and n_splits must be >= 1")
+        if self.bootstrap_B < 1:
+            raise ConfigError(f"bootstrap_B must be >= 1, got {self.bootstrap_B}")
+        if self.states is not None and not self.states:
+            raise ConfigError("states is empty; omit it for the 7 standard specs")
         if self.selection_metric not in (None, "auroc", "accuracy"):
             raise ConfigError("selection metric must be 'auroc' or 'accuracy'")
         for kind in self.model_kinds:
@@ -129,35 +136,8 @@ class ExperimentConfig:
         return self.selection_metric or get_profile(self.profile).selection_metric
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "data_path": self.data_path,
-            "schema_path": self.schema_path,
-            "generator": self.generator.to_dict() if self.generator else None,
-            "aggregation_op": self.aggregation_op,
-            "states": [s.to_dict() for s in self.states] if self.states else None,
-            "model_kinds": list(self.model_kinds),
-            "profile": self.profile,
-            "selection_metric": self.selection_metric,
-            "n_candidates": self.n_candidates,
-            "n_splits": self.n_splits,
-            "seed": self.seed,
-            "test_frac": self.test_frac,
-            "val_frac": self.val_frac,
-            "bootstrap_B": self.bootstrap_B,
-            "by_stage_max": self.by_stage_max,
-            "ope_model": self.ope_model,
-            "ope_states": self.ope_states,
-            "ope_max_stage": self.ope_max_stage,
-            "confusion_reference": list(self.confusion_reference)
-            if self.confusion_reference
-            else None,
-            "confusion_comparison": list(self.confusion_comparison)
-            if self.confusion_comparison
-            else None,
-            "tree_sweep_n": self.tree_sweep_n,
-            "tree_sweep_leaf_bin": self.tree_sweep_leaf_bin,
-        }
+        states = [s.to_dict() for s in self.states] if self.states else None
+        return {**asdict(self), "states": states}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -204,18 +184,6 @@ class CellResult:
         vals = [v for v in self.auroc_split_values if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "model": self.model,
-            "skip_reason": self.skip_reason,
-            "auroc": self.auroc.to_dict() if self.auroc else None,
-            "auroc_split_values": self.auroc_split_values,
-            "ece": self.ece.to_dict() if self.ece else None,
-            "sce": self.sce.to_dict() if self.sce else None,
-            "accuracy_value": self.accuracy_value,
-        }
-
 
 @dataclass
 class ExperimentReport:
@@ -238,49 +206,28 @@ class ExperimentReport:
         raise KeyError((state, model))
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "states": self.states,
-            "model_kinds": self.model_kinds,
-            "cells": [c.to_dict() for c in self.cells],
-            "by_group": self.by_group,
-            "by_stage": self.by_stage,
-            "switch_confusion": self.switch_confusion,
-            "ope_curves": self.ope_curves,
-            "complexity": self.complexity,
-            "model_bundles": self.model_bundles,
-            "metadata": self.metadata,
-        }
+        """The content of report.json: bundles are listed by file name under
+        ``model_files``, and models/ holds the only copy of each."""
+        out = {}
+        for f in fields(self):
+            if f.name == "model_bundles":
+                out["model_files"] = [bundle_file(b) for b in self.model_bundles]
+            else:
+                out[f.name] = getattr(self, f.name)
+        out["cells"] = [asdict(c) for c in self.cells]
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        cells = []
-        for c in d["cells"]:
-            cells.append(
-                CellResult(
-                    state=c["state"],
-                    model=c["model"],
-                    skip_reason=c.get("skip_reason"),
-                    auroc=MetricEstimate(**c["auroc"]) if c.get("auroc") else None,
-                    auroc_split_values=c.get("auroc_split_values", []),
-                    ece=MetricEstimate(**c["ece"]) if c.get("ece") else None,
-                    sce=MetricEstimate(**c["sce"]) if c.get("sce") else None,
-                    accuracy_value=c.get("accuracy_value"),
-                )
-            )
-        return cls(
-            config=d["config"],
-            states=d["states"],
-            model_kinds=d["model_kinds"],
-            cells=cells,
-            by_group=d.get("by_group", []),
-            by_stage=d.get("by_stage", []),
-            switch_confusion=d.get("switch_confusion"),
-            ope_curves=d.get("ope_curves", []),
-            complexity=d.get("complexity"),
-            model_bundles=d.get("model_bundles", []),
-            metadata=d.get("metadata", {}),
-        )
+        """The inverse of ``to_dict`` once ``model_bundles`` holds the listed
+        bundles; a missing optional key takes its default."""
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs["cells"] = [
+            CellResult(**{**c, **{k: MetricEstimate(**c[k])
+                                  for k in ("auroc", "ece", "sce") if c[k]}})
+            for c in d["cells"]
+        ]
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +242,21 @@ def make_model_bundle(model: PolicyModel, prep, spec: StateSpec) -> dict:
         "schema": prep.schema.to_dict(),
         "state_spec": spec.to_dict(),
     }
+
+
+def bundle_file(bundle: dict) -> str:
+    """A bundle's path relative to the report directory."""
+    return f"models/{bundle['state']}__{bundle['model_kind']}.json"
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -901,14 +863,13 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
 
     # saved models (bundled with preprocessor, schema and state spec)
     if report.model_bundles:
-        models_dir = out / "models"
-        models_dir.mkdir(exist_ok=True)
+        (out / "models").mkdir(exist_ok=True)
         for bundle in report.model_bundles:
-            name = f"{bundle['state']}__{bundle['model_kind']}.json"
-            with open(models_dir / name, "w", encoding="utf-8") as fh:
+            name = bundle_file(bundle)
+            with open(out / name, "w", encoding="utf-8") as fh:
                 json.dump(bundle, fh)
                 fh.write("\n")
-            written.append(f"models/{name}")
+            written.append(name)
 
     # full report for re-rendering; the run's wall time goes to the manifest
     # only, so identical runs write identical report.json bytes
@@ -935,5 +896,9 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
 
 
 def load_report(path: str) -> ExperimentReport:
-    with open(Path(path) / "report.json", "r", encoding="utf-8") as fh:
-        return ExperimentReport.from_dict(json.load(fh))
+    """The report in directory ``path``, with the bundles report.json lists
+    read back from ``path``/models/."""
+    root = Path(path)
+    d = _read_json(root / "report.json")
+    d["model_bundles"] = [_read_json(root / name) for name in d.get("model_files", [])]
+    return ExperimentReport.from_dict(d)

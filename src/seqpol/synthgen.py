@@ -69,28 +69,6 @@ class GeneratorConfig:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "n_actions": self.n_actions,
-            "context_dim": self.context_dim,
-            "t_kind": self.t_kind,
-            "t_fixed": self.t_fixed,
-            "t_p": self.t_p,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "w_context": self.w_context,
-            "w_prev_action": self.w_prev_action,
-            "w_action_agg": self.w_action_agg,
-            "w_lag_context": self.w_lag_context,
-            "ar_coef": self.ar_coef,
-            "noise_scale": self.noise_scale,
-            "drift_scale": self.drift_scale,
-            "severity_coupling": self.severity_coupling,
-            "severity_noise": self.severity_noise,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         known = {f for f in cls.__dataclass_fields__}

@@ -50,6 +50,21 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"states": []}, "states is empty"),
+    ({"bootstrap_B": 0}, "bootstrap_B must be >= 1, got 0"),
+    ({"bootstrap_B": -3}, "bootstrap_B must be >= 1, got -3"),
+])
+def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
+        tmp_path, capsys, options, message):
+    config = _write_experiment(tmp_path, **options)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_single_class_test_fold_is_recorded_skip(tmp_path):
     # Every test patient takes the same action, so the pooled test AUROC is
     # undefined: the cell still gets ECE/SCE and its skip reaches metadata.
@@ -139,6 +154,15 @@ def _write_generator(tmp_path):
     return config
 
 
+def test_generate_writes_a_generator_config_that_reads_back(tmp_path):
+    config = _write_generator(tmp_path)
+    out = tmp_path / "cohort"
+    assert main(["generate", "--config", str(config), "--seed", "11",
+                 "--out", str(out)]) == 0
+    written = GeneratorConfig.from_json(str(out / "generator.json"))
+    assert written == GeneratorConfig.from_dict({**json.loads(config.read_text()), "seed": 11})
+
+
 def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
     fit = tmp_path / "fit"
     assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
@@ -196,3 +220,38 @@ def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     ]
     header = (out / "by_stage.csv").read_text().splitlines()[0]
     assert header == "state,model,stage,auroc,n"
+
+
+def _experiment_dir(tmp_path):
+    config = _write_experiment(tmp_path, ope_states=["window1"], tree_sweep_n=2)
+    out = tmp_path / "d"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def test_report_rewrites_the_experiments_files_from_report_json_and_models(tmp_path):
+    d, e = _experiment_dir(tmp_path), tmp_path / "e"
+    assert main(["report", "--in", str(d), "--out", str(e)]) == 0
+    listed = json.loads((d / "report.json").read_text())["model_files"]
+    assert len(listed) == 4 and sorted(listed) == listed
+    assert sorted(p.relative_to(d).as_posix() for p in d.glob("models/*")) == listed
+    written = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(e).as_posix() for p in e.rglob("*") if p.is_file())
+    assert {"ope_curve.svg", "complexity.svg"} <= set(written)
+    for rel in written:
+        if rel != "run_manifest.json":  # records the run's wall time
+            assert (e / rel).read_bytes() == (d / rel).read_bytes(), rel
+
+
+def test_report_names_a_listed_bundle_that_is_missing(tmp_path, capsys):
+    d = _experiment_dir(tmp_path)
+    (d / "models" / "window1__tree.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"{d / 'models' / 'window1__tree.json'}: No such file" in err
+
+    (d / "report.json").write_text("{")
+    assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {d / 'report.json'}: invalid JSON")

@@ -170,6 +170,33 @@ class TestLoadEpisodes:
         with pytest.raises(DataError, match=rf"eps.csv:3: .*{field}.*finite"):
             load_episodes(str(path), make_schema())
 
+    def test_csv_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            "a,1,fluids,2.0,70,obese\n"
+            "\n"
+            "a,2,fluids,1.0,abc,obese\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), make_schema())
+        assert str(err.value) == (
+            f"{path}:4: variable 'hr': expected a finite number, got 'abc'"
+        )
+
+    def test_csv_line_numbers_count_the_lines_of_a_quoted_cell(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            'a,1,fluids,2.0,70,"obese\nsince 2019"\n'
+            "a,2,fluids,1.0,abc,obese\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), make_schema())
+        assert str(err.value) == (
+            f"{path}:4: variable 'hr': expected a finite number, got 'abc'"
+        )
+
     def test_csv_non_contiguous_stage_column(self, tmp_path):
         path = tmp_path / "eps.csv"
         path.write_text(

@@ -90,7 +90,7 @@ class TestFitMlp:
             m, m, hidden_dims=(16,), lr=1e-2, batch_size=32,
             max_epochs=500, patience=500, seed=0,
         )
-        preds = model.predict(m.X, m.feature_names)
+        preds = np.argmax(model.predict_proba(m.X, m.feature_names), axis=1)
         assert np.mean(preds == m.y) == 1.0
 
     def test_patience_counter_semantics(self):

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from seqpol.errors import FitError, UnsupportedModelError
 from seqpol.models import riskscore
+from seqpol.models.base import model_from_dict
 from seqpol.models.riskscore import (
     _B_HI,
     _B_LO,
@@ -125,14 +128,10 @@ class TestRiskScoreContract:
         heavy = fit_riskscore(m, max_coef=5, max_size=3, pos_weight=5)
         assert recall(heavy) >= recall(light)
 
-    def test_serialization_round_trip(self, tmp_path):
+    def test_serialization_round_trip(self):
         m = synthetic_binary(seed=4)
         model = fit_riskscore(m, max_coef=3, max_size=2)
-        path = tmp_path / "rs.json"
-        model.save(str(path))
-        from seqpol.models.base import load_model
-
-        again = load_model(str(path))
+        again = model_from_dict(json.loads(json.dumps(model.to_dict())))
         assert np.array_equal(again.weights, model.weights)
         assert again.intercept == model.intercept
 
