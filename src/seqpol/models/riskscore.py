@@ -9,18 +9,20 @@ integers. The search restarts from several points, including the best
 exhaustively enumerated single-feature model, and keeps the lowest
 class-weighted log-loss.
 
-Every candidate set of weights is scored with its own optimal intercept.
-That 1-D convex problem is solved by a safeguarded Newton iteration
-(``optimal_intercept``): gradient and Hessian come from one sigmoid pass,
-each evaluated point narrows a bracket on the root, and a step that leaves
-the bracket falls back to bisection. Inside the L1 path the solve starts
-from the previous proximal step's intercept, which is usually a few
-Newton steps from the new one.
+Every candidate set of integer weights is scored with its own optimal
+intercept. That 1-D convex problem is solved by a safeguarded Newton
+iteration (``optimal_intercepts``), vectorized over the columns of a score
+matrix: gradient and Hessian come from one sigmoid pass, each evaluated point
+narrows the column's bracket on the root, a step that leaves the bracket
+falls back to bisection, and a column stops once its Newton step is below
+``_B_TOL``. The single-feature search scores all of its candidates in one
+call, and each sweep of the local search scores all of its moves in one call,
+warm-started from the current intercept. The L1 path solves no intercept per
+step: it updates the intercept as an unpenalized coordinate of the
+proximal-gradient step.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.special import expit
@@ -34,6 +36,19 @@ _B_LO, _B_HI = -30.0, 30.0
 _B_TOL = 1e-12
 # A guard only: bisection alone narrows the range below _B_TOL in 46 steps.
 _B_MAX_ITER = 200
+# Score matrices are solved and scored in column blocks of at most this many
+# elements, so the temporaries stay small whatever the number of candidates.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _log1p_exp(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) by the formula of ``np.logaddexp(0, z)``, in fewer passes."""
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def weighted_logloss(
@@ -42,8 +57,78 @@ def weighted_logloss(
     """Mean weighted logistic loss of raw scores against 0/1 labels."""
     sign = 2.0 * y - 1.0
     return float(
-        (sample_weight * np.logaddexp(0.0, -sign * scores)).sum() / sample_weight.sum()
+        (sample_weight * _log1p_exp(-sign * scores)).sum() / sample_weight.sum()
     )
+
+
+def _block_width(n: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(n, 1))
+
+
+def optimal_intercepts(
+    scores: np.ndarray,
+    y: np.ndarray,
+    sample_weight: np.ndarray,
+    start: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """Intercept minimizing weighted log-loss for each column of ``scores``.
+
+    Column k is its own problem: with p = sigmoid(b + scores[:, k]), the
+    derivative in the intercept, g(b) = sum(sw * (p - y)), is monotone
+    increasing, so the minimizer is its root. Newton steps b - g/h take the
+    Hessian h = sum(sw * p * (1-p)) from the same sigmoid pass, starting at
+    ``start`` (a scalar or one value per column; a warm start such as the
+    intercept of a nearby problem). A column is done once its Newton step is
+    at most _B_TOL. Otherwise each evaluated point becomes the lower or upper
+    end of the column's bracket on the root by the sign of g, and a step that
+    leaves the bracket, or a zero Hessian (every p saturated at 0 or 1), is
+    replaced by the bracket's midpoint, so the iteration always converges.
+    Iterates are clipped to [_B_LO, _B_HI]: when the root lies beyond that
+    range, the iteration stops at, and returns, its nearer end.
+    """
+    n, m = scores.shape
+    out = np.clip(np.broadcast_to(np.asarray(start, dtype=float), (m,)), _B_LO, _B_HI)
+    width = _block_width(n)
+    for c0 in range(0, m, width):
+        block = slice(c0, c0 + width)
+        out[block] = _solve_block(scores[:, block], y, sample_weight, out[block])
+    return out
+
+
+def _solve_block(
+    scores: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``optimal_intercepts`` on one block; finished columns leave the arrays."""
+    out = b.copy()
+    cols = np.arange(len(b))
+    lo = np.full(len(b), -np.inf)
+    hi = np.full(len(b), np.inf)
+    yc = y[:, None]
+    for _ in range(_B_MAX_ITER):
+        if not cols.size:
+            break
+        p = expit(b + scores)
+        g = sample_weight @ (p - yc)
+        h = sample_weight @ (p * (1.0 - p))
+        # A zero Hessian gives an infinite step, which the bracket test below
+        # always rejects; g == 0 is a step of 0 whatever h is.
+        step = np.divide(g, h, out=np.where(g == 0.0, 0.0, np.inf), where=h > 0.0)
+        newton = np.abs(step) <= _B_TOL
+        hi = np.where(g > 0.0, b, hi)
+        lo = np.where(g < 0.0, b, lo)
+        nxt = b - step
+        mid = 0.5 * (np.maximum(lo, _B_LO) + np.minimum(hi, _B_HI))
+        nxt = np.where(((lo < nxt) & (nxt < hi)) | newton, nxt, mid)
+        nxt = np.clip(nxt, _B_LO, _B_HI)
+        done = newton | (np.abs(nxt - b) <= _B_TOL)
+        out[cols[done]] = nxt[done]
+        b = nxt
+        if done.any():
+            keep = ~done
+            cols, b, lo, hi = cols[keep], b[keep], lo[keep], hi[keep]
+            scores = scores[:, keep]
+    out[cols] = b
+    return out
 
 
 def optimal_intercept(
@@ -52,39 +137,8 @@ def optimal_intercept(
     sample_weight: np.ndarray,
     start: float = 0.0,
 ) -> float:
-    """Intercept minimizing weighted log-loss for fixed feature scores.
-
-    The derivative in the intercept, g(b) = sum(sw * (p - y)) with
-    p = sigmoid(b + partial_scores), is monotone increasing, so the minimizer
-    is its root. Newton steps b - g/h take the Hessian h = sum(sw * p * (1-p))
-    from the same sigmoid pass, starting at ``start`` (a warm start, such as
-    the intercept of a nearby problem). Each evaluated point becomes the
-    lower or upper end of a bracket on the root by the sign of g. A step that
-    leaves the bracket, or a zero Hessian (every p saturated at 0 or 1), is
-    replaced by the bracket's midpoint, so the iteration always converges.
-    Iterates are clipped to [_B_LO, _B_HI]: when the root lies beyond that
-    range, the iteration stops at, and returns, its nearer end.
-    """
-    lo, hi = -np.inf, np.inf
-    b = min(max(float(start), _B_LO), _B_HI)
-    for _ in range(_B_MAX_ITER):
-        p = expit(b + partial_scores)
-        g = float(sample_weight @ (p - y))
-        if g == 0.0:
-            return b
-        if g > 0.0:
-            hi = b
-        else:
-            lo = b
-        h = float(sample_weight @ (p * (1.0 - p)))
-        nxt = b - g / h if h > 0.0 else np.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (max(lo, _B_LO) + min(hi, _B_HI))
-        nxt = min(max(nxt, _B_LO), _B_HI)
-        if abs(nxt - b) <= _B_TOL:
-            return nxt
-        b = nxt
-    return b
+    """``optimal_intercepts`` for a single vector of feature scores."""
+    return float(optimal_intercepts(partial_scores[:, None], y, sample_weight, start)[0])
 
 
 def _loss_with_best_intercept(
@@ -95,32 +149,67 @@ def _loss_with_best_intercept(
     return weighted_logloss(b + scores, y, sample_weight), b
 
 
+def _move_losses(
+    X: np.ndarray,
+    y: np.ndarray,
+    sample_weight: np.ndarray,
+    base: np.ndarray,
+    cols: np.ndarray,
+    steps: np.ndarray,
+    start: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loss and optimal intercept of ``base + steps[k] * X[:, cols[k]]`` for each k."""
+    sign = (1.0 - 2.0 * y)[:, None]
+    wsum = sample_weight.sum()
+    losses = np.empty(len(cols))
+    intercepts = np.empty(len(cols))
+    width = _block_width(len(base))
+    for c0 in range(0, len(cols), width):
+        block = slice(c0, c0 + width)
+        S = X[:, cols[block]] * steps[block] + base[:, None]
+        b = optimal_intercepts(S, y, sample_weight, start)
+        S += b
+        S *= sign
+        losses[block] = sample_weight @ _log1p_exp(S) / wsum
+        intercepts[block] = b
+    return losses, intercepts
+
+
 def best_single_feature_model(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_coef: int
 ) -> tuple[np.ndarray, float, float]:
     """Exhaustive search over all one-feature integer models."""
-    d = X.shape[1]
+    n, d = X.shape
     best_w = np.zeros(d, dtype=int)
     best_loss, best_b = _loss_with_best_intercept(X, y, best_w, sample_weight)
-    for j, c in itertools.product(range(d), range(-max_coef, max_coef + 1)):
-        if c == 0:
-            continue
-        w = np.zeros(d, dtype=int)
-        w[j] = c
-        loss, b = _loss_with_best_intercept(X, y, w, sample_weight)
+    coefs = [c for c in range(-max_coef, max_coef + 1) if c != 0]
+    cols = np.repeat(np.arange(d), len(coefs))
+    steps = np.tile(coefs, d)
+    losses, intercepts = _move_losses(
+        X, y, sample_weight, np.zeros(n), cols, steps, 0.0
+    )
+    best = None
+    for k, loss in enumerate(losses):
         if loss < best_loss - 1e-12:
-            best_w, best_loss, best_b = w, loss, b
+            best, best_loss, best_b = k, float(loss), float(intercepts[k])
+    if best is not None:
+        best_w[cols[best]] = steps[best]
     return best_w, best_loss, best_b
 
 
 def _l1_feature_order(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_size: int
 ) -> list[int]:
-    """Feature indices in order of first activation along an L1 path."""
+    """Feature indices in order of first activation along an L1 path.
+
+    The intercept is an unpenalized coordinate of each proximal-gradient
+    step, so the step size comes from X with a column of ones added.
+    """
     n, d = X.shape
     wsum = sample_weight.sum()
-    # Lipschitz bound for the weighted logistic gradient.
-    H = (X * sample_weight[:, None]).T @ X / (4.0 * wsum)
+    # Lipschitz bound for the weighted logistic gradient in (w, intercept).
+    Xb = np.column_stack([X, np.ones(n)])
+    H = (Xb * sample_weight[:, None]).T @ Xb / (4.0 * wsum)
     L = float(np.linalg.eigvalsh(H)[-1]) + 1e-12
     step = 1.0 / L
 
@@ -136,15 +225,15 @@ def _l1_feature_order(
     for _ in range(40):
         lam *= 0.7
         for _ in range(200):
-            g = X.T @ (sample_weight * (expit(b + xw) - y)) / wsum
-            w_new = w - step * g
+            r = sample_weight * (expit(b + xw) - y) / wsum
+            w_new = w - step * (X.T @ r)
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
+            b_new = b - step * r.sum()
             xw = X @ w_new
-            b = optimal_intercept(xw, y, sample_weight, b)
-            if np.abs(w_new - w).max() < 1e-9:
-                w = w_new
+            moved = max(np.abs(w_new - w).max(), abs(b_new - b))
+            w, b = w_new, b_new
+            if moved < 1e-9:
                 break
-            w = w_new
         for j in np.flatnonzero(np.abs(w) > 1e-8):
             if j not in order:
                 order.append(int(j))
@@ -188,31 +277,32 @@ def _local_search(
     max_coef: int,
     max_size: int,
 ) -> tuple[np.ndarray, float, float]:
-    """Greedy +-1 coordinate moves until no move improves the loss."""
+    """Greedy +-1 coordinate moves until no move improves the loss.
+
+    Each sweep scores every allowed move in one solve and takes the first
+    move of lowest loss, if it improves the current loss by more than 1e-12.
+    """
     w = w0.copy()
     loss, b = _loss_with_best_intercept(X, y, w, sample_weight)
     while True:
-        best_move = None
-        for j in pool:
-            for delta in (-1, 1):
-                cand = int(w[j]) + delta
-                if abs(cand) > max_coef:
-                    continue
-                if cand != 0 and w[j] == 0 and np.count_nonzero(w) >= max_size:
-                    continue
-                w_try = w.copy()
-                w_try[j] = cand
-                cand_loss, cand_b = _loss_with_best_intercept(
-                    X, y, w_try, sample_weight
-                )
-                if cand_loss < loss - 1e-12 and (
-                    best_move is None or cand_loss < best_move[0]
-                ):
-                    best_move = (cand_loss, cand_b, j, cand)
-        if best_move is None:
+        full = np.count_nonzero(w) >= max_size
+        moves = [
+            (j, delta)
+            for j in pool
+            for delta in (-1, 1)
+            if abs(w[j] + delta) <= max_coef and not (full and w[j] == 0)
+        ]
+        if not moves:
             return w, loss, b
-        loss, b, j, val = best_move
-        w[j] = val
+        cols, steps = np.array(moves).T
+        losses, intercepts = _move_losses(
+            X, y, sample_weight, X @ w, cols, steps, b
+        )
+        k = int(np.argmin(losses))
+        if not losses[k] < loss - 1e-12:
+            return w, loss, b
+        loss, b = float(losses[k]), float(intercepts[k])
+        w[cols[k]] += steps[k]
 
 
 @register_model

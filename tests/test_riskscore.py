@@ -59,6 +59,23 @@ def bisection_intercept(partial_scores, y, sample_weight, start=0.0):
     return 0.5 * (lo + hi)
 
 
+def bisection_intercepts(scores, y, sample_weight, start=0.0):
+    """Column-wise ``bisection_intercept``; stands in for ``optimal_intercepts``."""
+    return np.array([bisection_intercept(col, y, sample_weight) for col in scores.T])
+
+
+def count_expit_calls(monkeypatch):
+    """Patch ``riskscore.expit`` to count its calls; one per solver iteration."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return expit(*args, **kwargs)
+
+    monkeypatch.setattr(riskscore, "expit", counting)
+    return calls
+
+
 def synthetic_binary(seed, n=300, d=6, informative=(0, 2)):
     rng = np.random.default_rng(seed)
     X = (rng.uniform(size=(n, d)) < 0.4).astype(float)
@@ -162,7 +179,7 @@ class TestIntercept:
         assert b == pytest.approx(np.log(3 / 2), abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_bisection_reference(self, seed):
+    def test_matches_bisection_reference(self, seed, monkeypatch):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(5, 400))
         spread = [1.0, 5.0, 20.0, 50.0][seed % 4]
@@ -171,8 +188,40 @@ class TestIntercept:
         y[:2] = [0.0, 1.0]
         sw = np.where(y == 1, rng.uniform(0.1, 10.0), 1.0)
         want = bisection_intercept(scores, y, sw)
+        calls = count_expit_calls(monkeypatch)
         for start in (0.0, _B_LO, _B_HI, float(rng.normal(0, 5))):
+            calls[0] = 0
             assert optimal_intercept(scores, y, sw, start) == pytest.approx(want, abs=1e-10)
+            # Newton converges in a few steps; a converged step that the
+            # bracket test rejected used to restart bisection from far away.
+            assert calls[0] <= 10
+
+    def test_converged_step_on_bracket_end_stops(self, monkeypatch):
+        # Near the root the gradient is a rounding residue. Where it is not 0
+        # but the Newton step is below half an ulp, b - g/h rounds back to b,
+        # which has just become an end of the bracket. That is convergence:
+        # the solve must return b, not bisect from the far end of the range.
+        rng = np.random.default_rng(40)
+        scores = rng.normal(0.0, 2.0, 40)
+        y = (rng.uniform(size=40) < expit(scores)).astype(float)
+        sw = np.where(y == 1, 3.0, 1.0)
+        root = bisection_intercept(scores, y, sw)
+        starts = []
+        for direction in (-np.inf, np.inf):
+            b = root
+            for _ in range(30):
+                p = expit(b + scores[:, None])
+                g = float((sw @ (p - y[:, None]))[0])
+                h = float((sw @ (p * (1.0 - p)))[0])
+                if g != 0.0 and b - g / h == b:
+                    starts.append(b)
+                b = np.nextafter(b, direction)
+        assert starts
+        calls = count_expit_calls(monkeypatch)
+        for start in starts:
+            calls[0] = 0
+            assert optimal_intercept(scores, y, sw, start) == start
+            assert calls[0] == 1
 
     def test_root_beyond_range_returns_range_end(self):
         scores = np.random.default_rng(7).normal(0, 2, 40)
@@ -195,6 +244,50 @@ class TestIntercept:
         b = optimal_intercept(scores, y, sw, start=_B_HI)
         assert b == pytest.approx(bisection_intercept(scores, y, sw), abs=1e-10)
         assert _B_LO < b < _B_HI
+
+
+class TestIntercepts:
+    @staticmethod
+    def mixed_columns(seed, n, m):
+        """Scores, labels, weights and per-column starts mixing column kinds.
+
+        Ordinary columns of varied spread; columns whose Hessian underflows
+        at a start of _B_HI (every b + score above 37); columns whose root
+        lies above _B_HI (scores of -100) or below _B_LO (scores of +100).
+        Columns are shuffled, so that blocks mix kinds.
+        """
+        rng = np.random.default_rng(seed)
+        y = (rng.uniform(size=n) < 0.4).astype(float)
+        y[:2] = [0.0, 1.0]
+        sw = np.where(y == 1, 2.5, 1.0)
+        kind = rng.permutation(np.arange(m) % 4)
+        spread = rng.choice([1.0, 5.0, 20.0], size=m)
+        S = rng.uniform(-1.0, 1.0, (n, m)) * spread
+        start = rng.normal(0.0, 5.0, m)
+        under = kind == 1
+        S[:, under] = rng.uniform(10.0, 12.0, (n, under.sum()))
+        start[under] = _B_HI
+        S[:, kind == 2] = -100.0
+        S[:, kind == 3] = 100.0
+        start[kind >= 2] = rng.choice([_B_LO, 0.0, _B_HI], size=(kind >= 2).sum())
+        return S, y, sw, start, kind
+
+    @pytest.mark.parametrize("seed,n", [(0, 300), (1, 1000), (2, 2000)])
+    def test_columns_match_bisection_reference(self, seed, n):
+        width = riskscore._BLOCK_ELEMENTS // n
+        S, y, sw, start, kind = self.mixed_columns(seed, n, 2 * width + 5)
+        got = riskscore.optimal_intercepts(S, y, sw, start)
+        want = bisection_intercepts(S, y, sw)
+        # For kinds 2 and 3 the reference returns the range end itself; the
+        # solver, bisecting on a zero Hessian, reaches it to within _B_TOL.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert np.all((_B_LO < got[kind <= 1]) & (got[kind <= 1] < _B_HI))
+
+    def test_scalar_start_and_single_column_form(self):
+        S, y, sw, _, _ = self.mixed_columns(3, 50, 12)
+        got = riskscore.optimal_intercepts(S, y, sw, 1.5)
+        for k in range(S.shape[1]):
+            assert got[k] == pytest.approx(optimal_intercept(S[:, k], y, sw, 1.5), abs=1e-10)
 
 
 def collinear_binary(seed, n=200):
@@ -221,6 +314,7 @@ class TestEquivalentModels:
         sw = np.where(y == 1, pos_weight, 1.0)
         fast = fit_riskscore(m, max_coef=5, max_size=3, pos_weight=pos_weight)
         monkeypatch.setattr(riskscore, "optimal_intercept", bisection_intercept)
+        monkeypatch.setattr(riskscore, "optimal_intercepts", bisection_intercepts)
         ref = fit_riskscore(m, max_coef=5, max_size=3, pos_weight=pos_weight)
 
         def loss(model):
@@ -230,3 +324,68 @@ class TestEquivalentModels:
         np.testing.assert_allclose(
             fast.predict_proba(m), ref.predict_proba(m), rtol=0, atol=1e-12
         )
+
+
+def exact_intercept_l1_order(X, y, sample_weight, max_size):
+    """Reference L1 path: the intercept re-solved exactly after each step.
+
+    The previous form of ``_l1_feature_order``: a proximal-gradient step on
+    the weights alone, with the Lipschitz bound taken from X, then a warm-
+    started ``optimal_intercept`` solve.
+    """
+    n, d = X.shape
+    wsum = sample_weight.sum()
+    H = (X * sample_weight[:, None]).T @ X / (4.0 * wsum)
+    step = 1.0 / (float(np.linalg.eigvalsh(H)[-1]) + 1e-12)
+    w = np.zeros(d)
+    xw = np.zeros(n)
+    b = optimal_intercept(xw, y, sample_weight)
+    resid = sample_weight * (expit(np.full(n, b)) - y)
+    lam = float(np.abs(X.T @ resid).max() / wsum)
+    if lam <= 0:
+        return []
+    order = []
+    for _ in range(40):
+        lam *= 0.7
+        for _ in range(200):
+            g = X.T @ (sample_weight * (expit(b + xw) - y)) / wsum
+            w_new = w - step * g
+            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
+            xw = X @ w_new
+            b = optimal_intercept(xw, y, sample_weight, b)
+            if np.abs(w_new - w).max() < 1e-9:
+                w = w_new
+                break
+            w = w_new
+        for j in np.flatnonzero(np.abs(w) > 1e-8):
+            if j not in order:
+                order.append(int(j))
+        if len(order) >= max_size:
+            break
+    return order[:max_size]
+
+
+def continuous_binary(seed, n=250, d=8):
+    """Gaussian features, labels from a sparse logistic model."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, (n, d))
+    logits = 0.5 + 1.5 * X[:, 1] - X[:, 4] + 0.5 * X[:, 6]
+    y = (rng.uniform(size=n) < expit(logits)).astype(int)
+    return binary_matrix(X, y)
+
+
+class TestL1Path:
+    # Updating the intercept inside the proximal step changes the path's
+    # iterates but should not change which features enter it, or in what
+    # order.
+    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pool_matches_exact_intercept_path(self, make, seed):
+        m = make(seed)
+        y = m.y.astype(float)
+        for max_size in (1, 3, 5):
+            for pos_weight in (1.0, 3.0):
+                sw = np.where(y == 1, pos_weight, 1.0)
+                assert riskscore._l1_feature_order(m.X, y, sw, max_size) == (
+                    exact_intercept_l1_order(m.X, y, sw, max_size)
+                )
