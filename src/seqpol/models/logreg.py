@@ -4,6 +4,13 @@ The objective is the mean cross-entropy plus ||W||^2 / (2*C*N), with
 intercepts left unpenalized. It is smooth and convex, so a quasi-Newton
 minimizer from a zero start yields a deterministic optimum; we stop when the
 max-norm of the gradient drops below tolerance.
+
+The softmax rows take their max and sum as a fold over the K columns: on
+thousands of rows and a few columns that is several times cheaper than
+numpy's reduction along the short axis. The max is exact in any order.
+numpy's row sum of fewer than 8 columns adds them left to right, so the fold
+matches it bit for bit; from 8 columns numpy sums pairwise, so the sum is
+left to numpy there. tests/test_logreg.py checks both sides against numpy.
 """
 
 from __future__ import annotations
@@ -16,15 +23,33 @@ from ..staterep import StateMatrix
 from .base import PolicyModel, register_model
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    m = z[:, 0].copy()
+    for k in range(1, z.shape[1]):
+        np.maximum(m, z[:, k], out=m)
+    return m[:, None]
+
+
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=1, keepdims=True)``, bit for bit (see the module docstring)."""
+    if e.shape[1] >= 8:
+        return e.sum(axis=1, keepdims=True)
+    s = e[:, 0].copy()
+    for k in range(1, e.shape[1]):
+        s += e[:, k]
+    return s[:, None]
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - _row_max(z)
+    np.exp(e, out=e)
+    e /= _row_sum(e)
+    return e
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = z - _row_max(z)
+    return z - np.log(_row_sum(np.exp(z)))
 
 
 def penalized_objective(

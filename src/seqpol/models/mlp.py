@@ -4,6 +4,13 @@ ReLU hidden layers, cross-entropy loss, Glorot-uniform initialization and
 mini-batch shuffling both driven by a seeded generator. Training keeps the
 parameter snapshot with the best validation loss and stops once the number of
 consecutive epochs without improvement exceeds the patience.
+
+``fit_mlp`` holds every weight and bias in one flat vector, with per-layer
+``(W, b)`` views into it, and the gradient in a second flat vector of the same
+layout. Adam then updates all layers with a few in-place operations on whole
+vectors, in the same arithmetic order as a per-array update, so the fitted
+parameters do not depend on the layout. Each epoch takes one permuted copy of
+the training rows, and the mini-batches are slices of it.
 """
 
 from __future__ import annotations
@@ -39,30 +46,46 @@ def forward(
     activations = [X]
     h = X
     for i, (W, b) in enumerate(params):
-        z = h @ W + b
-        if i < len(params) - 1:
-            h = np.maximum(z, 0.0)
-        else:
-            h = softmax(z)
+        z = h @ W
+        z += b
+        h = np.maximum(z, 0.0, out=z) if i < len(params) - 1 else softmax(z)
         activations.append(h)
     return h, activations
 
 
-def loss_and_grads(
-    params: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray, Y: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean cross-entropy and its gradient for every weight and bias."""
-    n = X.shape[0]
+def gradient(
+    params: list[tuple[np.ndarray, np.ndarray]],
+    X: np.ndarray,
+    Y: np.ndarray,
+    grads: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Write the gradient of the mean cross-entropy on one batch into
+    ``grads`` (a ``(gW, gb)`` pair per layer) and return the batch's class
+    probabilities."""
     probs, activations = forward(params, X)
-    loss = -float(np.sum(Y * np.log(np.maximum(probs, 1e-300)))) / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)
-    delta = (probs - Y) / n
+    delta = probs - Y
+    delta /= X.shape[0]
     for i in range(len(params) - 1, -1, -1):
-        h_in = activations[i]
-        grads[i] = (h_in.T @ delta, delta.sum(axis=0))
+        gW, gb = grads[i]
+        np.matmul(activations[i].T, delta, out=gW)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = (delta @ params[i][0].T) * (activations[i] > 0)
-    return loss, grads
+            delta = delta @ params[i][0].T
+            delta *= activations[i] > 0
+    return probs
+
+
+def _layer_views(
+    flat: np.ndarray, layer_sizes: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer ``(W, b)`` views into a vector laid out as W1, b1, W2, b2, ..."""
+    views, at = [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        W = flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((W, flat[at : at + fan_out]))
+        at += fan_out
+    return views
 
 
 @register_model
@@ -112,49 +135,63 @@ def fit_mlp(
     Yv[np.arange(val.n_rows), val.y] = 1.0
 
     rng = np.random.default_rng(seed)
-    params = init_params([d, *hidden_dims, K], rng)
-    m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    sizes = [d, *hidden_dims, K]
+    theta = np.concatenate([a.ravel() for layer in init_params(sizes, rng) for a in layer])
+    params = _layer_views(theta, sizes)
+    grad = np.empty_like(theta)
+    grads = _layer_views(grad, sizes)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    num, den = np.empty_like(theta), np.empty_like(theta)
 
     def val_loss() -> float:
         probs, _ = forward(params, val.X)
         return -float(np.sum(Yv * np.log(np.maximum(probs, 1e-300)))) / max(val.n_rows, 1)
 
     best_loss = val_loss()
-    best_params = [(W.copy(), b.copy()) for W, b in params]
+    best_theta = theta.copy()
     epochs_since_best = 0
     step = 0
     batch_size = max(1, min(batch_size, n))
 
     for _ in range(max_epochs):
         order = rng.permutation(n)
+        Xp, Yp = X[order], Y[order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss, grads = loss_and_grads(params, X[idx], Y[idx])
-            if not np.isfinite(loss):
+            batch = slice(start, start + batch_size)
+            probs = gradient(params, Xp[batch], Yp[batch], grads)
+            # softmax outputs lie in [0, 1] or are NaN, so the batch log-loss
+            # is non-finite exactly when a probability is NaN
+            if np.isnan(probs).any():
                 raise FitError("training diverged: non-finite loss")
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            for i, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-                mW, mb = m[i]
-                vW, vb = v[i]
-                mW[...] = ADAM_BETA1 * mW + (1 - ADAM_BETA1) * gW
-                mb[...] = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * gb
-                vW[...] = ADAM_BETA2 * vW + (1 - ADAM_BETA2) * gW**2
-                vb[...] = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * gb**2
-                W -= lr * (mW / c1) / (np.sqrt(vW / c2) + ADAM_EPS)
-                b -= lr * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+            m *= ADAM_BETA1
+            np.multiply(grad, 1 - ADAM_BETA1, out=num)
+            m += num
+            v *= ADAM_BETA2
+            np.square(grad, out=den)
+            den *= 1 - ADAM_BETA2
+            v += den
+            # theta -= lr * (m/c1) / (sqrt(v/c2) + eps)
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, c1, out=num)
+            num *= lr
+            num /= den
+            theta -= num
         current = val_loss()
         if not np.isfinite(current):
             raise FitError("training diverged: non-finite validation loss")
         if current < best_loss - 1e-12:
             best_loss = current
-            best_params = [(W.copy(), b.copy()) for W, b in params]
+            best_theta[...] = theta
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best > patience:
                 break
 
-    return MLPPolicy(train.feature_names, train.action_labels, best_params)
+    return MLPPolicy(train.feature_names, train.action_labels, _layer_views(best_theta, sizes))

@@ -866,9 +866,10 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         (out / "models").mkdir(exist_ok=True)
         for bundle in report.model_bundles:
             name = bundle_file(bundle)
+            # json.dumps runs the C encoder; json.dump always takes the
+            # pure-Python one. The bytes are the same.
             with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(bundle, fh)
-                fh.write("\n")
+                fh.write(json.dumps(bundle) + "\n")
             written.append(name)
 
     # full report for re-rendering; the run's wall time goes to the manifest

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from seqpol.errors import FitError
-from seqpol.models.logreg import fit_logreg, penalized_objective
+from seqpol.models.logreg import _log_softmax, fit_logreg, penalized_objective, softmax
 from seqpol.staterep import StateMatrix
 
 from conftest import random_matrix
+from reference_models import (
+    reference_log_softmax,
+    reference_penalized_objective,
+    reference_softmax,
+)
 
 
 def binary_matrix(X, y):
@@ -110,3 +115,26 @@ class TestFitLogreg:
             f_up, _ = penalized_objective(up, X, Y, 2.0)
             f_down, _ = penalized_objective(down, X, Y, 2.0)
             assert grad[i] == pytest.approx((f_up - f_down) / (2 * eps), abs=1e-6)
+
+
+class TestMatchesReference:
+    """The column folds of the softmax rows reproduce numpy's short-axis
+    reductions (tests/reference_models.py) bit for bit, on both sides of the
+    K = 8 switch back to numpy's sum."""
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 2400])
+    @pytest.mark.parametrize("K", range(2, 10))
+    def test_softmax_and_objective_equal(self, K, n):
+        rng = np.random.default_rng(1000 * K + n)
+        for scale in (0.1, 1.0, 30.0):
+            z = rng.standard_normal((n, K)) * scale
+            assert np.array_equal(softmax(z), reference_softmax(z))
+            assert np.array_equal(_log_softmax(z), reference_log_softmax(z))
+        d = 5
+        X = rng.standard_normal((n, d))
+        Y = np.eye(K)[rng.integers(0, K, n)]
+        theta = rng.standard_normal(d * K + K)
+        loss, grad = penalized_objective(theta, X, Y, 0.5)
+        ref_loss, ref_grad = reference_penalized_objective(theta, X, Y, 0.5)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)

@@ -3,10 +3,11 @@ import pytest
 
 from seqpol.errors import FitError
 from seqpol.models.logreg import fit_logreg, penalized_objective
-from seqpol.models.mlp import fit_mlp, forward, init_params, loss_and_grads
+from seqpol.models.mlp import fit_mlp, forward, gradient, init_params
 from seqpol.staterep import StateMatrix
 
 from conftest import random_matrix
+from reference_models import reference_fit_mlp
 
 
 def matrix(X, y, K):
@@ -25,23 +26,34 @@ def matrix(X, y, K):
     )
 
 
+def batch_loss(params, X, Y):
+    probs, _ = forward(params, X)
+    return -float(np.sum(Y * np.log(np.maximum(probs, 1e-300)))) / X.shape[0]
+
+
+def analytic_gradient(params, X, Y):
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
+    gradient(params, X, Y, grads)
+    return grads
+
+
 def numeric_gradient(params, X, Y, eps=1e-6):
     grads = []
     for li, (W, b) in enumerate(params):
         gW = np.zeros_like(W)
         for idx in np.ndindex(W.shape):
             W[idx] += eps
-            up, _ = loss_and_grads(params, X, Y)
+            up = batch_loss(params, X, Y)
             W[idx] -= 2 * eps
-            down, _ = loss_and_grads(params, X, Y)
+            down = batch_loss(params, X, Y)
             W[idx] += eps
             gW[idx] = (up - down) / (2 * eps)
         gb = np.zeros_like(b)
         for idx in np.ndindex(b.shape):
             b[idx] += eps
-            up, _ = loss_and_grads(params, X, Y)
+            up = batch_loss(params, X, Y)
             b[idx] -= 2 * eps
-            down, _ = loss_and_grads(params, X, Y)
+            down = batch_loss(params, X, Y)
             b[idx] += eps
             gb[idx] = (up - down) / (2 * eps)
         grads.append((gW, gb))
@@ -63,7 +75,7 @@ class TestGradients:
         X = rng.standard_normal((9, 5))
         Y = np.eye(3)[rng.integers(0, 3, 9)]
         params = init_params([5, 16, 3], rng)
-        _, analytic = loss_and_grads(params, X, Y)
+        analytic = analytic_gradient(params, X, Y)
         numeric = numeric_gradient(params, X, Y)
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -72,7 +84,7 @@ class TestGradients:
         X = rng.standard_normal((7, 4))
         Y = np.eye(2)[rng.integers(0, 2, 7)]
         params = init_params([4, 8, 8, 2], rng)
-        _, analytic = loss_and_grads(params, X, Y)
+        analytic = analytic_gradient(params, X, Y)
         numeric = numeric_gradient(params, X, Y)
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -106,20 +118,20 @@ class TestFitMlp:
         epochs_run = {"n": 0}
         import seqpol.models.mlp as mlp_mod
 
-        original = mlp_mod.loss_and_grads
+        original = mlp_mod.gradient
 
-        def counting(params, Xb, Yb):
+        def counting(params, Xb, Yb, grads):
             epochs_run["n"] += 1
-            return original(params, Xb, Yb)
+            return original(params, Xb, Yb, grads)
 
-        mlp_mod.loss_and_grads = counting
+        mlp_mod.gradient = counting
         try:
             fit_mlp(
                 train, val, hidden_dims=(8,), lr=1e-2, batch_size=64,
                 max_epochs=100, patience=5, seed=0,
             )
         finally:
-            mlp_mod.loss_and_grads = original
+            mlp_mod.gradient = original
         # one batch per epoch: exactly 6 epochs beyond the (initial) best
         assert epochs_run["n"] == 6
 
@@ -180,3 +192,91 @@ class TestFitMlp:
         probs, _ = forward(mlp.params, m.X)
         mlp_loss = -np.sum(Y * np.log(np.maximum(probs, 1e-300))) / m.n_rows
         assert lr_loss >= mlp_loss - 1e-6
+
+
+class TestMatchesReference:
+    """The flat-vector training loop reproduces the per-array reference
+    (tests/reference_models.py) bit for bit."""
+
+    @pytest.mark.parametrize("early_stopping", [False, True])
+    @pytest.mark.parametrize("lr", [1e-3, 1e-2])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("batch_size", [64, 128, 50])
+    @pytest.mark.parametrize("hidden_dims", [(16,), (32, 32)])
+    def test_parameters_equal(self, hidden_dims, batch_size, K, lr, early_stopping):
+        # 203 rows: no batch size divides n, and 50 leaves a 3-row last batch
+        train = random_matrix(seed=K, n=203, d=6, K=K)
+        if early_stopping:
+            # validation labels shifted by one class: fitting the training
+            # rows worsens validation loss, so patience ends the run
+            val = matrix(train.X[:80], (train.y[:80] + 1) % K, K)
+        else:
+            val = random_matrix(seed=100 + K, n=80, d=6, K=K)
+        max_epochs = 20
+        kw = dict(
+            hidden_dims=hidden_dims, lr=lr, batch_size=batch_size,
+            max_epochs=max_epochs, patience=1 if early_stopping else max_epochs, seed=3,
+        )
+        ref, epochs = reference_fit_mlp(train, val, **kw)
+        got = fit_mlp(train, val, **kw).params
+        assert (epochs < max_epochs) == early_stopping
+        assert len(got) == len(ref)
+        for (W, b), (W_ref, b_ref) in zip(got, ref):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+    @staticmethod
+    def steps_to_failure(train, val, **kw):
+        """(steps, message) of the reference and of fit_mlp, counting calls
+        of each loop's per-batch gradient function."""
+        import reference_models
+        import seqpol.models.mlp as mlp_mod
+
+        out = []
+        for fit, module, name in (
+            (reference_fit_mlp, reference_models, "loss_and_grads"),
+            (fit_mlp, mlp_mod, "gradient"),
+        ):
+            original = getattr(module, name)
+            calls = {"n": 0}
+
+            def counting(*args, original=original, calls=calls):
+                calls["n"] += 1
+                return original(*args)
+
+            setattr(module, name, counting)
+            try:
+                with pytest.raises(FitError, match="diverged") as err:
+                    fit(train, val, **kw)
+            finally:
+                setattr(module, name, original)
+            out.append((calls["n"], str(err.value)))
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_fails_on_the_reference_step(self):
+        train = random_matrix(seed=20, n=120, d=4, K=3)
+        train.X[7, 1] = np.inf
+        (ref_steps, ref_msg), (steps, msg) = self.steps_to_failure(
+            train, train, hidden_dims=(8,), lr=1e-2, batch_size=16, max_epochs=5, seed=0
+        )
+        assert (steps, msg) == (ref_steps, ref_msg)
+        assert steps > 1 and "non-finite loss" in msg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_parameters_fail_on_the_reference_step(self):
+        train = random_matrix(seed=21, n=120, d=4, K=2)
+        (ref_steps, ref_msg), (steps, msg) = self.steps_to_failure(
+            train, train, hidden_dims=(8,), lr=1e300, batch_size=32, max_epochs=5, seed=0
+        )
+        assert (steps, msg) == (ref_steps, ref_msg)
+        assert steps > 1 and "non-finite loss" in msg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_fails_after_the_reference_epoch(self):
+        train = random_matrix(seed=22, n=120, d=4, K=3)
+        val = matrix(train.X * 1e308, train.y, 3)
+        (ref_steps, ref_msg), (steps, msg) = self.steps_to_failure(
+            train, val, hidden_dims=(8,), lr=1e-2, batch_size=32, max_epochs=5, seed=0
+        )
+        assert (steps, msg) == (ref_steps, ref_msg)
+        assert steps == 4 and "validation" in msg
