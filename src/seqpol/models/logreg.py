@@ -60,7 +60,9 @@ def penalized_objective(
     K = Y.shape[1]
     W = theta[: d * K].reshape(d, K)
     b = theta[d * K :]
-    logits = X @ W + b
+    logits = X @ W
+    for k in range(K):  # the bias column by column: exact, and no broadcast
+        logits[:, k] += b[k]
     logp = _log_softmax(logits)
     loss = -float((Y * logp).sum()) / n + float((W * W).sum()) / (2.0 * C * n)
     P = np.exp(logp)

@@ -10,19 +10,31 @@ By construction the policy factors exactly through the assembled state
 {current context, previous action, lagged context, sum-aggregated actions},
 using the same padding conventions as the state builders (first stage: lagged
 context = first observation, previous action = default action, zero counts).
+
+Patient i draws from its own generator, seeded with (seed, 1, i): the stage
+count (one ``geometric`` draw; none if fixed), ``standard_normal(d)`` for the
+first context, then per stage one ``random()`` and one ``standard_normal(d + 1)``,
+the same stream, draw for draw, as ``choice(K, p=p)``, ``standard_normal()`` and
+``standard_normal(d)``. So all streams are drawn first, and the patients are
+then stepped through time together, choosing as ``Generator.choice`` does.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .schema import CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
 from .staterep import StateMatrix
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,12 +59,18 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_patients < 1:
-            raise ConfigError("n_patients must be >= 1")
-        if self.n_actions < 2:
-            raise ConfigError("n_actions must be >= 2")
-        if self.context_dim < 1:
-            raise ConfigError("context_dim must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            # abs(value) <= max is false for NaN and infinities
+            if f.type == "float" and not (
+                _is_number(value, numbers.Real) and abs(value) <= sys.float_info.max
+            ):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        for name, low in (("seed", 0), ("n_patients", 1), ("n_actions", 2), ("context_dim", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.t_kind not in ("fixed", "geometric"):
             raise ConfigError(f"unknown stage-count distribution {self.t_kind!r}")
         if self.t_kind == "fixed" and self.t_fixed < 1:
@@ -61,18 +79,10 @@ class GeneratorConfig:
             0.0 < self.t_p <= 1.0 and 1 <= self.t_min <= self.t_max
         ):
             raise ConfigError("geometric stage counts need 0 < p <= 1, 1 <= min <= max")
-        for name in (
-            "w_context", "w_prev_action", "w_action_agg", "w_lag_context",
-            "ar_coef", "noise_scale", "drift_scale",
-            "severity_coupling", "severity_noise",
-        ):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown generator options: {sorted(unknown)}")
         return cls(**d)
@@ -111,26 +121,17 @@ class OracleTable:
             rows[i] = self.probs[pid][int(t) - 1]
         return rows
 
-    def flat(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """Probabilities, patient ids and stages in (patient, stage) order."""
-        pids, stages, rows = [], [], []
-        for pid in sorted(self.probs):
-            P = self.probs[pid]
-            for t in range(P.shape[0]):
-                pids.append(pid)
-                stages.append(t + 1)
-                rows.append(P[t])
-        return np.asarray(rows), pids, np.asarray(stages, dtype=int)
-
     def to_csv(self, path: str) -> None:
+        """One row per (patient, stage), as ``csv.writer`` writes them."""
+        labels = self.action_labels
+        row = "{},{}" + ",{:.12g}" * len(labels)
+        lines = [",".join(["patient_id", "t"] + [f"p_true_{a}" for a in labels])] + [
+            row.format(pid, t, *p)
+            for pid in sorted(self.probs)
+            for t, p in enumerate(self.probs[pid].tolist(), start=1)
+        ]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["patient_id", "t"] + [f"p_true_{a}" for a in self.action_labels]
-            )
-            rows, pids, stages = self.flat()
-            for pid, t, row in zip(pids, stages, rows):
-                writer.writerow([pid, int(t)] + [f"{p:.12g}" for p in row])
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 @dataclass(frozen=True)
@@ -152,28 +153,6 @@ def _policy_params(cfg: GeneratorConfig) -> _PolicyParams:
     )
 
 
-def _softmax_vec(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _true_probs(
-    cfg: GeneratorConfig,
-    params: _PolicyParams,
-    x_t: np.ndarray,
-    x_prev: np.ndarray,
-    prev_action: int,
-    action_counts: np.ndarray,
-) -> np.ndarray:
-    logits = cfg.w_context * (params.context_mix @ x_t)
-    logits = logits + cfg.w_lag_context * (params.lag_mix @ x_prev)
-    prev = np.zeros(cfg.n_actions)
-    prev[prev_action] = 1.0
-    logits = logits + cfg.w_prev_action * prev
-    logits = logits + cfg.w_action_agg * action_counts
-    return _softmax_vec(logits)
-
-
 def _draw_t(cfg: GeneratorConfig, rng: np.random.Generator) -> int:
     if cfg.t_kind == "fixed":
         return cfg.t_fixed
@@ -184,47 +163,68 @@ def _draw_t(cfg: GeneratorConfig, rng: np.random.Generator) -> int:
 def generate_cohort(cfg: GeneratorConfig) -> tuple[EpisodeSet, OracleTable]:
     """Sample a cohort and the exact per-stage action probabilities.
 
-    Patient trajectories are mutually independent given the seed: patient i
-    uses the generator seeded with (seed, 1, i), so any subset of patients is
-    reproducible in isolation.
+    Each patient draws only from its own generator, seeded with (seed, 1, i),
+    so any subset of patients is reproducible in isolation.
     """
-    params = _policy_params(cfg)
-    schema = cfg.schema()
-    width = max(5, len(str(cfg.n_patients)))
-    episodes, oracle = [], {}
-    for i in range(cfg.n_patients):
+    params, schema = _policy_params(cfg), cfg.schema()
+    n, K, d = cfg.n_patients, cfg.n_actions, cfg.context_dim
+    width = max(5, len(str(n)))
+    # Each patient's stream (module docstring): row off[i] + t of ``draws``
+    # holds patient i's uniform and d + 1 normals for stage t + 1.
+    T, x, draws = np.empty(n, dtype=np.int64), np.empty((n, d)), []
+    for i in range(n):
         rng = np.random.default_rng([cfg.seed, 1, i])
-        pid = f"p{i:0{width}d}"
-        T = _draw_t(cfg, rng)
-        x = rng.standard_normal(cfg.context_dim)
-        x_prev = x  # stage-1 lag pads with the first observation
-        prev_action = 0  # default action pads the missing first transition
-        counts = np.zeros(cfg.n_actions)
-        stages, probs = [], np.empty((T, cfg.n_actions))
-        for t in range(T):
-            p = _true_probs(cfg, params, x, x_prev, prev_action, counts)
-            probs[t] = p
-            action = int(rng.choice(cfg.n_actions, p=p))
-            severity = cfg.severity_coupling * float(
-                params.severity_readout @ x
-            ) + cfg.severity_noise * float(rng.standard_normal())
-            stages.append(
-                Stage(
-                    context={f"x{j}": float(x[j]) for j in range(cfg.context_dim)},
-                    action=f"a{action}",
-                    severity=severity,
+        T[i] = _draw_t(cfg, rng)
+        rng.standard_normal(out=x[i])
+        draws.append(np.empty((T[i], d + 2)))
+        for row in draws[i]:
+            row[0] = rng.random()
+            rng.standard_normal(out=row[1:])
+    draws, off = np.concatenate(draws), np.concatenate([[0], np.cumsum(T)])
+    # Longest first: the patients still active at a stage are a prefix.
+    order = np.argsort(-T, kind="stable")
+    start, x = off[order], x[order]
+    x_prev, prev, counts = x, np.zeros(n, dtype=np.int64), np.zeros((n, K))
+    X, P, S = np.empty((off[-1], d)), np.empty((off[-1], K)), np.empty(off[-1])
+    A = np.empty(off[-1], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for t in range(T.max()):
+            m = int(np.count_nonzero(T > t))
+            rows = start[:m] + t
+            x, x_prev, prev, counts = x[:m], x_prev[:m], prev[:m], counts[:m]
+            # Stacked matmuls make one gemv or dot call per patient, bit-equal
+            # to the per-patient products; a single x @ M.T is not.
+            logits = cfg.w_context * (params.context_mix @ x[:, :, None])[:, :, 0]
+            lagged = (params.lag_mix @ x_prev[:, :, None])[:, :, 0]
+            logits = logits + cfg.w_lag_context * lagged
+            logits = logits + cfg.w_prev_action * np.eye(K)[prev]
+            logits = logits + cfg.w_action_agg * counts
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p = p / p.sum(axis=1, keepdims=True)
+            readout = (x[:, None, :] @ params.severity_readout[:, None])[:, 0, 0]
+            severity = cfg.severity_coupling * readout + cfg.severity_noise * draws[rows, 1]
+            bad = order[:m][~np.isfinite(np.column_stack([p, x, severity])).all(axis=1)]
+            if bad.size:
+                weights = ", ".join(
+                    f"{f.name}={getattr(cfg, f.name)!r}"
+                    for f in fields(cfg) if f.type == "float" and f.name != "t_p"
                 )
-            )
-            counts[action] += 1.0
-            x_next = (
-                cfg.ar_coef * x
-                + params.drifts[action]
-                + cfg.noise_scale * rng.standard_normal(cfg.context_dim)
-            )
-            x_prev, x, prev_action = x, x_next, action
-        episodes.append(Episode(pid, stages))
-        oracle[pid] = probs
-    eps = EpisodeSet(episodes, schema)
-    eps.validate()
-    return eps, OracleTable(oracle, list(schema.action_labels))
-
+                raise ConfigError(
+                    f"patient p{bad.min():0{width}d}, stage {t + 1}: probabilities, "
+                    f"context or severity overflow; reduce the weights ({weights})"
+                )
+            cdf = p.cumsum(axis=1)
+            a = np.count_nonzero(cdf / cdf[:, -1:] <= draws[rows, :1], axis=1)
+            X[rows], P[rows], A[rows], S[rows] = x, p, a, severity
+            counts[np.arange(m), a] += 1.0
+            x_prev, prev = x, a
+            x = cfg.ar_coef * x + params.drifts[a] + cfg.noise_scale * draws[rows, 2:]
+    names, labels = [f"x{j}" for j in range(d)], schema.action_labels
+    stages = [
+        Stage(dict(zip(names, c)), labels[a], s)
+        for c, a, s in zip(X.tolist(), A.tolist(), S.tolist())
+    ]
+    spans = [(f"p{i:0{width}d}", lo, hi) for i, (lo, hi) in enumerate(zip(off, off[1:]))]
+    episodes = [Episode(pid, stages[lo:hi]) for pid, lo, hi in spans]
+    oracle = OracleTable({pid: P[lo:hi] for pid, lo, hi in spans}, list(labels))
+    return EpisodeSet(episodes, schema), oracle
