@@ -9,7 +9,8 @@ Subcommands:
                report.json and the models/ files it lists
 
 Exit codes: 0 success, 1 configuration error, 2 data error. The environment
-variable SEQPOL_THREADS controls candidate-level parallelism.
+variable SEQPOL_THREADS sets the number of threads that fit candidates (1 when
+unset); a value that is not a positive integer is a configuration error.
 """
 
 from __future__ import annotations

@@ -296,10 +296,6 @@ class Preprocessor:
     categorical: dict[str, _CategoricalState] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def feature_names(self) -> list[str]:
-        return [f.name for f in self.encoded_features()]
-
     def encoded_features(self) -> list[EncodedFeature]:
         feats: list[EncodedFeature] = []
         for var in self.schema.variables:

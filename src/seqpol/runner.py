@@ -1,21 +1,22 @@
 """End-to-end experiment protocol and report rendering.
 
-For each of several seeded splits: fit the preprocessor on training patients,
-assemble every configured state representation, train randomly sampled
-candidate models per (state, model) pair, select by validation score and
-evaluate the winner on the test fold. Each cell's test rows of every split
-are stacked once into one pooled table (split, patient, stage, switch flag,
-probabilities, action) with one ``RowWeightedMetrics``; the patient-level
-bootstrap intervals, the AUROC by stage and by severity subgroup and the
-switch-state confusion all read that table. Off-policy diagnostics and an
-optional tree-complexity sweep (``tree_sweep``, also run alone by
-``seqpol sweep-trees``) complete the report. Rendering writes fixed-precision
-CSV tables, SVG figures, one bundle per split-0 selected model under models/
-and a report.json without wall times, so repeated runs are byte-identical;
-only run_manifest.json records how long the run took. report.json lists the
-bundles by file name (``model_files``): models/ holds the only copy, and
-``load_report`` reads them back from there. Preprocessor and bootstrap
-warnings become run_manifest.json notes.
+``run_experiment`` runs its phases in order, and every configured (state,
+model) pair is one ``_Cell`` record that they fill in turn. Split: each
+seeded split's folds, encoded by a preprocessor fitted on its training
+patients. Fit and select: per state representation and cell, randomly
+sampled candidates are fitted on ``SEQPOL_THREADS`` threads, and the best on
+the validation fold scores the test fold. Pool: a cell's test rows of every
+split, stacked once. Summarize: one ``RowWeightedMetrics`` per cell gives the
+AUROC by stage and by severity group and the patient bootstrap intervals.
+Then the switch-state confusion, the OPE curves and the bundles of the
+split-0 models, the metadata and the optional tree-complexity sweep on split
+0's folds (``tree_sweep``, also run by ``seqpol sweep-trees``).
+Rendering writes every CSV table through one writer and every figure with
+one series per state. report.json holds no wall times, so repeated runs are
+byte-identical; only run_manifest.json records how long the run took, and
+its notes hold the preprocessor and bootstrap warnings. report.json lists the
+bundles by file name (``model_files``), models/ holds the only copy, and
+``load_report`` reads them back from there.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .dataset import apply_preprocessor, fit_preprocessor, load_episodes, split_dataset
+from .dataset import (
+    Preprocessor, apply_preprocessor, fit_preprocessor, load_episodes, split_dataset
+)
 from .errors import ConfigError, DataError, SeqpolError, UndefinedMetricError
 from .metrics import (
     MetricEstimate,
@@ -62,9 +66,17 @@ from .strata import (
     tree_complexity_sweep,
 )
 from .svg import line_chart
-from .synthgen import GeneratorConfig, generate_cohort
+from .synthgen import GeneratorConfig, _is_number, generate_cohort
 
 THREADS_ENV = "SEQPOL_THREADS"
+
+# The columns of the report's record lists and of their CSV tables.
+_GROUP_COLUMNS = ["group", "state", "model", "auroc", "n"]
+_STAGE_COLUMNS = ["state", "model", "stage", "auroc", "n"]
+_OPE_COLUMNS = ["state", "model", "stage", "median", "n", "floored_events"]
+_COMPLEXITY_COLUMNS = [
+    "state", "leaves_low", "leaves_high", "n_models", "val_auroc", "test_auroc"
+]
 
 
 def derive_seed(*parts) -> int:
@@ -74,10 +86,11 @@ def derive_seed(*parts) -> int:
 
 
 def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+    """Workers of the candidate-fit pool: ``SEQPOL_THREADS``, 1 when unset."""
+    value = os.environ.get(THREADS_ENV, "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +124,21 @@ class ExperimentConfig:
     tree_sweep_leaf_bin: int = 5
 
     def __post_init__(self) -> None:
-        if self.n_candidates < 1 or self.n_splits < 1:
-            raise ConfigError("n_candidates and n_splits must be >= 1")
-        if self.bootstrap_B < 1:
-            raise ConfigError(f"bootstrap_B must be >= 1, got {self.bootstrap_B}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_number(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        for name in ("n_candidates", "n_splits", "bootstrap_B", "ope_max_stage",
+                     "tree_sweep_leaf_bin"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.states is not None and not self.states:
             raise ConfigError("states is empty; omit it for the 7 standard specs")
         if self.selection_metric not in (None, "auroc", "accuracy"):
             raise ConfigError("selection metric must be 'auroc' or 'accuracy'")
-        for kind in self.model_kinds:
+        for kind in (*self.model_kinds, self.ope_model):
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")
         if not self.model_kinds:
@@ -199,12 +218,6 @@ class ExperimentReport:
     model_bundles: list[dict] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def cell(self, state: str, model: str) -> CellResult:
-        for c in self.cells:
-            if c.state == state and c.model == model:
-                return c
-        raise KeyError((state, model))
-
     def to_dict(self) -> dict:
         """The content of report.json: bundles are listed by file name under
         ``model_files``, and models/ holds the only copy of each."""
@@ -234,13 +247,15 @@ class ExperimentReport:
 # Model bundles: a fitted model plus everything needed to apply it to raw data
 # ---------------------------------------------------------------------------
 
-def make_model_bundle(model: PolicyModel, prep, spec: StateSpec) -> dict:
+def make_model_bundle(model: PolicyModel, prep, spec: StateSpec, kind: str) -> dict:
     return {
         "format_version": 1,
         "model": model.to_dict(),
         "preprocessor": prep.to_dict(),
         "schema": prep.schema.to_dict(),
         "state_spec": spec.to_dict(),
+        "state": spec.name,
+        "model_kind": kind,
     }
 
 
@@ -296,6 +311,25 @@ def resolve_episodes(cfg: ExperimentConfig) -> EpisodeSet:
 
 
 @dataclass
+class _Split:
+    """One split's folds, encoded by a preprocessor fitted on its training fold."""
+
+    index: int
+    prep: Preprocessor
+    train: EncodedCohort
+    val: EncodedCohort
+    test: EncodedCohort
+
+
+def _split(cfg: ExperimentConfig, raw: EpisodeSet, index: int) -> _Split:
+    folds = split_dataset(
+        raw, derive_seed(cfg.seed, "split", index), cfg.test_frac, cfg.val_frac
+    )
+    prep = fit_preprocessor(folds[0], raw.schema)
+    return _Split(index, prep, *(apply_preprocessor(fold, prep) for fold in folds))
+
+
+@dataclass
 class _PooledRows:
     """One cell's test rows of every split, stacked once.
 
@@ -338,6 +372,26 @@ class _PooledRows:
         return int(self.unit[-1]) + 1 if len(self.unit) else 0
 
 
+@dataclass
+class _Cell:
+    """One (state, model) pair: what each split gave it, then its pooled rows.
+
+    ``run_experiment`` keeps the cells in a dict keyed by (state name, model
+    kind), in configuration order.
+    """
+
+    spec: StateSpec
+    kind: str
+    skip: str | None = None  # the reason metadata.skips records
+    model0: PolicyModel | None = None  # the model selected in split 0
+    split_auroc: list = field(default_factory=list)  # None where undefined
+    chunks: list = field(default_factory=list)  # (split, test matrix, test probs)
+
+    @cached_property
+    def rows(self) -> _PooledRows | None:
+        return _PooledRows.stack(self.chunks) if self.chunks else None
+
+
 def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstimate:
     """Patient bootstrap of ``metric``, a function of per-row weights.
 
@@ -353,34 +407,162 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     return bootstrap_ci(range(n_patients), statistic, B=B, seed=seed)
 
 
-def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[dict]:
-    """Rows of the tree-complexity sweep on the patients of split 0."""
-    train_raw, val_raw, test_raw = split_dataset(
-        raw, derive_seed(cfg.seed, "split", 0), cfg.test_frac, cfg.val_frac
-    )
-    prep = fit_preprocessor(train_raw, raw.schema)
+def tree_sweep(
+    cfg: ExperimentConfig, raw: EpisodeSet, split0: _Split | None = None
+) -> list[dict]:
+    """Rows of the tree-complexity sweep on the folds of split 0 (``split0``
+    when the caller holds them already)."""
+    split0 = split0 or _split(cfg, raw, 0)
     buckets = tree_complexity_sweep(
-        apply_preprocessor(train_raw, prep),
-        apply_preprocessor(val_raw, prep),
-        apply_preprocessor(test_raw, prep),
-        cfg.resolved_states(),
+        split0.train, split0.val, split0.test, cfg.resolved_states(),
         n_models=cfg.tree_sweep_n,
         leaf_bin_width=cfg.tree_sweep_leaf_bin,
-        profile=get_profile(cfg.profile),
-        space=HyperparamSpace(),
+        profile=cfg.profile,
         seed=derive_seed(cfg.seed, "sweep"),
     )
-    return [
-        {
-            "state": b.spec_name,
-            "leaves_low": b.leaves_low,
-            "leaves_high": b.leaves_high,
-            "n_models": b.n_models,
-            "val_auroc": b.val_auroc,
-            "test_auroc": b.test_auroc,
-        }
-        for b in buckets
+    return [dict(zip(_COMPLEXITY_COLUMNS, astuple(b))) for b in buckets]
+
+
+def _fit_and_select(cfg, split, specs, cells, fit_map, failures) -> int:
+    """Fit each cell's candidates on one split through ``fit_map`` (a
+    ``map``), select the best on its validation fold and score that on its
+    test fold; failed fits go to ``failures``. Returns the fits attempted."""
+    metric = cfg.resolved_selection_metric()
+    space, profile = HyperparamSpace(), get_profile(cfg.profile)
+    attempted = 0
+    for spec in specs:
+        train, val, test = (
+            assemble_state(fold, spec) for fold in (split.train, split.val, split.test)
+        )
+        for kind in cfg.model_kinds:
+            cell = cells[spec.name, kind]
+            if kind == "riskscore" and train.n_actions > 2:
+                cell.skip = "unsupported: multiclass action space"
+                continue
+            draws = sample_hyperparams(
+                space, kind, profile, n=cfg.n_candidates,
+                seed=derive_seed(cfg.seed, "hp", split.index, spec.name, kind),
+            )
+
+            def fit_one(ci, params):
+                seed = derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci)
+                try:
+                    return fit_model(kind, params, train, val, seed=seed)
+                except SeqpolError as exc:
+                    return exc
+
+            attempted += len(draws)
+            outcomes = list(fit_map(fit_one, range(len(draws)), draws))
+            for ci, (params, out) in enumerate(zip(draws, outcomes)):
+                if isinstance(out, SeqpolError):
+                    failures.append({
+                        "split": split.index,
+                        "state": spec.name,
+                        "model": kind,
+                        "candidate": ci,
+                        "params": {k: str(v) for k, v in params.items()},
+                        "error": str(out),
+                    })
+            candidates = [m for m in outcomes if not isinstance(m, SeqpolError)]
+            if not candidates:
+                cell.skip = cell.skip or f"all candidates failed in split {split.index}"
+                cell.split_auroc.append(None)
+                continue
+            best = select_best_candidate(candidates, val, metric)
+            if split.index == 0:
+                cell.model0 = best
+            probs = best.predict_proba(test)
+            try:
+                cell.split_auroc.append(auroc_multiclass(probs, test.y))
+            except UndefinedMetricError:
+                cell.split_auroc.append(None)
+            cell.chunks.append((split.index, test, probs))
+    return attempted
+
+
+def _summarize(cfg, cells, group_of, report) -> None:
+    """Each cell's AUROC by stage and by severity group, then its bootstrap
+    summary. A cell's sort orders live only while the cell is summarized."""
+    for (state, kind), cell in cells.items():
+        rows = cell.rows
+        n_units = 0
+        if rows is not None:
+            n_units = rows.n_units
+            scored = RowWeightedMetrics(rows.probs, rows.y)
+            stages = range(1, cfg.by_stage_max + 1)
+            for t, value, n in auroc_by_level(scored, rows.stages, stages):
+                report.by_stage.append(
+                    dict(zip(_STAGE_COLUMNS, (state, kind, t, value, n)))
+                )
+            if group_of:
+                groups = np.array([group_of.get(pid, 0) for pid in rows.patient_ids])
+                for g, value, n in auroc_by_level(scored, groups, range(1, 7)):
+                    report.by_group.append(
+                        dict(zip(_GROUP_COLUMNS, (g, state, kind, value, n)))
+                    )
+        if n_units == 1:
+            cell.skip = "1 test patient; the bootstrap needs at least 2"
+        if n_units < 2:
+            report.cells.append(
+                CellResult(state, kind, skip_reason=cell.skip or "no results")
+            )
+            continue
+        result = CellResult(state, kind, auroc_split_values=cell.split_auroc)
+
+        def estimate(metric, name):
+            seed = derive_seed(cfg.seed, "boot", state, kind, name)
+            return _estimate(metric, rows.unit, cfg.bootstrap_B, seed)
+
+        try:
+            result.auroc = estimate(scored.auroc, "auroc")
+        except UndefinedMetricError:
+            result.skip_reason = cell.skip = "test AUROC undefined (single class)"
+        result.ece = estimate(scored.ece, "ece")
+        result.sce = estimate(scored.sce, "sce")
+        result.accuracy_value = accuracy(rows.probs, rows.y)
+        report.cells.append(result)
+
+
+def _switch_confusion(cfg, cells, states, schema) -> dict | None:
+    """Reference against comparison predicted actions on the switch-state
+    rows, when the two cells differ and hold the same test rows (those of
+    the same splits)."""
+    ref = cfg.confusion_reference or (cfg.model_kinds[-1], states[-1])
+    cmp_ = cfg.confusion_comparison or (cfg.model_kinds[0], states[0])
+    a, b = (cells[s, k].rows if (s, k) in cells else None for k, s in (ref, cmp_))
+    if a is None or b is None or a is b or not np.array_equal(a.split, b.split):
+        return None
+    matrix = confusion_matrix(
+        np.argmax(a.probs[a.switch], axis=1),
+        np.argmax(b.probs[a.switch], axis=1),
+        schema.n_actions,
+    )
+    return {
+        "reference": {"model": ref[0], "state": ref[1]},
+        "comparison": {"model": cmp_[0], "state": cmp_[1]},
+        "action_labels": list(schema.action_labels),
+        "counts": matrix.tolist(),
+    }
+
+
+def _ope_curves(cfg, cells, states, split0) -> list[dict]:
+    """Median inverse-probability product curves of the split-0 ``ope_model``
+    of each OPE state, on split 0's test fold."""
+    names = cfg.ope_states or [
+        n for n in ("prev_action", "window0", f"window0+agg_{cfg.aggregation_op}")
+        if n in states
     ]
+    out = []
+    for name in names:
+        cell = cells.get((name, cfg.ope_model))
+        if cell is None or cell.model0 is None:
+            continue
+        products = inverse_probability_products(split0.test, cell.model0, cell.spec)
+        curve = median_product_curve(products, cfg.ope_max_stage)
+        out.extend(
+            dict(zip(_OPE_COLUMNS, (name, cfg.ope_model, *row))) for row in curve.rows()
+        )
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -391,239 +573,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     result or a recorded skip reason.
     """
     t_start = time.time()
-    raw = resolve_episodes(cfg)
-    schema = raw.schema
-    specs = cfg.resolved_states()
-    state_names = [s.name for s in specs]
-    if len(set(state_names)) != len(state_names):
-        raise ConfigError("duplicate state specs in config")
-    selection_metric = cfg.resolved_selection_metric()
-    space = HyperparamSpace()
-    profile = get_profile(cfg.profile)
-    K = schema.n_actions
     n_threads = _n_threads()
-
+    raw = resolve_episodes(cfg)
+    specs = cfg.resolved_states()
+    states = [s.name for s in specs]
+    if len(set(states)) != len(states):
+        raise ConfigError("duplicate state specs in config")
     severity_groups = assign_severity_groups(raw)
+    cells = {(s.name, kind): _Cell(s, kind) for s in specs for kind in cfg.model_kinds}
 
-    fits_attempted = 0
-    failures: list[dict] = []
-    prep_warnings: list[dict] = []
-    # (state, model) -> accumulators
-    split_auroc: dict[tuple[str, str], list] = {
-        (s, m): [] for s in state_names for m in cfg.model_kinds
-    }
-    # (state, model) -> one (split, test matrix, test probabilities) per split
-    pooled: dict[tuple[str, str], list] = {
-        (s, m): [] for s in state_names for m in cfg.model_kinds
-    }
-    cell_skips: dict[tuple[str, str], str] = {}
-    split0_models: dict[tuple[str, str], PolicyModel] = {}
-    split0_test: EncodedCohort | None = None
-    split0_prep = None
+    n_fits, failures, prep_warnings = 0, [], []
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        # With one thread, fits run in this one: a lone worker only adds to peak RSS.
+        fit_map = pool.map if n_threads > 1 else map
+        for index in range(cfg.n_splits):
+            split = _split(cfg, raw, index)
+            if index == 0:
+                split0 = split
+            prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
+            n_fits += _fit_and_select(cfg, split, specs, cells, fit_map, failures)
 
-    for split_idx in range(cfg.n_splits):
-        split_seed = derive_seed(cfg.seed, "split", split_idx)
-        train_raw, val_raw, test_raw = split_dataset(
-            raw, split_seed, cfg.test_frac, cfg.val_frac
-        )
-        prep = fit_preprocessor(train_raw, schema)
-        prep_warnings.extend({"split": split_idx, "warning": w} for w in prep.warnings)
-        train_e = apply_preprocessor(train_raw, prep)
-        val_e = apply_preprocessor(val_raw, prep)
-        test_e = apply_preprocessor(test_raw, prep)
-        if split_idx == 0:
-            split0_test = test_e
-            split0_prep = prep
-
-        for spec in specs:
-            m_train = assemble_state(train_e, spec, fold="train")
-            m_val = assemble_state(val_e, spec, fold="val")
-            m_test = assemble_state(test_e, spec, fold="test")
-            for kind in cfg.model_kinds:
-                key = (spec.name, kind)
-                if kind == "riskscore" and K > 2:
-                    cell_skips[key] = "unsupported: multiclass action space"
-                    continue
-                draws = sample_hyperparams(
-                    space,
-                    kind,
-                    profile,
-                    seed=derive_seed(cfg.seed, "hp", split_idx, spec.name, kind),
-                    n=cfg.n_candidates,
-                )
-
-                def fit_one(item):
-                    ci, params = item
-                    fit_seed = derive_seed(
-                        cfg.seed, "fit", split_idx, spec.name, kind, ci
-                    )
-                    try:
-                        return fit_model(kind, params, m_train, m_val, seed=fit_seed)
-                    except SeqpolError as exc:
-                        return ("error", ci, params, str(exc))
-
-                fits_attempted += len(draws)
-                items = list(enumerate(draws))
-                if n_threads > 1:
-                    with ThreadPoolExecutor(max_workers=n_threads) as pool_exec:
-                        outcomes = list(pool_exec.map(fit_one, items))
-                else:
-                    outcomes = [fit_one(item) for item in items]
-                candidates = []
-                for out in outcomes:
-                    if isinstance(out, tuple) and out and out[0] == "error":
-                        _, ci, params, msg = out
-                        failures.append(
-                            {
-                                "split": split_idx,
-                                "state": spec.name,
-                                "model": kind,
-                                "candidate": ci,
-                                "params": {k: str(v) for k, v in params.items()},
-                                "error": msg,
-                            }
-                        )
-                    else:
-                        candidates.append(out)
-                if not candidates:
-                    cell_skips.setdefault(
-                        key, f"all candidates failed in split {split_idx}"
-                    )
-                    split_auroc[key].append(None)
-                    continue
-                best = select_best_candidate(candidates, m_val, selection_metric)
-                if split_idx == 0:
-                    split0_models[key] = best
-                probs = best.predict_proba(m_test)
-                try:
-                    split_auroc[key].append(auroc_multiclass(probs, m_test.y))
-                except UndefinedMetricError:
-                    split_auroc[key].append(None)
-                pooled[key].append((split_idx, m_test, probs))
-
-    pooled_rows = {
-        key: _PooledRows.stack(chunks) for key, chunks in pooled.items() if chunks
-    }
-
-    # ---- per cell: stratified tables, then the bootstrap summary ---------
-    # A cell's sort orders live only while the cell is summarized.
-    report = ExperimentReport(
-        config=cfg.to_dict(),
-        states=state_names,
-        model_kinds=list(cfg.model_kinds),
-        cells=[],
-    )
-    group_of = severity_groups.groups
-    for spec_name in state_names:
-        for kind in cfg.model_kinds:
-            key = (spec_name, kind)
-            rows = pooled_rows.get(key)
-            n_units = 0
-            if rows is not None:
-                n_units = rows.n_units
-                scored = RowWeightedMetrics(rows.probs, rows.y)
-                stages = range(1, cfg.by_stage_max + 1)
-                for t, value, n in auroc_by_level(scored, rows.stages, stages):
-                    report.by_stage.append(
-                        {"state": spec_name, "model": kind, "stage": t,
-                         "auroc": value, "n": n}
-                    )
-                if group_of:
-                    groups = np.array([group_of.get(pid, 0) for pid in rows.patient_ids])
-                    for g, value, n in auroc_by_level(scored, groups, range(1, 7)):
-                        report.by_group.append(
-                            {"group": g, "state": spec_name, "model": kind,
-                             "auroc": value, "n": n}
-                        )
-            if n_units == 1:
-                cell_skips[key] = "1 test patient; the bootstrap needs at least 2"
-            if n_units < 2:
-                report.cells.append(
-                    CellResult(
-                        spec_name, kind, skip_reason=cell_skips.get(key, "no results")
-                    )
-                )
-                continue
-            cell = CellResult(spec_name, kind, auroc_split_values=split_auroc[key])
-
-            def estimate(metric, name):
-                seed = derive_seed(cfg.seed, "boot", spec_name, kind, name)
-                return _estimate(metric, rows.unit, cfg.bootstrap_B, seed)
-
-            try:
-                cell.auroc = estimate(scored.auroc, "auroc")
-            except UndefinedMetricError:
-                cell.skip_reason = "test AUROC undefined (single class)"
-                cell_skips[key] = cell.skip_reason
-            cell.ece = estimate(scored.ece, "ece")
-            cell.sce = estimate(scored.sce, "sce")
-            cell.accuracy_value = accuracy(rows.probs, rows.y)
-            report.cells.append(cell)
-
-    # ---- switch-state confusion between two selected models --------------
-    ref = cfg.confusion_reference or (cfg.model_kinds[-1], state_names[-1])
-    cmp_ = cfg.confusion_comparison or (cfg.model_kinds[0], state_names[0])
-    ref_key = (ref[1], ref[0])
-    cmp_key = (cmp_[1], cmp_[0])
-    ref_rows, cmp_rows = pooled_rows.get(ref_key), pooled_rows.get(cmp_key)
-    # the two cells must hold the same test rows: those of the same splits
-    if (
-        ref_key != cmp_key
-        and ref_rows is not None
-        and cmp_rows is not None
-        and np.array_equal(ref_rows.split, cmp_rows.split)
-    ):
-        mask = ref_rows.switch
-        matrix = confusion_matrix(
-            np.argmax(ref_rows.probs[mask], axis=1),
-            np.argmax(cmp_rows.probs[mask], axis=1),
-            K,
-        )
-        report.switch_confusion = {
-            "reference": {"model": ref[0], "state": ref[1]},
-            "comparison": {"model": cmp_[0], "state": cmp_[1]},
-            "action_labels": list(schema.action_labels),
-            "counts": matrix.tolist(),
-        }
-
-    # ---- OPE curves -------------------------------------------------------
-    ope_state_names = cfg.ope_states or [
-        n for n in ("prev_action", "window0", f"window0+agg_{cfg.aggregation_op}")
-        if n in state_names
+    report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
+    _summarize(cfg, cells, severity_groups.groups, report)
+    report.switch_confusion = _switch_confusion(cfg, cells, states, raw.schema)
+    report.ope_curves = _ope_curves(cfg, cells, states, split0)
+    report.model_bundles = [
+        make_model_bundle(cell.model0, split0.prep, cell.spec, kind)
+        for (_, kind), cell in sorted(cells.items())
+        if cell.model0 is not None
     ]
-    spec_by_name = {s.name: s for s in specs}
-    for name in ope_state_names:
-        key = (name, cfg.ope_model)
-        model = split0_models.get(key)
-        if model is None or split0_test is None or name not in spec_by_name:
-            continue
-        products = inverse_probability_products(
-            split0_test, model, spec_by_name[name]
-        )
-        curve = median_product_curve(products, cfg.ope_max_stage)
-        for t, median, n, floored in curve.rows():
-            report.ope_curves.append(
-                {
-                    "state": name,
-                    "model": cfg.ope_model,
-                    "stage": t,
-                    "median": median,
-                    "n": n,
-                    "floored_events": floored,
-                }
-            )
-
-    # ---- bundles of the split-0 selected models ---------------------------
-    if split0_prep is not None:
-        for (spec_name, kind), model in sorted(split0_models.items()):
-            bundle = make_model_bundle(model, split0_prep, spec_by_name[spec_name])
-            bundle["state"] = spec_name
-            bundle["model_kind"] = kind
-            report.model_bundles.append(bundle)
-
-    # ---- optional tree-complexity sweep ----------------------------------
     if cfg.tree_sweep_n > 0:
-        report.complexity = tree_sweep(cfg, raw)
+        report.complexity = tree_sweep(cfg, raw, split0)
 
     report.metadata = {
         "package_version": _pkg_version,
@@ -631,18 +611,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "split_seeds": [
             derive_seed(cfg.seed, "split", i) for i in range(cfg.n_splits)
         ],
-        "fits_attempted": fits_attempted,
+        "fits_attempted": n_fits,
         "failures": failures,
         "skips": [
-            {"state": s, "model": m, "reason": r}
-            for (s, m), r in sorted(cell_skips.items())
+            {"state": s, "model": m, "reason": cell.skip}
+            for (s, m), cell in sorted(cells.items())
+            if cell.skip
         ],
         "preprocessor_warnings": prep_warnings,
         "severity_excluded": dict(sorted(severity_groups.excluded.items())),
         "n_patients": len(raw),
         "n_rows": raw.n_stages,
         "duration_seconds": round(time.time() - t_start, 3),
-        "selection_metric": selection_metric,
+        "selection_metric": cfg.resolved_selection_metric(),
     }
     return report
 
@@ -657,42 +638,44 @@ def _fmt(v) -> str:
     return f"{v:.6f}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, columns: list[str], float_columns, records) -> None:
+    """CSV of ``records`` (dicts) in ``columns`` order. ``float_columns`` get
+    six decimals; an absent key or None is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(
+            [_fmt(r.get(c)) if c in float_columns else r.get(c) for c in columns]
+            for r in records
+        )
+
+
+def _chart_by_state(records: list[dict], x, y: str, path: Path, **labels) -> None:
+    """A line chart of ``records`` with one series per state, in order of first
+    appearance; ``x`` maps a record to its abscissa, ``y`` names its ordinate."""
+    series = []
+    for state in dict.fromkeys(r["state"] for r in records):
+        rows = [r for r in records if r["state"] == state]
+        series.append((state, [x(r) for r in rows], [r[y] for r in rows]))
+    line_chart(series, str(path), **labels)
+
+
+def _interval(est: MetricEstimate | None, *keys: str) -> dict:
+    """An estimate's value, ci_low and ci_high under ``keys``; none for None."""
+    return dict(zip(keys, (est.value, est.ci_low, est.ci_high))) if est else {}
 
 
 def render_complexity(complexity: list[dict], outdir: str) -> list[str]:
     """Write complexity.csv and complexity.svg from ``tree_sweep`` rows."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "complexity.csv",
-        ["state", "leaves_low", "leaves_high", "n_models", "val_auroc", "test_auroc"],
-        [
-            [r["state"], r["leaves_low"], r["leaves_high"], r["n_models"],
-             _fmt(r["val_auroc"]), _fmt(r["test_auroc"])]
-            for r in complexity
-        ],
+    _write_table(
+        out / "complexity.csv", _COMPLEXITY_COLUMNS, ("val_auroc", "test_auroc"), complexity
     )
-    series = []
-    for state in dict.fromkeys(r["state"] for r in complexity):
-        rows_s = [r for r in complexity if r["state"] == state]
-        series.append(
-            (
-                state,
-                [0.5 * (r["leaves_low"] + r["leaves_high"]) for r in rows_s],
-                [r["test_auroc"] for r in rows_s],
-            )
-        )
-    line_chart(
-        series,
-        str(out / "complexity.svg"),
-        title="Switch-state test AUROC by tree size",
-        x_label="leaves (bucket midpoint)",
-        y_label="AUROC",
+    _chart_by_state(
+        complexity, lambda r: 0.5 * (r["leaves_low"] + r["leaves_high"]), "test_auroc",
+        out / "complexity.svg", title="Switch-state test AUROC by tree size",
+        x_label="leaves (bucket midpoint)", y_label="AUROC",
     )
     return ["complexity.csv", "complexity.svg"]
 
@@ -706,156 +689,79 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         f"preprocessor warning (split {w['split']}): {w['warning']}"
         for w in report.metadata.get("preprocessor_warnings", [])
     ]
-    dataset = report.config.get("name", "cohort")
+
+    def table(name, columns, float_columns, records):
+        _write_table(out / name, columns, float_columns, records)
+        written.append(name)
+
+    def json_file(name, obj, indent=None):
+        # Without indent, json.dumps runs the C encoder and json.dump the
+        # pure-Python one. The bytes are the same.
+        with open(out / name, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj, indent=indent) + "\n")
+        written.append(name)
 
     # results.csv: state rows x model columns of pooled test AUROC
-    rows = []
-    for state in report.states:
-        row = [state]
-        for kind in report.model_kinds:
-            cell = report.cell(state, kind)
-            row.append(_fmt(cell.auroc.value) if cell.auroc else "")
-        rows.append(row)
-    _write_csv(out / "results.csv", ["state"] + report.model_kinds, rows)
-    written.append("results.csv")
+    auroc = {(c.state, c.model): c.auroc.value for c in report.cells if c.auroc}
+    table("results.csv", ["state"] + report.model_kinds, report.model_kinds, [
+        {"state": s, **{k: auroc.get((s, k)) for k in report.model_kinds}}
+        for s in report.states
+    ])
 
-    # metrics_long.csv: every estimate with its interval
-    rows = []
-    for cell in report.cells:
-        for metric_name, est in (
-            ("auroc", cell.auroc),
-            ("ece", cell.ece),
-            ("sce", cell.sce),
-        ):
+    # metrics_long.csv (every estimate with its interval) and calibration.csv
+    long_rows, calibration_rows = [], []
+    for c in report.cells:
+        key = {"dataset": report.config.get("name", "cohort"), "state": c.state,
+               "model": c.model}
+        for name, est in (("auroc", c.auroc), ("ece", c.ece), ("sce", c.sce)):
             if est is None:
                 continue
             if est.warning is not None:
                 notes.append(
-                    f"bootstrap warning ({cell.state}, {cell.model}, {metric_name}): "
-                    f"{est.warning}"
+                    f"bootstrap warning ({c.state}, {c.model}, {name}): {est.warning}"
                 )
-            rows.append(
-                [
-                    dataset,
-                    cell.state,
-                    cell.model,
-                    metric_name,
-                    _fmt(est.value),
-                    _fmt(est.ci_low),
-                    _fmt(est.ci_high),
-                    est.n_bootstrap,
-                ]
-            )
-        if cell.accuracy_value is not None:
-            rows.append(
-                [dataset, cell.state, cell.model, "accuracy",
-                 _fmt(cell.accuracy_value), "", "", ""]
-            )
-        if cell.auroc_split_mean is not None:
-            rows.append(
-                [dataset, cell.state, cell.model, "auroc_split_mean",
-                 _fmt(cell.auroc_split_mean), "", "", ""]
-            )
-    _write_csv(
-        out / "metrics_long.csv",
-        ["dataset", "state", "model", "metric", "value", "ci_low", "ci_high", "n"],
-        rows,
-    )
-    written.append("metrics_long.csv")
+            long_rows.append({**key, "metric": name, "n": est.n_bootstrap,
+                              **_interval(est, "value", "ci_low", "ci_high")})
+        for name, value in (("accuracy", c.accuracy_value),
+                            ("auroc_split_mean", c.auroc_split_mean)):
+            if value is not None:
+                long_rows.append({**key, "metric": name, "value": value})
+        if c.ece is not None or c.sce is not None:
+            calibration_rows.append({
+                **key, **_interval(c.ece, "ece", "ece_ci_low", "ece_ci_high"),
+                **_interval(c.sce, "sce", "sce_ci_low", "sce_ci_high"),
+            })
+    long_columns = ["dataset", "state", "model", "metric", "value", "ci_low", "ci_high", "n"]
+    table("metrics_long.csv", long_columns, ("value", "ci_low", "ci_high"), long_rows)
+    calibration_columns = ["state", "model", "ece", "ece_ci_low", "ece_ci_high",
+                           "sce", "sce_ci_low", "sce_ci_high"]
+    table("calibration.csv", calibration_columns, calibration_columns[2:], calibration_rows)
 
-    # calibration.csv
-    rows = []
-    for cell in report.cells:
-        if cell.ece is None and cell.sce is None:
-            continue
-        rows.append(
-            [
-                cell.state,
-                cell.model,
-                _fmt(cell.ece.value) if cell.ece else "",
-                _fmt(cell.ece.ci_low) if cell.ece else "",
-                _fmt(cell.ece.ci_high) if cell.ece else "",
-                _fmt(cell.sce.value) if cell.sce else "",
-                _fmt(cell.sce.ci_low) if cell.sce else "",
-                _fmt(cell.sce.ci_high) if cell.sce else "",
-            ]
-        )
-    _write_csv(
-        out / "calibration.csv",
-        ["state", "model", "ece", "ece_ci_low", "ece_ci_high",
-         "sce", "sce_ci_low", "sce_ci_high"],
-        rows,
-    )
-    written.append("calibration.csv")
-
-    # by_group.csv
     if report.by_group:
-        _write_csv(
-            out / "by_group.csv",
-            ["group", "state", "model", "auroc", "n"],
-            [
-                [r["group"], r["state"], r["model"], _fmt(r["auroc"]), r["n"]]
-                for r in report.by_group
-            ],
-        )
-        written.append("by_group.csv")
+        table("by_group.csv", _GROUP_COLUMNS, ("auroc",), report.by_group)
     else:
         notes.append("by_group.csv omitted: no severity subgroups available")
-
-    # by_stage.csv
     if report.by_stage:
-        _write_csv(
-            out / "by_stage.csv",
-            ["state", "model", "stage", "auroc", "n"],
-            [
-                [r["state"], r["model"], r["stage"], _fmt(r["auroc"]), r["n"]]
-                for r in report.by_stage
-            ],
-        )
-        written.append("by_stage.csv")
-
-    # switch_confusion.csv
+        table("by_stage.csv", _STAGE_COLUMNS, ("auroc",), report.by_stage)
     if report.switch_confusion:
-        sc = report.switch_confusion
-        labels = sc["action_labels"]
-        rows = [
-            [labels[i]] + list(map(str, row)) for i, row in enumerate(sc["counts"])
-        ]
-        _write_csv(out / "switch_confusion.csv", ["reference\\comparison"] + labels, rows)
-        written.append("switch_confusion.csv")
+        labels = report.switch_confusion["action_labels"]
+        corner = "reference\\comparison"
+        table("switch_confusion.csv", [corner] + labels, (), [
+            {corner: label, **dict(zip(labels, counts))}
+            for label, counts in zip(labels, report.switch_confusion["counts"])
+        ])
     else:
         notes.append("switch_confusion.csv omitted: fewer than two model/state pairs")
-
-    # ope_curve.csv + svg
     if report.ope_curves:
-        _write_csv(
-            out / "ope_curve.csv",
-            ["state", "model", "stage", "median", "n", "floored_events"],
-            [
-                [r["state"], r["model"], r["stage"], _fmt(r["median"]), r["n"],
-                 r["floored_events"]]
-                for r in report.ope_curves
-            ],
-        )
-        written.append("ope_curve.csv")
-        series = []
-        for state in dict.fromkeys(r["state"] for r in report.ope_curves):
-            rows_s = [r for r in report.ope_curves if r["state"] == state]
-            series.append(
-                (state, [r["stage"] for r in rows_s], [r["median"] for r in rows_s])
-            )
-        line_chart(
-            series,
-            str(out / "ope_curve.svg"),
+        table("ope_curve.csv", _OPE_COLUMNS, ("median",), report.ope_curves)
+        _chart_by_state(
+            report.ope_curves, lambda r: r["stage"], "median", out / "ope_curve.svg",
             title="Median inverse-probability product by stage",
-            x_label="stage",
-            y_label="median product",
-            log_y=True,
+            x_label="stage", y_label="median product", log_y=True,
         )
         written.append("ope_curve.svg")
     else:
         notes.append("ope_curve.csv omitted: no OPE-eligible models")
-
     if report.complexity is not None:
         written.extend(render_complexity(report.complexity, outdir))
     else:
@@ -864,35 +770,22 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     # saved models (bundled with preprocessor, schema and state spec)
     if report.model_bundles:
         (out / "models").mkdir(exist_ok=True)
-        for bundle in report.model_bundles:
-            name = bundle_file(bundle)
-            # json.dumps runs the C encoder; json.dump always takes the
-            # pure-Python one. The bytes are the same.
-            with open(out / name, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(bundle) + "\n")
-            written.append(name)
-
+    for bundle in report.model_bundles:
+        json_file(bundle_file(bundle), bundle)
     # full report for re-rendering; the run's wall time goes to the manifest
     # only, so identical runs write identical report.json bytes
     payload = report.to_dict()
     payload["metadata"] = {
         k: v for k, v in report.metadata.items() if k != "duration_seconds"
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    written.append("report.json")
-
+    json_file("report.json", payload, indent=1)
     manifest = {
         "config": report.config,
         "metadata": report.metadata,
-        "files": written,
+        "files": list(written),
         "notes": notes,
     }
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    written.append("run_manifest.json")
+    json_file("run_manifest.json", manifest, indent=1)
     return written
 
 

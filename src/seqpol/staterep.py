@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class StateMatrix:
     prev_actions: np.ndarray
     severity: np.ndarray
     spec_name: str
-    fold: str | None = field(default=None)
 
     @property
     def n_rows(self) -> int:
@@ -164,7 +163,6 @@ class StateMatrix:
             prev_actions=self.prev_actions[idx],
             severity=self.severity[idx],
             spec_name=self.spec_name,
-            fold=self.fold,
         )
 
     def patient_groups(self) -> list[np.ndarray]:
@@ -225,9 +223,7 @@ def _running_aggregates(
     return np.cumsum(padded, axis=1)[valid]
 
 
-def assemble_state(
-    cohort: EncodedCohort, spec: StateSpec, fold: str | None = None
-) -> StateMatrix:
+def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
     """Build the design matrix for a state spec over a whole cohort."""
     if not isinstance(cohort, EncodedCohort):
         raise ConfigError("episodes must be preprocessed to numeric form first")
@@ -315,5 +311,4 @@ def assemble_state(
         prev_actions=prev_idx,
         severity=cohort.severity[src],
         spec_name=spec.name,
-        fold=fold,
     )

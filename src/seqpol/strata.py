@@ -140,9 +140,9 @@ def tree_complexity_sweep(
     space = space or HyperparamSpace()
     results: list[ComplexityBucket] = []
     for spec_idx, spec in enumerate(specs):
-        m_train = assemble_state(train, spec, fold="train")
-        m_val = assemble_state(val, spec, fold="val")
-        m_test = assemble_state(test, spec, fold="test")
+        m_train = assemble_state(train, spec)
+        m_val = assemble_state(val, spec)
+        m_test = assemble_state(test, spec)
         sw_val = filter_switch_states(m_val)
         sw_test = filter_switch_states(m_test)
         configs = sample_hyperparams(

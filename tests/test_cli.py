@@ -54,6 +54,11 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     ({"states": []}, "states is empty"),
     ({"bootstrap_B": 0}, "bootstrap_B must be >= 1, got 0"),
     ({"bootstrap_B": -3}, "bootstrap_B must be >= 1, got -3"),
+    ({"n_candidates": "2"}, "n_candidates must be an integer, got '2'"),
+    ({"test_frac": "0.2"}, "test_frac must be a number, got '0.2'"),
+    ({"ope_max_stage": 0}, "ope_max_stage must be >= 1, got 0"),
+    ({"tree_sweep_leaf_bin": 0}, "tree_sweep_leaf_bin must be >= 1, got 0"),
+    ({"ope_model": "mlpx"}, "unknown model kind 'mlpx'"),
 ])
 def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
         tmp_path, capsys, options, message):
@@ -62,6 +67,18 @@ def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", ""])
+def test_a_thread_count_that_is_not_a_positive_integer_is_a_config_error(
+        tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("SEQPOL_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: SEQPOL_THREADS must be a positive integer, got {threads!r}\n"
     assert not out.exists()
 
 

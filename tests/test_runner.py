@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -82,3 +83,129 @@ def test_report_round_trip_keeps_every_cells_estimates():
     again = ExperimentReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert again.cells == report.cells
     assert again.metadata == report.metadata
+
+
+def _golden_report() -> ExperimentReport:
+    E = MetricEstimate
+    cells = [
+        CellResult("current", "logreg", auroc=E(0.75, 0.625, 0.875, 20),
+                   auroc_split_values=[0.75, None], ece=E(0.1, 0.05, 0.2, 20),
+                   sce=E(0.025, 0.0125, 0.05, 20), accuracy_value=0.5),
+        CellResult("current", "tree", skip_reason="test AUROC undefined (single class)",
+                   ece=E(0.2, 0.1, 0.3, 20, warning="3/20 undefined"),
+                   sce=E(0.05, 0.025, 0.075, 20), accuracy_value=0.25),
+        CellResult("window1", "logreg", skip_reason="no results"),
+        CellResult("window1", "tree", auroc=E(2 / 3, 0.5, 0.8, 20, warning="1/20 undefined"),
+                   auroc_split_values=[2 / 3], ece=E(0.125, 0.0625, 0.25, 20),
+                   sce=E(1 / 3, 0.25, 0.5, 20), accuracy_value=0.75),
+    ]
+    ope = [("current", 1, 1.5, 10, 0), ("current", 2, 2.25, 7, 1), ("window1", 1, 1.125, 10, 0)]
+    sweep = [("current", 1, 5, 3, 0.6, 0.55), ("current", 6, 10, 2, 0.7, None),
+             ("window1", 1, 5, 5, 0.65, 0.6)]
+    return ExperimentReport(
+        {"name": "demo"}, ["current", "window1"], ["logreg", "tree"], cells,
+        by_group=[{"group": 1, "state": "current", "model": "logreg", "auroc": 0.5, "n": 4},
+                  {"group": 2, "state": "current", "model": "logreg", "auroc": None, "n": 0}],
+        by_stage=[{"state": "current", "model": "logreg", "stage": 1, "auroc": 0.625, "n": 8},
+                  {"state": "current", "model": "logreg", "stage": 2, "auroc": None, "n": 3}],
+        switch_confusion={"reference": {"model": "tree", "state": "window1"},
+                          "comparison": {"model": "logreg", "state": "current"},
+                          "action_labels": ["A", "B"], "counts": [[3, 1], [0, 2]]},
+        ope_curves=[{"state": s, "model": "logreg", "stage": t, "median": m, "n": n,
+                     "floored_events": f} for s, t, m, n, f in ope],
+        complexity=[{"state": s, "leaves_low": lo, "leaves_high": hi, "n_models": n,
+                     "val_auroc": v, "test_auroc": t} for s, lo, hi, n, v, t in sweep],
+        model_bundles=[{"format_version": 1, "state": "current", "model_kind": "logreg"}],
+        metadata={"seed": 0, "preprocessor_warnings": [{"split": 0, "warning": "w"}],
+                  "duration_seconds": 1.5},
+    )
+
+
+GOLDEN_CSV = {
+    "results.csv": "state,logreg,tree\r\ncurrent,0.750000,\r\nwindow1,,0.666667\r\n",
+    "metrics_long.csv": (
+        "dataset,state,model,metric,value,ci_low,ci_high,n\r\n"
+        "demo,current,logreg,auroc,0.750000,0.625000,0.875000,20\r\n"
+        "demo,current,logreg,ece,0.100000,0.050000,0.200000,20\r\n"
+        "demo,current,logreg,sce,0.025000,0.012500,0.050000,20\r\n"
+        "demo,current,logreg,accuracy,0.500000,,,\r\n"
+        "demo,current,logreg,auroc_split_mean,0.750000,,,\r\n"
+        "demo,current,tree,ece,0.200000,0.100000,0.300000,20\r\n"
+        "demo,current,tree,sce,0.050000,0.025000,0.075000,20\r\n"
+        "demo,current,tree,accuracy,0.250000,,,\r\n"
+        "demo,window1,tree,auroc,0.666667,0.500000,0.800000,20\r\n"
+        "demo,window1,tree,ece,0.125000,0.062500,0.250000,20\r\n"
+        "demo,window1,tree,sce,0.333333,0.250000,0.500000,20\r\n"
+        "demo,window1,tree,accuracy,0.750000,,,\r\n"
+        "demo,window1,tree,auroc_split_mean,0.666667,,,\r\n"
+    ),
+    "calibration.csv": (
+        "state,model,ece,ece_ci_low,ece_ci_high,sce,sce_ci_low,sce_ci_high\r\n"
+        "current,logreg,0.100000,0.050000,0.200000,0.025000,0.012500,0.050000\r\n"
+        "current,tree,0.200000,0.100000,0.300000,0.050000,0.025000,0.075000\r\n"
+        "window1,tree,0.125000,0.062500,0.250000,0.333333,0.250000,0.500000\r\n"
+    ),
+    "by_group.csv": (
+        "group,state,model,auroc,n\r\n1,current,logreg,0.500000,4\r\n2,current,logreg,,0\r\n"
+    ),
+    "by_stage.csv": (
+        "state,model,stage,auroc,n\r\ncurrent,logreg,1,0.625000,8\r\ncurrent,logreg,2,,3\r\n"
+    ),
+    "switch_confusion.csv": "reference\\comparison,A,B\r\nA,3,1\r\nB,0,2\r\n",
+    "ope_curve.csv": (
+        "state,model,stage,median,n,floored_events\r\n"
+        "current,logreg,1,1.500000,10,0\r\n"
+        "current,logreg,2,2.250000,7,1\r\n"
+        "window1,logreg,1,1.125000,10,0\r\n"
+    ),
+    "complexity.csv": (
+        "state,leaves_low,leaves_high,n_models,val_auroc,test_auroc\r\n"
+        "current,1,5,3,0.600000,0.550000\r\n"
+        "current,6,10,2,0.700000,\r\n"
+        "window1,1,5,5,0.650000,0.600000\r\n"
+    ),
+}
+
+# SHA-256 of the files whose bytes are too long to spell out.
+GOLDEN_SHA256 = {
+    "ope_curve.svg": "be1d556f0a03bf4222cc45b335cdb275005a2cca8e82d10a7db3a16250f9cd65",
+    "complexity.svg": "fc0d37a893dfedc6d674fbe9c2023538a7f2ecf9ea180f57d189b598a49db459",
+    "report.json": "78b9fa79a6edec8ca77a058549bfb068898b839cc3795c27846aa19282e74799",
+    "models/current__logreg.json":
+        "55e81b551216c757af886555ba037d2af9107bc48517ee7f5f91fc6d7953c43f",
+}
+
+
+def test_rendered_files_match_the_golden_bytes(tmp_path):
+    written = render_report(_golden_report(), str(tmp_path))
+    files = [
+        "results.csv", "metrics_long.csv", "calibration.csv", "by_group.csv",
+        "by_stage.csv", "switch_confusion.csv", "ope_curve.csv", "ope_curve.svg",
+        "complexity.csv", "complexity.svg", "models/current__logreg.json", "report.json",
+    ]
+    assert written == files + ["run_manifest.json"]
+    for name, text in GOLDEN_CSV.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert list(manifest) == ["config", "metadata", "files", "notes"]
+    assert manifest["files"] == files
+    assert manifest["notes"] == [
+        "preprocessor warning (split 0): w",
+        "bootstrap warning (current, tree, ece): 3/20 undefined",
+        "bootstrap warning (window1, tree, auroc): 1/20 undefined",
+    ]
+
+    bare = ExperimentReport({"name": "demo"}, ["current"], ["logreg"],
+                            [CellResult("current", "logreg", skip_reason="no results")])
+    assert render_report(bare, str(tmp_path / "bare")) == [
+        "results.csv", "metrics_long.csv", "calibration.csv", "report.json",
+        "run_manifest.json",
+    ]
+    assert json.loads((tmp_path / "bare" / "run_manifest.json").read_text())["notes"] == [
+        "by_group.csv omitted: no severity subgroups available",
+        "switch_confusion.csv omitted: fewer than two model/state pairs",
+        "ope_curve.csv omitted: no OPE-eligible models",
+        "complexity.csv omitted: tree sweep not configured",
+    ]

@@ -101,9 +101,9 @@ def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, 
     """The sweep as one separate fit_tree per sampled configuration."""
     results = []
     for spec_idx, spec in enumerate(specs):
-        m_train = assemble_state(train, spec, fold="train")
-        sw_val = filter_switch_states(assemble_state(val, spec, fold="val"))
-        sw_test = filter_switch_states(assemble_state(test, spec, fold="test"))
+        m_train = assemble_state(train, spec)
+        sw_val = filter_switch_states(assemble_state(val, spec))
+        sw_test = filter_switch_states(assemble_state(test, spec))
         configs = sample_hyperparams(
             HyperparamSpace(), "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
         )
