@@ -1,18 +1,37 @@
-"""Episode loading, preprocessing and patient-level splitting.
+"""Episode loading and writing, preprocessing and patient-level splitting.
 
-Loading accepts two layouts: JSONL with one patient record per line, or a long
-CSV with one row per patient-stage; it checks every record in the same pass
-that reads it. Raw episodes keep one ``Stage`` with a context dict per stage.
+A cohort is read from JSONL, or from a long CSV when the file name ends in
+``.csv``; both give the same ``EpisodeSet``.
+
+- JSONL holds one record per patient and line::
+
+      {"patient_id": "p1", "stages": [{"t": 1, "context": {"hr": 71.0,
+       "sex": "f"}, "action": "fluids", "severity": 2.5}, ...]}
+
+  A missing value is null or an absent key, in ``context`` and for
+  ``severity`` alike.
+- CSV has a header row naming ``patient_id``, ``t``, ``action``, any of the
+  schema's variables and, when the schema names one, its severity column;
+  then one row per (patient, stage), a patient's rows contiguous. A missing
+  value is an empty cell or an absent column.
+
+In both, a patient's stages are numbered 1..T in order, severity is
+optional, numbers must be finite, and every action label and variable must be
+in the schema. Both loaders hand each patient's stage records, in the JSONL
+shape, to one ``CohortBuilder``; it checks every value and names the first
+problem with its ``path:line`` and patient. ``save_episodes_jsonl`` writes the
+JSONL format back, with every schema variable in each context and null where
+a value is missing.
 
 Preprocessing fits per-variable statistics on training episodes only, imputes
 missing values by carrying the last observation forward (falling back to the
 training mean or modal category), then standardizes, log-standardizes,
-discretizes into quintiles or one-hot encodes as declared in the schema. Both
-fitting and applying read each raw variable as one column over all stages, and
-the carried observation is a forward fill of row indices that restarts at each
-patient. The encoded form is one ``EncodedCohort``: a float matrix of stages
-by encoded features, with patient offsets, action indices and severity beside
-it. Anything already of that type counts as encoded, so applying a
+discretizes into quintiles or one-hot encodes as declared in the schema. Each
+variable is one raw column over all stages, and the carried observation is a
+forward fill of row indices that restarts at each patient. The encoded form
+is one ``EncodedCohort``: the raw cohort's patient offsets, action indices and
+severity, with a float matrix of stages by encoded features in place of the
+raw columns. Anything already of that type counts as encoded, so applying a
 preprocessor to it returns it unchanged.
 """
 
@@ -22,74 +41,175 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .schema import (
-    OTHER_TOKEN,
-    CohortSchema,
-    EncodedCohort,
-    EncodedFeature,
-    Episode,
-    EpisodeSet,
-    Stage,
-)
+from .schema import OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet
 
 LOG_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# Loading and writing
 # ---------------------------------------------------------------------------
+
+class CohortBuilder:
+    """Checks patients' stage records and collects them into an ``EpisodeSet``.
+
+    A stage record has the JSONL shape: ``{"t": ..., "context": {variable:
+    value}, "action": ..., "severity": ...}``, where ``context`` and
+    ``severity`` may be absent. With ``text=True`` every value is a string, as
+    a CSV cell is, and stage indices and numbers are parsed from it. Numeric
+    and categorical values are converted in place: to float, and to str.
+    """
+
+    def __init__(self, schema: CohortSchema, text: bool = False):
+        self.schema = schema
+        self._text = text
+        self._patient_ids: list[str] = []
+        self._numeric = {v.name: v.kind == "numeric" for v in schema.variables}
+        self._action = {label: k for k, label in enumerate(schema.action_labels)}
+        self._seen: set[str] = set()
+        self._lengths: list[int] = []
+        self._contexts: list[dict] = []
+        self._actions: list[int] = []
+        self._severity: list = []
+
+    def _number(self, value) -> float | None:
+        """``value`` as a float if it is a finite number, else None.
+
+        ``json`` parses NaN and +-Infinity, and ``float`` reads them from
+        text; either would poison the preprocessor's means and deviations.
+        """
+        if self._text:
+            try:
+                number = float(value)
+            except ValueError:
+                return None
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        else:
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                return None
+        return number if math.isfinite(number) else None
+
+    def add(self, patient_id: str, stages, where: str | list[str]) -> None:
+        """Check one patient's stage records and append them.
+
+        ``where`` locates the records for error messages, as ``path:line``:
+        one location for them all, or a list with one per stage whose first
+        entry locates the patient.
+        """
+        pid = patient_id
+        lines = where if type(where) is list else None
+        if lines:
+            where = lines[0]
+        if pid in self._seen:
+            raise DataError(f"{where}: duplicate patient id {pid!r}")
+        self._seen.add(pid)
+        if type(stages) is not list or not stages:
+            raise DataError(f"{where}: patient {pid!r}: 'stages' must be a nonempty list")
+        numeric, action_index, number = self._numeric, self._action, self._number
+        isfinite, text = math.isfinite, self._text
+        add_context, add_action = self._contexts.append, self._actions.append
+        add_severity = self._severity.append
+        ts = []
+        for i, stage in enumerate(stages):
+            at = lines[i] if lines else where
+            if type(stage) is not dict or "t" not in stage or "action" not in stage:
+                raise DataError(f"{at}: patient {pid!r}: stage needs 't' and 'action'")
+            t = stage["t"]
+            if text:
+                try:
+                    t = int(t)
+                except (TypeError, ValueError):
+                    pass
+            if type(t) is not int:
+                raise DataError(
+                    f"{at}: patient {pid!r}: bad stage index {stage['t']!r}; "
+                    "expected an integer"
+                )
+            ts.append(t)
+            context = stage.get("context") or {}
+            if type(context) is not dict:
+                raise DataError(f"{at}: patient {pid!r}: 'context' must be an object")
+            for name, value in context.items():
+                is_numeric = numeric.get(name)
+                if is_numeric is None:
+                    raise DataError(f"{at}: patient {pid!r}: unknown variable {name!r}")
+                if value is None:
+                    continue
+                if is_numeric:
+                    if type(value) is float and isfinite(value):
+                        continue
+                    value = number(value)
+                    if value is None:
+                        raise DataError(
+                            f"{at}: patient {pid!r}, variable {name!r}: "
+                            f"expected a finite number, got {context[name]!r}"
+                        )
+                    context[name] = value
+                elif type(value) is not str:
+                    context[name] = str(value)
+            action = str(stage["action"])
+            if action not in action_index:
+                raise DataError(f"{at}: patient {pid!r}: unknown action {action!r}")
+            severity = stage.get("severity")
+            if severity is not None and not (type(severity) is float and isfinite(severity)):
+                severity = number(severity)
+                if severity is None:
+                    raise DataError(
+                        f"{at}: patient {pid!r}: severity: "
+                        f"expected a finite number, got {stage['severity']!r}"
+                    )
+            add_context(context)
+            add_action(action_index[action])
+            add_severity(severity)
+        if ts != list(range(1, len(ts) + 1)):
+            raise DataError(f"{where}: patient {pid!r}: non-contiguous stages {ts}")
+        self._patient_ids.append(pid)
+        self._lengths.append(len(ts))
+
+    def build(self) -> EpisodeSet:
+        """The cohort of every patient added, in order; DataError if none was."""
+        if not self._patient_ids:
+            raise DataError("no episodes")
+        offsets = np.zeros(len(self._lengths) + 1, dtype=np.int64)
+        np.cumsum(self._lengths, out=offsets[1:])
+        contexts = self._contexts
+        return EpisodeSet(
+            schema=self.schema,
+            patient_ids=self._patient_ids,
+            offsets=offsets,
+            actions=np.array(self._actions, dtype=np.int64),
+            severity=np.array(self._severity, dtype=float),
+            columns={
+                v.name: np.array(
+                    [c.get(v.name) for c in contexts],
+                    dtype=float if v.kind == "numeric" else object,
+                )
+                for v in self.schema.variables
+            },
+        )
+
 
 def load_episodes(path: str, schema: CohortSchema) -> EpisodeSet:
     """Load raw episodes from a JSONL or long-format CSV file.
 
-    Raises DataError on malformed rows (with line numbers), non-contiguous
+    Raises DataError on malformed records (with ``path:line``), non-contiguous
     stage indices, duplicate patients, unknown actions/columns, or an empty
-    file. Every check is made while reading, in one pass over the file.
+    file.
     """
     load = _load_csv if str(path).endswith(".csv") else _load_jsonl
-    episodes = load(path, schema)
-    if not episodes:
-        raise DataError("no episodes")
-    return EpisodeSet(episodes, schema)
+    return load(path, schema)
 
 
-def _check_stage_contiguity(where: str, patient_id: str, ts: list[int]) -> None:
-    if ts != list(range(1, len(ts) + 1)):
-        raise DataError(f"{where}: patient {patient_id!r}: non-contiguous stages {ts}")
-
-
-def _finite_number(value: Any) -> float | None:
-    """``value`` as a float if it is a finite JSON number, else None.
-
-    ``json`` parses NaN and +-Infinity, which would poison the preprocessor's
-    means and standard deviations.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
-    """Episodes of a JSONL file; each record's parsed context dict is kept.
-
-    Finite floats and strings are taken as parsed; anything else goes through
-    ``_finite_number`` (numeric variables) or ``str`` (categorical ones).
-    """
-    episodes = []
-    seen: set[str] = set()
-    numeric = {v.name: v.kind == "numeric" for v in schema.variables}
-    labels = set(schema.action_labels)
-    isfinite = math.isfinite
+def _load_jsonl(path: str, schema: CohortSchema) -> EpisodeSet:
+    builder = CohortBuilder(schema)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -102,166 +222,77 @@ def _load_jsonl(path: str, schema: CohortSchema) -> list[Episode]:
                 raise DataError(f"{where}: parse error: {exc}") from exc
             if type(record) is not dict or "patient_id" not in record:
                 raise DataError(f"{where}: record must be an object with patient_id")
-            pid = str(record["patient_id"])
-            if pid in seen:
-                raise DataError(f"duplicate patient id {pid!r}")
-            seen.add(pid)
-            raw_stages = record.get("stages")
-            if type(raw_stages) is not list or not raw_stages:
-                raise DataError(f"{where}: patient {pid!r}: 'stages' must be a nonempty list")
-            ts, stages = [], []
-            for raw in raw_stages:
-                if type(raw) is not dict or "t" not in raw or "action" not in raw:
-                    raise DataError(f"{where}: patient {pid!r}: stage needs 't' and 'action'")
-                t = raw["t"]
-                if type(t) is not int:
-                    raise DataError(
-                        f"{where}: patient {pid!r}: bad stage index {t!r}; "
-                        "expected an integer"
-                    )
-                ts.append(t)
-                context = raw.get("context") or {}
-                if type(context) is not dict:
-                    raise DataError(f"{where}: patient {pid!r}: 'context' must be an object")
-                for name, value in context.items():
-                    is_numeric = numeric.get(name)
-                    if is_numeric is None:
-                        raise DataError(
-                            f"{where}: patient {pid!r}: unknown variable {name!r}"
-                        )
-                    if value is None:
-                        continue
-                    if is_numeric:
-                        if type(value) is float and isfinite(value):
-                            continue
-                        number = _finite_number(value)
-                        if number is None:
-                            raise DataError(
-                                f"{where}: patient {pid!r}, variable {name!r}: "
-                                f"expected a finite number, got {value!r}"
-                            )
-                        context[name] = number
-                    elif type(value) is not str:
-                        context[name] = str(value)
-                action = str(raw["action"])
-                if action not in labels:
-                    raise DataError(f"{where}: patient {pid!r}: unknown action {action!r}")
-                severity = raw.get("severity")
-                if severity is not None and not (
-                    type(severity) is float and isfinite(severity)
-                ):
-                    number = _finite_number(severity)
-                    if number is None:
-                        raise DataError(
-                            f"{where}: patient {pid!r}: severity: "
-                            f"expected a finite number, got {severity!r}"
-                        )
-                    severity = number
-                stages.append(Stage(context, action, severity))
-            _check_stage_contiguity(where, pid, ts)
-            episodes.append(Episode(pid, stages))
-    return episodes
+            builder.add(str(record["patient_id"]), record.get("stages"), where)
+    return builder.build()
 
 
-def _load_csv(path: str, schema: CohortSchema) -> list[Episode]:
-    known = {v.name: v for v in schema.variables}
-    reserved = {"patient_id", "t", "action"}
+def _load_csv(path: str, schema: CohortSchema) -> EpisodeSet:
+    names = [v.name for v in schema.variables]
     sev_col = schema.severity_column
-    episodes: list[Episode] = []
+    builder = CohortBuilder(schema, text=True)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: no header row")
         for col in reader.fieldnames:
-            if col in reserved or col in known or (sev_col and col == sev_col):
-                continue
-            raise DataError(f"{path}: unknown column {col!r}")
+            if col not in ("patient_id", "t", "action", sev_col) and col not in names:
+                raise DataError(f"{path}: unknown column {col!r}")
         for col in ("patient_id", "t", "action"):
             if col not in reader.fieldnames:
                 raise DataError(f"{path}: missing required column {col!r}")
-
-        current_pid: str | None = None
-        first_line = 0
-        ts: list[int] = []
-        stages: list[Stage] = []
-        finished: set[str] = set()
-
-        def flush() -> None:
-            if current_pid is not None:
-                _check_stage_contiguity(f"{path}:{first_line}", current_pid, ts)
-                episodes.append(Episode(current_pid, list(stages)))
-                finished.add(current_pid)
-
+        pid, stages, lines = None, [], []
         for row in reader:
+            if row["patient_id"] != pid:
+                if stages:
+                    builder.add(pid, stages, lines)
+                pid, stages, lines = row["patient_id"], [], []
+            stages.append({
+                "t": row["t"],
+                "context": {name: cell for name in names if (cell := row.get(name))},
+                "action": row["action"],
+                "severity": (row.get(sev_col) or None) if sev_col else None,
+            })
             # the last physical line of the row: DictReader skips blank
             # lines, and a quoted cell may span lines
-            lineno = reader.line_num
-            where = f"{path}:{lineno}"
-            pid = row["patient_id"]
-            if pid != current_pid:
-                flush()
-                if pid in finished:
-                    raise DataError(f"{where}: rows for patient {pid!r} are not contiguous")
-                current_pid, first_line, ts, stages = pid, lineno, [], []
-            try:
-                ts.append(int(row["t"]))
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: bad stage index {row['t']!r}") from None
-            action = row["action"]
-            if action not in schema.action_labels:
-                raise DataError(f"{where}: patient {pid!r}: unknown action {action!r}")
-            context = {}
-            for name, var in known.items():
-                cell = row.get(name, "")
-                if cell is None or cell == "":
-                    context[name] = None
-                elif var.kind == "numeric":
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{where}: variable {name!r}: "
-                            f"expected a finite number, got {cell!r}"
-                        )
-                    context[name] = value
-                else:
-                    context[name] = cell
-            severity = None
-            if sev_col:
-                cell = row.get(sev_col, "")
-                if cell not in (None, ""):
-                    try:
-                        severity = float(cell)
-                    except ValueError:
-                        severity = math.nan
-                    if not math.isfinite(severity):
-                        raise DataError(
-                            f"{where}: severity: expected a finite number, got {cell!r}"
-                        )
-            stages.append(Stage(context, action, severity))
-        flush()
-    return episodes
+            lines.append(f"{path}:{reader.line_num}")
+        if stages:
+            builder.add(pid, stages, lines)
+    return builder.build()
+
+
+def _json_values(column: np.ndarray) -> list[str]:
+    """Each value of a raw column as ``json.dumps`` writes it, null where missing."""
+    if column.dtype == object or not len(column):
+        return [json.dumps(v) for v in column.tolist()]
+    text = json.dumps(column.tolist())[1:-1].split(", ")
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        text[i] = "null"
+    return text
 
 
 def save_episodes_jsonl(episodes: EpisodeSet, path: str) -> None:
-    """Write raw episodes in the JSONL interchange format."""
+    """Write raw episodes in the JSONL format, one ``json.dumps`` record per line."""
+    schema, offsets = episodes.schema, episodes.offsets
+    context = ", ".join(json.dumps(v.name).replace("%", "%%") + ": %s" for v in schema.variables)
+    stage = '{"t": %d, "context": {' + context + '}, "action": %s, "severity": %s}'
+    labels = [json.dumps(label) for label in schema.action_labels]
+    lengths = np.diff(offsets)
+    t = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], lengths)
+    rows = [
+        stage % values
+        for values in zip(
+            t.tolist(),
+            *(_json_values(episodes.columns[v.name]) for v in schema.variables),
+            [labels[a] for a in episodes.actions.tolist()],
+            _json_values(episodes.severity),
+        )
+    ]
+    bounds = zip(episodes.patient_ids, offsets[:-1].tolist(), offsets[1:].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for ep in episodes:
-            record = {
-                "patient_id": ep.patient_id,
-                "stages": [
-                    {
-                        "t": t,
-                        "context": stage.context,
-                        "action": stage.action,
-                        "severity": stage.severity,
-                    }
-                    for t, stage in enumerate(ep.stages, start=1)
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(
+            f'{{"patient_id": {json.dumps(pid)}, "stages": [{", ".join(rows[lo:hi])}]}}\n'
+            for pid, lo, hi in bounds
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,97 +341,57 @@ class Preprocessor:
         return feats
 
     def digest(self) -> str:
-        """Stable hash of the fitted state, for leakage checks."""
-        payload = {
-            "schema": self.schema.to_dict(),
-            "numeric": {
-                name: {
-                    "mean": repr(s.mean),
-                    "std": repr(s.std),
-                    "log_mean": repr(s.log_mean),
-                    "log_std": repr(s.log_std),
-                    "cuts": [repr(c) for c in s.quintile_cuts],
-                }
-                for name, s in sorted(self.numeric.items())
-            },
-            "categorical": {
-                name: {"vocabulary": list(s.vocabulary), "mode": s.mode}
-                for name, s in sorted(self.categorical.items())
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """Stable hash of the fitted state (the ``to_dict`` payload), for leakage checks."""
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def to_dict(self) -> dict:
         return {
             "schema": self.schema.to_dict(),
-            "numeric": {
-                name: {
-                    "mean": s.mean,
-                    "std": s.std,
-                    "log_mean": s.log_mean,
-                    "log_std": s.log_std,
-                    "quintile_cuts": list(s.quintile_cuts),
-                }
-                for name, s in self.numeric.items()
-            },
-            "categorical": {
-                name: {"vocabulary": list(s.vocabulary), "mode": s.mode}
-                for name, s in self.categorical.items()
-            },
+            "numeric": {name: asdict(s) for name, s in self.numeric.items()},
+            "categorical": {name: asdict(s) for name, s in self.categorical.items()},
             "warnings": list(self.warnings),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
+        def state(kind, s: dict):
+            try:
+                return kind(**{k: tuple(v) if type(v) is list else v for k, v in s.items()})
+            except TypeError as exc:  # a key the state does not have, or lacks
+                raise ConfigError(f"invalid preprocessor state {s!r}: {exc}") from None
+
         return cls(
             schema=CohortSchema.from_dict(d["schema"]),
-            numeric={
-                name: _NumericState(
-                    mean=s["mean"],
-                    std=s["std"],
-                    log_mean=s.get("log_mean", 0.0),
-                    log_std=s.get("log_std", 1.0),
-                    quintile_cuts=tuple(s.get("quintile_cuts", ())),
-                )
-                for name, s in d.get("numeric", {}).items()
-            },
+            numeric={name: state(_NumericState, s) for name, s in d.get("numeric", {}).items()},
             categorical={
-                name: _CategoricalState(tuple(s["vocabulary"]), s["mode"])
+                name: state(_CategoricalState, s)
                 for name, s in d.get("categorical", {}).items()
             },
             warnings=list(d.get("warnings", [])),
         )
 
 
-class _RawColumns:
-    """The stages of raw episodes in input order, read one variable at a time."""
+def _carried_rows(episodes: EpisodeSet, missing: np.ndarray) -> np.ndarray:
+    """Per row, the row whose value a variable carries forward to it.
 
-    def __init__(self, episodes: EpisodeSet):
-        self.stages = [stage for ep in episodes for stage in ep.stages]
-        lengths = np.array([ep.n_stages for ep in episodes], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
-        self._first_row = np.repeat(self.offsets[:-1], lengths)
+    That is the row of the last observation of its patient up to that stage
+    (a forward fill of row indices that restarts at each patient), or -1
+    before the patient's first observation.
+    """
+    offsets = episodes.offsets
+    source = np.arange(len(missing))
+    source[missing] = -1
+    source = np.maximum.accumulate(source)
+    source[source < np.repeat(offsets[:-1], np.diff(offsets))] = -1
+    return source
 
-    def locf(self, name: str) -> tuple[list, np.ndarray]:
-        """Raw values of ``name`` and, per row, where its carried value sits.
 
-        The source of a row is the row of the last observation of its patient
-        up to that stage (a forward fill of row indices that restarts at each
-        patient), or -1 before the patient's first observation.
-        """
-        values = [stage.context.get(name) for stage in self.stages]
-        source = np.arange(len(values))
-        source[[v is None for v in values]] = -1
-        source = np.maximum.accumulate(source)
-        source[source < self._first_row] = -1
-        return values, source
-
-    def numeric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Carried-forward values of a numeric variable and where they exist."""
-        values, source = self.locf(name)
-        numbers = np.array([0.0 if v is None else v for v in values], dtype=float)
-        return numbers[source], source >= 0
+def _carried_numbers(episodes: EpisodeSet, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Carried-forward values of a numeric variable and where they exist."""
+    column = episodes.columns[name]
+    source = _carried_rows(episodes, np.isnan(column))
+    return column[source], source >= 0
 
 
 def _log_domain(x: np.ndarray) -> np.ndarray:
@@ -420,11 +411,9 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
     if len(train) == 0:
         raise DataError("no episodes")
     prep = Preprocessor(schema=schema)
-    raw = _RawColumns(train)
-
     for var in schema.variables:
         if var.kind == "numeric":
-            carried, observed = raw.numeric(var.name)
+            carried, observed = _carried_numbers(train, var.name)
             if observed.any():
                 mean = float(np.mean(carried[observed]))
             else:
@@ -459,8 +448,9 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
                 state.quintile_cuts = tuple(float(c) for c in cuts)
             prep.numeric[var.name] = state
         else:
-            values, source = raw.locf(var.name)
-            observed = [str(values[i]) for i in source[source >= 0].tolist()]
+            column = train.columns[var.name]
+            source = _carried_rows(train, np.equal(column, None))
+            observed = column[source[source >= 0]].tolist()
             tokens = sorted({v for v in observed if v != OTHER_TOKEN})
             if observed:
                 counts: dict[str, int] = {}
@@ -498,15 +488,14 @@ def apply_preprocessor(
         return episodes
     schema = prep.schema
     features = prep.encoded_features()
-    raw = _RawColumns(episodes)
-    rows = np.arange(len(raw.stages))
+    rows = np.arange(episodes.n_stages)
     X = np.zeros((len(rows), len(features)))
     col = 0
     for var in schema.variables:
         if var.kind == "numeric":
             state = prep.numeric[var.name]
             fill = var.fill_value if var.imputation == "constant" else state.mean
-            carried, observed = raw.numeric(var.name)
+            carried, observed = _carried_numbers(episodes, var.name)
             vals = np.where(observed, carried, float(fill))
             if var.transform == "discretize-quintiles":
                 # values at a cut point fall in the lower bin
@@ -525,9 +514,10 @@ def apply_preprocessor(
             fill = str(var.fill_value) if var.imputation == "constant" else state.mode
             position = {token: j for j, token in enumerate(state.vocabulary)}
             other = position[OTHER_TOKEN]
-            values, source = raw.locf(var.name)
+            column = episodes.columns[var.name]
+            source = _carried_rows(episodes, np.equal(column, None))
             codes = np.array(
-                [-1 if v is None else position.get(str(v), other) for v in values],
+                [-1 if v is None else position.get(v, other) for v in column.tolist()],
                 dtype=np.int64,
             )
             codes = np.where(source >= 0, codes[source], position.get(fill, other))
@@ -537,15 +527,10 @@ def apply_preprocessor(
         schema=schema,
         features=features,
         patient_ids=episodes.patient_ids,
-        offsets=raw.offsets,
+        offsets=episodes.offsets,
         X=X,
-        actions=np.array(
-            [schema.action_index(stage.action) for stage in raw.stages], dtype=np.int64
-        ),
-        severity=np.array(
-            [np.nan if stage.severity is None else stage.severity for stage in raw.stages],
-            dtype=float,
-        ),
+        actions=episodes.actions,
+        severity=episodes.severity,
     )
 
 
@@ -570,8 +555,7 @@ def split_dataset(
         raise ConfigError("split fractions must lie in (0, 1)")
     if test_frac + val_frac >= 1.0:
         raise ConfigError("split fractions must sum to less than 1")
-    ids = sorted(episodes.patient_ids)
-    n = len(ids)
+    n = len(episodes)
     if n < 5:
         raise DataError(f"need at least 5 patients to split, got {n}")
     rng = np.random.default_rng(seed)
@@ -586,11 +570,7 @@ def split_dataset(
     ):
         if size == 0:
             raise ConfigError(f"the {fold} fold would be empty: {share} rounds to 0")
-    test_ids = {ids[i] for i in order[:n_test]}
-    val_ids = {ids[i] for i in order[n_test : n_test + n_val]}
-    train_ids = {ids[i] for i in order[n_test + n_val :]}
-    return (
-        episodes.subset(train_ids),
-        episodes.subset(val_ids),
-        episodes.subset(test_ids),
-    )
+    # patients by id, so that the folds do not depend on the input order
+    by_id = np.array(sorted(range(n), key=episodes.patient_ids.__getitem__), dtype=np.int64)
+    folds = (order[n_test + n_val :], order[n_test : n_test + n_val], order[:n_test])
+    return tuple(episodes.take(np.sort(by_id[fold])) for fold in folds)

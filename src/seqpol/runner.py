@@ -145,6 +145,23 @@ class ExperimentConfig:
             raise ConfigError("at least one model kind is required")
         if self.data_path is None and self.generator is None:
             raise ConfigError("config needs either data_path or generator")
+        states = [s.name for s in self.resolved_states()]
+        for name in self.ope_states or ():
+            if name not in states or self.ope_model not in self.model_kinds:
+                raise ConfigError(
+                    f"ope_states names {name!r}, but ({name!r}, {self.ope_model!r}) is "
+                    f"no configured cell: the states are {states} and the model "
+                    f"kinds {self.model_kinds}"
+                )
+        for key in ("confusion_reference", "confusion_comparison"):
+            pair = getattr(self, key)
+            if pair is not None and not (
+                len(pair) == 2 and pair[0] in self.model_kinds and pair[1] in states
+            ):
+                raise ConfigError(
+                    f"{key} {list(pair)} is no configured (model kind, state) cell: "
+                    f"the model kinds are {self.model_kinds} and the states {states}"
+                )
 
     def resolved_states(self) -> list[StateSpec]:
         if self.states is not None:
@@ -529,7 +546,7 @@ def _switch_confusion(cfg, cells, states, schema) -> dict | None:
     the same splits)."""
     ref = cfg.confusion_reference or (cfg.model_kinds[-1], states[-1])
     cmp_ = cfg.confusion_comparison or (cfg.model_kinds[0], states[0])
-    a, b = (cells[s, k].rows if (s, k) in cells else None for k, s in (ref, cmp_))
+    a, b = (cells[s, k].rows for k, s in (ref, cmp_))
     if a is None or b is None or a is b or not np.array_equal(a.split, b.split):
         return None
     matrix = confusion_matrix(

@@ -3,15 +3,17 @@
 An episode is one patient's trajectory: a context vector, an action and an
 optional severity score at each stage t = 1..T. The schema declares the
 variables, their preprocessing recipe, the action labels and which action pads
-missing history. Raw episodes keep one context dict per stage; a preprocessed
-cohort is one ``EncodedCohort`` of arrays.
+missing history. A raw cohort (``EpisodeSet``) and a preprocessed one
+(``EncodedCohort``) share one row layout: one row per (patient, stage), with
+patient offsets, action indices and severity beside the raw columns or the
+encoded matrix.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -167,44 +169,6 @@ class CohortSchema:
             fh.write("\n")
 
 
-@dataclass
-class Stage:
-    """One decision point: context readings, the action taken, optional severity."""
-
-    context: dict[str, Any]
-    action: str
-    severity: float | None = None
-
-
-@dataclass
-class Episode:
-    """One patient's ordered sequence of stages (t = 1..T, contiguous)."""
-
-    patient_id: str
-    stages: list[Stage]
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
-    def validate(self, schema: CohortSchema) -> None:
-        if not self.stages:
-            raise DataError(f"patient {self.patient_id!r}: episode has no stages")
-        labels = set(schema.action_labels)
-        names = {v.name for v in schema.variables}
-        for stage in self.stages:
-            if stage.action not in labels:
-                raise DataError(
-                    f"patient {self.patient_id!r}: unknown action label "
-                    f"{stage.action!r}"
-                )
-            for name in stage.context:
-                if name not in names:
-                    raise DataError(
-                        f"patient {self.patient_id!r}: unknown variable {name!r}"
-                    )
-
-
 @dataclass(frozen=True)
 class EncodedFeature:
     """Numeric column produced by the preprocessor, traced to its source variable."""
@@ -215,38 +179,45 @@ class EncodedFeature:
 
 @dataclass
 class EpisodeSet:
-    """A cohort of raw episodes sharing one schema."""
+    """A raw cohort in the row layout of ``EncodedCohort``.
 
-    episodes: list[Episode]
+    Patients keep their input order: patient ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of every array, in stage order. ``actions``
+    holds indices into the schema's action labels and ``severity`` is NaN
+    where absent. ``columns`` holds one raw column per schema variable: floats
+    with NaN for a missing numeric value (the loaders reject non-finite
+    input, so NaN always means missing), or an object array of strings with
+    None for a missing categorical value.
+    """
+
     schema: CohortSchema
+    patient_ids: list[str]
+    offsets: np.ndarray
+    actions: np.ndarray
+    severity: np.ndarray
+    columns: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.episodes)
-
-    def __iter__(self) -> Iterator[Episode]:
-        return iter(self.episodes)
-
-    @property
-    def patient_ids(self) -> list[str]:
-        return [ep.patient_id for ep in self.episodes]
+        return len(self.patient_ids)
 
     @property
     def n_stages(self) -> int:
-        return sum(ep.n_stages for ep in self.episodes)
+        return int(self.offsets[-1])
 
-    def subset(self, patient_ids: set[str]) -> "EpisodeSet":
-        eps = [ep for ep in self.episodes if ep.patient_id in patient_ids]
-        return EpisodeSet(eps, self.schema)
-
-    def validate(self) -> None:
-        if not self.episodes:
-            raise DataError("no episodes")
-        seen: set[str] = set()
-        for ep in self.episodes:
-            if ep.patient_id in seen:
-                raise DataError(f"duplicate patient id {ep.patient_id!r}")
-            seen.add(ep.patient_id)
-            ep.validate(self.schema)
+    def take(self, patients: np.ndarray) -> "EpisodeSet":
+        """The cohort of the patients at indices ``patients``, in that order."""
+        lengths = np.diff(self.offsets)[patients]
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[patients] - offsets[:-1], lengths)
+        return EpisodeSet(
+            schema=self.schema,
+            patient_ids=[self.patient_ids[i] for i in patients],
+            offsets=offsets,
+            actions=self.actions[rows],
+            severity=self.severity[rows],
+            columns={name: col[rows] for name, col in self.columns.items()},
+        )
 
 
 @dataclass

@@ -48,11 +48,16 @@ class StateSpec:
     aggregate_op: str = "none"
 
     def __post_init__(self) -> None:
+        for name in ("include_current_context", "include_prev_action"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.aggregate_op not in AGG_OPS:
             raise ConfigError(f"unknown aggregation operator {self.aggregate_op!r}")
         if self.window_k is not None:
-            if self.window_k < 0:
-                raise ConfigError("window_k must be >= 0")
+            if type(self.window_k) is not int or self.window_k < 0:
+                raise ConfigError(
+                    f"window_k must be a non-negative integer or null, got {self.window_k!r}"
+                )
             # A rolling window always contains the current context and the
             # previous action (the window of size 0 is exactly that pair).
             object.__setattr__(self, "include_current_context", True)
@@ -89,6 +94,12 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpec":
+        """The spec of a ``to_dict`` mapping; a key it lacks takes its default."""
+        if type(d) is not dict:
+            raise ConfigError(f"a state spec must be an object, got {d!r}")
+        unknown = set(d) - {"current", "prev_action", "window_k", "agg"}
+        if unknown:
+            raise ConfigError(f"unknown state spec keys: {sorted(unknown)}")
         return cls(
             include_current_context=d.get("current", False),
             include_prev_action=d.get("prev_action", False),
@@ -101,7 +112,7 @@ class StateSpec:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid state spec file {path}: {exc}") from exc
 
 

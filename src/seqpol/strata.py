@@ -35,30 +35,29 @@ class SubgroupAssignment:
     excluded: dict[str, str] = field(default_factory=dict)
 
 
-def severity_rate_of_change(severity: np.ndarray) -> float:
-    """Mean change per stage: (last - first) / (T - 1)."""
-    return float((severity[-1] - severity[0]) / (len(severity) - 1))
-
-
 def assign_severity_groups(episodes: EpisodeSet) -> SubgroupAssignment:
     """Group patients by severity trajectory slope.
 
+    A patient's slope is the mean change per stage, (last - first) / (T - 1).
     Boundary values fall upward: exactly -0.4 is group 2 and exactly 0.4 is
     group 6. Patients with a single stage or any missing severity are
     excluded with a recorded reason.
     """
+    offsets, severity = episodes.offsets, episodes.severity
+    lengths = np.diff(offsets)
+    slope = (severity[offsets[1:] - 1] - severity[offsets[:-1]]) / np.maximum(lengths - 1, 1)
+    group = 1 + np.searchsorted(np.asarray(GROUP_EDGES), slope, side="right")
+    missing = np.logical_or.reduceat(np.isnan(severity), offsets[:-1])
     assignment = SubgroupAssignment(groups={})
-    for ep in episodes:
-        sev = [s.severity for s in ep.stages]
-        if len(sev) < 2:
-            assignment.excluded[ep.patient_id] = "single stage"
-            continue
-        if any(v is None for v in sev):
-            assignment.excluded[ep.patient_id] = "missing severity"
-            continue
-        x = severity_rate_of_change(np.asarray(sev, dtype=float))
-        group = 1 + int(np.searchsorted(np.asarray(GROUP_EDGES), x, side="right"))
-        assignment.groups[ep.patient_id] = group
+    for pid, n, gap, g in zip(
+        episodes.patient_ids, lengths.tolist(), missing.tolist(), group.tolist()
+    ):
+        if n < 2:
+            assignment.excluded[pid] = "single stage"
+        elif gap:
+            assignment.excluded[pid] = "missing severity"
+        else:
+            assignment.groups[pid] = g
     return assignment
 
 

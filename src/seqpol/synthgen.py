@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .schema import CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
+from .schema import CohortSchema, EpisodeSet, VariableSpec
 from .staterep import StateMatrix
 
 
@@ -219,12 +219,11 @@ def generate_cohort(cfg: GeneratorConfig) -> tuple[EpisodeSet, OracleTable]:
             counts[np.arange(m), a] += 1.0
             x_prev, prev = x, a
             x = cfg.ar_coef * x + params.drifts[a] + cfg.noise_scale * draws[rows, 2:]
-    names, labels = [f"x{j}" for j in range(d)], schema.action_labels
-    stages = [
-        Stage(dict(zip(names, c)), labels[a], s)
-        for c, a, s in zip(X.tolist(), A.tolist(), S.tolist())
-    ]
-    spans = [(f"p{i:0{width}d}", lo, hi) for i, (lo, hi) in enumerate(zip(off, off[1:]))]
-    episodes = [Episode(pid, stages[lo:hi]) for pid, lo, hi in spans]
-    oracle = OracleTable({pid: P[lo:hi] for pid, lo, hi in spans}, list(labels))
-    return EpisodeSet(episodes, schema), oracle
+    pids = [f"p{i:0{width}d}" for i in range(n)]
+    episodes = EpisodeSet(
+        schema, pids, off, A, S, dict(zip([v.name for v in schema.variables], X.T.copy()))
+    )
+    oracle = OracleTable(
+        {pid: P[lo:hi] for pid, lo, hi in zip(pids, off, off[1:])}, list(schema.action_labels)
+    )
+    return episodes, oracle

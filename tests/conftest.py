@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from seqpol.schema import (
-    CohortSchema,
-    EncodedCohort,
-    EncodedFeature,
-    Episode,
-    EpisodeSet,
-    Stage,
-    VariableSpec,
-)
+from seqpol.dataset import CohortBuilder
+from seqpol.schema import CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, VariableSpec
 
 THERAPY_ACTIONS = ("MTX", "TNF", "JAK")
 
@@ -32,36 +25,31 @@ def therapy_schema() -> CohortSchema:
 def raw_episode_set(schema: CohortSchema, patients) -> EpisodeSet:
     """Raw episodes from a list of (patient_id, stages), with stages given as
     (context dict, action label, severity or None)."""
-    episodes = [
-        Episode(pid, [Stage(dict(ctx), action, sev) for ctx, action, sev in stages])
-        for pid, stages in patients
-    ]
-    eps = EpisodeSet(episodes, schema)
-    eps.validate()
-    return eps
+    builder = CohortBuilder(schema)
+    for pid, stages in patients:
+        records = [
+            {"t": t, "context": dict(ctx), "action": action, "severity": sev}
+            for t, (ctx, action, sev) in enumerate(stages, start=1)
+        ]
+        builder.add(pid, records, "raw_episode_set")
+    return builder.build()
 
 
 def encoded_episode_set(schema: CohortSchema, patients) -> EncodedCohort:
     """A cohort that is already numeric, bypassing the preprocessor.
 
     Takes the same ``patients`` as ``raw_episode_set``; each variable's
-    context values become its encoded column unchanged.
+    raw column becomes its encoded column unchanged.
     """
     eps = raw_episode_set(schema, patients)
-    stages = [stage for ep in eps for stage in ep.stages]
     return EncodedCohort(
         schema=schema,
         features=[EncodedFeature(v.name, v.name) for v in schema.variables],
         patient_ids=eps.patient_ids,
-        offsets=np.cumsum([0] + [ep.n_stages for ep in eps]),
-        X=np.array(
-            [[stage.context[v.name] for v in schema.variables] for stage in stages],
-            dtype=float,
-        ),
-        actions=np.array([schema.action_index(s.action) for s in stages], dtype=np.int64),
-        severity=np.array(
-            [np.nan if s.severity is None else s.severity for s in stages], dtype=float
-        ),
+        offsets=eps.offsets,
+        X=np.column_stack([eps.columns[v.name] for v in schema.variables]),
+        actions=eps.actions,
+        severity=eps.severity,
     )
 
 

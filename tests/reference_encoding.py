@@ -4,14 +4,41 @@
 episodes patient by patient and stage by stage, carrying the last observation
 forward in a Python loop and writing one dict of encoded values per stage.
 The columnar preprocessor in ``seqpol.dataset`` must agree with them bit for
-bit.
+bit. ``episode_stages`` reads a cohort's columns back into that per-stage
+form: (patient id, [(context dict, action label, severity or None)]).
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from seqpol.dataset import LOG_EPS, Preprocessor, _CategoricalState, _NumericState
-from seqpol.schema import OTHER_TOKEN, CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
+from seqpol.dataset import (
+    LOG_EPS,
+    CohortBuilder,
+    Preprocessor,
+    _CategoricalState,
+    _NumericState,
+)
+from seqpol.schema import OTHER_TOKEN, CohortSchema, EpisodeSet, VariableSpec
+
+
+def _value(column, row):
+    """A raw column's value at ``row``, None where missing."""
+    v = column[row]
+    return None if v is None or (isinstance(v, float) and np.isnan(v)) else v
+
+
+def episode_stages(episodes: EpisodeSet) -> list:
+    """Each patient's (id, stages), a stage being (context, action label, severity)."""
+    labels = episodes.schema.action_labels
+    out = []
+    for i, pid in enumerate(episodes.patient_ids):
+        stages = []
+        for row in range(episodes.offsets[i], episodes.offsets[i + 1]):
+            context = {name: _value(col, row) for name, col in episodes.columns.items()}
+            stages.append((context, labels[episodes.actions[row]],
+                           _value(episodes.severity, row)))
+        out.append((pid, stages))
+    return out
 
 
 def _locf(values: list) -> list:
@@ -30,9 +57,11 @@ def _log_domain(x):
 
 def reference_fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
     prep = Preprocessor(schema=schema)
+    patients = episode_stages(train)
     for var in schema.variables:
         per_patient = [
-            _locf([stage.context.get(var.name) for stage in ep.stages]) for ep in train
+            _locf([context.get(var.name) for context, _, _ in stages])
+            for _, stages in patients
         ]
         observed = [v for series in per_patient for v in series if v is not None]
         if var.kind == "numeric":
@@ -93,13 +122,14 @@ def reference_fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Prepr
     return prep
 
 
-def reference_apply_preprocessor(episodes: EpisodeSet, prep: Preprocessor) -> list[Episode]:
-    """Episodes whose stage contexts map encoded feature names to floats."""
+def reference_apply_preprocessor(episodes: EpisodeSet, prep: Preprocessor) -> list:
+    """``episode_stages`` of the episodes, with each context mapping the
+    encoded feature names to floats."""
     out = []
-    for ep in episodes:
-        rows: list[dict[str, float]] = [dict() for _ in ep.stages]
+    for pid, stages in episode_stages(episodes):
+        rows: list[dict[str, float]] = [dict() for _ in stages]
         for var in prep.schema.variables:
-            series = _locf([stage.context.get(var.name) for stage in ep.stages])
+            series = _locf([context.get(var.name) for context, _, _ in stages])
             if var.kind == "numeric":
                 state = prep.numeric[var.name]
                 fill = var.fill_value if var.imputation == "constant" else state.mean
@@ -131,11 +161,8 @@ def reference_apply_preprocessor(episodes: EpisodeSet, prep: Preprocessor) -> li
                         token = OTHER_TOKEN
                     for cand in vocab:
                         row[f"{var.name}={cand}"] = 1.0 if cand == token else 0.0
-        out.append(
-            Episode(ep.patient_id, [
-                Stage(row, stage.action, stage.severity) for row, stage in zip(rows, ep.stages)
-            ])
-        )
+        out.append((pid, [(row, action, severity)
+                          for row, (_, action, severity) in zip(rows, stages)]))
     return out
 
 
@@ -182,7 +209,7 @@ def raw_cohorts(draw, schema: CohortSchema, tokens: str) -> EpisodeSet:
     """
     ids = draw(st.lists(st.text("bcxyz", min_size=1, max_size=3),
                         min_size=1, max_size=6, unique=True))
-    episodes = []
+    builder = CohortBuilder(schema)
     for pid in ids:
         n_stages = draw(st.integers(1, 12))
         stages = []
@@ -193,10 +220,11 @@ def raw_cohorts(draw, schema: CohortSchema, tokens: str) -> EpisodeSet:
                                           else st.sampled_from(tokens)))
                 if value is not None or draw(st.booleans()):
                     context[var.name] = value  # absent and None both mean missing
-            stages.append(Stage(
-                context,
-                draw(st.sampled_from(ACTIONS)),
-                draw(st.none() | st.floats(min_value=-3, max_value=3)),
-            ))
-        episodes.append(Episode(pid, stages))
-    return EpisodeSet(episodes, schema)
+            stages.append({
+                "t": len(stages) + 1,
+                "context": context,
+                "action": draw(st.sampled_from(ACTIONS)),
+                "severity": draw(st.none() | st.floats(min_value=-3, max_value=3)),
+            })
+        builder.add(pid, stages, "raw_cohorts")
+    return builder.build()

@@ -1,18 +1,23 @@
-"""Reference cohort sampler, one patient and one stage at a time.
+"""Reference cohort sampler and writers, one patient and one stage at a time.
 
 ``reference_generate_cohort`` steps each patient through its stages with a
 per-stage softmax and ``Generator.choice``; ``reference_oracle_csv`` writes
-the oracle table row by row through ``csv.writer``. ``seqpol.synthgen`` steps
-all patients together and writes the table in one go; it must agree with
+the oracle table row by row through ``csv.writer``, and
+``reference_episodes_jsonl`` writes each patient as one ``json.dumps`` of a
+dict of stage dicts. ``seqpol.synthgen`` steps all patients together, and
+``seqpol`` writes the table and the episodes in one go; they must agree with
 these bit for bit and byte for byte.
 """
 
 import csv
+import json
 
 import numpy as np
 
-from seqpol.schema import Episode, EpisodeSet, Stage
+from seqpol.dataset import CohortBuilder
 from seqpol.synthgen import OracleTable, _draw_t, _policy_params
+
+from reference_encoding import episode_stages
 
 
 def _softmax_vec(z):
@@ -34,7 +39,7 @@ def reference_generate_cohort(cfg):
     params = _policy_params(cfg)
     schema = cfg.schema()
     width = max(5, len(str(cfg.n_patients)))
-    episodes, oracle = [], {}
+    builder, oracle = CohortBuilder(schema), {}
     for i in range(cfg.n_patients):
         rng = np.random.default_rng([cfg.seed, 1, i])
         pid = f"p{i:0{width}d}"
@@ -51,13 +56,12 @@ def reference_generate_cohort(cfg):
             severity = cfg.severity_coupling * float(
                 params.severity_readout @ x
             ) + cfg.severity_noise * float(rng.standard_normal())
-            stages.append(
-                Stage(
-                    context={f"x{j}": float(x[j]) for j in range(cfg.context_dim)},
-                    action=f"a{action}",
-                    severity=severity,
-                )
-            )
+            stages.append({
+                "t": t + 1,
+                "context": {f"x{j}": float(x[j]) for j in range(cfg.context_dim)},
+                "action": f"a{action}",
+                "severity": severity,
+            })
             counts[action] += 1.0
             x_next = (
                 cfg.ar_coef * x
@@ -65,11 +69,9 @@ def reference_generate_cohort(cfg):
                 + cfg.noise_scale * rng.standard_normal(cfg.context_dim)
             )
             x_prev, x, prev_action = x, x_next, action
-        episodes.append(Episode(pid, stages))
+        builder.add(pid, stages, pid)
         oracle[pid] = probs
-    eps = EpisodeSet(episodes, schema)
-    eps.validate()
-    return eps, OracleTable(oracle, list(schema.action_labels))
+    return builder.build(), OracleTable(oracle, list(schema.action_labels))
 
 
 def reference_oracle_csv(oracle: OracleTable, path: str) -> None:
@@ -81,3 +83,16 @@ def reference_oracle_csv(oracle: OracleTable, path: str) -> None:
         for pid in sorted(oracle.probs):
             for t, row in enumerate(oracle.probs[pid], start=1):
                 writer.writerow([pid, t] + [f"{p:.12g}" for p in row])
+
+
+def reference_episodes_jsonl(episodes, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for pid, stages in episode_stages(episodes):
+            record = {
+                "patient_id": pid,
+                "stages": [
+                    {"t": t, "context": context, "action": action, "severity": severity}
+                    for t, (context, action, severity) in enumerate(stages, start=1)
+                ],
+            }
+            fh.write(json.dumps(record) + "\n")

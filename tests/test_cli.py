@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from seqpol.cli import main
@@ -59,6 +60,19 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     ({"ope_max_stage": 0}, "ope_max_stage must be >= 1, got 0"),
     ({"tree_sweep_leaf_bin": 0}, "tree_sweep_leaf_bin must be >= 1, got 0"),
     ({"ope_model": "mlpx"}, "unknown model kind 'mlpx'"),
+    ({"states": [{"window_k": "2"}]}, "window_k must be a non-negative integer or null, got '2'"),
+    ({"states": [{"window_k": True}]}, "window_k must be a non-negative integer or null, got True"),
+    ({"states": [{"window_k": -1}]}, "window_k must be a non-negative integer or null, got -1"),
+    ({"states": [{"current": 1}]}, "include_current_context must be true or false, got 1"),
+    ({"states": [{"prev_action": "yes"}]}, "include_prev_action must be true or false"),
+    ({"states": [{"agg": "median"}]}, "unknown aggregation operator 'median'"),
+    ({"states": [{"windowk": 2}]}, "unknown state spec keys: ['windowk']"),
+    ({"states": ["window2"]}, "a state spec must be an object, got 'window2'"),
+    ({"ope_states": ["windowX"]}, "ope_states names 'windowX', but ('windowX', 'logreg')"),
+    ({"ope_states": ["window1"], "ope_model": "mlp"}, "('window1', 'mlp') is no configured cell"),
+    ({"confusion_reference": ["tree", "nope"]},
+     "confusion_reference ['tree', 'nope'] is no configured (model kind, state) cell"),
+    ({"confusion_comparison": ["mlp", "current"]}, "confusion_comparison ['mlp', 'current']"),
 ])
 def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
         tmp_path, capsys, options, message):
@@ -89,11 +103,8 @@ def test_single_class_test_fold_is_recorded_skip(tmp_path):
         GeneratorConfig(n_patients=20, n_actions=2, t_fixed=4, seed=3)
     )
     _, _, test = split_dataset(episodes, derive_seed(0, "split", 0))
-    only = episodes.schema.action_labels[0]
-    for ep in episodes:
-        if ep.patient_id in test.patient_ids:
-            for stage in ep.stages:
-                stage.action = only
+    in_test = [pid in test.patient_ids for pid in episodes.patient_ids]
+    episodes.actions[np.repeat(in_test, np.diff(episodes.offsets))] = 0
     save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
     episodes.schema.to_json(str(tmp_path / "schema.json"))
     config = tmp_path / "experiment.json"
@@ -205,15 +216,20 @@ def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
     assert err.startswith("config error:")
     assert "'current'" in err and "'window1'" in err
 
+    # a preprocessor state with a key it does not have is a config error too
+    broken = json.loads(bundle.read_text())
+    broken["preprocessor"]["numeric"]["x0"]["stdev"] = 1.0
+    bundle.write_text(json.dumps(broken))
+    assert main(ope + ["--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.startswith("config error: invalid preprocessor state")
+
 
 def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     # x0 is constant, so every split's preprocessor clamps its stddev to 1.
     episodes, _ = generate_cohort(
         GeneratorConfig(n_patients=30, n_actions=2, t_fixed=3, seed=4)
     )
-    for ep in episodes:
-        for stage in ep.stages:
-            stage.context["x0"] = 1.5
+    episodes.columns["x0"][:] = 1.5
     save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
     episodes.schema.to_json(str(tmp_path / "schema.json"))
     config = _write_experiment(

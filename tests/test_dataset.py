@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqpol.cli import main
 from seqpol.dataset import (
     apply_preprocessor,
     fit_preprocessor,
@@ -13,16 +15,19 @@ from seqpol.dataset import (
     split_dataset,
 )
 from seqpol.errors import ConfigError, DataError
-from seqpol.schema import CohortSchema, Episode, EpisodeSet, Stage, VariableSpec
+from seqpol.schema import CohortSchema, VariableSpec
+from seqpol.synthgen import GeneratorConfig, generate_cohort
 
-from conftest import column
+from conftest import column, raw_episode_set
 from reference_encoding import (
     ACTIONS,
+    episode_stages,
     raw_cohorts,
     reference_apply_preprocessor,
     reference_fit_preprocessor,
     schemas,
 )
+from reference_synthgen import reference_episodes_jsonl
 
 
 def make_schema(**kwargs) -> CohortSchema:
@@ -129,11 +134,12 @@ class TestLoadEpisodes:
             "b,1,fluids,1.0,,healthy\n"
         )
         eps = load_episodes(str(path), make_schema())
-        assert eps.n_stages == 3
-        a = eps.episodes[0]
-        assert a.stages[1].severity is None
-        assert a.stages[1].context["bmi"] is None
-        assert eps.episodes[1].stages[0].context["hr"] is None
+        assert eps.patient_ids == ["a", "b"]
+        assert eps.offsets.tolist() == [0, 2, 3]
+        assert eps.actions.tolist() == [0, 1, 0]
+        assert eps.severity.tolist()[0::2] == [2.0, 1.0] and np.isnan(eps.severity[1])
+        assert eps.columns["hr"].tolist()[:2] == [70.0, 71.0] and np.isnan(eps.columns["hr"][2])
+        assert eps.columns["bmi"].tolist() == ["obese", None, "healthy"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     @pytest.mark.parametrize("field", ["hr", "severity"])
@@ -181,7 +187,7 @@ class TestLoadEpisodes:
         with pytest.raises(DataError) as err:
             load_episodes(str(path), make_schema())
         assert str(err.value) == (
-            f"{path}:4: variable 'hr': expected a finite number, got 'abc'"
+            f"{path}:4: patient 'a', variable 'hr': expected a finite number, got 'abc'"
         )
 
     def test_csv_line_numbers_count_the_lines_of_a_quoted_cell(self, tmp_path):
@@ -194,7 +200,7 @@ class TestLoadEpisodes:
         with pytest.raises(DataError) as err:
             load_episodes(str(path), make_schema())
         assert str(err.value) == (
-            f"{path}:4: variable 'hr': expected a finite number, got 'abc'"
+            f"{path}:4: patient 'a', variable 'hr': expected a finite number, got 'abc'"
         )
 
     def test_csv_non_contiguous_stage_column(self, tmp_path):
@@ -220,6 +226,30 @@ class TestLoadEpisodes:
             load_episodes(str(path), make_schema())
         assert str(err.value) == f"{path}:3: patient 'b': non-contiguous stages [2, 3]"
 
+    @pytest.mark.parametrize("t", ["x", "2.0", ""])
+    def test_csv_non_integer_stage_index_rejected(self, tmp_path, t):
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            "a,1,fluids,,70,obese\n"
+            f"a,{t},fluids,,71,obese\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), make_schema())
+        assert str(err.value) == f"{path}:3: patient 'a': bad stage index {t!r}; expected an integer"
+
+    def test_csv_rows_of_a_patient_split_by_another_rejected(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "patient_id,t,action,severity,hr,bmi\n"
+            "a,1,fluids,,70,obese\n"
+            "b,1,fluids,,70,obese\n"
+            "a,2,fluids,,71,obese\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), make_schema())
+        assert str(err.value) == f"{path}:4: duplicate patient id 'a'"
+
     def test_csv_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "eps.csv"
         path.write_text("patient_id,t,action,lactate\na,1,fluids,2\n")
@@ -232,8 +262,91 @@ class TestLoadEpisodes:
         out = tmp_path / "again.jsonl"
         save_episodes_jsonl(eps, str(out))
         again = load_episodes(str(out), make_schema())
-        assert [e.patient_id for e in again] == ["a", "b"]
-        assert again.episodes[0].stages[0].context == eps.episodes[0].stages[0].context
+        assert_same_columns(again, eps)
+        assert again.patient_ids == ["a", "b"]
+
+    def test_writer_matches_the_dict_of_dicts_reference(self, tmp_path):
+        name = 'h%s"r'  # a % and a quote to escape
+        schema = make_schema(variables=(
+            VariableSpec(name),
+            VariableSpec("bmi", kind="categorical", imputation="locf-then-mode"),
+        ))
+        eps = raw_episode_set(schema, [
+            ("a\u00e9", [({name: 70, "bmi": "ob\u00e8se"}, "fluids", 1.5),
+                         ({"bmi": None}, "pressor", None)]),
+            ("b", [({name: 1e-300}, "fluids", -0.0)]),
+        ])
+        save_episodes_jsonl(eps, str(tmp_path / "new.jsonl"))
+        reference_episodes_jsonl(eps, str(tmp_path / "ref.jsonl"))
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        assert_same_columns(load_episodes(str(tmp_path / "new.jsonl"), schema), eps)
+
+
+def write_long_csv(episodes, path):
+    """The cohort as a long CSV: one row per stage, an empty cell where missing."""
+    names = list(episodes.columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "t", "action", "severity", *names])
+        for pid, stages in episode_stages(episodes):
+            for t, (context, action, severity) in enumerate(stages, start=1):
+                cells = [severity] + [context[name] for name in names]
+                writer.writerow([pid, t, action] + [
+                    "" if v is None else repr(float(v)) for v in cells
+                ])
+
+
+def test_jsonl_and_csv_of_one_cohort_load_and_run_alike(tmp_path):
+    episodes, _ = generate_cohort(GeneratorConfig(
+        n_patients=40, n_actions=3, t_kind="geometric", t_p=0.3, t_min=1, t_max=8, seed=8
+    ))
+    episodes.columns["x1"][::7] = np.nan
+    episodes.severity[::5] = np.nan
+    schema = episodes.schema
+    schema.to_json(str(tmp_path / "schema.json"))
+    paths = {"jsonl": str(tmp_path / "episodes.jsonl"), "csv": str(tmp_path / "episodes.csv")}
+    save_episodes_jsonl(episodes, paths["jsonl"])
+    write_long_csv(episodes, paths["csv"])
+    assert_same_columns(load_episodes(paths["jsonl"], schema), episodes)
+    assert_same_columns(load_episodes(paths["csv"], schema), episodes)
+
+    for kind, path in paths.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps({
+            "data_path": path, "schema_path": str(tmp_path / "schema.json"),
+            "states": [{"current": True}, {"window_k": 1, "agg": "sum"}],
+            "model_kinds": ["logreg", "tree"], "n_candidates": 1, "n_splits": 1,
+            "bootstrap_B": 10, "ope_states": ["window1+agg_sum"],
+        }))
+        assert main(["experiment", "--config", str(tmp_path / f"{kind}.json"),
+                     "--out", str(tmp_path / kind)]) == 0
+    def outputs(d):
+        return sorted(p.relative_to(d).as_posix() for p in d.rglob("*")
+                      if p.suffix in (".csv", ".svg") or p.parent.name == "models")
+
+    a, b = tmp_path / "jsonl", tmp_path / "csv"
+    files = outputs(a)
+    assert "by_group.csv" in files and "models/window1+agg_sum__tree.json" in files
+    assert files == outputs(b)
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+    # the configs differ in data_path only
+    report = (a / "report.json").read_text().replace(paths["jsonl"], paths["csv"])
+    assert report == (b / "report.json").read_text()
+
+
+def assert_same_columns(a, b):
+    """``a`` and ``b`` hold the same patients, stages and values, bit for bit."""
+    assert a.patient_ids == b.patient_ids
+    for name in ("offsets", "actions", "severity"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+    assert list(a.columns) == list(b.columns)
+    for name, col in a.columns.items():
+        if col.dtype == object:
+            assert col.tolist() == b.columns[name].tolist(), name
+        else:
+            assert (col.dtype, col.tobytes()) == (b.columns[name].dtype,
+                                                  b.columns[name].tobytes()), name
 
 
 def numeric_set(values_by_patient, transform="standardize", **var_kwargs):
@@ -242,11 +355,11 @@ def numeric_set(values_by_patient, transform="standardize", **var_kwargs):
         action_labels=("x", "y"),
         default_action="x",
     )
-    episodes = [
-        Episode(pid, [Stage({"v": v}, "x") for v in values])
+    episodes = raw_episode_set(schema, [
+        (pid, [({"v": v}, "x", None) for v in values])
         for pid, values in values_by_patient.items()
-    ]
-    return EpisodeSet(episodes, schema), schema
+    ])
+    return episodes, schema
 
 
 class TestFitPreprocessor:
@@ -271,9 +384,7 @@ class TestFitPreprocessor:
             action_labels=("x", "y"),
             default_action="x",
         )
-        eps = EpisodeSet(
-            [Episode("p", [Stage({"c": "a"}, "x"), Stage({"c": "b"}, "x")])], schema
-        )
+        eps = raw_episode_set(schema, [("p", [({"c": "a"}, "x", None), ({"c": "b"}, "x", None)])])
         prep = fit_preprocessor(eps, schema)
         assert prep.categorical["c"].vocabulary == ("a", "b", "other")
 
@@ -293,10 +404,8 @@ class TestApplyPreprocessor:
         )
         prep = fit_preprocessor(eps, schema)
         assert prep.numeric["v"].mean == 2.0
-        target = EpisodeSet(
-            [Episode("p", [Stage({"v": None}, "x"), Stage({"v": 3.0}, "x"),
-                           Stage({"v": None}, "x"), Stage({"v": 5.0}, "x")])],
-            schema,
+        target = raw_episode_set(
+            schema, [("p", [({"v": v}, "x", None) for v in (None, 3.0, None, 5.0)])]
         )
         out = apply_preprocessor(target, prep)
         assert column(out, "v").tolist() == [2.0, 3.0, 3.0, 5.0]
@@ -307,11 +416,11 @@ class TestApplyPreprocessor:
             action_labels=("x", "y"),
             default_action="x",
         )
-        train = EpisodeSet(
-            [Episode("p", [Stage({"c": "a"}, "x"), Stage({"c": "b"}, "x")])], schema
+        train = raw_episode_set(
+            schema, [("p", [({"c": "a"}, "x", None), ({"c": "b"}, "x", None)])]
         )
         prep = fit_preprocessor(train, schema)
-        target = EpisodeSet([Episode("q", [Stage({"c": "c"}, "x")])], schema)
+        target = raw_episode_set(schema, [("q", [({"c": "c"}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert (column(out, "c=a")[0], column(out, "c=b")[0],
                 column(out, "c=other")[0]) == (0.0, 0.0, 1.0)
@@ -319,7 +428,7 @@ class TestApplyPreprocessor:
     def test_standardize_arithmetic(self):
         eps, schema = numeric_set({"a": [3.0, 7.0]})  # mean 5, std 2
         prep = fit_preprocessor(eps, schema)
-        target = EpisodeSet([Episode("p", [Stage({"v": 7.0}, "x")])], schema)
+        target = raw_episode_set(schema, [("p", [({"v": 7.0}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert column(out, "v")[0] == pytest.approx(1.0)
 
@@ -332,14 +441,10 @@ class TestApplyPreprocessor:
             action_labels=("x", "y"),
             default_action="x",
         )
-        train = EpisodeSet(
-            [
-                Episode("p", [Stage({"v": 1.0, "c": "a"}, "x"),
-                              Stage({"v": None, "c": None}, "y")]),
-                Episode("q", [Stage({"v": None, "c": "b"}, "x")]),
-            ],
-            schema,
-        )
+        train = raw_episode_set(schema, [
+            ("p", [({"v": 1.0, "c": "a"}, "x", None), ({"v": None, "c": None}, "y", None)]),
+            ("q", [({"v": None, "c": "b"}, "x", None)]),
+        ])
         prep = fit_preprocessor(train, schema)
         out = apply_preprocessor(train, prep)
         assert out.X.shape == (3, 1 + 3)  # v, then c=a, c=b, c=other
@@ -357,7 +462,7 @@ class TestApplyPreprocessor:
     def test_log_standardize_handles_nonpositive(self):
         eps, schema = numeric_set({"a": [1.0, np.e]}, transform="log-standardize")
         prep = fit_preprocessor(eps, schema)
-        target = EpisodeSet([Episode("p", [Stage({"v": -5.0}, "x")])], schema)
+        target = raw_episode_set(schema, [("p", [({"v": -5.0}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert np.isfinite(column(out, "v")[0])
 
@@ -375,16 +480,16 @@ class TestApplyPreprocessor:
 
         out = apply_preprocessor(target, prep)
         expected = reference_apply_preprocessor(target, prep)
-        stages = [stage for ep in expected for stage in ep.stages]
+        stages = [stage for _, ep_stages in expected for stage in ep_stages]
         names = [f.name for f in out.features]
-        want = np.array([[stage.context[name] for name in names] for stage in stages])
-        assert sorted(names) == sorted(stages[0].context)
+        want = np.array([[context[name] for name in names] for context, _, _ in stages])
+        assert sorted(names) == sorted(stages[0][0])
         assert out.X.tobytes() == want.tobytes()
-        assert out.patient_ids == target.patient_ids
-        assert out.offsets.tolist() == np.cumsum([0] + [ep.n_stages for ep in target]).tolist()
-        assert [ACTIONS[a] for a in out.actions] == [s.action for s in stages]
+        assert out.patient_ids == [pid for pid, _ in expected]
+        assert out.offsets.tolist() == np.cumsum([0] + [len(s) for _, s in expected]).tolist()
+        assert [ACTIONS[a] for a in out.actions] == [action for _, action, _ in stages]
         assert out.severity.tobytes() == np.array(
-            [np.nan if s.severity is None else s.severity for s in stages]).tobytes()
+            [np.nan if sev is None else sev for _, _, sev in stages]).tobytes()
 
 
 class TestSplitDataset:
@@ -394,10 +499,9 @@ class TestSplitDataset:
             action_labels=("x", "y"),
             default_action="x",
         )
-        episodes = [
-            Episode(f"p{i:03d}", [Stage({"v": float(i)}, "x")]) for i in range(n)
-        ]
-        return EpisodeSet(episodes, schema)
+        return raw_episode_set(
+            schema, [(f"p{i:03d}", [({"v": float(i)}, "x", None)]) for i in range(n)]
+        )
 
     def test_100_patients_64_16_20(self):
         eps = self.make_cohort(100)

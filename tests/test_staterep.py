@@ -16,7 +16,7 @@ from seqpol.staterep import (
     enumerate_standard_states,
 )
 
-from conftest import column, encoded_episode_set
+from conftest import column, encoded_episode_set, raw_episode_set
 from reference_encoding import raw_cohorts, reference_apply_preprocessor, schemas
 
 # ---------------------------------------------------------------------------
@@ -130,13 +130,13 @@ def reference_assemble_state(schema, features, episodes, spec):
     agg_cols = _eligible_columns(schema, features, "aggregate_eligible")
     k, op = spec.window_k, spec.aggregate_op
     rows, labels, pids, stages, prevs, sevs = [], [], [], [], [], []
-    for ep in sorted(episodes, key=lambda ep: ep.patient_id):
-        T = ep.n_stages
+    for pid, ep_stages in sorted(episodes, key=lambda ep: ep[0]):
+        T = len(ep_stages)
         C = np.empty((T, len(features)))
-        for t, stage in enumerate(ep.stages):
+        for t, (context, _, _) in enumerate(ep_stages):
             for j, feat in enumerate(features):
-                C[t, j] = stage.context[feat.name]
-        actions = np.array([schema.action_index(s.action) for s in ep.stages], dtype=int)
+                C[t, j] = context[feat.name]
+        actions = np.array([schema.action_index(a) for _, a, _ in ep_stages], dtype=int)
         blocks = []
         if spec.include_current_context:
             blocks.append(C)
@@ -153,13 +153,13 @@ def reference_assemble_state(schema, features, episodes, spec):
             blocks.append(_running_action_aggregate(actions, op, K))
         rows.append(np.hstack(blocks))
         labels.append(actions)
-        pids.extend([ep.patient_id] * T)
+        pids.extend([pid] * T)
         stages.append(np.arange(1, T + 1))
         prev_idx = np.full(T, default_idx, dtype=int)
         prev_idx[1:] = actions[:-1]
         prevs.append(prev_idx)
-        sevs.append(np.array([np.nan if s.severity is None else s.severity
-                              for s in ep.stages], dtype=float))
+        sevs.append(np.array([np.nan if sev is None else sev
+                              for _, _, sev in ep_stages], dtype=float))
     return StateMatrix(
         X=np.vstack(rows), feature_names=[], y=np.concatenate(labels),
         action_labels=list(schema.action_labels), patient_ids=pids,
@@ -380,11 +380,7 @@ class TestAssembleState:
         assert m.X[:, col] == pytest.approx([0.0, 1.0, 1.0, 2.0 / 3.0])
 
     def test_requires_encoded_episodes(self, therapy_schema):
-        from seqpol.schema import Episode, EpisodeSet, Stage
-
-        raw = EpisodeSet(
-            [Episode("p", [Stage({"age": 1.0}, "MTX")])], therapy_schema
-        )
+        raw = raw_episode_set(therapy_schema, [("p", [({"age": 1.0}, "MTX", None)])])
         with pytest.raises(ConfigError, match="numeric form"):
             assemble_state(raw, StateSpec(include_current_context=True))
 

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from seqpol.cli import main
-from seqpol.dataset import save_episodes_jsonl
 from seqpol.errors import ConfigError
 from seqpol.runner import ExperimentConfig
 from seqpol.synthgen import GeneratorConfig, OracleTable, generate_cohort
 
-from reference_synthgen import reference_generate_cohort, reference_oracle_csv
+from reference_synthgen import (
+    reference_episodes_jsonl,
+    reference_generate_cohort,
+    reference_oracle_csv,
+)
 
 LENGTHS = {
     "fixed": {"t_fixed": 5},
@@ -30,16 +33,14 @@ def _config(K, d, lengths, lag, n_patients=25):
 
 
 def _columns(episodes, oracle):
-    """Patient ids, stage counts and every sampled value, as raw bytes."""
-    stages = [s for ep in episodes for s in ep.stages]
+    """Patient ids, stage offsets and every sampled value, as raw bytes."""
     return (
-        [ep.patient_id for ep in episodes],
-        [ep.n_stages for ep in episodes],
-        np.array([list(s.context.values()) for s in stages]).tobytes(),
-        [list(s.context) for s in stages],
-        [s.action for s in stages],
-        np.array([s.severity for s in stages]).tobytes(),
-        np.concatenate([oracle.probs[ep.patient_id] for ep in episodes]).tobytes(),
+        episodes.patient_ids,
+        episodes.offsets.tolist(),
+        [(name, col.dtype, col.tobytes()) for name, col in episodes.columns.items()],
+        (episodes.actions.dtype, episodes.actions.tobytes()),
+        episodes.severity.tobytes(),
+        np.concatenate([oracle.probs[pid] for pid in episodes.patient_ids]).tobytes(),
     )
 
 
@@ -71,7 +72,7 @@ class TestMatchesReference:
         config.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert main(["generate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         episodes, oracle = reference_generate_cohort(cfg)
-        save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
+        reference_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
         reference_oracle_csv(oracle, str(tmp_path / "oracle.csv"))
         for name in ("episodes.jsonl", "oracle.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -105,7 +106,7 @@ def test_uniform_on_a_cdf_entry_counts_that_entry(monkeypatch):
         n_patients=5, n_actions=4, w_context=0, w_prev_action=0, w_action_agg=0
     )
     episodes, oracle = generate_cohort(cfg)
-    assert {s.action for ep in episodes for s in ep.stages} == {"a2"}
+    assert set(episodes.actions.tolist()) == {2}
     assert _columns(episodes, oracle) == _columns(*reference_generate_cohort(cfg))
 
 
@@ -113,7 +114,7 @@ def test_uniform_on_a_cdf_entry_counts_that_entry(monkeypatch):
 def test_first_patients_do_not_depend_on_cohort_size(lengths):
     small = generate_cohort(_config(3, 4, lengths, 0.8, n_patients=7))
     large = generate_cohort(_config(3, 4, lengths, 0.8, n_patients=40))
-    head = large[0].subset(set(small[0].patient_ids))
+    head = large[0].take(np.arange(len(small[0])))
     assert _columns(*small) == _columns(head, large[1])
 
 
