@@ -242,6 +242,12 @@ def _load_csv(path: str, schema: CohortSchema) -> EpisodeSet:
                 raise DataError(f"{path}: missing required column {col!r}")
         pid, stages, lines = None, [], []
         for row in reader:
+            if None in row:  # DictReader files the cells past the header under None
+                raise DataError(
+                    f"{path}:{reader.line_num}: patient {row['patient_id']!r}: "
+                    f"{len(reader.fieldnames) + len(row[None])} cells, but the header "
+                    f"has {len(reader.fieldnames)}"
+                )
             if row["patient_id"] != pid:
                 if stages:
                     builder.add(pid, stages, lines)

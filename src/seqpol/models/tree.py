@@ -9,11 +9,25 @@ class counts; predicted probabilities are the empirical frequencies.
 A tree is a set of node arrays indexed in preorder (a node before its left
 subtree, the left subtree before the right one): ``feature`` (-1 at a
 leaf), ``threshold``, ``left``, ``right`` (-1 at a leaf) and ``counts``, the
-per-class training counts reaching each node. The split search scores
-features in column blocks of at most ``_BLOCK_POSITIONS`` candidate
-positions; prediction descends all rows one level at a time. Model files
-keep the nested ``{"counts", "feature", "threshold", "left", "right"}``
-form.
+per-class training counts reaching each node. Model files keep the nested
+``{"counts", "feature", "threshold", "left", "right"}`` form; prediction
+descends all rows one level at a time.
+
+Growth sorts each feature once, at the root, with a stable argsort (as
+SLIQ does): a node holds its rows in every feature's value order, as int32
+row indices, and a split hands each child its rows through a stable
+partition of those orders, so a child's orders are the ones a stable sort
+of its own rows would give. The split search reads values and classes
+through the orders in column blocks of at most ``_BLOCK_POSITIONS``
+candidate positions; cumulative counts cover K - 1 classes, and the last
+class is ``n_left`` minus the others, exact on integer counts. A node's
+orders leave the stack with it, so besides the node being split at most one
+pending sibling per depth is held.
+
+Since a split depends only on the rows reaching the node, a tree grown with
+loose limits holds every tree of tighter ones: ``TreePolicy.truncated``
+reads them off, and ``strata.grow_and_truncate`` shares one growth per
+criterion among the candidates of a run and the tree-complexity sweep.
 """
 
 from __future__ import annotations
@@ -62,31 +76,39 @@ def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:
     return -_sum_classes(p * np.log2(np.where(p > 0, p, 1.0)))
 
 
-def _best_split(X: np.ndarray, Y: np.ndarray, criterion: str):
+def _best_split(XT: np.ndarray, labels: np.ndarray, order: np.ndarray, counts, criterion):
     """Best (gain, feature, threshold) over all features, or None.
 
-    Candidates are taken in feature order and, within a feature, in
+    ``XT`` is the training matrix feature by feature and ``labels`` the
+    training classes. Row j of ``order`` holds the node's rows in ascending
+    order of feature j, ties in row order; ``counts`` are the node's class
+    counts. Candidates are taken in feature order and, within a feature, in
     ascending threshold order; the first one with the largest gain wins if
-    that gain exceeds ``_MIN_GAIN``. Each block of columns is sorted once,
-    and per-class cumulative counts give the class counts left of every
-    boundary between distinct values.
+    that gain exceeds ``_MIN_GAIN``. Per-class cumulative counts along each
+    order give the class counts left of every boundary between distinct
+    values: K - 1 classes are summed and the last is the rest of
+    ``n_left``, which is exact on integer counts.
     """
-    n, d = X.shape
-    total = Y.sum(axis=0)[:, None]
+    d, n = order.shape
+    K = counts.size
+    total = counts[:, None]
     parent = float(_impurity(total, float(n), criterion)[0])
     best = None
     best_gain = _MIN_GAIN
     width = max(1, _BLOCK_POSITIONS // n)
-    YT = Y.T
+    classes = np.arange(K - 1, dtype=labels.dtype)[:, None, None]
+    flat = XT.ravel()
     for j0 in range(0, d, width):
-        cols = X[:, j0 : j0 + width].T
-        order = np.argsort(cols, axis=1, kind="stable")
-        vals = np.take_along_axis(cols, order, axis=1)
+        rows = order[j0 : j0 + width]
+        vals = flat.take(rows + (np.arange(j0, j0 + len(rows)) * XT.shape[1])[:, None])
         f, pos = np.nonzero(vals[:, :-1] != vals[:, 1:])
         if pos.size == 0:
             continue
-        left = np.cumsum(YT[:, order], axis=2)[:, f, pos]
         n_left = (pos + 1).astype(float)
+        left = np.empty((K, pos.size))
+        onehot = labels.take(rows)[None] == classes
+        left[:-1] = np.cumsum(onehot, axis=2, dtype=np.int32)[:, f, pos]
+        left[-1] = n_left - left[:-1].sum(axis=0)
         n_right = n - n_left
         child = (
             n_left * _impurity(left, n_left, criterion)
@@ -252,23 +274,23 @@ def fit_tree(
         raise FitError("max_depth must be >= 0")
     X, y = train.X, train.y
     K = train.n_actions
-    n = X.shape[0]
+    n, d = X.shape
     if n == 0:
         raise FitError("cannot fit a tree on empty data")
-    Y = np.zeros((n, K))
-    Y[np.arange(n), y] = 1.0
+    XT = np.ascontiguousarray(X.T)
+    labels = y.astype(np.min_scalar_type(K))
+    goes_left = np.zeros(n, dtype=bool)
 
     feature, threshold, left, right, counts = [], [], [], [], []
-    # (rows, depth, parent, child list of the parent); popping the left
-    # child first numbers the nodes in preorder.
-    stack = [(np.arange(n), 0, -1, left)]
+    # (rows sorted per feature, class counts, depth, parent, child list of
+    # the parent); popping the left child first numbers the nodes in preorder.
+    root = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    stack = [(root, np.bincount(y, minlength=K).astype(float), 0, -1, left)]
     while stack:
-        rows, depth, parent, side = stack.pop()
+        order, node_counts, depth, parent, side = stack.pop()
         i = len(feature)
         if parent >= 0:
             side[parent] = i
-        Yr = Y[rows]
-        node_counts = Yr.sum(axis=0)
         counts.append(node_counts)
         feature.append(-1)
         threshold.append(np.nan)
@@ -276,18 +298,25 @@ def fit_tree(
         right.append(-1)
         if (
             depth >= max_depth
-            or rows.size < min_samples_split
+            or order.shape[1] < min_samples_split
             or np.count_nonzero(node_counts) < 2
         ):
             continue
-        found = _best_split(X[rows], Yr, criterion)
+        found = _best_split(XT, labels, order, node_counts, criterion)
         if found is None:
             continue
         _, j, t = found
-        mask = X[rows, j] <= t
         feature[i], threshold[i] = j, t
-        stack.append((rows[~mask], depth + 1, i, right))
-        stack.append((rows[mask], depth + 1, i, left))
+        # A stable partition of every feature's order keeps each child's
+        # rows sorted, so no node sorts again.
+        rows = order[j][XT[j].take(order[j]) <= t]
+        goes_left[rows] = True
+        mask = goes_left[order]
+        goes_left[rows] = False
+        left_counts = np.bincount(y[rows], minlength=K).astype(float)
+        stack.append((order[~mask].reshape(d, -1), node_counts - left_counts,
+                      depth + 1, i, right))
+        stack.append((order[mask].reshape(d, -1), left_counts, depth + 1, i, left))
 
     return TreePolicy(
         train.feature_names, train.action_labels, feature, threshold, left, right,

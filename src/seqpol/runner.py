@@ -5,9 +5,11 @@ model) pair is one ``_Cell`` record that they fill in turn. Split: each
 seeded split's folds, encoded by a preprocessor fitted on its training
 patients. Fit and select: per state representation and cell, randomly
 sampled candidates are fitted on ``SEQPOL_THREADS`` threads, and the best on
-the validation fold scores the test fold. Pool: a cell's test rows of every
-split, stacked once. Summarize: one ``RowWeightedMetrics`` per cell gives the
-AUROC by stage and by severity group and the patient bootstrap intervals.
+the validation fold scores the test fold; a state's tree candidates, and on
+split 0 the tree sweep's configurations, share one growth per criterion.
+Pool: a cell's test rows of every split, stacked once. Summarize: one
+``RowWeightedMetrics`` per cell gives the AUROC by stage and by severity
+group and the patient bootstrap intervals.
 Then the switch-state confusion, the OPE curves and the bundles of the
 split-0 models, the metadata and the optional tree-complexity sweep on split
 0's folds (``tree_sweep``, also run by ``seqpol sweep-trees``).
@@ -63,6 +65,8 @@ from .strata import (
     assign_severity_groups,
     auroc_by_level,
     filter_switch_states,
+    grow_and_truncate,
+    sweep_configs,
     tree_complexity_sweep,
 )
 from .svg import line_chart
@@ -424,30 +428,43 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     return bootstrap_ci(range(n_patients), statistic, B=B, seed=seed)
 
 
+def _sweep_seed(cfg: ExperimentConfig) -> int:
+    return derive_seed(cfg.seed, "sweep")
+
+
 def tree_sweep(
-    cfg: ExperimentConfig, raw: EpisodeSet, split0: _Split | None = None
+    cfg: ExperimentConfig, raw: EpisodeSet, split0: _Split | None = None,
+    grown: dict | None = None,
 ) -> list[dict]:
     """Rows of the tree-complexity sweep on the folds of split 0 (``split0``
-    when the caller holds them already)."""
+    when the caller holds them already), with ``grown`` the tree growths
+    already made there (see ``tree_complexity_sweep``)."""
     split0 = split0 or _split(cfg, raw, 0)
     buckets = tree_complexity_sweep(
         split0.train, split0.val, split0.test, cfg.resolved_states(),
         n_models=cfg.tree_sweep_n,
         leaf_bin_width=cfg.tree_sweep_leaf_bin,
         profile=cfg.profile,
-        seed=derive_seed(cfg.seed, "sweep"),
+        seed=_sweep_seed(cfg),
+        grown=grown,
     )
     return [dict(zip(_COMPLEXITY_COLUMNS, astuple(b))) for b in buckets]
 
 
-def _fit_and_select(cfg, split, specs, cells, fit_map, failures) -> int:
+def _fit_and_select(cfg, split, specs, cells, fit_map, failures, swept=None) -> int:
     """Fit each cell's candidates on one split through ``fit_map`` (a
     ``map``), select the best on its validation fold and score that on its
-    test fold; failed fits go to ``failures``. Returns the fits attempted."""
+    test fold; failed fits go to ``failures``. Returns the fits attempted.
+
+    A state's tree candidates share one growth per criterion
+    (``grow_and_truncate``). When ``swept`` is a dict, those growths also
+    cover the tree sweep's configurations of the state and are stored
+    there under its name, for ``tree_sweep`` to read off.
+    """
     metric = cfg.resolved_selection_metric()
     space, profile = HyperparamSpace(), get_profile(cfg.profile)
     attempted = 0
-    for spec in specs:
+    for spec_index, spec in enumerate(specs):
         train, val, test = (
             assemble_state(fold, spec) for fold in (split.train, split.val, split.test)
         )
@@ -461,15 +478,29 @@ def _fit_and_select(cfg, split, specs, cells, fit_map, failures) -> int:
                 seed=derive_seed(cfg.seed, "hp", split.index, spec.name, kind),
             )
 
-            def fit_one(ci, params):
-                seed = derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci)
+            def fit_one(params, seed=0):
                 try:
                     return fit_model(kind, params, train, val, seed=seed)
                 except SeqpolError as exc:
                     return exc
 
             attempted += len(draws)
-            outcomes = list(fit_map(fit_one, range(len(draws)), draws))
+            if kind == "tree":
+                sweep = [] if swept is None else sweep_configs(
+                    spec_index, cfg.tree_sweep_n, profile, space, _sweep_seed(cfg)
+                )
+                grown, trees = grow_and_truncate(draws + sweep, fit_one, fit_map)
+                outcomes = trees[: len(draws)]
+                if swept is not None and not any(
+                    isinstance(t, SeqpolError) for t in grown.values()
+                ):
+                    swept[spec.name] = grown
+            else:
+                seeds = [
+                    derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci)
+                    for ci in range(len(draws))
+                ]
+                outcomes = list(fit_map(fit_one, draws, seeds))
             for ci, (params, out) in enumerate(zip(draws, outcomes)):
                 if isinstance(out, SeqpolError):
                     failures.append({
@@ -600,6 +631,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells = {(s.name, kind): _Cell(s, kind) for s in specs for kind in cfg.model_kinds}
 
     n_fits, failures, prep_warnings = 0, [], []
+    swept = {} if cfg.tree_sweep_n > 0 else None  # split 0's tree growths by state
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         # With one thread, fits run in this one: a lone worker only adds to peak RSS.
         fit_map = pool.map if n_threads > 1 else map
@@ -608,7 +640,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             if index == 0:
                 split0 = split
             prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
-            n_fits += _fit_and_select(cfg, split, specs, cells, fit_map, failures)
+            n_fits += _fit_and_select(
+                cfg, split, specs, cells, fit_map, failures, swept if index == 0 else None
+            )
 
     report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
     _summarize(cfg, cells, severity_groups.groups, report)
@@ -620,7 +654,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if cell.model0 is not None
     ]
     if cfg.tree_sweep_n > 0:
-        report.complexity = tree_sweep(cfg, raw, split0)
+        report.complexity = tree_sweep(cfg, raw, split0, swept)
 
     report.metadata = {
         "package_version": _pkg_version,
@@ -778,7 +812,13 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         )
         written.append("ope_curve.svg")
     else:
-        notes.append("ope_curve.csv omitted: no OPE-eligible models")
+        ope_model = report.config.get("ope_model")
+        cause = (
+            f"ope_model {ope_model!r} is not among model_kinds {report.model_kinds}"
+            if ope_model is not None and ope_model not in report.model_kinds
+            else "no OPE-eligible models"
+        )
+        notes.append(f"ope_curve.csv omitted: {cause}")
     if report.complexity is not None:
         written.extend(render_complexity(report.complexity, outdir))
     else:

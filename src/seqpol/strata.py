@@ -104,6 +104,52 @@ class ComplexityBucket:
     test_auroc: float
 
 
+def sweep_configs(
+    spec_index: int,
+    n_models: int,
+    profile: DatasetProfile | str,
+    space: HyperparamSpace | None = None,
+    seed: int = 0,
+) -> list[dict]:
+    """The tree configurations the sweep samples for the spec at ``spec_index``."""
+    return sample_hyperparams(
+        space or HyperparamSpace(), "tree", profile, seed=seed * 10007 + spec_index,
+        n=n_models,
+    )
+
+
+def grow_and_truncate(configs: list[dict], grow, fit_map=map):
+    """Each tree configuration's tree, from one growth per criterion.
+
+    A node's split depends only on the training rows reaching it and the
+    criterion, never on the growth limits; the limits only decide where
+    growth stops. So the tree with ``max_depth`` <= D and
+    ``min_samples_split`` >= m is the (D, m) tree with every node at depth
+    ``max_depth`` or with fewer than ``min_samples_split`` rows made a leaf.
+    ``grow`` (tree parameters -> tree) therefore runs once per criterion of
+    ``configs``, through ``fit_map`` (a ``map``), with the largest depth and
+    the smallest split size that criterion's configurations ask for, and
+    every configuration's tree is read off its growth with
+    ``TreePolicy.truncated``. A growth may return an exception instead of a
+    tree; its configurations then get that exception.
+
+    Returns the growths by criterion and the configurations' trees in order.
+    """
+    loosest: dict[str, dict] = {}
+    for p in configs:
+        g = loosest.setdefault(p["criterion"], dict(p))
+        g["max_depth"] = max(g["max_depth"], p["max_depth"])
+        g["min_samples_split"] = min(g["min_samples_split"], p["min_samples_split"])
+    grown = dict(zip(loosest, fit_map(grow, loosest.values())))
+    trees = []
+    for p in configs:
+        tree = grown[p["criterion"]]
+        if not isinstance(tree, Exception):
+            tree = tree.truncated(p["max_depth"], p["min_samples_split"])
+        trees.append(tree)
+    return grown, trees
+
+
 def tree_complexity_sweep(
     train: EncodedCohort,
     val: EncodedCohort,
@@ -114,54 +160,48 @@ def tree_complexity_sweep(
     profile: DatasetProfile | str = "ra-like",
     space: HyperparamSpace | None = None,
     seed: int = 0,
+    grown: dict[str, dict] | None = None,
 ) -> list[ComplexityBucket]:
     """Fit many randomly configured trees and keep the best per size bucket.
 
-    For every state spec, ``n_models`` tree configurations are sampled and
-    each is fit on the training split. Models are bucketed by leaf count
-    (buckets of ``leaf_bin_width`` leaves); within each bucket the model with
-    the best switch-state validation AUROC is selected and its switch-state
-    test AUROC reported. Empty buckets are omitted.
+    For every state spec, ``n_models`` tree configurations are sampled
+    (``sweep_configs``) and each is fit on the training split. Models are
+    bucketed by leaf count (buckets of ``leaf_bin_width`` leaves); within
+    each bucket the model with the best switch-state validation AUROC is
+    selected and its switch-state test AUROC reported. Empty buckets are
+    omitted.
 
-    A node's split depends only on the training rows reaching it and the
-    criterion, never on the growth limits; the limits only decide where
-    growth stops. So the tree with ``max_depth`` <= D and
-    ``min_samples_split`` >= m is the (D, m) tree with every node at depth
-    ``max_depth`` or with fewer than ``min_samples_split`` rows made a leaf.
-    The sweep therefore grows one tree per sampled criterion, with the
-    largest sampled depth and the smallest sampled split size, and reads
-    every configuration's tree off it with ``TreePolicy.truncated``.
+    The trees come from ``grow_and_truncate``: one growth per sampled
+    criterion, read off per configuration. A growth sorts each feature once
+    and hands each child its rows by a stable partition of the sorted
+    orders, with K - 1 cumulative class counts per split search (see
+    ``models.tree``). ``grown`` may hold, per spec name, growths already
+    made on the same training rows (criterion -> tree, grown with limits no
+    tighter than any sampled configuration's of that criterion);
+    ``run_experiment`` passes the growths it shares with its split-0 tree
+    candidates. A spec without them grows its own, as ``seqpol
+    sweep-trees`` does.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
     if leaf_bin_width < 1:
         raise ConfigError("leaf_bin_width must be >= 1")
-    space = space or HyperparamSpace()
     results: list[ComplexityBucket] = []
     for spec_idx, spec in enumerate(specs):
-        m_train = assemble_state(train, spec)
         m_val = assemble_state(val, spec)
         m_test = assemble_state(test, spec)
         sw_val = filter_switch_states(m_val)
         sw_test = filter_switch_states(m_test)
-        configs = sample_hyperparams(
-            space, "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
-        )
-        grown = {}
-        for c in dict.fromkeys(p["criterion"] for p in configs):
-            same = [p for p in configs if p["criterion"] == c]
-            grown[c] = fit_tree(
-                m_train,
-                criterion=c,
-                max_depth=max(p["max_depth"] for p in same),
-                min_samples_split=min(p["min_samples_split"] for p in same),
-            )
+        configs = sweep_configs(spec_idx, n_models, profile, space, seed)
+        shared = (grown or {}).get(spec.name)
+        if shared is None:
+            m_train = assemble_state(train, spec)
+            _, trees = grow_and_truncate(configs, lambda p: fit_tree(m_train, **p))
+        else:
+            _, trees = grow_and_truncate(configs, lambda p: shared[p["criterion"]])
         # bucket index -> (best val auroc, test auroc, count)
         buckets: dict[int, list] = {}
-        for params in configs:
-            model = grown[params["criterion"]].truncated(
-                params["max_depth"], params["min_samples_split"]
-            )
+        for model in trees:
             b = (model.n_leaves - 1) // leaf_bin_width
             entry = buckets.setdefault(b, [None, None, 0])
             entry[2] += 1

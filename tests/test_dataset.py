@@ -250,6 +250,28 @@ class TestLoadEpisodes:
             load_episodes(str(path), make_schema())
         assert str(err.value) == f"{path}:4: duplicate patient id 'a'"
 
+    def test_csv_row_with_more_cells_than_the_header_rejected(self, tmp_path):
+        def categorical(name):
+            return VariableSpec(name, kind="categorical", imputation="locf-then-mode")
+
+        schema = make_schema(
+            variables=(
+                VariableSpec("x1"), VariableSpec("x2"), categorical("c1"),
+                VariableSpec("x3"), categorical("c2"), VariableSpec("x4"),
+            ),
+            action_labels=("a0", "a1"),
+            default_action="a0",
+        )
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "patient_id,t,action,severity,x1,x2,c1,x3,c2,x4\n"
+            "p1,1,a0,,1.0,2.0,a,1,q,1\n"
+            "p1,2,a1,,1.0,2.0,a,1,q,1,EXTRA,MORE\n"
+        )
+        with pytest.raises(DataError) as err:
+            load_episodes(str(path), schema)
+        assert str(err.value) == f"{path}:3: patient 'p1': 12 cells, but the header has 10"
+
     def test_csv_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "eps.csv"
         path.write_text("patient_id,t,action,lactate\na,1,fluids,2\n")

@@ -3,13 +3,20 @@ import json
 
 import numpy as np
 
+from seqpol import runner
+from seqpol.errors import FitError
 from seqpol.metrics import MetricEstimate
+from seqpol.models import fit_tree
 from seqpol.runner import (
     CellResult,
     ExperimentConfig,
     ExperimentReport,
     _PooledRows,
+    _split,
     render_report,
+    resolve_episodes,
+    run_experiment,
+    tree_sweep,
 )
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.synthgen import GeneratorConfig
@@ -209,3 +216,77 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
         "ope_curve.csv omitted: no OPE-eligible models",
         "complexity.csv omitted: tree sweep not configured",
     ]
+
+
+def _tree_config(**options) -> ExperimentConfig:
+    return ExperimentConfig(**{
+        "generator": GeneratorConfig(n_patients=60, n_actions=3, t_fixed=5, seed=4),
+        "states": [StateSpec(include_current_context=True), StateSpec(window_k=1)],
+        "model_kinds": ["tree"],
+        "profile": "adni-like",
+        "n_candidates": 4,
+        "n_splits": 2,
+        "bootstrap_B": 10,
+        **options,
+    })
+
+
+def test_shared_tree_growths_give_every_candidate_its_own_fit(monkeypatch):
+    # Split 0's growths also serve the sweep; split 1's serve the candidates
+    # alone. Either way each candidate is the tree its own limits grow.
+    cfg = _tree_config(tree_sweep_n=12)
+    draws, selected = [], []
+    sample, select = runner.sample_hyperparams, runner.select_best_candidate
+
+    def recording_sample(*args, **kwargs):
+        draws.append(sample(*args, **kwargs))
+        return draws[-1]
+
+    def recording_select(candidates, val, metric):
+        selected.append(candidates)
+        return select(candidates, val, metric)
+
+    monkeypatch.setattr(runner, "sample_hyperparams", recording_sample)
+    monkeypatch.setattr(runner, "select_best_candidate", recording_select)
+    report = run_experiment(cfg)
+    raw = resolve_episodes(cfg)
+    specs = cfg.resolved_states()
+    assert len(draws) == len(selected) == cfg.n_splits * len(specs)
+    calls = iter(zip(draws, selected))
+    for index in range(cfg.n_splits):
+        split = _split(cfg, raw, index)
+        for spec in specs:
+            params, candidates = next(calls)
+            train = assemble_state(split.train, spec)
+            assert len(candidates) == cfg.n_candidates
+            for p, model in zip(params, candidates):
+                assert model.to_dict() == fit_tree(train, **p).to_dict()
+    assert report.metadata["fits_attempted"] == cfg.n_splits * len(specs) * cfg.n_candidates
+    monkeypatch.undo()
+    assert report.complexity == tree_sweep(cfg, raw)
+
+
+def test_a_failed_tree_growth_fails_each_of_its_candidates(monkeypatch):
+    cfg = _tree_config(n_splits=1)
+    fit_model = runner.fit_model
+
+    def failing_fit(kind, params, *args, **kwargs):
+        if params["criterion"] == "entropy":
+            raise FitError("boom")
+        return fit_model(kind, params, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "fit_model", failing_fit)
+    report = run_experiment(cfg)
+    failures = report.metadata["failures"]
+    assert failures and all(f["error"] == "boom" for f in failures)
+    assert all(f["params"]["criterion"] == "entropy" for f in failures)
+    assert len({(f["state"], f["candidate"]) for f in failures}) == len(failures)
+    assert report.metadata["fits_attempted"] == 2 * cfg.n_candidates
+
+
+def test_an_ope_model_outside_the_model_kinds_is_named_in_the_note(tmp_path):
+    cfg = _tree_config(n_splits=1, n_candidates=1, ope_model="logreg")
+    render_report(run_experiment(cfg), str(tmp_path))
+    notes = json.loads((tmp_path / "run_manifest.json").read_text())["notes"]
+    assert "ope_curve.csv omitted: ope_model 'logreg' is not among model_kinds ['tree']" in notes
+    assert not (tmp_path / "ope_curve.csv").exists()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpol.models.base import model_from_dict
 from seqpol.models.tree import _sum_classes, fit_tree
@@ -277,6 +279,28 @@ class TestReferenceOracle:
         got = fit_tree(m, criterion, max_depth=4)
         assert got.feature[0] == 8 and 11 not in got.feature
         assert got.to_dict()["params"]["root"] == reference_tree(m, criterion, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 150),
+    d=st.integers(3, 6),
+    K=st.sampled_from([2, 3, 9]),
+    make=st.sampled_from([tied_matrix, continuous_matrix]),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    max_depth=st.integers(0, 10),
+    min_samples_split=st.integers(1, 24),
+)
+def test_presorted_fit_equals_recursive_grower(
+    seed, n, d, K, make, criterion, max_depth, min_samples_split
+):
+    # Sorted once at the root and partitioned at every split, the orders
+    # must give the splits and class counts of a sort at every node.
+    m = make(seed=seed, n=n, d=d, K=K)
+    got = fit_tree(m, criterion, max_depth=max_depth, min_samples_split=min_samples_split)
+    want = reference_tree(m, criterion, max_depth, min_samples_split)
+    assert got.to_dict()["params"]["root"] == want
 
 
 class TestTruncation:
