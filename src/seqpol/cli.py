@@ -118,6 +118,8 @@ def _cmd_sweep_trees(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     cfg.tree_sweep_n = args.n
     written = render_complexity(tree_sweep(cfg, resolve_episodes(cfg)), args.out)
     print(f"wrote {len(written)} files -> {args.out}")

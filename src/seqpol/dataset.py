@@ -46,7 +46,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .schema import OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet
+from .schema import (
+    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of
+)
 
 LOG_EPS = 1e-6
 
@@ -178,13 +180,11 @@ class CohortBuilder:
         """The cohort of every patient added, in order; DataError if none was."""
         if not self._patient_ids:
             raise DataError("no episodes")
-        offsets = np.zeros(len(self._lengths) + 1, dtype=np.int64)
-        np.cumsum(self._lengths, out=offsets[1:])
         contexts = self._contexts
         return EpisodeSet(
             schema=self.schema,
             patient_ids=self._patient_ids,
-            offsets=offsets,
+            offsets=offsets_of(self._lengths),
             actions=np.array(self._actions, dtype=np.int64),
             severity=np.array(self._severity, dtype=float),
             columns={

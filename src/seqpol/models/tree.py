@@ -1,7 +1,8 @@
 """CART-style decision tree with class-frequency leaves, stored as flat arrays.
 
 Greedy binary splits on single features, thresholds at midpoints between
-consecutive distinct sorted values, impurity measured by Gini or entropy.
+consecutive distinct sorted values (the lower value where the midpoint rounds
+up to the higher), impurity measured by Gini or entropy.
 Ties between equal-gain splits go to the lowest feature index and then the
 lowest threshold, so fitting is fully deterministic. Leaves store training
 class counts; predicted probabilities are the empirical frequencies.
@@ -119,7 +120,11 @@ def _best_split(XT: np.ndarray, labels: np.ndarray, order: np.ndarray, counts, c
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             j, p = f[i], pos[i]
-            best = (best_gain, j0 + int(j), float((vals[j, p] + vals[j, p + 1]) / 2.0))
+            a, b = float(vals[j, p]), float(vals[j, p + 1])
+            # The midpoint of adjacent floats can round to b (or overflow to
+            # inf), and then ``X <= threshold`` would send every row left.
+            mid = (a + b) / 2.0
+            best = (best_gain, j0 + int(j), mid if mid < b else a)
     return best
 
 

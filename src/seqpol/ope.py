@@ -58,8 +58,8 @@ def inverse_probability_products(
     picked = probs[np.arange(matrix.n_rows), matrix.y]
     inverse = 1.0 / np.maximum(picked, PROB_FLOOR)
     series = {
-        matrix.patient_ids[rows[0]]: np.cumprod(inverse[rows])
-        for rows in matrix.patient_groups()
+        pid: np.cumprod(inverse[rows])
+        for pid, rows in zip(matrix.patient_ids, matrix.patient_groups())
     }
     return InverseProductSeries(series, int((picked < PROB_FLOOR).sum()))
 

@@ -59,7 +59,7 @@ from .models import (
     sample_hyperparams,
 )
 from .ope import inverse_probability_products, median_product_curve
-from .schema import CohortSchema, EncodedCohort, EpisodeSet
+from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
     assign_severity_groups,
@@ -134,10 +134,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not _is_number(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-        for name in ("n_candidates", "n_splits", "bootstrap_B", "ope_max_stage",
-                     "tree_sweep_leaf_bin"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("n_candidates", 1), ("n_splits", 1), ("bootstrap_B", 1),
+                          ("ope_max_stage", 1), ("tree_sweep_n", 0),
+                          ("tree_sweep_leaf_bin", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.states is not None and not self.states:
             raise ConfigError("states is empty; omit it for the 7 standard specs")
         if self.selection_metric not in (None, "auroc", "accuracy"):
@@ -354,14 +355,15 @@ def _split(cfg: ExperimentConfig, raw: EpisodeSet, index: int) -> _Split:
 class _PooledRows:
     """One cell's test rows of every split, stacked once.
 
-    Test matrices are sorted by patient and splits are stacked in order, so
-    each run of rows with equal (split, patient id) is one bootstrap unit.
+    Each (split, test patient) pair is one bootstrap unit: unit ``i`` is
+    patient ``patient_ids[i]`` and owns rows ``offsets[i]:offsets[i + 1]``.
     The bootstrap, the stage and severity strata and the switch confusion all
     read these rows; the first two score them through one ``RowWeightedMetrics``.
     """
 
-    split: np.ndarray
-    patient_ids: np.ndarray
+    splits: list[int]  # one per stacked test matrix
+    patient_ids: list[str]
+    offsets: np.ndarray
     stages: np.ndarray
     switch: np.ndarray  # the chosen action differs from the previous one
     probs: np.ndarray
@@ -371,26 +373,23 @@ class _PooledRows:
     def stack(cls, chunks: list[tuple[int, StateMatrix, np.ndarray]]) -> "_PooledRows":
         """Rows of ``(split, test matrix, test probabilities)`` chunks."""
         return cls(
-            split=np.concatenate([np.full(m.n_rows, s) for s, m, _ in chunks]),
-            patient_ids=np.array([pid for _, m, _ in chunks for pid in m.patient_ids]),
+            splits=[s for s, _, _ in chunks],
+            patient_ids=[pid for _, m, _ in chunks for pid in m.patient_ids],
+            offsets=offsets_of(np.concatenate([np.diff(m.offsets) for _, m, _ in chunks])),
             stages=np.concatenate([m.stages for _, m, _ in chunks]),
             switch=np.concatenate([m.y != m.prev_actions for _, m, _ in chunks]),
             probs=np.vstack([probs for _, _, probs in chunks]),
             y=np.concatenate([m.y for _, m, _ in chunks]),
         )
 
+    @property
+    def n_units(self) -> int:
+        return len(self.patient_ids)
+
     @cached_property
     def unit(self) -> np.ndarray:
         """Each row's bootstrap unit, ascending from 0."""
-        new = np.ones(len(self.y), dtype=bool)
-        new[1:] = (self.split[1:] != self.split[:-1]) | (
-            self.patient_ids[1:] != self.patient_ids[:-1]
-        )
-        return np.cumsum(new) - 1
-
-    @property
-    def n_units(self) -> int:
-        return int(self.unit[-1]) + 1 if len(self.unit) else 0
+        return np.repeat(np.arange(self.n_units), np.diff(self.offsets))
 
 
 @dataclass
@@ -543,7 +542,8 @@ def _summarize(cfg, cells, group_of, report) -> None:
                     dict(zip(_STAGE_COLUMNS, (state, kind, t, value, n)))
                 )
             if group_of:
-                groups = np.array([group_of.get(pid, 0) for pid in rows.patient_ids])
+                unit_group = [group_of.get(pid, 0) for pid in rows.patient_ids]
+                groups = np.array(unit_group)[rows.unit]
                 for g, value, n in auroc_by_level(scored, groups, range(1, 7)):
                     report.by_group.append(
                         dict(zip(_GROUP_COLUMNS, (g, state, kind, value, n)))
@@ -571,15 +571,28 @@ def _summarize(cfg, cells, group_of, report) -> None:
         report.cells.append(result)
 
 
-def _switch_confusion(cfg, cells, states, schema) -> dict | None:
+def _switch_confusion(cfg, cells, states, schema) -> tuple[dict | None, str | None]:
     """Reference against comparison predicted actions on the switch-state
-    rows, when the two cells differ and hold the same test rows (those of
-    the same splits)."""
+    rows, and None; or None and the reason there is no such table: the two
+    are one cell, a cell has no test rows, or the cells hold the test rows of
+    different splits."""
     ref = cfg.confusion_reference or (cfg.model_kinds[-1], states[-1])
     cmp_ = cfg.confusion_comparison or (cfg.model_kinds[0], states[0])
-    a, b = (cells[s, k].rows for k, s in (ref, cmp_))
-    if a is None or b is None or a is b or not np.array_equal(a.split, b.split):
-        return None
+    (ref_name, ref_cell), (cmp_name, cmp_cell) = (
+        (f"({k}, {s})", cells[s, k]) for k, s in (ref, cmp_)
+    )
+    if ref_cell is cmp_cell:
+        return None, f"the reference and the comparison are one cell {ref_name}"
+    for name, cell in ((ref_name, ref_cell), (cmp_name, cmp_cell)):
+        if cell.rows is None:
+            skip = f" ({cell.skip})" if cell.skip else ""
+            return None, f"{name} has no test rows{skip}"
+    a, b = ref_cell.rows, cmp_cell.rows
+    if a.splits != b.splits:
+        return None, (
+            f"{ref_name} holds the test rows of splits {a.splits}, "
+            f"{cmp_name} those of splits {b.splits}"
+        )
     matrix = confusion_matrix(
         np.argmax(a.probs[a.switch], axis=1),
         np.argmax(b.probs[a.switch], axis=1),
@@ -590,7 +603,7 @@ def _switch_confusion(cfg, cells, states, schema) -> dict | None:
         "comparison": {"model": cmp_[0], "state": cmp_[1]},
         "action_labels": list(schema.action_labels),
         "counts": matrix.tolist(),
-    }
+    }, None
 
 
 def _ope_curves(cfg, cells, states, split0) -> list[dict]:
@@ -646,7 +659,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
     _summarize(cfg, cells, severity_groups.groups, report)
-    report.switch_confusion = _switch_confusion(cfg, cells, states, raw.schema)
+    report.switch_confusion, no_confusion = _switch_confusion(cfg, cells, states, raw.schema)
     report.ope_curves = _ope_curves(cfg, cells, states, split0)
     report.model_bundles = [
         make_model_bundle(cell.model0, split0.prep, cell.spec, kind)
@@ -676,6 +689,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "duration_seconds": round(time.time() - t_start, 3),
         "selection_metric": cfg.resolved_selection_metric(),
     }
+    if no_confusion is not None:
+        report.metadata["switch_confusion_omitted"] = no_confusion
     return report
 
 
@@ -802,7 +817,8 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
             for label, counts in zip(labels, report.switch_confusion["counts"])
         ])
     else:
-        notes.append("switch_confusion.csv omitted: fewer than two model/state pairs")
+        cause = report.metadata.get("switch_confusion_omitted", "cause not recorded")
+        notes.append(f"switch_confusion.csv omitted: {cause}")
     if report.ope_curves:
         table("ope_curve.csv", _OPE_COLUMNS, ("median",), report.ope_curves)
         _chart_by_state(

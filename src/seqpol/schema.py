@@ -3,10 +3,16 @@
 An episode is one patient's trajectory: a context vector, an action and an
 optional severity score at each stage t = 1..T. The schema declares the
 variables, their preprocessing recipe, the action labels and which action pads
-missing history. A raw cohort (``EpisodeSet``) and a preprocessed one
-(``EncodedCohort``) share one row layout: one row per (patient, stage), with
-patient offsets, action indices and severity beside the raw columns or the
-encoded matrix.
+missing history.
+
+Row layout. A raw cohort (``EpisodeSet``), a preprocessed one
+(``EncodedCohort``) and a state matrix (``staterep.StateMatrix``) hold one row
+per (patient, stage) and name each patient once: ``patient_ids[i]`` owns rows
+``offsets[i]:offsets[i + 1]`` of every per-row array, in stage order, so
+``offsets`` starts at 0, never decreases and ends at the row count
+(``offsets_of`` builds it from per-patient row counts). A state matrix sorts
+its patients by id and holds no patient without rows; the cohorts keep their
+input order.
 """
 
 from __future__ import annotations
@@ -169,6 +175,13 @@ class CohortSchema:
             fh.write("\n")
 
 
+def offsets_of(lengths) -> np.ndarray:
+    """The ``offsets`` of consecutive patients with ``lengths`` rows each."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
 @dataclass(frozen=True)
 class EncodedFeature:
     """Numeric column produced by the preprocessor, traced to its source variable."""
@@ -179,15 +192,13 @@ class EncodedFeature:
 
 @dataclass
 class EpisodeSet:
-    """A raw cohort in the row layout of ``EncodedCohort``.
+    """A raw cohort in the row layout (module docstring).
 
-    Patients keep their input order: patient ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]`` of every array, in stage order. ``actions``
-    holds indices into the schema's action labels and ``severity`` is NaN
-    where absent. ``columns`` holds one raw column per schema variable: floats
-    with NaN for a missing numeric value (the loaders reject non-finite
-    input, so NaN always means missing), or an object array of strings with
-    None for a missing categorical value.
+    ``actions`` holds indices into the schema's action labels and
+    ``severity`` is NaN where absent. ``columns`` holds one raw column per
+    schema variable: floats with NaN for a missing numeric value (the loaders
+    reject non-finite input, so NaN always means missing), or an object array
+    of strings with None for a missing categorical value.
     """
 
     schema: CohortSchema
@@ -207,8 +218,7 @@ class EpisodeSet:
     def take(self, patients: np.ndarray) -> "EpisodeSet":
         """The cohort of the patients at indices ``patients``, in that order."""
         lengths = np.diff(self.offsets)[patients]
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        offsets = offsets_of(lengths)
         rows = np.arange(offsets[-1]) + np.repeat(self.offsets[patients] - offsets[:-1], lengths)
         return EpisodeSet(
             schema=self.schema,
@@ -222,10 +232,7 @@ class EpisodeSet:
 
 @dataclass
 class EncodedCohort:
-    """A preprocessed cohort as arrays, one row per (patient, stage).
-
-    Patients keep their input order: patient ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]`` of every array, in stage order. ``X`` has
+    """A preprocessed cohort in the row layout (module docstring). ``X`` has
     one column per encoded feature and no missing value; ``actions`` holds
     indices into the schema's action labels; ``severity`` is NaN where absent.
     """

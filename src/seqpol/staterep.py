@@ -26,14 +26,13 @@ other patients are in the cohort.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .schema import EncodedCohort
+from .schema import EncodedCohort, offsets_of
 
 AGG_OPS = ("none", "sum", "max", "mean")
 
@@ -138,10 +137,9 @@ def enumerate_standard_states(op: str) -> list[StateSpec]:
 
 @dataclass
 class StateMatrix:
-    """Flattened (patient, stage) design matrix with bookkeeping tags.
-
-    Rows are ordered by (patient_id, stage). ``y`` and ``prev_action`` are
-    indices into ``action_labels``; ``severity`` holds NaN where absent.
+    """Flattened (patient, stage) design matrix in the row layout of
+    ``schema`` (its module docstring): patients sorted by id, none without
+    rows. ``y`` and ``prev_actions`` are indices into ``action_labels``.
     """
 
     X: np.ndarray
@@ -149,10 +147,9 @@ class StateMatrix:
     y: np.ndarray
     action_labels: list[str]
     patient_ids: list[str]
+    offsets: np.ndarray
     stages: np.ndarray
     prev_actions: np.ndarray
-    severity: np.ndarray
-    spec_name: str
 
     @property
     def n_rows(self) -> int:
@@ -163,46 +160,24 @@ class StateMatrix:
         return len(self.action_labels)
 
     def subset(self, mask: np.ndarray) -> "StateMatrix":
+        """The rows where ``mask`` is true; a patient left without rows drops out."""
         idx = np.flatnonzero(mask)
+        offsets = offsets_of(mask)[self.offsets]  # kept rows before each patient
+        kept = np.flatnonzero(np.diff(offsets))
         return StateMatrix(
             X=self.X[idx],
             feature_names=self.feature_names,
             y=self.y[idx],
             action_labels=self.action_labels,
-            patient_ids=[self.patient_ids[i] for i in idx],
+            patient_ids=[self.patient_ids[i] for i in kept],
+            offsets=np.append(offsets[kept], offsets[-1]),
             stages=self.stages[idx],
             prev_actions=self.prev_actions[idx],
-            severity=self.severity[idx],
-            spec_name=self.spec_name,
         )
 
     def patient_groups(self) -> list[np.ndarray]:
         """Row-index arrays, one per patient, preserving matrix order."""
-        if self.n_rows == 0:
-            return []
-        ids = np.array(self.patient_ids, dtype=object)
-        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-        return np.split(np.arange(self.n_rows), starts)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["patient_id", "t", "action", "prev_action", "severity"]
-                + self.feature_names
-            )
-            for i in range(self.n_rows):
-                sev = self.severity[i]
-                writer.writerow(
-                    [
-                        self.patient_ids[i],
-                        int(self.stages[i]),
-                        self.action_labels[self.y[i]],
-                        self.action_labels[self.prev_actions[i]],
-                        "" if np.isnan(sev) else f"{sev:.6f}",
-                    ]
-                    + [f"{v:.6f}" for v in self.X[i]]
-                )
+        return [np.arange(lo, hi) for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +241,9 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
     # is each output row's row in the cohort and ``before`` its stage - 1.
     order = sorted(range(len(cohort)), key=cohort.patient_ids.__getitem__)
     lengths = np.diff(cohort.offsets)[order]
-    n = int(lengths.sum())
-    out_start = np.cumsum(lengths) - lengths
-    before = np.arange(n) - np.repeat(out_start, lengths)
+    offsets = offsets_of(lengths)
+    n = int(offsets[-1])
+    before = np.arange(n) - np.repeat(offsets[:-1], lengths)
     src = np.repeat(cohort.offsets[:-1][order], lengths) + before
     rows = np.arange(n)
 
@@ -315,11 +290,8 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
         feature_names=names,
         y=cohort.actions[src],
         action_labels=list(schema.action_labels),
-        patient_ids=np.repeat(
-            np.array(cohort.patient_ids, dtype=object)[order], lengths
-        ).tolist(),
+        patient_ids=[cohort.patient_ids[i] for i in order],
+        offsets=offsets,
         stages=before + 1,
         prev_actions=prev_idx,
-        severity=cohort.severity[src],
-        spec_name=spec.name,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .schema import CohortSchema, EpisodeSet, VariableSpec
+from .schema import CohortSchema, EpisodeSet, VariableSpec, offsets_of
 from .staterep import StateMatrix
 
 
@@ -117,8 +117,8 @@ class OracleTable:
     def aligned_with(self, matrix: StateMatrix) -> np.ndarray:
         """Row-align the true probabilities with a state matrix."""
         rows = np.empty((matrix.n_rows, len(self.action_labels)))
-        for i, (pid, t) in enumerate(zip(matrix.patient_ids, matrix.stages)):
-            rows[i] = self.probs[pid][int(t) - 1]
+        for pid, lo, hi in zip(matrix.patient_ids, matrix.offsets[:-1], matrix.offsets[1:]):
+            rows[lo:hi] = self.probs[pid][matrix.stages[lo:hi] - 1]
         return rows
 
     def to_csv(self, path: str) -> None:
@@ -180,7 +180,7 @@ def generate_cohort(cfg: GeneratorConfig) -> tuple[EpisodeSet, OracleTable]:
         for row in draws[i]:
             row[0] = rng.random()
             rng.standard_normal(out=row[1:])
-    draws, off = np.concatenate(draws), np.concatenate([[0], np.cumsum(T)])
+    draws, off = np.concatenate(draws), offsets_of(T)
     # Longest first: the patients still active at a stage are a prefix.
     order = np.argsort(-T, kind="stable")
     start, x = off[order], x[order]

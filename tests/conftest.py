@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,25 +86,51 @@ def therapy_episodes(therapy_schema) -> EncodedCohort:
     )
 
 
-def random_matrix(seed: int, n: int = 80, d: int = 4, K: int = 3):
-    """Random StateMatrix-like training data for model unit tests."""
+def state_matrix(X, y, K=2, *, names=None, labels=None, row_ids=None, stages=None,
+                 prev_actions=None):
+    """A StateMatrix of the rows ``X`` (a 1-D ``X`` is one column) with
+    actions ``y`` among ``K``.
+
+    ``row_ids`` names each row's patient, a patient's rows adjacent; by
+    default every row is a patient of its own, p0000, p0001, ... Rows are at
+    stage 1 with previous action 0 unless ``stages``/``prev_actions`` say
+    otherwise.
+    """
+    from seqpol.schema import offsets_of
     from seqpol.staterep import StateMatrix
 
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    n = X.shape[0]
+    row_ids = [f"p{i:04d}" for i in range(n)] if row_ids is None else list(row_ids)
+    runs = [(pid, len(list(rows))) for pid, rows in itertools.groupby(row_ids)]
+    return StateMatrix(
+        X=X,
+        feature_names=[f"f{i}" for i in range(X.shape[1])] if names is None else list(names),
+        y=np.asarray(y, dtype=int),
+        action_labels=[f"a{k}" for k in range(K)] if labels is None else list(labels),
+        patient_ids=[pid for pid, _ in runs],
+        offsets=offsets_of([length for _, length in runs]),
+        stages=np.ones(n, dtype=int) if stages is None else np.asarray(stages),
+        prev_actions=(
+            np.zeros(n, dtype=int) if prev_actions is None else np.asarray(prev_actions)
+        ),
+    )
+
+
+def row_ids(matrix) -> list[str]:
+    """Each row's patient id, from a matrix's patients and offsets."""
+    return np.repeat(matrix.patient_ids, np.diff(matrix.offsets)).tolist()
+
+
+def random_matrix(seed: int, n: int = 80, d: int = 4, K: int = 3):
+    """Random StateMatrix training data for model unit tests."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     w = rng.standard_normal((d, K))
     y = np.array([rng.choice(K, p=_softmax(x @ w)) for x in X])
-    return StateMatrix(
-        X=X,
-        feature_names=[f"f{i}" for i in range(d)],
-        y=y,
-        action_labels=[f"a{k}" for k in range(K)],
-        patient_ids=[f"p{i:03d}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(X, y, K)
 
 
 def _softmax(z):

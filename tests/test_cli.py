@@ -73,6 +73,7 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     ({"confusion_reference": ["tree", "nope"]},
      "confusion_reference ['tree', 'nope'] is no configured (model kind, state) cell"),
     ({"confusion_comparison": ["mlp", "current"]}, "confusion_comparison ['mlp', 'current']"),
+    ({"tree_sweep_n": -1}, "tree_sweep_n must be >= 0, got -1"),
 ])
 def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
         tmp_path, capsys, options, message):
@@ -172,6 +173,15 @@ def test_sweep_trees_writes_only_the_experiments_complexity_table(tmp_path):
     assert sorted(p.name for p in sweep.iterdir()) == ["complexity.csv", "complexity.svg"]
     for name in ("complexity.csv", "complexity.svg"):
         assert (sweep / name).read_bytes() == (full / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sweep_trees_needs_at_least_one_model_per_state(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["sweep-trees", "--config", str(_write_experiment(tmp_path)),
+                 "--n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: --n must be >= 1, got {n}\n"
+    assert not out.exists()
 
 
 def _write_generator(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 
 from seqpol.errors import FitError
 from seqpol.models.logreg import _log_softmax, fit_logreg, penalized_objective, softmax
-from seqpol.staterep import StateMatrix
 
-from conftest import random_matrix
+from conftest import random_matrix, state_matrix
 from reference_models import (
     reference_log_softmax,
     reference_penalized_objective,
@@ -14,18 +13,7 @@ from reference_models import (
 
 
 def binary_matrix(X, y):
-    n = len(y)
-    return StateMatrix(
-        X=np.asarray(X, dtype=float).reshape(n, -1),
-        feature_names=["x"],
-        y=np.asarray(y, dtype=int),
-        action_labels=["neg", "pos"],
-        patient_ids=[f"p{i}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(X, y, names=["x"], labels=["neg", "pos"])
 
 
 class TestFitLogreg:
@@ -65,17 +53,7 @@ class TestFitLogreg:
         m = random_matrix(seed=10, n=120, d=3, K=3)
         model_a = fit_logreg(m, C=1.0)
         perm = np.random.default_rng(1).permutation(m.n_rows)
-        m_perm = StateMatrix(
-            X=m.X[perm],
-            feature_names=m.feature_names,
-            y=m.y[perm],
-            action_labels=m.action_labels,
-            patient_ids=[m.patient_ids[i] for i in perm],
-            stages=m.stages[perm],
-            prev_actions=m.prev_actions[perm],
-            severity=m.severity[perm],
-            spec_name=m.spec_name,
-        )
+        m_perm = state_matrix(m.X[perm], m.y[perm], m.n_actions)
         model_b = fit_logreg(m_perm, C=1.0)
         assert np.allclose(model_a.W, model_b.W, atol=1e-8)
         assert np.allclose(model_a.b, model_b.b, atol=1e-8)

@@ -4,26 +4,13 @@ import pytest
 from seqpol.errors import FitError
 from seqpol.models.logreg import fit_logreg, penalized_objective
 from seqpol.models.mlp import fit_mlp, forward, gradient, init_params
-from seqpol.staterep import StateMatrix
 
-from conftest import random_matrix
+from conftest import random_matrix, state_matrix
 from reference_models import reference_fit_mlp
 
 
 def matrix(X, y, K):
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    return StateMatrix(
-        X=X,
-        feature_names=[f"f{i}" for i in range(X.shape[1])],
-        y=np.asarray(y, dtype=int),
-        action_labels=[f"a{k}" for k in range(K)],
-        patient_ids=[f"p{i}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(X, y, K)
 
 
 def batch_loss(params, X, Y):

@@ -15,25 +15,13 @@ from seqpol.models import (
     model_from_dict,
     sample_hyperparams,
 )
-from seqpol.staterep import StateMatrix
 
-from conftest import random_matrix
+from conftest import random_matrix, state_matrix
 
 
 def pure_matrix(K=2, n=30, d=3, label=1):
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, d))
-    return StateMatrix(
-        X=X,
-        feature_names=[f"f{i}" for i in range(d)],
-        y=np.full(n, label, dtype=int),
-        action_labels=[f"a{k}" for k in range(K)],
-        patient_ids=[f"p{i}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(rng.standard_normal((n, d)), np.full(n, label), K)
 
 
 def fit_all(train, val=None):

@@ -15,25 +15,12 @@ from seqpol.models.riskscore import (
     optimal_intercept,
     weighted_logloss,
 )
-from seqpol.staterep import StateMatrix
 
-from conftest import random_matrix
+from conftest import random_matrix, state_matrix
 
 
 def binary_matrix(X, y):
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    return StateMatrix(
-        X=X,
-        feature_names=[f"f{i}" for i in range(X.shape[1])],
-        y=np.asarray(y, dtype=int),
-        action_labels=["neg", "pos"],
-        patient_ids=[f"p{i}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(X, y, labels=["neg", "pos"])
 
 
 def bisection_intercept(partial_scores, y, sample_weight, start=0.0):

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from seqpol import runner
 from seqpol.errors import FitError
@@ -13,6 +14,8 @@ from seqpol.runner import (
     ExperimentReport,
     _PooledRows,
     _split,
+    derive_seed,
+    load_report,
     render_report,
     resolve_episodes,
     run_experiment,
@@ -20,6 +23,8 @@ from seqpol.runner import (
 )
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.synthgen import GeneratorConfig
+
+from conftest import row_ids
 
 
 def test_bootstrap_warnings_become_manifest_notes(tmp_path):
@@ -46,7 +51,7 @@ def test_bootstrap_warnings_become_manifest_notes(tmp_path):
 def test_pooled_rows_count_one_unit_per_split_and_patient(therapy_episodes):
     # p2 ends split 0 and is split 1's only test patient: two units, not one.
     matrix = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
-    p2 = matrix.subset(np.array(matrix.patient_ids) == "p2")
+    p2 = matrix.subset(np.array(row_ids(matrix)) == "p2")
     rows = _PooledRows.stack([
         (0, matrix, np.full((6, 3), 1 / 3)), (1, p2, np.full((3, 3), 1 / 3))
     ])
@@ -212,7 +217,7 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
     ]
     assert json.loads((tmp_path / "bare" / "run_manifest.json").read_text())["notes"] == [
         "by_group.csv omitted: no severity subgroups available",
-        "switch_confusion.csv omitted: fewer than two model/state pairs",
+        "switch_confusion.csv omitted: cause not recorded",
         "ope_curve.csv omitted: no OPE-eligible models",
         "complexity.csv omitted: tree sweep not configured",
     ]
@@ -290,3 +295,32 @@ def test_an_ope_model_outside_the_model_kinds_is_named_in_the_note(tmp_path):
     notes = json.loads((tmp_path / "run_manifest.json").read_text())["notes"]
     assert "ope_curve.csv omitted: ope_model 'logreg' is not among model_kinds ['tree']" in notes
     assert not (tmp_path / "ope_curve.csv").exists()
+
+
+@pytest.mark.parametrize("options, cause", [
+    ({"model_kinds": ["logreg", "riskscore"]},
+     "(riskscore, window1) has no test rows (unsupported: multiclass action space)"),
+    ({"confusion_reference": ("tree", "current"), "confusion_comparison": ("tree", "current")},
+     "the reference and the comparison are one cell (tree, current)"),
+    ({"model_kinds": ["logreg", "tree"]},
+     "(tree, window1) holds the test rows of splits [0, 1], "
+     "(logreg, current) those of splits [0]"),
+])
+def test_an_omitted_switch_confusion_names_its_cause(tmp_path, monkeypatch, options, cause):
+    # Every logreg fit of split 1 fails, so logreg cells hold split 0's rows only.
+    cfg = _tree_config(n_candidates=1, **options)
+    fit_model = runner.fit_model
+    split1 = {derive_seed(cfg.seed, "fit", 1, s, "logreg", 0) for s in ("current", "window1")}
+
+    def failing_fit(kind, params, train, val, seed=0):
+        if seed in split1:
+            raise FitError("boom")
+        return fit_model(kind, params, train, val, seed=seed)
+
+    monkeypatch.setattr(runner, "fit_model", failing_fit)
+    render_report(run_experiment(cfg), str(tmp_path / "a"))
+    render_report(load_report(str(tmp_path / "a")), str(tmp_path / "b"))
+    for out in ("a", "b"):
+        notes = json.loads((tmp_path / out / "run_manifest.json").read_text())["notes"]
+        assert f"switch_confusion.csv omitted: {cause}" in notes
+        assert not (tmp_path / out / "switch_confusion.csv").exists()

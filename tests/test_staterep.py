@@ -10,13 +10,12 @@ from seqpol.errors import ConfigError
 from seqpol.schema import EncodedCohort
 from seqpol.staterep import (
     AGG_OPS,
-    StateMatrix,
     StateSpec,
     assemble_state,
     enumerate_standard_states,
 )
 
-from conftest import column, encoded_episode_set, raw_episode_set
+from conftest import column, encoded_episode_set, raw_episode_set, row_ids, state_matrix
 from reference_encoding import raw_cohorts, reference_apply_preprocessor, schemas
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def reference_assemble_state(schema, features, episodes, spec):
     lag_cols = _eligible_columns(schema, features, "lag_eligible")
     agg_cols = _eligible_columns(schema, features, "aggregate_eligible")
     k, op = spec.window_k, spec.aggregate_op
-    rows, labels, pids, stages, prevs, sevs = [], [], [], [], [], []
+    rows, labels, pids, stages, prevs = [], [], [], [], []
     for pid, ep_stages in sorted(episodes, key=lambda ep: ep[0]):
         T = len(ep_stages)
         C = np.empty((T, len(features)))
@@ -158,13 +157,9 @@ def reference_assemble_state(schema, features, episodes, spec):
         prev_idx = np.full(T, default_idx, dtype=int)
         prev_idx[1:] = actions[:-1]
         prevs.append(prev_idx)
-        sevs.append(np.array([np.nan if sev is None else sev
-                              for _, _, sev in ep_stages], dtype=float))
-    return StateMatrix(
-        X=np.vstack(rows), feature_names=[], y=np.concatenate(labels),
-        action_labels=list(schema.action_labels), patient_ids=pids,
-        stages=np.concatenate(stages), prev_actions=np.concatenate(prevs),
-        severity=np.concatenate(sevs), spec_name=spec.name,
+    return state_matrix(
+        np.vstack(rows), np.concatenate(labels), names=[], labels=schema.action_labels,
+        row_ids=pids, stages=np.concatenate(stages), prev_actions=np.concatenate(prevs),
     )
 
 
@@ -366,7 +361,7 @@ class TestAssembleState:
 
     def test_rows_sorted_by_patient_then_stage(self, therapy_episodes):
         m = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
-        order = list(zip(m.patient_ids, m.stages))
+        order = list(zip(row_ids(m), m.stages))
         assert order == sorted(order)
 
     def test_mean_action_aggregate_is_prefix_fraction(self, therapy_schema):
@@ -383,16 +378,6 @@ class TestAssembleState:
         raw = raw_episode_set(therapy_schema, [("p", [({"age": 1.0}, "MTX", None)])])
         with pytest.raises(ConfigError, match="numeric form"):
             assemble_state(raw, StateSpec(include_current_context=True))
-
-    def test_csv_export_round_trip(self, therapy_episodes, tmp_path):
-        m = assemble_state(therapy_episodes, StateSpec(window_k=0))
-        path = tmp_path / "matrix.csv"
-        m.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + m.n_rows
-        header = lines[0].split(",")
-        assert header[:5] == ["patient_id", "t", "action", "prev_action", "severity"]
-        assert header[5:] == m.feature_names
 
 
 class TestAssembleMatchesPerPatientReference:
@@ -414,26 +399,42 @@ class TestAssembleMatchesPerPatientReference:
             )
             assert got.X.shape == want.X.shape == (target.n_stages, len(got.feature_names))
             assert got.X.tobytes() == want.X.tobytes(), spec.name
-            for name in ("y", "prev_actions", "stages", "severity"):
+            for name in ("y", "prev_actions", "stages", "offsets"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (spec.name, name)
             assert got.patient_ids == want.patient_ids
 
 
-def test_patient_groups_are_the_runs_of_equal_ids():
-    def by_loop(ids):
-        groups, start = [], 0
-        for i in range(1, len(ids) + 1):
-            if i == len(ids) or ids[i] != ids[start]:
-                groups.append(list(range(start, i)))
-                start = i
-        return groups
+def _runs(ids):
+    """Row-index lists of the runs of equal ids, in order."""
+    groups, start = [], 0
+    for i in range(1, len(ids) + 1):
+        if i == len(ids) or ids[i] != ids[start]:
+            groups.append(list(range(start, i)))
+            start = i
+    return groups
 
+
+def test_patient_groups_are_the_runs_of_equal_ids():
     for ids in ([], ["a"], ["a", "a", "b"], ["b", "a", "a", "c", "c", "c", "d"]):
-        m = StateMatrix(
-            X=np.zeros((len(ids), 1)), feature_names=["f"], y=np.zeros(len(ids), dtype=int),
-            action_labels=["x", "y"], patient_ids=ids, stages=np.ones(len(ids), dtype=int),
-            prev_actions=np.zeros(len(ids), dtype=int), severity=np.full(len(ids), np.nan),
-            spec_name="f",
-        )
-        assert [g.tolist() for g in m.patient_groups()] == by_loop(ids)
+        m = state_matrix(np.zeros(len(ids)), np.zeros(len(ids)), row_ids=ids)
+        assert [g.tolist() for g in m.patient_groups()] == _runs(ids)
+
+
+@given(
+    lengths=st.lists(st.integers(1, 4), max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_subset_keeps_the_runs_of_the_kept_rows(lengths, data):
+    ids = [f"p{i}" for i, n in enumerate(lengths) for _ in range(n)]
+    n = len(ids)
+    m = state_matrix(np.arange(n), np.arange(n) % 2, row_ids=ids, stages=np.arange(n) + 1)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    sub = m.subset(mask)
+    kept = [pid for pid, keep in zip(ids, mask) if keep]
+    assert sub.patient_ids == list(dict.fromkeys(kept))
+    assert row_ids(sub) == kept
+    assert [g.tolist() for g in sub.patient_groups()] == _runs(kept)
+    assert sub.X[:, 0].tolist() == np.flatnonzero(mask).tolist()
+    assert sub.stages.tolist() == (np.flatnonzero(mask) + 1).tolist()

@@ -15,7 +15,7 @@ from seqpol.strata import (
 )
 from seqpol.synthgen import GeneratorConfig, generate_cohort
 
-from conftest import raw_episode_set
+from conftest import raw_episode_set, row_ids
 
 
 def severity_patients(schema, severities: dict):
@@ -66,7 +66,7 @@ def test_switch_states_compare_stage_one_with_the_default_action(therapy_episode
     switched = filter_switch_states(matrix)
     rows = [
         (pid, int(t), switched.action_labels[a])
-        for pid, t, a in zip(switched.patient_ids, switched.stages, switched.y)
+        for pid, t, a in zip(row_ids(switched), switched.stages, switched.y)
     ]
     assert rows == [("p1", 2, "TNF"), ("p1", 3, "MTX"), ("p2", 1, "JAK"), ("p2", 3, "TNF")]
 

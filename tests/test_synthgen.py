@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from seqpol.cli import main
+from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
 from seqpol.runner import ExperimentConfig
+from seqpol.staterep import StateSpec, assemble_state
+from seqpol.strata import filter_switch_states
 from seqpol.synthgen import GeneratorConfig, OracleTable, generate_cohort
 
+from conftest import row_ids
 from reference_synthgen import (
     reference_episodes_jsonl,
     reference_generate_cohort,
@@ -116,6 +120,15 @@ def test_first_patients_do_not_depend_on_cohort_size(lengths):
     large = generate_cohort(_config(3, 4, lengths, 0.8, n_patients=40))
     head = large[0].take(np.arange(len(small[0])))
     assert _columns(*small) == _columns(head, large[1])
+
+
+def test_oracle_rows_align_with_a_switch_state_subset():
+    episodes, oracle = generate_cohort(_config(3, 2, "geometric", 0.5, n_patients=40))
+    cohort = apply_preprocessor(episodes, fit_preprocessor(episodes, episodes.schema))
+    matrix = filter_switch_states(assemble_state(cohort, StateSpec(window_k=1)))
+    assert 0 < len(matrix.patient_ids) < len(episodes)  # some patients drop out
+    want = [oracle.probs[pid][t - 1] for pid, t in zip(row_ids(matrix), matrix.stages)]
+    assert np.array_equal(oracle.aligned_with(matrix), np.array(want))
 
 
 class TestBadConfig:

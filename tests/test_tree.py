@@ -8,27 +8,12 @@ from hypothesis import strategies as st
 
 from seqpol.models.base import model_from_dict
 from seqpol.models.tree import _sum_classes, fit_tree
-from seqpol.staterep import StateMatrix
 
-from conftest import random_matrix
+from conftest import random_matrix, state_matrix
 
 
 def matrix(X, y, K=2, names=None):
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    n = X.shape[0]
-    return StateMatrix(
-        X=X,
-        feature_names=names or [f"f{i}" for i in range(X.shape[1])],
-        y=np.asarray(y, dtype=int),
-        action_labels=[f"a{k}" for k in range(K)],
-        patient_ids=[f"p{i}" for i in range(n)],
-        stages=np.ones(n, dtype=int),
-        prev_actions=np.zeros(n, dtype=int),
-        severity=np.full(n, np.nan),
-        spec_name="test",
-    )
+    return state_matrix(X, y, K, names=names)
 
 
 class TestFitTree:
@@ -39,6 +24,14 @@ class TestFitTree:
         assert model.depth == 1
         preds = np.argmax(model.predict_proba(m.X, m.feature_names), axis=1)
         assert np.array_equal(preds, m.y)
+
+    def test_threshold_between_adjacent_floats_separates_them(self):
+        # (a + b) / 2 rounds to b here; a threshold of b would send every row
+        # left, grow the same split down to max_depth and leave empty leaves.
+        a, b = 1 + 2**-52, 1 + 2**-51
+        model = fit_tree(matrix([a, b, a, b], [0, 1, 0, 1]))
+        assert (model.n_leaves, model.depth, model.threshold[0]) == (2, 1, a)
+        assert model.predict_proba(np.array([[2.0]])).tolist() == [[0.0, 1.0]]
 
     def test_min_samples_split_binds(self):
         rng = np.random.default_rng(0)
@@ -163,7 +156,8 @@ def _ref_best_split(X, Y, criterion):
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             pos = boundary[i]
-            best = (best_gain, j, float((vals[pos] + vals[pos + 1]) / 2.0))
+            a, b = float(vals[pos]), float(vals[pos + 1])
+            best = (best_gain, j, (a + b) / 2.0 if (a + b) / 2.0 < b else a)
     return best
 
 
