@@ -228,24 +228,26 @@ def bootstrap_ci(
     """Percentile bootstrap over per-patient sample units.
 
     ``samples`` holds one entry per patient; ``statistic`` maps a list of
-    entries to a number. Replicates draw patients with replacement using
-    seeds derived from (seed, replicate index), so they are reproducible and
-    independent of execution order. Resamples on which the statistic is
-    undefined are skipped; if more than 20% are skipped the estimate carries
-    a widened-interval warning.
+    entries to a number, or, when ``samples`` is an ndarray, an ndarray of
+    entries (one fancy index per resample). Replicates draw patients with
+    replacement using seeds derived from (seed, replicate index), so they
+    are reproducible and independent of execution order. Resamples on which
+    the statistic is undefined are skipped; if more than 20% are skipped the
+    estimate carries a widened-interval warning.
     """
     n = len(samples)
     if n < 2:
         raise ConfigError("bootstrap needs at least 2 patients")
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must lie in (0, 1)")
-    point = float(statistic(list(samples)))
+    is_array = isinstance(samples, np.ndarray)
+    point = float(statistic(samples if is_array else list(samples)))
     values = []
     n_undefined = 0
     for b in range(B):
         rng = np.random.default_rng([seed, b])
         idx = rng.integers(0, n, n)
-        resample = [samples[i] for i in idx]
+        resample = samples[idx] if is_array else [samples[i] for i in idx]
         try:
             v = float(statistic(resample))
         except UndefinedMetricError:

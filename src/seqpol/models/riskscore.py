@@ -7,7 +7,16 @@ an L1 regularization path picks a candidate feature pool, the continuous
 solution is scaled and rounded, and a greedy +-1 local search polishes the
 integers. The search restarts from several points, including the best
 exhaustively enumerated single-feature model, and keeps the lowest
-class-weighted log-loss.
+class-weighted log-loss. Equal starts end in equal searches, so each
+distinct start is searched once.
+
+The L1 path solves no intercept per step: it updates the intercept as an
+unpenalized coordinate of the proximal-gradient step. Each stage of the path
+takes FISTA steps (Beck & Teboulle 2009) warm-started from the previous
+stage, with the momentum restarted at the stage's start and whenever a step
+points against the direction the iterates move in (the gradient test of
+O'Donoghue & Candes 2015). The path ends once its pool is settled: when
+max_size features, or all d of them, have entered.
 
 Every candidate set of integer weights is scored with its own optimal
 intercept. That 1-D convex problem is solved by a safeguarded Newton
@@ -15,11 +24,11 @@ iteration (``optimal_intercepts``), vectorized over the columns of a score
 matrix: gradient and Hessian come from one sigmoid pass, each evaluated point
 narrows the column's bracket on the root, a step that leaves the bracket
 falls back to bisection, and a column stops once its Newton step is below
-``_B_TOL``. The single-feature search scores all of its candidates in one
-call, and each sweep of the local search scores all of its moves in one call,
-warm-started from the current intercept. The L1 path solves no intercept per
-step: it updates the intercept as an unpenalized coordinate of the
-proximal-gradient step.
+``_B_TOL``. A pass writes its terms into two buffers of the block's shape
+and memory layout, reallocated only when columns stop. The single-feature
+search scores all of its candidates in one call, and each sweep of the local
+search scores all of its moves in one call, warm-started from the current
+intercept.
 """
 
 from __future__ import annotations
@@ -98,18 +107,31 @@ def optimal_intercepts(
 def _solve_block(
     scores: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """``optimal_intercepts`` on one block; finished columns leave the arrays."""
+    """``optimal_intercepts`` on one block; finished columns leave the arrays.
+
+    Each pass writes the sigmoid into one n x m buffer and p - y, then
+    p * (1 - p), into another. Both are reallocated only when columns leave,
+    in the memory layout of ``scores`` (column-major for the blocks that
+    ``_move_losses`` builds), which is the layout numpy gives b + scores. So
+    every product with ``sample_weight`` takes an operand of the same shape
+    and layout as a freshly computed temporary, and sums in the same order.
+    """
     out = b.copy()
     cols = np.arange(len(b))
     lo = np.full(len(b), -np.inf)
     hi = np.full(len(b), np.inf)
     yc = y[:, None]
+    p, terms = np.empty_like(scores), np.empty_like(scores)
     for _ in range(_B_MAX_ITER):
         if not cols.size:
             break
-        p = expit(b + scores)
-        g = sample_weight @ (p - yc)
-        h = sample_weight @ (p * (1.0 - p))
+        np.add(b, scores, out=p)
+        expit(p, out=p)
+        np.subtract(p, yc, out=terms)
+        g = sample_weight @ terms
+        np.subtract(1.0, p, out=terms)
+        terms *= p
+        h = sample_weight @ terms
         # A zero Hessian gives an infinite step, which the bracket test below
         # always rejects; g == 0 is a step of 0 whatever h is.
         step = np.divide(g, h, out=np.where(g == 0.0, 0.0, np.inf), where=h > 0.0)
@@ -127,6 +149,7 @@ def _solve_block(
             keep = ~done
             cols, b, lo, hi = cols[keep], b[keep], lo[keep], hi[keep]
             scores = scores[:, keep]
+            p, terms = np.empty_like(scores), np.empty_like(scores)
     out[cols] = b
     return out
 
@@ -203,7 +226,14 @@ def _l1_feature_order(
     """Feature indices in order of first activation along an L1 path.
 
     The intercept is an unpenalized coordinate of each proximal-gradient
-    step, so the step size comes from X with a column of ones added.
+    step, so the step size comes from X with a column of ones added. Each
+    stage of the path takes FISTA steps from the previous stage's solution;
+    the momentum restarts at the stage's start and whenever the step from
+    the extrapolated point z to the new iterate points against the
+    iterates' motion, (z - x_new) . (x_new - x_old) > 0. A stage ends once
+    an iterate moves by less than 1e-9, or after 200 steps. The path ends
+    once min(max_size, d) features have entered, since no later stage can
+    add one.
     """
     n, d = X.shape
     wsum = sample_weight.sum()
@@ -224,20 +254,29 @@ def _l1_feature_order(
     lam = lam_max
     for _ in range(40):
         lam *= 0.7
+        # (zw, zb) is the extrapolated point the step is taken from; xz = X @ zw.
+        zw, zb, xz, t = w, b, xw, 1.0
         for _ in range(200):
-            r = sample_weight * (expit(b + xw) - y) / wsum
-            w_new = w - step * (X.T @ r)
+            r = sample_weight * (expit(zb + xz) - y) / wsum
+            w_new = zw - step * (X.T @ r)
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
-            b_new = b - step * r.sum()
-            xw = X @ w_new
-            moved = max(np.abs(w_new - w).max(), abs(b_new - b))
-            w, b = w_new, b_new
+            b_new = zb - step * r.sum()
+            xw_new = X @ w_new
+            dw, db = w_new - w, b_new - b
+            moved = max(np.abs(dw).max(), abs(db))
+            if (zw - w_new) @ dw + (zb - b_new) * db > 0.0:
+                t = 1.0  # a momentum of 0 for the next step
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            zw, zb = w_new + beta * dw, b_new + beta * db
+            xz = xw_new + beta * (xw_new - xw)
+            w, b, xw, t = w_new, b_new, xw_new, t_next
             if moved < 1e-9:
                 break
         for j in np.flatnonzero(np.abs(w) > 1e-8):
             if j not in order:
                 order.append(int(j))
-        if len(order) >= max_size:
+        if len(order) >= min(max_size, d):
             break
     return order[:max_size]
 
@@ -376,8 +415,14 @@ def fit_riskscore(
                 rounded = trimmed
             starts.append(rounded)
 
-    best: tuple[np.ndarray, float, float] | None = None
+    # Equal starts end in equal searches, and the strict test below keeps the
+    # first of equal results, so each distinct start is searched once.
+    distinct: list[np.ndarray] = []
     for w0 in starts:
+        if not any(np.array_equal(w0, s) for s in distinct):
+            distinct.append(w0)
+    best: tuple[np.ndarray, float, float] | None = None
+    for w0 in distinct:
         w, loss, b = _local_search(
             X, y, sample_weight, w0, pool, max_coef, max_size
         )

@@ -15,8 +15,9 @@ per-class training counts reaching each node. Model files keep the nested
 descends all rows one level at a time.
 
 Growth sorts each feature once, at the root, with a stable argsort (as
-SLIQ does): a node holds its rows in every feature's value order, as int32
-row indices, and a split hands each child its rows through a stable
+SLIQ does), taken from ``StateMatrix.column_order`` so that every growth on
+one matrix shares it: a node holds its rows in every feature's value order,
+as int32 row indices, and a split hands each child its rows through a stable
 partition of those orders, so a child's orders are the ones a stable sort
 of its own rows would give. The split search reads values and classes
 through the orders in column blocks of at most ``_BLOCK_POSITIONS``
@@ -289,8 +290,8 @@ def fit_tree(
     feature, threshold, left, right, counts = [], [], [], [], []
     # (rows sorted per feature, class counts, depth, parent, child list of
     # the parent); popping the left child first numbers the nodes in preorder.
-    root = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
-    stack = [(root, np.bincount(y, minlength=K).astype(float), 0, -1, left)]
+    root_counts = np.bincount(y, minlength=K).astype(float)
+    stack = [(train.column_order, root_counts, 0, -1, left)]
     while stack:
         order, node_counts, depth, parent, side = stack.pop()
         i = len(feature)

@@ -424,7 +424,7 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     def statistic(patients):
         return metric(np.bincount(patients, minlength=n_patients)[row_patient])
 
-    return bootstrap_ci(range(n_patients), statistic, B=B, seed=seed)
+    return bootstrap_ci(np.arange(n_patients), statistic, B=B, seed=seed)
 
 
 def _sweep_seed(cfg: ExperimentConfig) -> int:
@@ -606,12 +606,16 @@ def _switch_confusion(cfg, cells, states, schema) -> tuple[dict | None, str | No
     }, None
 
 
+def _default_ope_states(aggregation_op: str) -> tuple[str, ...]:
+    """The states whose curves are drawn when ``ope_states`` is unset."""
+    return ("prev_action", "window0", f"window0+agg_{aggregation_op}")
+
+
 def _ope_curves(cfg, cells, states, split0) -> list[dict]:
     """Median inverse-probability product curves of the split-0 ``ope_model``
     of each OPE state, on split 0's test fold."""
     names = cfg.ope_states or [
-        n for n in ("prev_action", "window0", f"window0+agg_{cfg.aggregation_op}")
-        if n in states
+        n for n in _default_ope_states(cfg.aggregation_op) if n in states
     ]
     out = []
     for name in names:
@@ -829,11 +833,16 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         written.append("ope_curve.svg")
     else:
         ope_model = report.config.get("ope_model")
-        cause = (
-            f"ope_model {ope_model!r} is not among model_kinds {report.model_kinds}"
-            if ope_model is not None and ope_model not in report.model_kinds
-            else "no OPE-eligible models"
-        )
+        defaults = _default_ope_states(report.config.get("aggregation_op", "sum"))
+        if ope_model is not None and ope_model not in report.model_kinds:
+            cause = f"ope_model {ope_model!r} is not among model_kinds {report.model_kinds}"
+        elif not report.config.get("ope_states") and not set(defaults) & set(report.states):
+            cause = (
+                "ope_states is unset and none of its default states "
+                f"({', '.join(defaults)}) is configured"
+            )
+        else:
+            cause = "no OPE-eligible models"
         notes.append(f"ope_curve.csv omitted: {cause}")
     if report.complexity is not None:
         written.extend(render_complexity(report.complexity, outdir))

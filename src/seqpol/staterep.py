@@ -27,7 +27,7 @@ other patients are in the cohort.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,6 +150,22 @@ class StateMatrix:
     offsets: np.ndarray
     stages: np.ndarray
     prev_actions: np.ndarray
+    _column_order: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def column_order(self) -> np.ndarray:
+        """Each feature's rows by ascending value, ties in row order: the
+        stable argsort of ``X.T`` as a read-only (features, rows) int32
+        array. It is computed on first use and kept, so every tree grown on
+        this matrix shares one sort."""
+        if self._column_order is None:
+            order = np.argsort(np.ascontiguousarray(self.X.T), axis=1, kind="stable")
+            order = order.astype(np.int32)
+            order.flags.writeable = False
+            self._column_order = order
+        return self._column_order
 
     @property
     def n_rows(self) -> int:

@@ -265,6 +265,23 @@ def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     assert header == "state,model,stage,auroc,n"
 
 
+@pytest.mark.parametrize("options, cause", [
+    ({}, "ope_states is unset and none of its default states "
+         "(prev_action, window0, window0+agg_sum) is configured"),
+    ({"aggregation_op": "max"}, "ope_states is unset and none of its default states "
+                                "(prev_action, window0, window0+agg_max) is configured"),
+])
+def test_the_ope_note_names_the_default_states_it_looked_for(tmp_path, options, cause):
+    # States current and window1 hold none of the default OPE states, so no
+    # curve is drawn although logistic regressions were fitted.
+    config = _write_experiment(tmp_path, **options)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    notes = json.loads((out / "run_manifest.json").read_text())["notes"]
+    assert f"ope_curve.csv omitted: {cause}" in notes
+    assert not (out / "ope_curve.csv").exists()
+
+
 def _experiment_dir(tmp_path):
     config = _write_experiment(tmp_path, ope_states=["window1"], tree_sweep_n=2)
     out = tmp_path / "d"

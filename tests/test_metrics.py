@@ -329,6 +329,25 @@ class TestBootstrap:
         est = bootstrap_ci(samples, stat, B=200, seed=1)
         assert est.warning is not None
 
+    @pytest.mark.parametrize("n, B", [(5, 200), (12, 150), (40, 60)])
+    def test_ndarray_and_list_samples_give_equal_estimates(self, n, B):
+        # An ndarray resamples with one fancy index, a list entry by entry:
+        # the draws, the statistic's values and so the estimate are the same.
+        # The statistic is undefined on resamples without patient 0, about
+        # (1 - 1/n)^n of them, so the warning is compared too.
+        weight = np.random.default_rng(n).uniform(size=n)
+
+        def stat(patients):
+            counts = np.bincount(patients, minlength=n)
+            if counts[0] == 0:
+                raise UndefinedMetricError("patient 0 not drawn")
+            return float(counts @ weight / counts.sum())
+
+        arr = bootstrap_ci(np.arange(n), stat, B=B, seed=n)
+        lst = bootstrap_ci(list(range(n)), stat, B=B, seed=n)
+        assert arr == lst
+        assert arr.warning is not None
+
     def test_interval_contains_point_for_auroc(self):
         rng = np.random.default_rng(5)
         samples = [

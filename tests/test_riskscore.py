@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -376,3 +377,285 @@ class TestL1Path:
                 assert riskscore._l1_feature_order(m.X, y, sw, max_size) == (
                     exact_intercept_l1_order(m.X, y, sw, max_size)
                 )
+
+
+def ista_l1_order(X, y, sample_weight, max_size):
+    """Reference L1 path: plain proximal-gradient steps on (w, intercept).
+
+    The previous form of ``_l1_feature_order``: no momentum, and all 40
+    stages run unless max_size features have entered.
+    """
+    n, d = X.shape
+    wsum = sample_weight.sum()
+    Xb = np.column_stack([X, np.ones(n)])
+    H = (Xb * sample_weight[:, None]).T @ Xb / (4.0 * wsum)
+    step = 1.0 / (float(np.linalg.eigvalsh(H)[-1]) + 1e-12)
+    w = np.zeros(d)
+    xw = np.zeros(n)
+    b = optimal_intercept(xw, y, sample_weight)
+    resid = sample_weight * (expit(np.full(n, b)) - y)
+    lam = float(np.abs(X.T @ resid).max() / wsum)
+    if lam <= 0:
+        return []
+    order = []
+    for _ in range(40):
+        lam *= 0.7
+        for _ in range(200):
+            r = sample_weight * (expit(b + xw) - y) / wsum
+            w_new = w - step * (X.T @ r)
+            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
+            b_new = b - step * r.sum()
+            xw = X @ w_new
+            moved = max(np.abs(w_new - w).max(), abs(b_new - b))
+            w, b = w_new, b_new
+            if moved < 1e-9:
+                break
+        for j in np.flatnonzero(np.abs(w) > 1e-8):
+            if j not in order:
+                order.append(int(j))
+        if len(order) >= max_size:
+            break
+    return order[:max_size]
+
+
+class TestRestartedPath:
+    # Restarted FISTA steps and the early exit once every column has entered
+    # change the path's iterates and length, not its pool. max_size 8 is at
+    # least d on all three generators (d = 6, 4, 8), and so is 5 on the
+    # collinear one. A smaller max_size only stops the reference path
+    # earlier, so its pool is a prefix of the max_size 8 pool.
+    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_matches_plain_proximal_path(self, make, seed):
+        m = make(seed)
+        y = m.y.astype(float)
+        for pos_weight in (1.0, 3.0):
+            sw = np.where(y == 1, pos_weight, 1.0)
+            want = ista_l1_order(m.X, y, sw, 8)
+            for max_size in (1, 3, 5, 8):
+                assert riskscore._l1_feature_order(m.X, y, sw, max_size) == want[:max_size]
+
+    @pytest.mark.parametrize("make", [synthetic_binary, continuous_binary])
+    def test_path_stops_once_every_column_has_entered(self, make, monkeypatch):
+        # Once all d columns have entered, a larger max_size costs nothing
+        # more: the plain path ran all 40 stages whenever max_size > d.
+        m = make(0)
+        d = m.X.shape[1]
+        y = m.y.astype(float)
+        sw = np.ones_like(y)
+        assert len(ista_l1_order(m.X, y, sw, d)) == d
+        calls = count_expit_calls(monkeypatch)
+        passes = []
+        for max_size in (d, d + 1, 40):
+            calls[0] = 0
+            assert len(riskscore._l1_feature_order(m.X, y, sw, max_size)) == d
+            passes.append(calls[0])
+        assert passes[0] == passes[1] == passes[2]
+
+
+def fresh_temporaries_solve_block(scores, y, sample_weight, b, finished=None):
+    """Reference: ``_solve_block`` with a fresh temporary for every term.
+
+    ``finished``, if given, collects the pass on which each column stopped.
+    """
+    out = b.copy()
+    cols = np.arange(len(b))
+    lo = np.full(len(b), -np.inf)
+    hi = np.full(len(b), np.inf)
+    yc = y[:, None]
+    for it in range(riskscore._B_MAX_ITER):
+        if not cols.size:
+            break
+        p = expit(b + scores)
+        g = sample_weight @ (p - yc)
+        h = sample_weight @ (p * (1.0 - p))
+        step = np.divide(g, h, out=np.where(g == 0.0, 0.0, np.inf), where=h > 0.0)
+        newton = np.abs(step) <= riskscore._B_TOL
+        hi = np.where(g > 0.0, b, hi)
+        lo = np.where(g < 0.0, b, lo)
+        nxt = b - step
+        mid = 0.5 * (np.maximum(lo, _B_LO) + np.minimum(hi, _B_HI))
+        nxt = np.where(((lo < nxt) & (nxt < hi)) | newton, nxt, mid)
+        nxt = np.clip(nxt, _B_LO, _B_HI)
+        done = newton | (np.abs(nxt - b) <= riskscore._B_TOL)
+        out[cols[done]] = nxt[done]
+        if finished is not None:
+            finished.extend([it] * int(done.sum()))
+        b = nxt
+        if done.any():
+            keep = ~done
+            cols, b, lo, hi = cols[keep], b[keep], lo[keep], hi[keep]
+            scores = scores[:, keep]
+    out[cols] = b
+    return out
+
+
+class TestSolverBuffers:
+    # The buffers must give the very sums of fresh temporaries. numpy's
+    # matrix-vector product sums a column-major operand in another order than
+    # a row-major one, so the buffers keep the layout of the score block.
+    @pytest.mark.parametrize("seed,n", [(0, 300), (1, 1000), (2, 2304)])
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_block_equals_fresh_temporaries(self, seed, n, layout):
+        S, y, sw, start, _ = TestIntercepts.mixed_columns(seed, n, 14)
+        S = np.asarray(S, order=layout)
+        finished = []
+        want = fresh_temporaries_solve_block(S, y, sw, start, finished)
+        assert len(set(finished)) >= 3  # columns leave on several passes
+        assert np.array_equal(riskscore._solve_block(S, y, sw, start), want)
+
+    def test_move_blocks_equal_fresh_temporaries(self):
+        # The blocks the local search scores: gathered columns, so column-major.
+        m = continuous_binary(3, n=2000, d=10)
+        y = m.y.astype(float)
+        sw = np.where(y == 1, 2.0, 1.0)
+        cols = np.repeat(np.arange(10), 4)
+        S = m.X[:, cols] * np.tile([-2.0, -1.0, 1.0, 2.0], 10) + m.X[:, 4][:, None]
+        assert S.flags.f_contiguous
+        start = np.full(40, 0.3)
+        want = fresh_temporaries_solve_block(S, y, sw, start)
+        assert np.array_equal(riskscore._solve_block(S, y, sw, start), want)
+
+
+class TestDistinctStarts:
+    def test_a_duplicated_start_is_searched_once(self, monkeypatch):
+        # Weak signal: the empty model, the best single-feature model and the
+        # rounded refit at scale 1 are all zero, the scaled refit is not.
+        rng = np.random.default_rng(0)
+        X = rng.normal(0.0, 1.0, (300, 3))
+        y = (rng.uniform(size=300) < 0.3 + 0.05 * (X[:, 0] > 0)).astype(int)
+        m = binary_matrix(X, y)
+        starts = []
+        search = riskscore._local_search
+
+        def recording(X, y, sw, w0, *args):
+            starts.append(w0.copy())
+            return search(X, y, sw, w0, *args)
+
+        monkeypatch.setattr(riskscore, "_local_search", recording)
+        fit_riskscore(m, max_coef=3, max_size=2)
+        single_w, _, _ = best_single_feature_model(X, y.astype(float), np.ones(300), 3)
+        assert not single_w.any()
+        assert len(starts) == 2
+        assert not starts[0].any() and starts[1].any()
+
+
+def tiny_problem(seed):
+    """A problem small enough to search exhaustively: d <= 4, max_coef <= 2."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(40, 160))
+    if seed % 3 == 0:
+        X = (rng.uniform(size=(n, d)) < 0.4).astype(float)
+    elif seed % 3 == 1:
+        X = rng.normal(0.0, 1.0, (n, d))
+    else:
+        a = (rng.uniform(size=n) < 0.5).astype(float)
+        X = np.column_stack([1.0 - a, a, rng.uniform(size=(n, d - 2)) < 0.4]).astype(float)
+    w = rng.normal(0.0, 1.5, d) * (rng.uniform(size=d) < 0.7)
+    y = (rng.uniform(size=n) < expit(rng.normal(0.0, 0.5) + X @ w)).astype(int)
+    y[:2] = [0, 1]
+    params = {
+        "max_coef": int(rng.integers(1, 3)),
+        "max_size": int(rng.integers(1, d + 1)),
+        "pos_weight": float(rng.choice([1.0, 2.5])),
+    }
+    return binary_matrix(X, y), params
+
+
+def exhaustive_loss(X, y, sample_weight, max_coef, max_size):
+    """Lowest loss over every integer weight vector in the bounds, each with
+    its own optimal intercept (80 bisection steps on all vectors at once)."""
+    d = X.shape[1]
+    grid = np.array(list(itertools.product(range(-max_coef, max_coef + 1), repeat=d)))
+    grid = grid[np.count_nonzero(grid, axis=1) <= max_size]
+    S = X @ grid.T
+    lo, hi = np.full(len(grid), _B_LO), np.full(len(grid), _B_HI)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = sample_weight @ (expit(mid + S) - y[:, None]) > 0
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    b = 0.5 * (lo + hi)
+    sign = (2.0 * y - 1.0)[:, None]
+    return float((sample_weight @ np.logaddexp(0.0, -sign * (b + S))).min() / sample_weight.sum())
+
+
+# Problems of TestExhaustiveOracle whose optimum the fit reached with the
+# plain proximal L1 path (``ista_l1_order``), before restarted FISTA steps:
+# 55 of 60. A change to the search may not reach fewer.
+OPTIMAL_BEFORE_FISTA = 55
+
+
+class TestExhaustiveOracle:
+    def test_fit_reaches_the_optimum_as_often_as_before(self):
+        reached = 0
+        for seed in range(60):
+            m, params = tiny_problem(seed)
+            y = m.y.astype(float)
+            sw = np.where(y == 1, params["pos_weight"], 1.0)
+            best = exhaustive_loss(m.X, y, sw, params["max_coef"], params["max_size"])
+            model = fit_riskscore(m, **params)
+            loss = weighted_logloss(model.intercept + m.X @ model.weights, y, sw)
+            assert loss >= best - 1e-9, seed  # the oracle is the minimum
+            reached += loss <= best + 1e-9
+        assert reached >= OPTIMAL_BEFORE_FISTA
+
+
+def generator_matrices():
+    """(cohort index, state name, matrix) on two 2-action generator cohorts."""
+    from seqpol.dataset import apply_preprocessor, fit_preprocessor
+    from seqpol.staterep import StateSpec, assemble_state
+    from seqpol.synthgen import GeneratorConfig, generate_cohort
+
+    cohorts = [
+        GeneratorConfig(n_patients=120, n_actions=2, t_fixed=5, seed=11),
+        GeneratorConfig(n_patients=160, n_actions=2, t_kind="geometric", t_p=0.3,
+                        t_min=1, t_max=8, w_lag_context=0.8, seed=12),
+    ]
+    specs = {"current": StateSpec(include_current_context=True),
+             "window1": StateSpec(window_k=1)}
+    for index, cfg in enumerate(cohorts):
+        episodes, _ = generate_cohort(cfg)
+        encoded = apply_preprocessor(episodes, fit_preprocessor(episodes, episodes.schema))
+        for name, spec in specs.items():
+            yield index, name, assemble_state(encoded, spec)
+
+
+# (cohort, state, (max_coef, max_size, pos_weight), weights, intercept) as
+# fitted with the plain proximal L1 path, before restarted FISTA steps, the
+# settled exit, distinct starts and solver buffers. `current` has d = 4 and
+# `window1` d = 12 columns: max_size 6 and 12 let every column of `current`
+# enter the path, 12 every column of `window1`, and 1 and 3 stop it early.
+GOLDEN_FITS = [
+    (0, "current", (4, 6, 2.0), [0, -2, 0, 0], "-0x1.16c1b205f5d54p-2"),
+    (0, "current", (4, 3, 3.0), [0, -2, 0, 0], "0x1.30a8512757f4ep-3"),
+    (0, "current", (2, 12, 1.0), [0, -2, 0, 0], "-0x1.f8803b0adcc99p-1"),
+    (0, "current", (5, 1, 1.5), [0, -2, 0, 0], "-0x1.236a24ad120aap-1"),
+    (0, "window1", (4, 6, 2.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 2, 0, 0], "0x1.6675c4a8f7549p+1"),
+    (0, "window1", (4, 3, 3.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 0, 0, 0], "0x1.a2eacb14520fdp+1"),
+    (0, "window1", (2, 12, 1.0), [0, -1, 0, 0, 0, 0, 0, 0, -2, 2, -1, 1],
+     "0x1.2eb01046186fbp+0"),
+    (0, "window1", (5, 1, 1.5), [0, 0, 0, 0, 0, 0, 0, 0, -5, 0, 0, 0], "0x1.c59e6bf7d1710p+1"),
+    (1, "current", (4, 6, 2.0), [0, -1, -1, 0], "-0x1.efd7c639bb9b1p-2"),
+    (1, "current", (4, 3, 3.0), [0, -2, -1, 0], "-0x1.0e327b43f9ae7p-2"),
+    (1, "current", (2, 12, 1.0), [0, -1, -1, 0], "-0x1.24f36d4889fc1p+0"),
+    (1, "current", (5, 1, 1.5), [0, -1, 0, 0], "-0x1.3c37ae1bf59b5p-1"),
+    (1, "window1", (4, 6, 2.0), [0, -1, -1, 0, 0, -1, 0, 0, -4, 1, 0, 0],
+     "0x1.fa035b42d5a56p+0"),
+    (1, "window1", (4, 3, 3.0), [0, 0, 0, 0, 0, -2, -1, 0, -4, 0, 0, 0], "0x1.3591c771cf0d4p+1"),
+    (1, "window1", (2, 12, 1.0), [1, -1, -1, -1, -1, -1, 0, 1, -2, 2, -1, 1],
+     "0x1.29b3725f3894ap-4"),
+    (1, "window1", (5, 1, 1.5), [0, 0, 0, 0, 0, 0, 0, 0, -5, 0, 0, 0], "0x1.b9e6c3c58cbfcp+1"),
+]
+
+
+def test_generator_cohort_fits_match_the_golden_models():
+    matrices = {(index, name): m for index, name, m in generator_matrices()}
+    assert {m.X.shape[1] for m in matrices.values()} == {4, 12}
+    for index, name, (max_coef, max_size, pos_weight), weights, intercept in GOLDEN_FITS:
+        model = fit_riskscore(
+            matrices[index, name], max_coef=max_coef, max_size=max_size, pos_weight=pos_weight
+        )
+        assert (model.weights.tolist(), model.intercept.hex()) == (weights, intercept), (
+            index, name, max_size
+        )

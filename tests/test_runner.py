@@ -218,7 +218,8 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
     assert json.loads((tmp_path / "bare" / "run_manifest.json").read_text())["notes"] == [
         "by_group.csv omitted: no severity subgroups available",
         "switch_confusion.csv omitted: cause not recorded",
-        "ope_curve.csv omitted: no OPE-eligible models",
+        "ope_curve.csv omitted: ope_states is unset and none of its default states "
+        "(prev_action, window0, window0+agg_sum) is configured",
         "complexity.csv omitted: tree sweep not configured",
     ]
 

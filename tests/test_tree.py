@@ -275,6 +275,36 @@ class TestReferenceOracle:
         assert got.to_dict()["params"]["root"] == reference_tree(m, criterion, 4)
 
 
+class TestSharedSort:
+    # A matrix sorts its columns once, on the first growth; later growths on
+    # it, of either criterion, read the same order.
+    @pytest.mark.parametrize("make", [tied_matrix, continuous_matrix])
+    def test_cold_and_warm_orders_grow_equal_trees(self, make):
+        for criterion, other in [("gini", "entropy"), ("entropy", "gini")]:
+            cold = fit_tree(make(seed=5, n=200, d=5, K=3), criterion)
+            warm_matrix = make(seed=5, n=200, d=5, K=3)
+            fit_tree(warm_matrix, other)
+            assert warm_matrix._column_order is not None
+            assert fit_tree(warm_matrix, criterion).to_dict() == cold.to_dict()
+
+    def test_one_matrix_is_sorted_once_across_both_criteria(self, monkeypatch):
+        m = tied_matrix(seed=6, n=150, d=5, K=3)
+        calls = [0]
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        for criterion in ("gini", "entropy", "gini"):
+            fit_tree(m, criterion, max_depth=4)
+        assert calls[0] == 1
+        order = m.column_order
+        assert order.dtype == np.int32 and not order.flags.writeable
+        assert np.array_equal(order, argsort(m.X.T, axis=1, kind="stable"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
