@@ -29,16 +29,22 @@ and memory layout, reallocated only when columns stop. The single-feature
 search scores all of its candidates in one call, and each sweep of the local
 search scores all of its moves in one call, warm-started from the current
 intercept.
+
+The continuous refit that seeds the rounded starts is a weighted logistic
+regression with a tiny ridge on the pool's columns, centered, minimized by
+the damped Newton solver of ``logreg``. The sigmoid (``expit``) is
+1 / (1 + exp(-z)) in four numpy passes, written in place into the caller's
+buffer where one is given.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import FitError, UnsupportedModelError
 from ..staterep import StateMatrix
 from .base import PolicyModel, register_model
+from .logreg import _newton_minimize
 
 _B_LO, _B_HI = -30.0, 30.0
 # The intercept solve stops once a step moves it by no more than this.
@@ -48,6 +54,23 @@ _B_MAX_ITER = 200
 # Score matrices are solved and scored in column blocks of at most this many
 # elements, so the temporaries stay small whatever the number of candidates.
 _BLOCK_ELEMENTS = 1 << 15
+# The continuous refit's gradient tolerance and step limit (``_newton_minimize``).
+_REFIT_TOL = 1e-6
+_REFIT_MAX_ITER = 100
+
+
+def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sigmoid 1 / (1 + exp(-z)) of an array, written into ``out`` if given.
+
+    exp(-z) overflows to inf for z below about -709, where the result is then
+    exactly 0, so the overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        np.reciprocal(out, out=out)
+    return out
 
 
 def _log1p_exp(z: np.ndarray) -> np.ndarray:
@@ -284,26 +307,34 @@ def _l1_feature_order(
 def _continuous_refit(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, cols: list[int]
 ) -> np.ndarray:
-    """Weighted logistic fit on a feature subset (tiny ridge for stability)."""
-    from scipy.optimize import minimize
+    """Weighted logistic fit on a feature subset (tiny ridge for stability).
 
+    The fit runs on centered columns, which changes only the intercept, as
+    in ``logreg``; the weights are returned without it.
+    """
     Xs = X[:, cols]
+    Xa = np.column_stack([Xs - Xs.mean(axis=0), np.ones(len(y))])
     wsum = sample_weight.sum()
+    ridge = np.full(len(cols) + 1, 2e-6)
+    ridge[-1] = 0.0  # the intercept is unpenalized
 
-    def fg(theta):
-        w, b = theta[:-1], theta[-1]
-        z = b + Xs @ w
-        sign = 2.0 * y - 1.0
-        loss = (sample_weight * np.logaddexp(0.0, -sign * z)).sum() / wsum
-        loss += 1e-6 * float(w @ w)
-        r = sample_weight * (expit(z) - y) / wsum
-        gw = Xs.T @ r + 2e-6 * w
-        gb = r.sum()
-        return loss, np.concatenate([gw, [gb]])
+    def objective(theta):
+        z = Xa @ theta
+        loss = weighted_logloss(z, y, sample_weight) + 0.5 * float(ridge @ (theta * theta))
+        p = expit(z)
+        grad = Xa.T @ (sample_weight * (p - y)) / wsum + ridge * theta
 
-    res = minimize(fg, np.zeros(len(cols) + 1), jac=True, method="L-BFGS-B")
+        def hessian():
+            s = sample_weight * p * (1.0 - p) / wsum
+            H = Xa.T @ (Xa * s[:, None])
+            H[np.diag_indices_from(H)] += ridge
+            return H
+
+        return loss, grad, hessian
+
+    theta = _newton_minimize(objective, np.zeros(len(cols) + 1), _REFIT_TOL, _REFIT_MAX_ITER)
     full = np.zeros(X.shape[1])
-    full[cols] = res.x[:-1]
+    full[cols] = theta[:-1]
     return full
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqpol
 from seqpol.cli import main
 from seqpol.dataset import save_episodes_jsonl, split_dataset
 from seqpol.runner import derive_seed
@@ -315,3 +320,56 @@ def test_report_names_a_listed_bundle_that_is_missing(tmp_path, capsys):
     (d / "report.json").write_text("{")
     assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {d / 'report.json'}: invalid JSON")
+
+
+def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this seqpol."""
+    env = {**os.environ, "PYTHONPATH": str(Path(seqpol.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    code = "import sys, seqpol.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    run = _python(code, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+_GENERATE_AND_FIT = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy now fails
+from seqpol.cli import main
+sys.exit(main(["generate", "--config", "generator.json", "--out", "cohort"])
+         or main(["experiment", "--config", "experiment.json", "--out", "run"]))
+"""
+
+
+def test_generate_and_fit_without_scipy_write_the_same_files(tmp_path):
+    # Logistic regression and the risk score fit on numpy alone: with scipy
+    # unimportable, generate and experiment write the bytes of a normal run.
+    for mode in ("blocked", "normal"):
+        out = tmp_path / mode
+        out.mkdir()
+        (out / "generator.json").write_text(json.dumps(
+            {"n_patients": 40, "n_actions": 2, "t_fixed": 4, "seed": 2}))
+        (out / "experiment.json").write_text(json.dumps({
+            "data_path": "cohort/episodes.jsonl",
+            "schema_path": "cohort/schema.json",
+            "states": [{"current": True}, {"window_k": 1}],
+            "model_kinds": ["logreg", "riskscore"],
+            "n_candidates": 2,
+            "n_splits": 1,
+            "bootstrap_B": 10,
+        }))
+        run = _python(_GENERATE_AND_FIT, mode, cwd=out)
+        assert run.returncode == 0, run.stderr
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    written = sorted(p.relative_to(normal).as_posix() for p in normal.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(blocked).as_posix()
+                             for p in blocked.rglob("*") if p.is_file())
+    assert {"run/models/current__riskscore.json", "run/models/window1__logreg.json"} <= set(written)
+    for rel in written:
+        if rel != "run/run_manifest.json":  # records the run's wall time
+            assert (blocked / rel).read_bytes() == (normal / rel).read_bytes(), rel

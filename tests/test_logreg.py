@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from seqpol.errors import FitError
+from seqpol.models.hyperparams import HyperparamSpace
 from seqpol.models.logreg import _log_softmax, fit_logreg, penalized_objective, softmax
 
 from conftest import random_matrix, state_matrix
@@ -93,6 +95,64 @@ class TestFitLogreg:
             f_up, _ = penalized_objective(up, X, Y, 2.0)
             f_down, _ = penalized_objective(down, X, Y, 2.0)
             assert grad[i] == pytest.approx((f_up - f_down) / (2 * eps), abs=1e-6)
+
+
+def lbfgsb_reference(X, Y, C):
+    """The objective's minimum by scipy's L-BFGS-B, run far past the fit's tolerance."""
+    d, K = X.shape[1], Y.shape[1]
+    res = minimize(penalized_objective, np.zeros((d + 1) * K), args=(X, Y, C),
+                   method="L-BFGS-B", jac=True,
+                   options={"maxiter": 100_000, "gtol": 1e-12, "ftol": 0.0, "maxcor": 30})
+    return res.fun
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("C", HyperparamSpace().lr_C)
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_reaches_the_lbfgsb_minimum(self, K, C):
+        m = random_matrix(seed=20 + K, n=300, d=6, K=K)
+        model = fit_logreg(m, C=C, tol=1e-6)
+        Y = np.eye(K)[m.y]
+        f, grad = penalized_objective(np.concatenate([model.W.ravel(), model.b]), m.X, Y, C)
+        assert np.abs(grad).max() <= 1e-6
+        ref = lbfgsb_reference(m.X, Y, C)
+        assert f <= ref + 1e-12 * max(1.0, abs(ref))
+        # Every Newton step is orthogonal to the intercept shift.
+        assert abs(model.b.sum()) <= 1e-12
+
+    def test_a_column_offset_changes_only_the_intercepts(self):
+        # An offset of 1e4 makes the logits of uncentered columns cancel, and
+        # the objective too noisy for the line search to converge.
+        m = random_matrix(seed=4, n=300, d=4, K=3)
+        X = m.X.copy()
+        X[:, 1] += 1e4
+        model = fit_logreg(state_matrix(X, m.y, 3), C=1e3)
+        plain = fit_logreg(m, C=1e3)
+        assert np.allclose(model.W, plain.W, rtol=0.0, atol=1e-9)
+        got = model.predict_proba(X, m.feature_names)
+        assert np.allclose(got, plain.predict_proba(m.X, m.feature_names), rtol=0.0, atol=1e-9)
+        theta = np.concatenate([model.W.ravel(), model.b])
+        assert np.abs(penalized_objective(theta, X, np.eye(3)[m.y], 1e3)[1]).max() <= 1e-6
+
+    def test_a_badly_scaled_column_converges(self):
+        # Column 0 scaled by 1e4: the objective is flat to rounding before
+        # the gradient meets the tolerance, so the last steps are taken on a
+        # shrinking gradient rather than a measured decrease.
+        m = random_matrix(seed=4, n=300, d=4, K=3)
+        X = m.X.copy()
+        X[:, 0] *= 1e4
+        Y = np.eye(3)[m.y]
+        model = fit_logreg(state_matrix(X, m.y, 3), C=1e-3)
+        f, grad = penalized_objective(np.concatenate([model.W.ravel(), model.b]), X, Y, 1e-3)
+        assert np.abs(grad).max() <= 1e-6
+        ref = lbfgsb_reference(X, Y, 1e-3)
+        assert f <= ref + 1e-12 * max(1.0, abs(ref))
+
+    def test_exhausted_steps_are_a_fit_error(self):
+        m = random_matrix(seed=22, n=300, d=6, K=3)
+        fit_logreg(m, C=1.0, max_iter=20)
+        with pytest.raises(FitError, match="no convergence in 1 Newton steps"):
+            fit_logreg(m, C=1.0, max_iter=1)
 
 
 class TestMatchesReference:

@@ -7,7 +7,7 @@ import pytest
 from seqpol import runner
 from seqpol.errors import FitError
 from seqpol.metrics import MetricEstimate
-from seqpol.models import fit_tree
+from seqpol.models import HyperparamSpace, fit_tree
 from seqpol.runner import (
     CellResult,
     ExperimentConfig,
@@ -288,6 +288,18 @@ def test_a_failed_tree_growth_fails_each_of_its_candidates(monkeypatch):
     assert all(f["params"]["criterion"] == "entropy" for f in failures)
     assert len({(f["state"], f["candidate"]) for f in failures}) == len(failures)
     assert report.metadata["fits_attempted"] == 2 * cfg.n_candidates
+
+
+def test_a_logreg_fit_out_of_newton_steps_is_a_recorded_skip(monkeypatch):
+    monkeypatch.setattr(runner, "HyperparamSpace", lambda: HyperparamSpace(lr_max_iter=(1,)))
+    report = run_experiment(_tree_config(model_kinds=["logreg"], n_splits=1, n_candidates=2))
+    failures = report.metadata["failures"]
+    assert len(failures) == report.metadata["fits_attempted"] == 4
+    assert all(f["error"].startswith("no convergence in 1 Newton steps") for f in failures)
+    assert report.metadata["skips"] == [
+        {"state": state, "model": "logreg", "reason": "all candidates failed in split 0"}
+        for state in ("current", "window1")
+    ]
 
 
 def test_an_ope_model_outside_the_model_kinds_is_named_in_the_note(tmp_path):
