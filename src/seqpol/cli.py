@@ -8,9 +8,7 @@ Subcommands:
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists
 
-Exit codes: 0 success, 1 configuration error, 2 data error. The environment
-variable SEQPOL_THREADS sets the number of threads that fit candidates (1 when
-unset); a value that is not a positive integer is a configuration error.
+Exit codes: 0 success, 1 configuration error, 2 data error.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from .models import model_from_dict
 from .ope import inverse_probability_products, median_product_curve
 from .runner import (
     ExperimentConfig,
+    _read_json,
     load_report,
     render_complexity,
     render_report,
@@ -127,12 +126,12 @@ def _cmd_sweep_trees(args) -> int:
 
 
 def _cmd_ope(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        bundle = json.load(fh)
-    if not {"model", "schema", "preprocessor", "state_spec"} <= bundle.keys():
+    bundle = _read_json(Path(args.model))
+    sections = ("model", "schema", "preprocessor", "state_spec")
+    if not all(type(bundle.get(name)) is dict for name in sections):
         raise ConfigError(
             "model file must be a bundle with 'model', 'schema', 'preprocessor' "
-            "and 'state_spec' sections, as `seqpol experiment` writes to models/"
+            "and 'state_spec' objects, as `seqpol experiment` writes to models/"
         )
     model = model_from_dict(bundle["model"])
     schema = CohortSchema.from_dict(bundle["schema"])

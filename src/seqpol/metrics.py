@@ -17,9 +17,9 @@ The multiclass version macro-averages one-vs-rest over the classes of
 positive weight. Calibration errors bin predictions into equal-width bins
 over (0, 1]; a bin's mass times its gap between mean outcome and mean
 prediction is |sum of w * (outcome - prediction)| / total weight, one
-weighted bincount. Confidence intervals come from a percentile bootstrap
-that resamples patients, not rows, because stages within a patient are
-dependent.
+weighted bincount, over ``CALIBRATION_BINS`` (10) bins. Confidence intervals
+come from a percentile bootstrap that resamples patients, not rows, because
+stages within a patient are dependent; they cover ``CI_LEVEL`` (0.95).
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
+
+CALIBRATION_BINS = 10
+CI_LEVEL = 0.95
 
 
 class _RankIndex:
@@ -76,10 +79,10 @@ def _unit_weights(n: int) -> np.ndarray:
     return np.ones(n, dtype=np.int64)
 
 
-def _bin_index(confidence: np.ndarray, bins: int) -> np.ndarray:
+def _bin_index(confidence: np.ndarray) -> np.ndarray:
     """Equal-width bins over (0, 1], half-open on the left."""
-    idx = np.ceil(confidence * bins).astype(int) - 1
-    return np.clip(idx, 0, bins - 1)
+    idx = np.ceil(confidence * CALIBRATION_BINS).astype(int) - 1
+    return np.clip(idx, 0, CALIBRATION_BINS - 1)
 
 
 class RowWeightedMetrics:
@@ -90,10 +93,9 @@ class RowWeightedMetrics:
     are computed on first use and shared by every later weighting.
     """
 
-    def __init__(self, probs: np.ndarray, labels: np.ndarray, bins: int = 10):
+    def __init__(self, probs: np.ndarray, labels: np.ndarray):
         self.probs = np.asarray(probs, dtype=float)
         self.labels = np.asarray(labels)
-        self.bins = bins
         if self.probs.ndim != 2:
             raise ConfigError("probs must be a 2-D array of per-class probabilities")
         n, K = self.probs.shape
@@ -113,36 +115,29 @@ class RowWeightedMetrics:
     def _top_class_bins(self) -> tuple[np.ndarray, np.ndarray]:
         confidence = self.probs.max(axis=1)
         correct = np.argmax(self.probs, axis=1) == self.labels
-        return _bin_index(confidence, self.bins), correct - confidence
+        return _bin_index(confidence), correct - confidence
 
     @cached_property
     def _class_bins(self) -> tuple[np.ndarray, np.ndarray]:
         K = self.probs.shape[1]
-        idx = _bin_index(self.probs, self.bins) + self.bins * np.arange(K)
+        idx = _bin_index(self.probs) + CALIBRATION_BINS * np.arange(K)
         return idx.ravel(), self._one_hot() - self.probs
 
-    def auroc(self, weights: np.ndarray, average: str = "macro") -> float:
-        """One-vs-rest AUROC averaged over the classes of positive weight.
-
-        ``average`` is "macro" (unweighted mean, the default) or "weighted"
-        (weighted by class prevalence).
-        """
-        if average not in ("macro", "weighted"):
-            raise ConfigError(f"unknown averaging mode {average!r}")
+    def auroc(self, weights: np.ndarray) -> float:
+        """One-vs-rest AUROC, the unweighted mean over the classes of
+        positive weight."""
         if self.labels.size == 0:
             raise UndefinedMetricError("multiclass AUROC needs >= 2 classes present")
         auc, n_pos = self._ranks.auc(weights)
         present = n_pos > 0
         if present.sum() < 2:
             raise UndefinedMetricError("multiclass AUROC needs >= 2 classes present")
-        if average == "weighted":
-            return float(np.average(auc[present], weights=n_pos[present].astype(float)))
         return float(np.mean(auc[present]))
 
     def ece(self, weights: np.ndarray) -> float:
         """Mean gap between top-class confidence and accuracy, weighted by bin mass."""
         idx, residual = self._top_class_bins
-        gaps = np.bincount(idx, weights=weights * residual, minlength=self.bins)
+        gaps = np.bincount(idx, weights=weights * residual, minlength=CALIBRATION_BINS)
         return float(np.abs(gaps).sum() / weights.sum())
 
     def sce(self, weights: np.ndarray) -> float:
@@ -157,7 +152,8 @@ class RowWeightedMetrics:
             raise ConfigError("SCE needs at least 2 classes")
         idx, residual = self._class_bins
         gaps = np.bincount(
-            idx, weights=(weights[:, None] * residual).ravel(), minlength=K * self.bins
+            idx, weights=(weights[:, None] * residual).ravel(),
+            minlength=K * CALIBRATION_BINS,
         )
         return float(np.abs(gaps).sum() / (K * weights.sum()))
 
@@ -172,16 +168,11 @@ def auroc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(auc[0])
 
 
-def auroc_multiclass(
-    probs: np.ndarray, labels: np.ndarray, average: str = "macro"
-) -> float:
-    """One-vs-rest AUROC averaged over the classes present in the labels.
-
-    ``average`` is "macro" (unweighted mean, the default) or "weighted"
-    (weighted by class prevalence).
-    """
+def auroc_multiclass(probs: np.ndarray, labels: np.ndarray) -> float:
+    """One-vs-rest AUROC, the unweighted mean over the classes present in
+    the labels."""
     metrics = RowWeightedMetrics(probs, labels)
-    return metrics.auroc(_unit_weights(metrics.labels.size), average)
+    return metrics.auroc(_unit_weights(metrics.labels.size))
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -189,20 +180,16 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels)))
 
 
-def expected_calibration_error(
-    probs: np.ndarray, labels: np.ndarray, bins: int = 10
-) -> float:
+def expected_calibration_error(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean gap between top-class confidence and accuracy, weighted by bin mass."""
-    metrics = RowWeightedMetrics(probs, labels, bins)
+    metrics = RowWeightedMetrics(probs, labels)
     return metrics.ece(_unit_weights(metrics.labels.size))
 
 
-def static_calibration_error(
-    probs: np.ndarray, labels: np.ndarray, bins: int = 10
-) -> float:
+def static_calibration_error(probs: np.ndarray, labels: np.ndarray) -> float:
     """Class-wise calibration gap averaged over all classes (see
     ``RowWeightedMetrics.sce``)."""
-    metrics = RowWeightedMetrics(probs, labels, bins)
+    metrics = RowWeightedMetrics(probs, labels)
     return metrics.sce(_unit_weights(metrics.labels.size))
 
 
@@ -222,7 +209,6 @@ def bootstrap_ci(
     samples: Sequence,
     statistic: Callable[[Sequence], float],
     B: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> MetricEstimate:
     """Percentile bootstrap over per-patient sample units.
@@ -238,8 +224,6 @@ def bootstrap_ci(
     n = len(samples)
     if n < 2:
         raise ConfigError("bootstrap needs at least 2 patients")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("confidence level must lie in (0, 1)")
     is_array = isinstance(samples, np.ndarray)
     point = float(statistic(samples if is_array else list(samples)))
     values = []
@@ -265,7 +249,7 @@ def bootstrap_ci(
         )
     if not values:
         return MetricEstimate(point, point, point, B, warning="all resamples undefined")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.percentile(values, [100 * alpha, 100 * (1 - alpha)])
     return MetricEstimate(point, float(lo), float(hi), B, warning=warning)
 
@@ -284,18 +268,3 @@ def confusion_matrix(
     np.add.at(out, (ref, cmp_), 1)
     return out
 
-
-METRIC_FUNCS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "auroc": auroc_multiclass,
-    "accuracy": accuracy,
-    "ece": expected_calibration_error,
-    "sce": static_calibration_error,
-}
-
-
-def compute_metric(name: str, probs: np.ndarray, labels: np.ndarray) -> float:
-    try:
-        func = METRIC_FUNCS[name]
-    except KeyError:
-        raise ConfigError(f"unknown metric {name!r}") from None
-    return func(probs, labels)

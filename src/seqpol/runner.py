@@ -4,8 +4,8 @@
 model) pair is one ``_Cell`` record that they fill in turn. Split: each
 seeded split's folds, encoded by a preprocessor fitted on its training
 patients. Fit and select: per state representation and cell, randomly
-sampled candidates are fitted on ``SEQPOL_THREADS`` threads, and the best on
-the validation fold scores the test fold; a state's tree candidates, and on
+sampled candidates are fitted, and the best on the validation fold (by
+AUROC or accuracy) scores the test fold; a state's tree candidates, and on
 split 0 the tree sweep's configurations, share one growth per criterion.
 Pool: a cell's test rows of every split, stacked once. Summarize: one
 ``RowWeightedMetrics`` per cell gives the AUROC by stage and by severity
@@ -27,9 +27,7 @@ import csv
 import hashlib
 import json
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -47,7 +45,6 @@ from .metrics import (
     accuracy,
     auroc_multiclass,
     bootstrap_ci,
-    compute_metric,
     confusion_matrix,
 )
 from .models import (
@@ -72,8 +69,6 @@ from .strata import (
 from .svg import line_chart
 from .synthgen import GeneratorConfig, _is_number, generate_cohort
 
-THREADS_ENV = "SEQPOL_THREADS"
-
 # The columns of the report's record lists and of their CSV tables.
 _GROUP_COLUMNS = ["group", "state", "model", "auroc", "n"]
 _STAGE_COLUMNS = ["state", "model", "stage", "auroc", "n"]
@@ -87,14 +82,6 @@ def derive_seed(*parts) -> int:
     """Stable 63-bit seed from arbitrary key parts."""
     key = "/".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
-
-
-def _n_threads() -> int:
-    """Workers of the candidate-fit pool: ``SEQPOL_THREADS``, 1 when unset."""
-    value = os.environ.get(THREADS_ENV, "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +169,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if type(d) is not dict:
+            raise ConfigError(f"an experiment config must be an object, got {d!r}")
         d = dict(d)
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown experiment options: {sorted(unknown)}")
-        if d.get("generator"):
+        for key in ("states", "model_kinds", "ope_states"):
+            if d.get(key) is not None and type(d[key]) is not list:
+                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
+        if d.get("generator") is not None:
             d["generator"] = GeneratorConfig.from_dict(d["generator"])
         if d.get("states"):
             d["states"] = [StateSpec.from_dict(s) for s in d["states"]]
         for key in ("confusion_reference", "confusion_comparison"):
-            if d.get(key):
-                d[key] = tuple(d[key])
+            pair = d.get(key)
+            if pair is not None:
+                if type(pair) not in (list, tuple) or len(pair) != 2:
+                    raise ConfigError(
+                        f"{key} must be a [model kind, state name] pair, got {pair!r}"
+                    )
+                d[key] = tuple(pair)
         return cls(**d)
 
     @classmethod
@@ -287,13 +284,17 @@ def bundle_file(bundle: dict) -> str:
 
 
 def _read_json(path: Path) -> dict:
+    """The JSON object in ``path``; anything else is a ``DataError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if type(d) is not dict:
+        raise DataError(f"{path}: expected a JSON object, got {d!r}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +304,16 @@ def _read_json(path: Path) -> dict:
 def select_best_candidate(
     candidates: list[PolicyModel], val: StateMatrix, metric: str
 ) -> PolicyModel:
-    """Highest validation score wins; exact ties go to the lowest index."""
+    """Highest validation ``metric`` ("auroc" or "accuracy") wins; exact ties
+    go to the lowest index, and a candidate whose score is undefined scores
+    -inf."""
     if not candidates:
         raise ConfigError("no candidates to select from")
+    score_of = auroc_multiclass if metric == "auroc" else accuracy
     best, best_score = None, -np.inf
     for model in candidates:
         try:
-            score = compute_metric(metric, model.predict_proba(val), val.y)
+            score = score_of(model.predict_proba(val), val.y)
         except UndefinedMetricError:
             score = -np.inf
         if score > best_score:
@@ -450,10 +454,10 @@ def tree_sweep(
     return [dict(zip(_COMPLEXITY_COLUMNS, astuple(b))) for b in buckets]
 
 
-def _fit_and_select(cfg, split, specs, cells, fit_map, failures, swept=None) -> int:
-    """Fit each cell's candidates on one split through ``fit_map`` (a
-    ``map``), select the best on its validation fold and score that on its
-    test fold; failed fits go to ``failures``. Returns the fits attempted.
+def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
+    """Fit each cell's candidates on one split, select the best on its
+    validation fold and score that on its test fold; failed fits go to
+    ``failures``. Returns the fits attempted.
 
     A state's tree candidates share one growth per criterion
     (``grow_and_truncate``). When ``swept`` is a dict, those growths also
@@ -488,7 +492,7 @@ def _fit_and_select(cfg, split, specs, cells, fit_map, failures, swept=None) -> 
                 sweep = [] if swept is None else sweep_configs(
                     spec_index, cfg.tree_sweep_n, profile, space, _sweep_seed(cfg)
                 )
-                grown, trees = grow_and_truncate(draws + sweep, fit_one, fit_map)
+                grown, trees = grow_and_truncate(draws + sweep, fit_one)
                 outcomes = trees[: len(draws)]
                 if swept is not None and not any(
                     isinstance(t, SeqpolError) for t in grown.values()
@@ -499,7 +503,7 @@ def _fit_and_select(cfg, split, specs, cells, fit_map, failures, swept=None) -> 
                     derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci)
                     for ci in range(len(draws))
                 ]
-                outcomes = list(fit_map(fit_one, draws, seeds))
+                outcomes = list(map(fit_one, draws, seeds))
             for ci, (params, out) in enumerate(zip(draws, outcomes)):
                 if isinstance(out, SeqpolError):
                     failures.append({
@@ -638,7 +642,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     result or a recorded skip reason.
     """
     t_start = time.time()
-    n_threads = _n_threads()
     raw = resolve_episodes(cfg)
     specs = cfg.resolved_states()
     states = [s.name for s in specs]
@@ -649,17 +652,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     n_fits, failures, prep_warnings = 0, [], []
     swept = {} if cfg.tree_sweep_n > 0 else None  # split 0's tree growths by state
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        # With one thread, fits run in this one: a lone worker only adds to peak RSS.
-        fit_map = pool.map if n_threads > 1 else map
-        for index in range(cfg.n_splits):
-            split = _split(cfg, raw, index)
-            if index == 0:
-                split0 = split
-            prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
-            n_fits += _fit_and_select(
-                cfg, split, specs, cells, fit_map, failures, swept if index == 0 else None
-            )
+    for index in range(cfg.n_splits):
+        split = _split(cfg, raw, index)
+        if index == 0:
+            split0 = split
+        prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
+        n_fits += _fit_and_select(
+            cfg, split, specs, cells, failures, swept if index == 0 else None
+        )
 
     report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
     _summarize(cfg, cells, severity_groups.groups, report)

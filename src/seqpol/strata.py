@@ -118,7 +118,7 @@ def sweep_configs(
     )
 
 
-def grow_and_truncate(configs: list[dict], grow, fit_map=map):
+def grow_and_truncate(configs: list[dict], grow):
     """Each tree configuration's tree, from one growth per criterion.
 
     A node's split depends only on the training rows reaching it and the
@@ -127,11 +127,10 @@ def grow_and_truncate(configs: list[dict], grow, fit_map=map):
     ``min_samples_split`` >= m is the (D, m) tree with every node at depth
     ``max_depth`` or with fewer than ``min_samples_split`` rows made a leaf.
     ``grow`` (tree parameters -> tree) therefore runs once per criterion of
-    ``configs``, through ``fit_map`` (a ``map``), with the largest depth and
-    the smallest split size that criterion's configurations ask for, and
-    every configuration's tree is read off its growth with
-    ``TreePolicy.truncated``. A growth may return an exception instead of a
-    tree; its configurations then get that exception.
+    ``configs``, with the largest depth and the smallest split size that
+    criterion's configurations ask for, and every configuration's tree is
+    read off its growth with ``TreePolicy.truncated``. A growth may return an
+    exception instead of a tree; its configurations then get that exception.
 
     Returns the growths by criterion and the configurations' trees in order.
     """
@@ -140,7 +139,7 @@ def grow_and_truncate(configs: list[dict], grow, fit_map=map):
         g = loosest.setdefault(p["criterion"], dict(p))
         g["max_depth"] = max(g["max_depth"], p["max_depth"])
         g["min_samples_split"] = min(g["min_samples_split"], p["min_samples_split"])
-    grown = dict(zip(loosest, fit_map(grow, loosest.values())))
+    grown = dict(zip(loosest, map(grow, loosest.values())))
     trees = []
     for p in configs:
         tree = grown[p["criterion"]]

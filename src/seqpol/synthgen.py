@@ -82,6 +82,8 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
+        if type(d) is not dict:
+            raise ConfigError(f"a generator config must be an object, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown generator options: {sorted(unknown)}")

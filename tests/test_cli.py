@@ -79,6 +79,14 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
      "confusion_reference ['tree', 'nope'] is no configured (model kind, state) cell"),
     ({"confusion_comparison": ["mlp", "current"]}, "confusion_comparison ['mlp', 'current']"),
     ({"tree_sweep_n": -1}, "tree_sweep_n must be >= 0, got -1"),
+    ({"generator": 5}, "a generator config must be an object, got 5"),
+    ({"states": 5}, "states must be a list, got 5"),
+    ({"model_kinds": "tree"}, "model_kinds must be a list, got 'tree'"),
+    ({"ope_states": "window1"}, "ope_states must be a list, got 'window1'"),
+    ({"confusion_reference": 5},
+     "confusion_reference must be a [model kind, state name] pair, got 5"),
+    ({"confusion_comparison": ["tree"]},
+     "confusion_comparison must be a [model kind, state name] pair, got ['tree']"),
 ])
 def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
         tmp_path, capsys, options, message):
@@ -90,15 +98,46 @@ def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", ""])
-def test_a_thread_count_that_is_not_a_positive_integer_is_a_config_error(
-        tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("SEQPOL_THREADS", threads)
+def _bundle_with(**sections) -> str:
+    return json.dumps({"model": {}, "schema": {}, "preprocessor": {}, "state_spec": {},
+                       **sections})
+
+
+_NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schema', "
+                 "'preprocessor' and 'state_spec' objects")
+
+
+@pytest.mark.parametrize("command, content, error", [
+    ("experiment", '"x"', "config error: an experiment config must be an object, got 'x'"),
+    ("experiment", "5", "config error: an experiment config must be an object, got 5"),
+    ("experiment", "[1, 2]", "config error: an experiment config must be an object, got [1, 2]"),
+    ("experiment", "null", "config error: an experiment config must be an object, got None"),
+    ("generate", "5", "config error: a generator config must be an object, got 5"),
+    ("generate", "null", "config error: a generator config must be an object, got None"),
+    ("ope", "{", "report.json: invalid JSON"),
+    ("ope", "[1]", "report.json: expected a JSON object, got [1]"),
+    ("ope", _bundle_with(model=5), _NOT_A_BUNDLE),
+    ("ope", _bundle_with(schema=[1]), _NOT_A_BUNDLE),
+    ("ope", _bundle_with(preprocessor="x"), _NOT_A_BUNDLE),
+    ("ope", _bundle_with(state_spec=None), _NOT_A_BUNDLE),
+    ("report", "[1]", "report.json: expected a JSON object, got [1]"),
+])
+def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
+        tmp_path, capsys, command, content, error):
+    path = tmp_path / "report.json"  # the name `report --in` reads
+    path.write_text(content)
     out = tmp_path / "out"
-    assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
-                 "--out", str(out)]) == 1
+    args = {
+        "experiment": ["--config", str(path)],
+        "generate": ["--config", str(path)],
+        "ope": ["--model", str(path), "--data", str(tmp_path / "episodes.jsonl")],
+        "report": ["--in", str(tmp_path)],
+    }[command]
+    code = 1 if error.startswith("config error:") else 2
+    assert main([command, *args, "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err == f"config error: SEQPOL_THREADS must be a positive integer, got {threads!r}\n"
+    assert err.startswith("config error:" if code == 1 else "data error:")
+    assert error in err
     assert not out.exists()
 
 
@@ -144,15 +183,24 @@ def test_identical_runs_write_identical_report_json(tmp_path):
         "n_candidates": 1,
         "n_splits": 1,
         "bootstrap_B": 20,
+        "ope_states": ["window1"],
+        "tree_sweep_n": 4,
     }))
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
-    a, b = ((out / "report.json").read_bytes() for out in outs)
-    assert a == b
-    assert "duration_seconds" not in json.loads(a)["metadata"]
-    manifest = json.loads((outs[0] / "run_manifest.json").read_text())
-    assert manifest["metadata"]["duration_seconds"] >= 0.0
+    written = sorted(p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file())
+    assert {"results.csv", "ope_curve.svg", "complexity.svg", "models/window1__tree.json",
+            "report.json"} <= set(written)
+    for rel in written:
+        if rel != "run_manifest.json":
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+    assert "duration_seconds" not in json.loads((a / "report.json").read_text())["metadata"]
+    manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (a, b)]
+    for manifest in manifests:
+        assert manifest["metadata"].pop("duration_seconds") >= 0.0
+    assert manifests[0] == manifests[1]
 
 
 def _write_experiment(tmp_path, **options):

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from seqpol import runner
-from seqpol.errors import FitError
+from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
 from seqpol.models import HyperparamSpace, fit_tree
 from seqpol.runner import (
@@ -19,6 +20,7 @@ from seqpol.runner import (
     render_report,
     resolve_episodes,
     run_experiment,
+    select_best_candidate,
     tree_sweep,
 )
 from seqpol.staterep import StateSpec, assemble_state
@@ -222,6 +224,45 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
         "(prev_action, window0, window0+agg_sum) is configured",
         "complexity.csv omitted: tree sweep not configured",
     ]
+
+
+class _Fixed:
+    """A candidate whose validation probabilities of action 1 are ``p1``."""
+
+    def __init__(self, p1):
+        self.probs = np.column_stack([1 - np.asarray(p1), p1])
+
+    def predict_proba(self, matrix):
+        return self.probs
+
+
+def test_select_best_candidate_takes_the_best_validation_score(monkeypatch):
+    val = SimpleNamespace(y=np.array([0, 0, 1, 1]))
+    ranks = _Fixed([0.1, 0.2, 0.3, 0.4])  # AUROC 1, accuracy 1/2
+    hits = _Fixed([0.4, 0.9, 0.6, 0.7])  # AUROC 1/2, accuracy 3/4
+    for candidates in ([ranks, hits], [hits, ranks]):
+        assert select_best_candidate(candidates, val, "auroc") is ranks
+        assert select_best_candidate(candidates, val, "accuracy") is hits
+    # an exact tie goes to the lowest index
+    twin = _Fixed([0.1, 0.2, 0.3, 0.4])
+    assert select_best_candidate([ranks, twin], val, "auroc") is ranks
+    assert select_best_candidate([twin, ranks], val, "auroc") is twin
+    # on a single-class fold every AUROC is undefined: the first candidate
+    one_class = SimpleNamespace(y=np.ones(4, dtype=int))
+    assert select_best_candidate([hits, ranks], one_class, "auroc") is hits
+    # an undefined AUROC scores -inf, below the worst defined one
+    worst = _Fixed([0.4, 0.3, 0.2, 0.1])  # AUROC 0
+    auroc = runner.auroc_multiclass
+
+    def undefined_for_ranks(probs, labels):
+        if probs is ranks.probs:
+            raise UndefinedMetricError("test")
+        return auroc(probs, labels)
+
+    monkeypatch.setattr(runner, "auroc_multiclass", undefined_for_ranks)
+    assert select_best_candidate([ranks, worst], val, "auroc") is worst
+    with pytest.raises(ConfigError, match="no candidates"):
+        select_best_candidate([], val, "auroc")
 
 
 def _tree_config(**options) -> ExperimentConfig:
