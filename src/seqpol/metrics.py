@@ -207,33 +207,32 @@ class MetricEstimate:
 
 def bootstrap_ci(
     samples: Sequence,
-    statistic: Callable[[Sequence], float],
+    statistic: Callable[[np.ndarray], float],
     B: int = 1000,
     seed: int = 0,
 ) -> MetricEstimate:
     """Percentile bootstrap over per-patient sample units.
 
-    ``samples`` holds one entry per patient; ``statistic`` maps a list of
-    entries to a number, or, when ``samples`` is an ndarray, an ndarray of
-    entries (one fancy index per resample). Replicates draw patients with
-    replacement using seeds derived from (seed, replicate index), so they
-    are reproducible and independent of execution order. Resamples on which
-    the statistic is undefined are skipped; if more than 20% are skipped the
-    estimate carries a widened-interval warning.
+    ``samples`` holds one entry per patient; ``statistic`` maps an ndarray
+    of entries to a number, and each resample is one fancy index of
+    ``np.asarray(samples)``. Replicates draw patients with replacement using
+    seeds derived from (seed, replicate index), so they are reproducible and
+    independent of execution order. Resamples on which the statistic is
+    undefined are skipped; if more than 20% are skipped the estimate carries
+    a widened-interval warning.
     """
+    samples = np.asarray(samples)
     n = len(samples)
     if n < 2:
         raise ConfigError("bootstrap needs at least 2 patients")
-    is_array = isinstance(samples, np.ndarray)
-    point = float(statistic(samples if is_array else list(samples)))
+    point = float(statistic(samples))
     values = []
     n_undefined = 0
     for b in range(B):
         rng = np.random.default_rng([seed, b])
         idx = rng.integers(0, n, n)
-        resample = samples[idx] if is_array else [samples[i] for i in idx]
         try:
-            v = float(statistic(resample))
+            v = float(statistic(samples[idx]))
         except UndefinedMetricError:
             n_undefined += 1
             continue

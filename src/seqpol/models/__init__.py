@@ -1,53 +1,47 @@
-"""Probabilistic policy models behind one shared classifier contract."""
+"""Probabilistic policy models behind one shared classifier contract.
 
-from .base import PolicyModel, model_from_dict
-from .hyperparams import (
-    MODEL_KINDS,
-    PROFILES,
-    DatasetProfile,
-    HyperparamSpace,
-    get_profile,
-    sample_hyperparams,
-)
+``MODELS`` is the one table of model kinds: each kind's policy class, which
+reads its saved form back, and its fit function, whose keyword arguments are
+the keys of ``hyperparams.grid``.
+"""
+
+from .base import FORMAT_VERSION, PolicyModel
+from .hyperparams import PROFILES, get_profile, grid, sample_hyperparams
 from .logreg import LogisticPolicy, fit_logreg
 from .mlp import MLPPolicy, fit_mlp
 from .riskscore import RiskScorePolicy, fit_riskscore
 from .tree import TreePolicy, fit_tree
 
-from ..errors import UnsupportedModelError
+from ..errors import ConfigError, UnsupportedModelError
 from ..staterep import StateMatrix
+
+MODELS = {
+    "logreg": (LogisticPolicy, fit_logreg),
+    "tree": (TreePolicy, fit_tree),
+    "riskscore": (RiskScorePolicy, fit_riskscore),
+    "mlp": (MLPPolicy, fit_mlp),
+}
+MODEL_KINDS = tuple(MODELS)
 
 
 def fit_model(kind: str, params: dict, train: StateMatrix, val: StateMatrix, seed: int = 0) -> PolicyModel:
-    """Dispatch a candidate fit by model kind with sampled hyperparameters."""
-    if kind == "logreg":
-        return fit_logreg(train, C=params["C"], max_iter=params["max_iter"])
-    if kind == "tree":
-        return fit_tree(
-            train,
-            criterion=params["criterion"],
-            max_depth=params["max_depth"],
-            min_samples_split=params["min_samples_split"],
-        )
-    if kind == "riskscore":
-        return fit_riskscore(
-            train,
-            max_coef=params["max_coef"],
-            max_size=params["max_size"],
-            pos_weight=params["pos_weight"],
-        )
+    """Fit a candidate of ``kind`` with sampled hyperparameters ``params``;
+    the MLP alone also takes the validation fold (early stopping) and a seed."""
+    if kind not in MODELS:
+        raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    fit = MODELS[kind][1]
     if kind == "mlp":
-        return fit_mlp(
-            train,
-            val,
-            hidden_dims=tuple(params["hidden_dims"]),
-            lr=params["lr"],
-            batch_size=params["batch_size"],
-            max_epochs=params["max_epochs"],
-            patience=params["patience"],
-            seed=seed,
-        )
-    raise UnsupportedModelError(f"unknown model kind {kind!r}")
+        return fit(train, val, seed=seed, **params)
+    return fit(train, **params)
+
+
+def model_from_dict(d: dict) -> PolicyModel:
+    if d.get("format_version") != FORMAT_VERSION:
+        raise ConfigError(f"unsupported model format version {d.get('format_version')}")
+    kind = d.get("kind")
+    if kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return MODELS[kind][0]._from_params(d["feature_names"], d["class_labels"], d["params"])
 
 
 __all__ = [
@@ -62,10 +56,10 @@ __all__ = [
     "fit_mlp",
     "fit_model",
     "model_from_dict",
-    "HyperparamSpace",
-    "DatasetProfile",
-    "PROFILES",
+    "MODELS",
     "MODEL_KINDS",
+    "PROFILES",
     "get_profile",
+    "grid",
     "sample_hyperparams",
 ]

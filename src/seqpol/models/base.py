@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError
+from ..errors import ContractError
 from ..staterep import StateMatrix
 
 FORMAT_VERSION = 1
@@ -85,22 +85,3 @@ class PolicyModel(ABC):
             "class_labels": self.class_labels,
             "params": self._params_dict(),
         }
-
-
-_REGISTRY: dict[str, type] = {}
-
-
-def register_model(cls: type) -> type:
-    _REGISTRY[cls.kind] = cls
-    return cls
-
-
-def model_from_dict(d: dict) -> PolicyModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {d.get('format_version')}")
-    kind = d.get("kind")
-    if kind not in _REGISTRY:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return _REGISTRY[kind]._from_params(
-        d["feature_names"], d["class_labels"], d["params"]
-    )

@@ -1,9 +1,16 @@
-"""Discrete hyperparameter search spaces and per-cohort profiles.
+"""Fixed hyperparameter search grids and per-cohort profiles.
 
 Each model kind has a fixed grid; a few grids (tree depth, MLP optimizer
-settings, early-stopping patience, candidate-selection metric) depend on the
-cohort profile. Sampling draws each hyperparameter uniformly and i.i.d. from
-its set, reproducibly from a seed.
+settings, early-stopping patience) and the candidate-selection metric depend
+on the cohort profile. The keys of ``grid(kind, profile)`` are the keyword
+names of the kind's fit function, so a draw is passed to it as is.
+
+Sampling draws each hyperparameter uniformly and i.i.d. from its set,
+reproducibly from a seed. The draws follow the grid's key order: one
+``rng.integers`` call per key and candidate, single-value sets included. So
+the order of the keys, and of the values in each set, fixes which candidates
+a seed draws, and the key order is also the order in which report.json
+records a failed candidate's parameters; changing either changes the outputs.
 """
 
 from __future__ import annotations
@@ -14,12 +21,9 @@ import numpy as np
 
 from ..errors import ConfigError
 
-MODEL_KINDS = ("logreg", "tree", "riskscore", "mlp")
-
 
 @dataclass(frozen=True)
 class DatasetProfile:
-    name: str
     dt_max_depth: tuple[int, ...]
     mlp_lr: tuple[float, ...]
     mlp_max_epochs: int
@@ -30,13 +34,12 @@ class DatasetProfile:
 
 PROFILES: dict[str, DatasetProfile] = {
     "adni-like": DatasetProfile(
-        "adni-like", (3, 5, 7, 9, 11, 13, 15), (1e-3, 1e-2), 20, (16, 32, 64), 5, "auroc"
+        (3, 5, 7, 9, 11, 13, 15), (1e-3, 1e-2), 20, (16, 32, 64), 5, "auroc"
     ),
     "ra-like": DatasetProfile(
-        "ra-like", (2, 3, 4, 5, 6, 7, 8), (1e-3, 1e-2), 50, (128, 256), 5, "auroc"
+        (2, 3, 4, 5, 6, 7, 8), (1e-3, 1e-2), 50, (128, 256), 5, "auroc"
     ),
     "sepsis-like": DatasetProfile(
-        "sepsis-like",
         (3, 5, 7, 9, 11, 13, 15),
         (1e-4, 1e-3, 1e-2),
         500,
@@ -45,7 +48,6 @@ PROFILES: dict[str, DatasetProfile] = {
         "accuracy",
     ),
     "copd-like": DatasetProfile(
-        "copd-like",
         (3, 5, 7, 9, 11, 13, 15),
         (1e-4, 1e-3, 1e-2),
         500,
@@ -65,71 +67,39 @@ def get_profile(name: str) -> DatasetProfile:
         ) from None
 
 
-@dataclass(frozen=True)
-class HyperparamSpace:
-    """Discrete search sets for every model kind."""
-
-    lr_C: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
-    lr_max_iter: tuple[int, ...] = (2000,)
-    dt_criterion: tuple[str, ...] = ("gini", "entropy")
-    dt_min_samples_split: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128)
-    rs_max_coef: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-    rs_max_size: tuple[int, ...] = (3, 4, 5, 6, 7)
-    rs_pos_weight: tuple[int, ...] = (1, 2, 3, 4, 5)
-    mlp_hidden_dims: tuple[tuple[int, ...], ...] = (
-        (16,),
-        (32,),
-        (64,),
-        (16, 16),
-        (32, 32),
-        (64, 64),
-    )
-
-    def grid_for(self, kind: str, profile: DatasetProfile) -> dict[str, tuple]:
-        if kind == "logreg":
-            return {"C": self.lr_C, "max_iter": self.lr_max_iter}
-        if kind == "tree":
-            return {
-                "criterion": self.dt_criterion,
-                "min_samples_split": self.dt_min_samples_split,
-                "max_depth": profile.dt_max_depth,
-            }
-        if kind == "riskscore":
-            return {
-                "max_coef": self.rs_max_coef,
-                "max_size": self.rs_max_size,
-                "pos_weight": self.rs_pos_weight,
-            }
-        if kind == "mlp":
-            return {
-                "hidden_dims": self.mlp_hidden_dims,
-                "lr": profile.mlp_lr,
-                "batch_size": profile.mlp_batch_size,
-                "max_epochs": (profile.mlp_max_epochs,),
-                "patience": (profile.patience,),
-            }
-        raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def sample_hyperparams(
-    space: HyperparamSpace,
-    kind: str,
-    profile: DatasetProfile | str,
-    seed: int,
-    n: int = 5,
-) -> list[dict]:
-    """Draw ``n`` configurations uniformly from the model's grid."""
-    if isinstance(profile, str):
-        profile = get_profile(profile)
-    grid = space.grid_for(kind, profile)
-    if any(len(vals) == 0 for vals in grid.values()):
-        raise ConfigError(f"empty hyperparameter set for {kind!r}")
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n):
-        cfg = {
-            name: vals[int(rng.integers(0, len(vals)))]
-            for name, vals in grid.items()
+def grid(kind: str, profile: DatasetProfile) -> dict[str, tuple]:
+    """The search set of each fit keyword of ``kind``, in draw order."""
+    if kind == "logreg":
+        return {"C": (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3), "max_iter": (2000,)}
+    if kind == "tree":
+        return {
+            "criterion": ("gini", "entropy"),
+            "min_samples_split": (2, 4, 8, 16, 32, 64, 128),
+            "max_depth": profile.dt_max_depth,
         }
-        draws.append(cfg)
-    return draws
+    if kind == "riskscore":
+        return {
+            "max_coef": (3, 4, 5, 6, 7, 8),
+            "max_size": (3, 4, 5, 6, 7),
+            "pos_weight": (1, 2, 3, 4, 5),
+        }
+    if kind == "mlp":
+        return {
+            "hidden_dims": ((16,), (32,), (64,), (16, 16), (32, 32), (64, 64)),
+            "lr": profile.mlp_lr,
+            "batch_size": profile.mlp_batch_size,
+            "max_epochs": (profile.mlp_max_epochs,),
+            "patience": (profile.patience,),
+        }
+    raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def sample_hyperparams(kind: str, profile: str, seed: int, n: int = 5) -> list[dict]:
+    """Draw ``n`` configurations uniformly from the grid of ``kind`` under the
+    profile named ``profile``."""
+    sets = grid(kind, get_profile(profile))
+    rng = np.random.default_rng(seed)
+    return [
+        {name: vals[int(rng.integers(0, len(vals)))] for name, vals in sets.items()}
+        for _ in range(n)
+    ]

@@ -10,7 +10,7 @@ probabilities of the objective's own pass: one symmetric product
 block (``_hessian``). To it is added u u^T, for the unit vector u of the
 intercept shift: the gradient is orthogonal to u, so every step is too, and
 the intercepts keep summing to 0. Once the max-norm of the gradient is at
-most ``tol``, one more Newton step takes the objective to its minimum to
+most ``_TOL``, one more Newton step takes the objective to its minimum to
 rounding. The fit fails (``FitError``) if that takes more than ``max_iter``
 steps.
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..staterep import StateMatrix
-from .base import PolicyModel, register_model
+from .base import PolicyModel
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -131,6 +131,7 @@ def _hessian(Xa: np.ndarray, P: np.ndarray, C: float) -> np.ndarray:
 # may take before the fit fails.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_TOL = 1e-6  # the gradient max-norm at which ``fit_logreg`` has converged
 
 
 def _newton_step(hessian: Callable[[], np.ndarray], g: np.ndarray) -> np.ndarray:
@@ -197,7 +198,6 @@ def _newton_minimize(
     return polished if f_new <= f and np.abs(g_new).max() <= tol else theta
 
 
-@register_model
 class LogisticPolicy(PolicyModel):
     kind = "logreg"
 
@@ -221,9 +221,8 @@ def fit_logreg(
     train: StateMatrix,
     C: float = 1.0,
     max_iter: int = 2000,
-    tol: float = 1e-6,
 ) -> LogisticPolicy:
-    """Fit the softmax model to convergence (max-norm of gradient <= tol).
+    """Fit the softmax model to convergence (max-norm of gradient <= ``_TOL``).
 
     Raises ``FitError`` when that takes more than ``max_iter`` Newton steps.
     """
@@ -246,7 +245,7 @@ def fit_logreg(
         loss, grad, P = _objective(theta, Xc, Y, C)
         return loss, grad, lambda: _hessian(Xa, P, C)
 
-    theta = _newton_minimize(objective, np.zeros((d + 1) * K), tol, max_iter)
+    theta = _newton_minimize(objective, np.zeros((d + 1) * K), _TOL, max_iter)
     W = theta[: d * K].reshape(d, K)
     b = theta[d * K :] - mean @ W
     return LogisticPolicy(train.feature_names, train.action_labels, W, b)

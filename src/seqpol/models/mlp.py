@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..staterep import StateMatrix
-from .base import PolicyModel, register_model
+from .base import PolicyModel
 from .logreg import softmax
 
 ADAM_BETA1 = 0.9
@@ -88,7 +88,6 @@ def _layer_views(
     return views
 
 
-@register_model
 class MLPPolicy(PolicyModel):
     kind = "mlp"
 

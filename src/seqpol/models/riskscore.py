@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import FitError, UnsupportedModelError
 from ..staterep import StateMatrix
-from .base import PolicyModel, register_model
+from .base import PolicyModel
 from .logreg import _newton_minimize
 
 _B_LO, _B_HI = -30.0, 30.0
@@ -375,7 +375,6 @@ def _local_search(
         w[cols[k]] += steps[k]
 
 
-@register_model
 class RiskScorePolicy(PolicyModel):
     kind = "riskscore"
 

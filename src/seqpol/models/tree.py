@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..staterep import StateMatrix
-from .base import PolicyModel, register_model
+from .base import PolicyModel
 
 _MIN_GAIN = 1e-12
 # Rows x features scored at once in the split search; bounds its temporaries.
@@ -129,7 +129,6 @@ def _best_split(XT: np.ndarray, labels: np.ndarray, order: np.ndarray, counts, c
     return best
 
 
-@register_model
 class TreePolicy(PolicyModel):
     kind = "tree"
 

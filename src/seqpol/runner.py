@@ -47,14 +47,7 @@ from .metrics import (
     bootstrap_ci,
     confusion_matrix,
 )
-from .models import (
-    MODEL_KINDS,
-    HyperparamSpace,
-    PolicyModel,
-    fit_model,
-    get_profile,
-    sample_hyperparams,
-)
+from .models import MODEL_KINDS, PolicyModel, fit_model, get_profile, sample_hyperparams
 from .ope import inverse_probability_products, median_product_curve
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
@@ -121,6 +114,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not _is_number(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            optional = f.type == "str | None"
+            if f.type in ("str", "str | None") and not (
+                    isinstance(value, str) or optional and value is None):
+                raise ConfigError(
+                    f"{f.name} must be a string{' or null' * optional}, got {value!r}"
+                )
         for name, low in (("n_candidates", 1), ("n_splits", 1), ("bootstrap_B", 1),
                           ("ope_max_stage", 1), ("tree_sweep_n", 0),
                           ("tree_sweep_leaf_bin", 1)):
@@ -128,6 +127,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.states is not None and not self.states:
             raise ConfigError("states is empty; omit it for the 7 standard specs")
+        get_profile(self.profile)  # an unknown profile fails before any data is read
         if self.selection_metric not in (None, "auroc", "accuracy"):
             raise ConfigError("selection metric must be 'auroc' or 'accuracy'")
         for kind in (*self.model_kinds, self.ope_model):
@@ -251,14 +251,23 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        """The inverse of ``to_dict`` once ``model_bundles`` holds the listed
-        bundles; a missing optional key takes its default."""
+        """The inverse of ``to_dict``, but for the bundles ``model_files``
+        lists; a missing optional key takes its default. A missing or
+        mistyped required key, or a malformed cell, is a ``DataError``."""
+        for key, kind, name in (("cells", list, "array"), ("config", dict, "object"),
+                                ("states", list, "array"), ("model_kinds", list, "array"),
+                                ("model_files", list, "array")):
+            if type(d.get(key)) is not kind:
+                got = f"got {d[key]!r}" if key in d else "it is missing"
+                raise DataError(f"report.json: {key!r} must be a JSON {name}, {got}")
         kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        kwargs["cells"] = [
-            CellResult(**{**c, **{k: MetricEstimate(**c[k])
-                                  for k in ("auroc", "ece", "sce") if c[k]}})
-            for c in d["cells"]
-        ]
+        kwargs["cells"] = []
+        for i, c in enumerate(d["cells"]):
+            try:
+                kwargs["cells"].append(CellResult(**{**c, **{
+                    k: MetricEstimate(**c[k]) for k in ("auroc", "ece", "sce") if c[k]}}))
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"report.json: cells[{i}] is no cell record: {c!r}") from exc
         return cls(**kwargs)
 
 
@@ -465,7 +474,6 @@ def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
     there under its name, for ``tree_sweep`` to read off.
     """
     metric = cfg.resolved_selection_metric()
-    space, profile = HyperparamSpace(), get_profile(cfg.profile)
     attempted = 0
     for spec_index, spec in enumerate(specs):
         train, val, test = (
@@ -477,7 +485,7 @@ def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
                 cell.skip = "unsupported: multiclass action space"
                 continue
             draws = sample_hyperparams(
-                space, kind, profile, n=cfg.n_candidates,
+                kind, cfg.profile, n=cfg.n_candidates,
                 seed=derive_seed(cfg.seed, "hp", split.index, spec.name, kind),
             )
 
@@ -490,7 +498,7 @@ def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
             attempted += len(draws)
             if kind == "tree":
                 sweep = [] if swept is None else sweep_configs(
-                    spec_index, cfg.tree_sweep_n, profile, space, _sweep_seed(cfg)
+                    spec_index, cfg.tree_sweep_n, cfg.profile, _sweep_seed(cfg)
                 )
                 grown, trees = grow_and_truncate(draws + sweep, fit_one)
                 outcomes = trees[: len(draws)]
@@ -876,5 +884,9 @@ def load_report(path: str) -> ExperimentReport:
     read back from ``path``/models/."""
     root = Path(path)
     d = _read_json(root / "report.json")
-    d["model_bundles"] = [_read_json(root / name) for name in d.get("model_files", [])]
-    return ExperimentReport.from_dict(d)
+    report = ExperimentReport.from_dict(d)
+    files = d["model_files"]
+    if not all(type(name) is str for name in files):
+        raise DataError(f"report.json: 'model_files' must list file names, got {files!r}")
+    report.model_bundles = [_read_json(root / name) for name in files]
+    return report

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import RowWeightedMetrics, auroc_multiclass
 from .models import fit_tree, sample_hyperparams
-from .models.hyperparams import DatasetProfile, HyperparamSpace, get_profile
 from .schema import EncodedCohort, EpisodeSet
 from .staterep import StateMatrix, StateSpec, assemble_state
 
@@ -104,18 +103,10 @@ class ComplexityBucket:
     test_auroc: float
 
 
-def sweep_configs(
-    spec_index: int,
-    n_models: int,
-    profile: DatasetProfile | str,
-    space: HyperparamSpace | None = None,
-    seed: int = 0,
-) -> list[dict]:
-    """The tree configurations the sweep samples for the spec at ``spec_index``."""
-    return sample_hyperparams(
-        space or HyperparamSpace(), "tree", profile, seed=seed * 10007 + spec_index,
-        n=n_models,
-    )
+def sweep_configs(spec_index: int, n_models: int, profile: str, seed: int = 0) -> list[dict]:
+    """The tree configurations the sweep samples for the spec at ``spec_index``
+    under the profile named ``profile``."""
+    return sample_hyperparams("tree", profile, seed=seed * 10007 + spec_index, n=n_models)
 
 
 def grow_and_truncate(configs: list[dict], grow):
@@ -156,8 +147,7 @@ def tree_complexity_sweep(
     specs: list[StateSpec],
     n_models: int = 500,
     leaf_bin_width: int = 5,
-    profile: DatasetProfile | str = "ra-like",
-    space: HyperparamSpace | None = None,
+    profile: str = "ra-like",
     seed: int = 0,
     grown: dict[str, dict] | None = None,
 ) -> list[ComplexityBucket]:
@@ -181,8 +171,6 @@ def tree_complexity_sweep(
     candidates. A spec without them grows its own, as ``seqpol
     sweep-trees`` does.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     if leaf_bin_width < 1:
         raise ConfigError("leaf_bin_width must be >= 1")
     results: list[ComplexityBucket] = []
@@ -191,7 +179,7 @@ def tree_complexity_sweep(
         m_test = assemble_state(test, spec)
         sw_val = filter_switch_states(m_val)
         sw_test = filter_switch_states(m_test)
-        configs = sweep_configs(spec_idx, n_models, profile, space, seed)
+        configs = sweep_configs(spec_idx, n_models, profile, seed)
         shared = (grown or {}).get(spec.name)
         if shared is None:
             m_train = assemble_state(train, spec)

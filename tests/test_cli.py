@@ -87,6 +87,16 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
      "confusion_reference must be a [model kind, state name] pair, got 5"),
     ({"confusion_comparison": ["tree"]},
      "confusion_comparison must be a [model kind, state name] pair, got ['tree']"),
+    ({"name": 3}, "name must be a string, got 3"),
+    ({"aggregation_op": None}, "aggregation_op must be a string, got None"),
+    ({"profile": [1]}, "profile must be a string, got [1]"),
+    ({"profile": "nope"}, "unknown dataset profile 'nope'"),
+    ({"ope_model": 1}, "ope_model must be a string, got 1"),
+    ({"schema_path": 5}, "schema_path must be a string or null, got 5"),
+    ({"generator": None, "data_path": 7, "schema_path": "schema.json"},
+     "data_path must be a string or null, got 7"),
+    ({"generator": None, "data_path": "episodes.jsonl", "schema_path": 5},
+     "schema_path must be a string or null, got 5"),
 ])
 def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
         tmp_path, capsys, options, message):
@@ -101,6 +111,11 @@ def test_empty_states_and_nonpositive_bootstrap_are_config_errors(
 def _bundle_with(**sections) -> str:
     return json.dumps({"model": {}, "schema": {}, "preprocessor": {}, "state_spec": {},
                        **sections})
+
+
+def _report_with(**keys) -> str:
+    return json.dumps({"cells": [], "config": {}, "states": [], "model_kinds": [],
+                       "model_files": [], **keys})
 
 
 _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schema', "
@@ -121,6 +136,14 @@ _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schem
     ("ope", _bundle_with(preprocessor="x"), _NOT_A_BUNDLE),
     ("ope", _bundle_with(state_spec=None), _NOT_A_BUNDLE),
     ("report", "[1]", "report.json: expected a JSON object, got [1]"),
+    ("report", "{}", "report.json: 'cells' must be a JSON array, it is missing"),
+    ("report", '{"cells": 5}', "report.json: 'cells' must be a JSON array, got 5"),
+    ("report", '{"cells": [1]}', "report.json: 'config' must be a JSON object, it is missing"),
+    ("report", '{"cells": [], "config": 5}', "report.json: 'config' must be a JSON object, got 5"),
+    ("report", _report_with(cells=[1]), "report.json: cells[0] is no cell record: 1"),
+    ("report", _report_with(cells=[{"state": "current"}]), "report.json: cells[0] is no cell"),
+    ("report", _report_with(model_files=[5]),
+     "report.json: 'model_files' must list file names, got [5]"),
 ])
 def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
         tmp_path, capsys, command, content, error):

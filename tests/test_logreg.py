@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from seqpol.errors import FitError
-from seqpol.models.hyperparams import HyperparamSpace
+from seqpol.models import PROFILES, grid
 from seqpol.models.logreg import _log_softmax, fit_logreg, penalized_objective, softmax
 
 from conftest import random_matrix, state_matrix
@@ -107,11 +107,11 @@ def lbfgsb_reference(X, Y, C):
 
 
 class TestNewtonSolver:
-    @pytest.mark.parametrize("C", HyperparamSpace().lr_C)
+    @pytest.mark.parametrize("C", grid("logreg", PROFILES["ra-like"])["C"])
     @pytest.mark.parametrize("K", [2, 3])
     def test_reaches_the_lbfgsb_minimum(self, K, C):
         m = random_matrix(seed=20 + K, n=300, d=6, K=K)
-        model = fit_logreg(m, C=C, tol=1e-6)
+        model = fit_logreg(m, C=C)
         Y = np.eye(K)[m.y]
         f, grad = penalized_objective(np.concatenate([model.W.ravel(), model.b]), m.X, Y, C)
         assert np.abs(grad).max() <= 1e-6

@@ -114,12 +114,12 @@ def sce_masks(probs, labels, bins=10):
 def list_resampling_estimate(units, func, B, seed):
     """The bootstrap that copies and re-stacks the resampled patients' rows."""
 
-    def statistic(sample):
-        probs = np.vstack([u[0] for u in sample])
-        labels = np.concatenate([u[1] for u in sample])
+    def statistic(patients):
+        probs = np.vstack([units[i][0] for i in patients])
+        labels = np.concatenate([units[i][1] for i in patients])
         return func(probs, labels)
 
-    return bootstrap_ci(units, statistic, B=B, seed=seed)
+    return bootstrap_ci(np.arange(len(units)), statistic, B=B, seed=seed)
 
 
 def random_probs(rng, n, K):
@@ -344,16 +344,16 @@ class TestBootstrap:
 
     def test_interval_contains_point_for_auroc(self):
         rng = np.random.default_rng(5)
-        samples = [
+        units = [
             (rng.uniform(size=(4, 2)), rng.integers(0, 2, 4)) for _ in range(25)
         ]
 
-        def stat(units):
-            probs = np.vstack([u[0] for u in units])
-            labels = np.concatenate([u[1] for u in units])
+        def stat(patients):
+            probs = np.vstack([units[i][0] for i in patients])
+            labels = np.concatenate([units[i][1] for i in patients])
             return auroc_binary(probs[:, 1], labels)
 
-        est = bootstrap_ci(samples, stat, B=400, seed=2)
+        est = bootstrap_ci(np.arange(len(units)), stat, B=400, seed=2)
         assert est.ci_low <= est.value <= est.ci_high
 
     def test_too_few_patients_rejected(self):

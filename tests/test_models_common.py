@@ -1,5 +1,7 @@
 """Contract tests shared by every policy model kind."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from seqpol.errors import ContractError
 from seqpol.models import (
-    HyperparamSpace,
+    MODELS,
+    PROFILES,
     fit_logreg,
     fit_mlp,
     fit_riskscore,
     fit_tree,
+    grid,
     model_from_dict,
     sample_hyperparams,
 )
@@ -109,35 +113,102 @@ class TestSerialization:
             assert clone.class_labels == model.class_labels
 
 
+# Every draw of ``sample_hyperparams`` for n=3, per kind, profile and seed,
+# with each dict's keys in the order report.json records them
+# (``failures[].params``). A grid whose keys or sets change order draws
+# other candidates, so these lists catch it.
+GOLDEN_KEYS = {
+    "logreg": ("C", "max_iter"),
+    "tree": ("criterion", "min_samples_split", "max_depth"),
+    "riskscore": ("max_coef", "max_size", "pos_weight"),
+    "mlp": ("hidden_dims", "lr", "batch_size", "max_epochs", "patience"),
+}
+_LOGREG = {0: [(100.0, 2000), (10.0, 2000), (1.0, 2000)],
+           1: [(1.0, 2000), (1.0, 2000), (100.0, 2000)]}
+_RISKSCORE = {0: [(8, 6, 3), (4, 4, 1), (3, 3, 1)],
+              1: [(5, 5, 4), (8, 3, 1), (7, 7, 2)]}
+_TREE_DEEP = {0: [("entropy", 32, 9), ("gini", 8, 3), ("gini", 2, 5)],
+              1: [("gini", 16, 13), ("entropy", 2, 5), ("entropy", 128, 5)]}
+_MLP_LONG = {
+    0: [((64, 64), 0.001, 512, 500, 25), ((32,), 0.0001, 256, 500, 25),
+        ((16,), 0.0001, 256, 500, 25)],
+    1: [((64,), 0.001, 1024, 500, 25), ((64, 64), 0.0001, 256, 500, 25),
+        ((32, 32), 0.01, 256, 500, 25)],
+}
+GOLDEN_DRAWS = {
+    ("logreg", "adni-like"): _LOGREG,
+    ("logreg", "ra-like"): _LOGREG,
+    ("logreg", "sepsis-like"): _LOGREG,
+    ("logreg", "copd-like"): _LOGREG,
+    ("tree", "adni-like"): _TREE_DEEP,
+    ("tree", "ra-like"): {
+        0: [("entropy", 32, 5), ("gini", 8, 2), ("gini", 2, 3)],
+        1: [("gini", 16, 7), ("entropy", 2, 3), ("entropy", 128, 3)],
+    },
+    ("tree", "sepsis-like"): _TREE_DEEP,
+    ("tree", "copd-like"): _TREE_DEEP,
+    ("riskscore", "adni-like"): _RISKSCORE,
+    ("riskscore", "ra-like"): _RISKSCORE,
+    ("riskscore", "sepsis-like"): _RISKSCORE,
+    ("riskscore", "copd-like"): _RISKSCORE,
+    ("mlp", "adni-like"): {
+        0: [((64, 64), 0.01, 32, 20, 5), ((32,), 0.001, 16, 20, 5),
+            ((16,), 0.001, 16, 20, 5)],
+        1: [((64,), 0.01, 64, 20, 5), ((64, 64), 0.001, 16, 20, 5),
+            ((32, 32), 0.01, 16, 20, 5)],
+    },
+    ("mlp", "ra-like"): {
+        0: [((64, 64), 0.01, 256, 50, 5), ((32,), 0.001, 128, 50, 5),
+            ((16,), 0.001, 128, 50, 5)],
+        1: [((64,), 0.01, 256, 50, 5), ((64, 64), 0.001, 128, 50, 5),
+            ((32, 32), 0.01, 128, 50, 5)],
+    },
+    ("mlp", "sepsis-like"): _MLP_LONG,
+    ("mlp", "copd-like"): _MLP_LONG,
+}
+
+
 class TestHyperparamSampling:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind, profile", sorted(GOLDEN_DRAWS))
+    def test_draws_match_the_golden_lists(self, kind, profile, seed):
+        draws = sample_hyperparams(kind, profile, seed=seed, n=3)
+        want = [list(zip(GOLDEN_KEYS[kind], values))
+                for values in GOLDEN_DRAWS[kind, profile][seed]]
+        assert [list(d.items()) for d in draws] == want
+        assert repr([list(d.items()) for d in draws]) == repr(want)  # value types
+
     def test_lr_draws_come_from_grid(self):
-        space = HyperparamSpace()
-        draws = sample_hyperparams(space, "logreg", "ra-like", seed=0, n=5)
+        draws = sample_hyperparams("logreg", "ra-like", seed=0, n=5)
         assert len(draws) == 5
         for d in draws:
-            assert d["C"] in space.lr_C
+            assert d["C"] in grid("logreg", PROFILES["ra-like"])["C"]
             assert d["max_iter"] == 2000
 
     def test_same_seed_same_draws(self):
-        space = HyperparamSpace()
-        a = sample_hyperparams(space, "mlp", "adni-like", seed=3, n=5)
-        b = sample_hyperparams(space, "mlp", "adni-like", seed=3, n=5)
+        a = sample_hyperparams("mlp", "adni-like", seed=3, n=5)
+        b = sample_hyperparams("mlp", "adni-like", seed=3, n=5)
         assert a == b
 
     def test_profile_controls_tree_depth_grid(self):
-        space = HyperparamSpace()
-        draws = sample_hyperparams(space, "tree", "sepsis-like", seed=1, n=50)
+        draws = sample_hyperparams("tree", "sepsis-like", seed=1, n=50)
         depths = {d["max_depth"] for d in draws}
         assert depths <= {3, 5, 7, 9, 11, 13, 15}
-        draws_ra = sample_hyperparams(space, "tree", "ra-like", seed=1, n=50)
+        draws_ra = sample_hyperparams("tree", "ra-like", seed=1, n=50)
         assert {d["max_depth"] for d in draws_ra} <= set(range(2, 9))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_grid_keys_are_the_fit_keywords(self, kind, profile):
+        # fit_model passes a draw to the fit as keyword arguments.
+        fit = MODELS[kind][1]
+        keywords = set(inspect.signature(fit).parameters) - {"train", "val", "seed"}
+        assert set(grid(kind, PROFILES[profile])) == keywords
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_draws_always_within_grids(self, seed):
-        space = HyperparamSpace()
         for kind in ("logreg", "tree", "riskscore", "mlp"):
-            for d in sample_hyperparams(space, kind, "copd-like", seed=seed, n=3):
+            for d in sample_hyperparams(kind, "copd-like", seed=seed, n=3):
                 for key, value in d.items():
-                    grid = space.grid_for(kind, __import__("seqpol.models.hyperparams", fromlist=["get_profile"]).get_profile("copd-like"))[key]
-                    assert value in grid
+                    assert value in grid(kind, PROFILES["copd-like"])[key]

@@ -8,8 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 
 from seqpol.errors import FitError, UnsupportedModelError
-from seqpol.models import riskscore
-from seqpol.models.base import model_from_dict
+from seqpol.models import model_from_dict, riskscore
 from seqpol.models.riskscore import (
     _B_HI,
     _B_LO,

@@ -8,7 +8,7 @@ import pytest
 from seqpol import runner
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
-from seqpol.models import HyperparamSpace, fit_tree
+from seqpol.models import fit_tree, hyperparams
 from seqpol.runner import (
     CellResult,
     ExperimentConfig,
@@ -332,7 +332,9 @@ def test_a_failed_tree_growth_fails_each_of_its_candidates(monkeypatch):
 
 
 def test_a_logreg_fit_out_of_newton_steps_is_a_recorded_skip(monkeypatch):
-    monkeypatch.setattr(runner, "HyperparamSpace", lambda: HyperparamSpace(lr_max_iter=(1,)))
+    # The run fits logreg alone: its grid with one Newton step allowed.
+    one_step = {**hyperparams.grid("logreg", None), "max_iter": (1,)}
+    monkeypatch.setattr(hyperparams, "grid", lambda kind, profile: one_step)
     report = run_experiment(_tree_config(model_kinds=["logreg"], n_splits=1, n_candidates=2))
     failures = report.metadata["failures"]
     assert len(failures) == report.metadata["fits_attempted"] == 4

@@ -4,7 +4,7 @@ import pytest
 from seqpol.dataset import apply_preprocessor, fit_preprocessor, split_dataset
 from seqpol.errors import UndefinedMetricError
 from seqpol.metrics import RowWeightedMetrics, auroc_multiclass
-from seqpol.models import HyperparamSpace, fit_tree, get_profile, sample_hyperparams
+from seqpol.models import fit_tree, sample_hyperparams
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.strata import (
     ComplexityBucket,
@@ -105,7 +105,7 @@ def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, 
         sw_val = filter_switch_states(assemble_state(val, spec))
         sw_test = filter_switch_states(assemble_state(test, spec))
         configs = sample_hyperparams(
-            HyperparamSpace(), "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
+            "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
         )
         buckets = {}
         for params in configs:
@@ -146,6 +146,6 @@ def test_tree_sweep_equals_one_fit_per_configuration(profile):
     got = tree_complexity_sweep(
         *args, n_models=40, leaf_bin_width=3, profile=profile, seed=5
     )
-    want = reference_sweep(*args, 40, 3, get_profile(profile), 5)
+    want = reference_sweep(*args, 40, 3, profile, 5)
     assert got == want
     assert sum(b.n_models for b in got) == 80  # no bucket lost its AUROC

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpol.models.base import model_from_dict
+from seqpol.models import model_from_dict
 from seqpol.models.tree import _sum_classes, fit_tree
 
 from conftest import random_matrix, state_matrix
