@@ -18,8 +18,11 @@ A cohort is read from JSONL, or from a long CSV when the file name ends in
 In both, a patient's stages are numbered 1..T in order, severity is
 optional, numbers must be finite, and every action label and variable must be
 in the schema. Both loaders hand each patient's stage records, in the JSONL
-shape, to one ``CohortBuilder``; it checks every value and names the first
-problem with its ``path:line`` and patient. ``save_episodes_jsonl`` writes the
+shape, to one ``CohortBuilder``; it checks every value, names the first
+problem with its ``path:line`` and patient, and writes each value straight
+into its variable's column. It keeps no record: the JSONL loader reads one
+line at a time and the CSV loader one patient's rows at a time, so memory
+holds the columns and one patient's records. ``save_episodes_jsonl`` writes the
 JSONL format back, with every schema variable in each context and null where
 a value is missing.
 
@@ -41,6 +44,7 @@ import csv
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,21 +67,31 @@ class CohortBuilder:
     A stage record has the JSONL shape: ``{"t": ..., "context": {variable:
     value}, "action": ..., "severity": ...}``, where ``context`` and
     ``severity`` may be absent. With ``text=True`` every value is a string, as
-    a CSV cell is, and stage indices and numbers are parsed from it. Numeric
-    and categorical values are converted in place: to float, and to str.
+    a CSV cell is, and stage indices and numbers are parsed from it.
+
+    Each checked value goes straight into its variable's column: a float
+    ``array("d")``, NaN where missing, for a numeric variable and for
+    severity, and a list of strings, None where missing, for a categorical
+    one. No record is kept, and the records passed in are left unchanged.
     """
 
     def __init__(self, schema: CohortSchema, text: bool = False):
         self.schema = schema
         self._text = text
         self._patient_ids: list[str] = []
-        self._numeric = {v.name: v.kind == "numeric" for v in schema.variables}
         self._action = {label: k for k, label in enumerate(schema.action_labels)}
         self._seen: set[str] = set()
         self._lengths: list[int] = []
-        self._contexts: list[dict] = []
-        self._actions: list[int] = []
-        self._severity: list = []
+        self._columns = {
+            v.name: array("d") if v.kind == "numeric" else [] for v in schema.variables
+        }
+        # each column's append and its value for a missing one
+        self._appenders = {
+            name: (column.append, math.nan if type(column) is array else None)
+            for name, column in self._columns.items()
+        }
+        self._actions = array("q")
+        self._severity = array("d")
 
     def _number(self, value) -> float | None:
         """``value`` as a float if it is a finite number, else None.
@@ -100,11 +114,12 @@ class CohortBuilder:
         return number if math.isfinite(number) else None
 
     def add(self, patient_id: str, stages, where: str | list[str]) -> None:
-        """Check one patient's stage records and append them.
+        """Check one patient's stage records and append their values.
 
         ``where`` locates the records for error messages, as ``path:line``:
         one location for them all, or a list with one per stage whose first
-        entry locates the patient.
+        entry locates the patient. A ``DataError`` may leave part of the
+        patient's values appended, so no cohort is built after one.
         """
         pid = patient_id
         lines = where if type(where) is list else None
@@ -115,10 +130,9 @@ class CohortBuilder:
         self._seen.add(pid)
         if type(stages) is not list or not stages:
             raise DataError(f"{where}: patient {pid!r}: 'stages' must be a nonempty list")
-        numeric, action_index, number = self._numeric, self._action, self._number
-        isfinite, text = math.isfinite, self._text
-        add_context, add_action = self._contexts.append, self._actions.append
-        add_severity = self._severity.append
+        columns, action_index, number = self._appenders, self._action, self._number
+        isfinite, text, nan = math.isfinite, self._text, math.nan
+        add_action, add_severity = self._actions.append, self._severity.append
         ts = []
         for i, stage in enumerate(stages):
             at = lines[i] if lines else where
@@ -140,23 +154,27 @@ class CohortBuilder:
             if type(context) is not dict:
                 raise DataError(f"{at}: patient {pid!r}: 'context' must be an object")
             for name, value in context.items():
-                is_numeric = numeric.get(name)
-                if is_numeric is None:
+                column = columns.get(name)
+                if column is None:
                     raise DataError(f"{at}: patient {pid!r}: unknown variable {name!r}")
+                append, missing = column
                 if value is None:
-                    continue
-                if is_numeric:
-                    if type(value) is float and isfinite(value):
-                        continue
-                    value = number(value)
-                    if value is None:
-                        raise DataError(
-                            f"{at}: patient {pid!r}, variable {name!r}: "
-                            f"expected a finite number, got {context[name]!r}"
-                        )
-                    context[name] = value
-                elif type(value) is not str:
-                    context[name] = str(value)
+                    append(missing)
+                elif missing is None:  # a categorical variable
+                    append(value if type(value) is str else str(value))
+                else:
+                    if not (type(value) is float and isfinite(value)):
+                        value = number(value)
+                        if value is None:
+                            raise DataError(
+                                f"{at}: patient {pid!r}, variable {name!r}: "
+                                f"expected a finite number, got {context[name]!r}"
+                            )
+                    append(value)
+            if len(context) < len(columns):  # some variable is absent
+                for name, (append, missing) in columns.items():
+                    if name not in context:
+                        append(missing)
             action = str(stage["action"])
             if action not in action_index:
                 raise DataError(f"{at}: patient {pid!r}: unknown action {action!r}")
@@ -168,9 +186,8 @@ class CohortBuilder:
                         f"{at}: patient {pid!r}: severity: "
                         f"expected a finite number, got {stage['severity']!r}"
                     )
-            add_context(context)
             add_action(action_index[action])
-            add_severity(severity)
+            add_severity(nan if severity is None else severity)
         if ts != list(range(1, len(ts) + 1)):
             raise DataError(f"{where}: patient {pid!r}: non-contiguous stages {ts}")
         self._patient_ids.append(pid)
@@ -180,7 +197,6 @@ class CohortBuilder:
         """The cohort of every patient added, in order; DataError if none was."""
         if not self._patient_ids:
             raise DataError("no episodes")
-        contexts = self._contexts
         return EpisodeSet(
             schema=self.schema,
             patient_ids=self._patient_ids,
@@ -188,11 +204,8 @@ class CohortBuilder:
             actions=np.array(self._actions, dtype=np.int64),
             severity=np.array(self._severity, dtype=float),
             columns={
-                v.name: np.array(
-                    [c.get(v.name) for c in contexts],
-                    dtype=float if v.kind == "numeric" else object,
-                )
-                for v in self.schema.variables
+                name: np.array(column, dtype=float if type(column) is array else object)
+                for name, column in self._columns.items()
             },
         )
 

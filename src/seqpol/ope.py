@@ -16,14 +16,15 @@ import numpy as np
 from .errors import ConfigError
 from .models import PolicyModel
 from .schema import EncodedCohort
-from .staterep import StateSpec, assemble_state
+from .staterep import StateSpec, accumulate_stages, assemble_state
 
 PROB_FLOOR = 1e-6
 
 
 @dataclass
 class InverseProductSeries:
-    """Per-patient cumulative products of 1 / p(a_t | s_t)."""
+    """Per-patient cumulative products of 1 / p(a_t | s_t), each a view into
+    one array of all patients' rows."""
 
     series: dict[str, np.ndarray]
     floored_events: int = 0
@@ -56,10 +57,11 @@ def inverse_probability_products(
     matrix = assemble_state(cohort, spec)
     probs = model.predict_proba(matrix)
     picked = probs[np.arange(matrix.n_rows), matrix.y]
-    inverse = 1.0 / np.maximum(picked, PROB_FLOOR)
+    products = 1.0 / np.maximum(picked, PROB_FLOOR)
+    accumulate_stages(np.multiply, products, matrix.stages)
+    bounds = matrix.offsets.tolist()
     series = {
-        pid: np.cumprod(inverse[rows])
-        for pid, rows in zip(matrix.patient_ids, matrix.patient_groups())
+        pid: products[lo:hi] for pid, lo, hi in zip(matrix.patient_ids, bounds, bounds[1:])
     }
     return InverseProductSeries(series, int((picked < PROB_FLOOR).sum()))
 

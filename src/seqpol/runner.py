@@ -253,13 +253,28 @@ class ExperimentReport:
     def from_dict(cls, d: dict) -> "ExperimentReport":
         """The inverse of ``to_dict``, but for the bundles ``model_files``
         lists; a missing optional key takes its default. A missing or
-        mistyped required key, or a malformed cell, is a ``DataError``."""
+        mistyped required key, a mistyped optional one, or a malformed cell,
+        is a ``DataError``."""
         for key, kind, name in (("cells", list, "array"), ("config", dict, "object"),
                                 ("states", list, "array"), ("model_kinds", list, "array"),
                                 ("model_files", list, "array")):
             if type(d.get(key)) is not kind:
                 got = f"got {d[key]!r}" if key in d else "it is missing"
                 raise DataError(f"report.json: {key!r} must be a JSON {name}, {got}")
+
+        def records(v):
+            return type(v) is list and all(type(r) is dict for r in v)
+
+        for key, valid, name in (
+            ("by_group", records, "an array of objects"),
+            ("by_stage", records, "an array of objects"),
+            ("ope_curves", records, "an array of objects"),
+            ("complexity", lambda v: v is None or records(v), "null or an array of objects"),
+            ("switch_confusion", lambda v: v is None or type(v) is dict, "null or an object"),
+            ("metadata", lambda v: type(v) is dict, "an object"),
+        ):
+            if key in d and not valid(d[key]):
+                raise DataError(f"report.json: {key!r} must be {name}, got {d[key]!r}")
         kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
         kwargs["cells"] = []
         for i, c in enumerate(d["cells"]):
@@ -268,6 +283,13 @@ class ExperimentReport:
                     k: MetricEstimate(**c[k]) for k in ("auroc", "ece", "sce") if c[k]}}))
             except (KeyError, TypeError) as exc:
                 raise DataError(f"report.json: cells[{i}] is no cell record: {c!r}") from exc
+            split = kwargs["cells"][-1].auroc_split_values
+            if type(split) is not list or not all(
+                    v is None or type(v) in (int, float) for v in split):
+                raise DataError(
+                    f"report.json: cells[{i}]: 'auroc_split_values' must be an array "
+                    f"of numbers, got {split!r}"
+                )
         return cls(**kwargs)
 
 

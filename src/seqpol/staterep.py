@@ -17,11 +17,11 @@ Assembly reads an ``EncodedCohort`` and writes each block into one
 preallocated matrix. The current context and the context lags are row gathers
 from the encoded matrix (the lag-l source of stage t is the row
 ``min(t - 1, l)`` stages back, so early stages repeat the first one), and
-action lags are one-hot gathers. Only the running aggregates go through a
-padded (patients x longest episode x columns) array, accumulated along the
-time axis: every patient's values are then added in stage order, exactly as
-a per-patient cumulative sum would, so the matrix does not depend on which
-other patients are in the cohort.
+action lags are one-hot gathers. The running aggregates are accumulated in
+place in their block of the matrix, one stage at a time over all patients
+(``accumulate_stages``): every patient's values are then added in stage
+order, exactly as a per-patient cumulative sum would, so the matrix does not
+depend on which other patients are in the cohort.
 """
 
 from __future__ import annotations
@@ -208,21 +208,21 @@ def _eligible_columns(cohort: EncodedCohort, flag: str) -> list[int]:
     ]
 
 
-def _running_aggregates(
-    values: np.ndarray, lengths: np.ndarray, op: str
-) -> np.ndarray:
-    """Running ``op`` of each patient's rows over its stages 1..t.
+def accumulate_stages(ufunc: np.ufunc, values: np.ndarray, stages: np.ndarray) -> None:
+    """Accumulate ``values`` over each patient's stages with ``ufunc``, in place.
 
-    ``values`` holds the rows of consecutive patients with the given lengths.
-    They are padded to (patients x longest x columns) and accumulated along
-    the time axis, so each patient's values are added in stage order.
+    ``values`` has rows in the row layout of the ``schema`` module (each
+    patient's rows consecutive, in stage order) and ``stages`` gives each
+    row's stage, 1 at a patient's first. Stage by stage, each row becomes ``ufunc`` of its
+    patient's accumulated previous row and itself, the operands and order of
+    ``ufunc.accumulate`` over that patient's rows alone, so the bits are the
+    same and no other patient changes them.
     """
-    valid = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
-    padded = np.zeros(valid.shape + values.shape[1:])
-    padded[valid] = values
-    if op == "max":
-        return np.maximum.accumulate(padded, axis=1)[valid]
-    return np.cumsum(padded, axis=1)[valid]
+    by_stage = np.argsort(stages, kind="stable")
+    ends = np.cumsum(np.bincount(stages))  # rows up to each stage
+    for lo, hi in zip(ends[1:-1].tolist(), ends[2:].tolist()):
+        rows = by_stage[lo:hi]
+        values[rows] = ufunc(values[rows - 1], values[rows])
 
 
 def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
@@ -290,16 +290,15 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
             col += K
     if op != "none":
         n_ctx = len(agg_cols)
-        values = np.zeros((n, n_ctx + K))
-        values[:, :n_ctx] = cohort.X[src][:, agg_cols]
+        agg = X[:, col:]
+        agg[:, :n_ctx] = cohort.X[src[:, None], agg_cols]
         later = before > 0  # the previous action counts from stage 2 on
-        values[rows[later], n_ctx + prev_idx[later]] = 1.0
-        agg = _running_aggregates(values, lengths, op)
+        agg[rows[later], n_ctx + prev_idx[later]] = 1.0
+        accumulate_stages(np.maximum if op == "max" else np.add, agg, before + 1)
         if op == "mean":
             agg[:, :n_ctx] /= (before + 1.0)[:, None]
             prior = before.astype(float)[:, None]
             np.divide(agg[:, n_ctx:], prior, out=agg[:, n_ctx:], where=prior > 0)
-        X[:, col:] = agg
 
     return StateMatrix(
         X=X,

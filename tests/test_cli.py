@@ -118,6 +118,12 @@ def _report_with(**keys) -> str:
                        "model_files": [], **keys})
 
 
+def _cell_with(**fields) -> dict:
+    return {"state": "current", "model": "logreg", "skip_reason": None, "auroc": None,
+            "auroc_split_values": [], "ece": None, "sce": None, "accuracy_value": None,
+            **fields}
+
+
 _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schema', "
                  "'preprocessor' and 'state_spec' objects")
 
@@ -144,6 +150,19 @@ _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schem
     ("report", _report_with(cells=[{"state": "current"}]), "report.json: cells[0] is no cell"),
     ("report", _report_with(model_files=[5]),
      "report.json: 'model_files' must list file names, got [5]"),
+    ("report", _report_with(by_group=[5]),
+     "report.json: 'by_group' must be an array of objects, got [5]"),
+    ("report", _report_with(ope_curves=[[]]),
+     "report.json: 'ope_curves' must be an array of objects, got [[]]"),
+    ("report", _report_with(complexity=[1]),
+     "report.json: 'complexity' must be null or an array of objects, got [1]"),
+    ("report", _report_with(switch_confusion=[1]),
+     "report.json: 'switch_confusion' must be null or an object, got [1]"),
+    ("report", _report_with(metadata=5), "report.json: 'metadata' must be an object, got 5"),
+    ("report", _report_with(cells=[_cell_with(auroc_split_values=5)]),
+     "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got 5"),
+    ("report", _report_with(cells=[_cell_with(auroc_split_values=["x"])]),
+     "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got ['x']"),
 ])
 def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
         tmp_path, capsys, command, content, error):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqpol.cli import main
 from seqpol.dataset import (
+    CohortBuilder,
     apply_preprocessor,
     fit_preprocessor,
     load_episodes,
@@ -278,6 +279,28 @@ class TestLoadEpisodes:
         with pytest.raises(DataError, match="unknown column"):
             load_episodes(str(path), make_schema())
 
+    @pytest.mark.parametrize("kind", ["jsonl", "csv"])
+    def test_the_first_problem_in_a_file_is_the_one_reported(self, tmp_path, kind):
+        # a bad number on line 3, a duplicate patient on line 5
+        if kind == "jsonl":
+            bad = record("b", 2)
+            bad["stages"][1]["context"]["hr"] = "x"
+            path = write_jsonl(tmp_path, [record("a", 1), record("c", 1), bad,
+                                          record("d", 1), record("a", 1)])
+        else:
+            path = tmp_path / "eps.csv"
+            path.write_text(
+                "patient_id,t,action,severity,hr,bmi\n"
+                "a,1,fluids,2.0,70,obese\n"
+                "b,1,fluids,1.0,x,obese\n"
+                "c,1,fluids,1.0,71,obese\n"
+                "a,1,fluids,1.0,72,obese\n"
+            )
+        with pytest.raises(DataError) as info:
+            load_episodes(str(path), make_schema())
+        assert str(info.value).startswith(f"{path}:3: patient 'b', variable 'hr': "
+                                          "expected a finite number, got 'x'")
+
     def test_jsonl_round_trip(self, tmp_path):
         path = write_jsonl(tmp_path, [record("a", 2), record("b", 1)])
         eps = load_episodes(path, make_schema())
@@ -369,6 +392,24 @@ def assert_same_columns(a, b):
         else:
             assert (col.dtype, col.tobytes()) == (b.columns[name].dtype,
                                                   b.columns[name].tobytes()), name
+
+
+def test_builder_leaves_its_records_unchanged_and_keeps_no_reference():
+    stages = [
+        {"t": 1, "context": {"hr": 1, "bmi": 5}, "action": "fluids", "severity": 2},
+        {"t": 2, "context": {"hr": 1.0, "bmi": None}, "action": "pressor"},
+    ]
+    before = json.dumps(stages)
+    builder = CohortBuilder(make_schema())
+    builder.add("a", stages, "records")
+    assert json.dumps(stages) == before  # no value converted in place
+    stages[0]["context"]["bmi"] = "lean"
+    stages[1]["context"]["hr"] = 99.0
+    stages[1]["severity"] = 3.0
+    eps = builder.build()
+    assert eps.columns["hr"].tolist() == [1.0, 1.0]
+    assert eps.columns["bmi"].tolist() == ["5", None]
+    assert eps.severity[0] == 2.0 and np.isnan(eps.severity[1])
 
 
 def numeric_set(values_by_patient, transform="standardize", **var_kwargs):

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
-from seqpol.schema import EncodedCohort
+from seqpol.schema import EncodedCohort, offsets_of
 from seqpol.staterep import (
     AGG_OPS,
     StateSpec,
+    accumulate_stages,
     assemble_state,
     enumerate_standard_states,
 )
@@ -403,6 +404,26 @@ class TestAssembleMatchesPerPatientReference:
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (spec.name, name)
             assert got.patient_ids == want.patient_ids
+
+
+@pytest.mark.parametrize("ufunc, reference", [
+    (np.add, np.cumsum),  # the sum and mean aggregates
+    (np.maximum, np.maximum.accumulate),  # the max aggregate
+    (np.multiply, np.cumprod),  # the inverse-probability products
+])
+def test_accumulate_stages_equals_the_per_patient_accumulation(ufunc, reference):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lengths = rng.integers(1, 13, size=rng.integers(1, 25))
+        lengths[rng.integers(len(lengths))] = 1  # a 1-stage patient in every cohort
+        offsets = offsets_of(lengths)
+        stages = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths) + 1
+        values = rng.normal(size=(offsets[-1], 4)) * 10.0 ** rng.integers(-8, 9, 4)
+        got = values.copy()
+        accumulate_stages(ufunc, got, stages)
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            want = reference(values[lo:hi], axis=0)
+            assert got[lo:hi].tobytes() == want.tobytes(), (ufunc, lo)
 
 
 def _runs(ids):
