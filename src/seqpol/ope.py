@@ -9,6 +9,7 @@ floored events are counted and reported instead of silently clipped.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,24 @@ PROB_FLOOR = 1e-6
 
 @dataclass
 class InverseProductSeries:
-    """Per-patient cumulative products of 1 / p(a_t | s_t), each a view into
-    one array of all patients' rows."""
+    """Cumulative products of 1 / p(a_t | s_t) of every patient's rows, in the
+    row layout of the ``schema`` module, and each row's stage (1 at a
+    patient's first).
 
-    series: dict[str, np.ndarray]
+    ``products`` may also be a mapping of patient id to that patient's
+    series, as the benchmark's reference test (``perfbench/tests``) builds
+    it; the series are then flattened and ``stages`` derived.
+    """
+
+    products: np.ndarray
     floored_events: int = 0
+    stages: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.products, Mapping):
+            series = list(self.products.values())
+            self.stages = np.concatenate([np.arange(1, len(s) + 1) for s in series])
+            self.products = np.concatenate(series)
 
 
 @dataclass
@@ -59,11 +73,7 @@ def inverse_probability_products(
     picked = probs[np.arange(matrix.n_rows), matrix.y]
     products = 1.0 / np.maximum(picked, PROB_FLOOR)
     accumulate_stages(np.multiply, products, matrix.stages)
-    bounds = matrix.offsets.tolist()
-    series = {
-        pid: products[lo:hi] for pid, lo, hi in zip(matrix.patient_ids, bounds, bounds[1:])
-    }
-    return InverseProductSeries(series, int((picked < PROB_FLOOR).sum()))
+    return InverseProductSeries(products, int((picked < PROB_FLOOR).sum()), matrix.stages)
 
 
 def median_product_curve(
@@ -72,16 +82,10 @@ def median_product_curve(
     """Per-stage median over patients whose trajectory reaches that stage."""
     if max_stage < 1:
         raise ConfigError("max_stage must be >= 1")
-    series = list(products.series.values())
-    lengths = np.array([len(s) for s in series], dtype=np.int64)
-    # one row per patient, its first stages up to the last that is reported
-    width = min(max_stage, int(lengths.max(initial=0)))
-    table = np.zeros((len(series), width))
-    for row, s in zip(table, series):
-        row[: len(s)] = s[:width]
+    width = min(max_stage, int(products.stages.max(initial=0)))
     stages, medians, counts = [], [], []
     for t in range(1, width + 1):
-        active = table[lengths >= t, t - 1]
+        active = products.products[products.stages == t]
         stages.append(t)
         medians.append(float(np.median(active)))
         counts.append(len(active))

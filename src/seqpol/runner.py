@@ -5,14 +5,16 @@ model) pair is one ``_Cell`` record that they fill in turn. Split: each
 seeded split's folds, encoded by a preprocessor fitted on its training
 patients. Fit and select: per state representation and cell, randomly
 sampled candidates are fitted, and the best on the validation fold (by
-AUROC or accuracy) scores the test fold; a state's tree candidates, and on
-split 0 the tree sweep's configurations, share one growth per criterion.
-Pool: a cell's test rows of every split, stacked once. Summarize: one
-``RowWeightedMetrics`` per cell gives the AUROC by stage and by severity
-group and the patient bootstrap intervals.
+AUROC or accuracy) scores the test fold; a state's tree candidates share one
+growth per criterion. On split 0 the same step grows the optional
+tree-complexity sweep's trees, with the tree candidates when ``tree`` is a
+model kind, and scores them on the switch-state rows of the state's
+validation and test matrices (``tree_sweep`` runs that step alone for
+``seqpol sweep-trees``). Pool: a cell's test rows of every split, stacked
+once. Summarize: one ``RowWeightedMetrics`` per cell gives the AUROC by
+stage and by severity group and the patient bootstrap intervals.
 Then the switch-state confusion, the OPE curves and the bundles of the
-split-0 models, the metadata and the optional tree-complexity sweep on split
-0's folds (``tree_sweep``, also run by ``seqpol sweep-trees``).
+split-0 models, and the metadata.
 Rendering writes every CSV table through one writer and every figure with
 one series per state. report.json holds no wall times, so repeated runs are
 byte-identical; only run_manifest.json records how long the run took, and
@@ -28,7 +30,7 @@ import hashlib
 import json
 import numbers
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -56,7 +58,6 @@ from .strata import (
     auroc_by_level,
     filter_switch_states,
     grow_and_truncate,
-    sweep_configs,
     tree_complexity_sweep,
 )
 from .svg import line_chart
@@ -69,6 +70,13 @@ _OPE_COLUMNS = ["state", "model", "stage", "median", "n", "floored_events"]
 _COMPLEXITY_COLUMNS = [
     "state", "leaves_low", "leaves_high", "n_models", "val_auroc", "test_auroc"
 ]
+# Each record list of a report: its columns and the float columns among them.
+_RECORDS = {
+    "by_group": (_GROUP_COLUMNS, ("auroc",)),
+    "by_stage": (_STAGE_COLUMNS, ("auroc",)),
+    "ope_curves": (_OPE_COLUMNS, ("median",)),
+    "complexity": (_COMPLEXITY_COLUMNS, ("val_auroc", "test_auroc")),
+}
 
 
 def derive_seed(*parts) -> int:
@@ -206,6 +214,16 @@ class ExperimentConfig:
 # Report containers
 # ---------------------------------------------------------------------------
 
+def _check_floats(where: str, record: dict, keys) -> None:
+    """A ``DataError`` unless each of ``keys`` holds a number or null in the
+    ``record`` of report.json at ``where``."""
+    for key in keys:
+        value = record.get(key)
+        if not (value is None or _is_number(value, numbers.Real)):
+            raise DataError(f"report.json: {where}: {key!r} must be a number or null, "
+                            f"got {value!r}")
+
+
 @dataclass
 class CellResult:
     state: str
@@ -253,8 +271,9 @@ class ExperimentReport:
     def from_dict(cls, d: dict) -> "ExperimentReport":
         """The inverse of ``to_dict``, but for the bundles ``model_files``
         lists; a missing optional key takes its default. A missing or
-        mistyped required key, a mistyped optional one, or a malformed cell,
-        is a ``DataError``."""
+        mistyped required key, a mistyped optional one, a record without its
+        table's columns or with no number or null in a float column, or a
+        malformed cell, is a ``DataError``."""
         for key, kind, name in (("cells", list, "array"), ("config", dict, "object"),
                                 ("states", list, "array"), ("model_kinds", list, "array"),
                                 ("model_files", list, "array")):
@@ -275,21 +294,32 @@ class ExperimentReport:
         ):
             if key in d and not valid(d[key]):
                 raise DataError(f"report.json: {key!r} must be {name}, got {d[key]!r}")
+        for key, (columns, floats) in _RECORDS.items():
+            for i, r in enumerate(d.get(key) or ()):
+                missing = [c for c in columns if c not in r]
+                if missing:
+                    raise DataError(f"report.json: {key}[{i}] lacks {missing}: {r!r}")
+                _check_floats(f"{key}[{i}]", r, floats)
         kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
         kwargs["cells"] = []
         for i, c in enumerate(d["cells"]):
             try:
-                kwargs["cells"].append(CellResult(**{**c, **{
-                    k: MetricEstimate(**c[k]) for k in ("auroc", "ece", "sce") if c[k]}}))
+                cell = CellResult(**{**c, **{
+                    k: MetricEstimate(**c[k]) for k in ("auroc", "ece", "sce") if c[k]}})
             except (KeyError, TypeError) as exc:
                 raise DataError(f"report.json: cells[{i}] is no cell record: {c!r}") from exc
-            split = kwargs["cells"][-1].auroc_split_values
+            split = cell.auroc_split_values
             if type(split) is not list or not all(
                     v is None or type(v) in (int, float) for v in split):
                 raise DataError(
                     f"report.json: cells[{i}]: 'auroc_split_values' must be an array "
                     f"of numbers, got {split!r}"
                 )
+            _check_floats(f"cells[{i}]", c, ("accuracy_value",))
+            for k in ("auroc", "ece", "sce"):
+                if c[k]:
+                    _check_floats(f"cells[{i}].{k}", c[k], ("value", "ci_low", "ci_high"))
+            kwargs["cells"].append(cell)
         return cls(**kwargs)
 
 
@@ -462,46 +492,47 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     return bootstrap_ci(np.arange(n_patients), statistic, B=B, seed=seed)
 
 
-def _sweep_seed(cfg: ExperimentConfig) -> int:
-    return derive_seed(cfg.seed, "sweep")
+def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[dict]:
+    """Rows of the tree-complexity sweep on the folds of split 0: the sweep
+    step of ``_fit_and_select`` with no candidates."""
+    complexity: list[dict] = []
+    _fit_and_select(cfg, _split(cfg, raw, 0), (), {}, [], complexity)
+    return complexity
 
 
-def tree_sweep(
-    cfg: ExperimentConfig, raw: EpisodeSet, split0: _Split | None = None,
-    grown: dict | None = None,
-) -> list[dict]:
-    """Rows of the tree-complexity sweep on the folds of split 0 (``split0``
-    when the caller holds them already), with ``grown`` the tree growths
-    already made there (see ``tree_complexity_sweep``)."""
-    split0 = split0 or _split(cfg, raw, 0)
-    buckets = tree_complexity_sweep(
-        split0.train, split0.val, split0.test, cfg.resolved_states(),
-        n_models=cfg.tree_sweep_n,
-        leaf_bin_width=cfg.tree_sweep_leaf_bin,
-        profile=cfg.profile,
-        seed=_sweep_seed(cfg),
-        grown=grown,
-    )
-    return [dict(zip(_COMPLEXITY_COLUMNS, astuple(b))) for b in buckets]
-
-
-def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
-    """Fit each cell's candidates on one split, select the best on its
-    validation fold and score that on its test fold; failed fits go to
-    ``failures``. Returns the fits attempted.
+def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
+    """Fit each cell's candidates of ``kinds`` on one split, select the best
+    on its validation fold and score that on its test fold; failed fits go
+    to ``failures``. Returns the fits attempted.
 
     A state's tree candidates share one growth per criterion
-    (``grow_and_truncate``). When ``swept`` is a dict, those growths also
-    cover the tree sweep's configurations of the state and are stored
-    there under its name, for ``tree_sweep`` to read off.
+    (``grow_and_truncate``). On split 0 with ``tree_sweep_n`` set, each
+    state's sweep configurations are drawn too and their trees read off the
+    same growths, or off a growth of their own when ``tree`` is not among
+    ``kinds``. ``tree_complexity_sweep`` scores those trees on the
+    switch-state rows of the state's validation and test matrices and its
+    rows go to ``complexity``. A failed sweep growth is one ``failures``
+    entry, and its state gets no rows.
     """
     metric = cfg.resolved_selection_metric()
     attempted = 0
-    for spec_index, spec in enumerate(specs):
+    for spec_index, spec in enumerate(cfg.resolved_states()):
         train, val, test = (
             assemble_state(fold, spec) for fold in (split.train, split.val, split.test)
         )
-        for kind in cfg.model_kinds:
+
+        def fit_one(kind, params, seed=0):
+            try:
+                return fit_model(kind, params, train, val, seed=seed)
+            except SeqpolError as exc:
+                return exc
+
+        sweep = []
+        if split.index == 0 and cfg.tree_sweep_n > 0:
+            seed = derive_seed(cfg.seed, "sweep") * 10007 + spec_index
+            sweep = sample_hyperparams("tree", cfg.profile, seed=seed, n=cfg.tree_sweep_n)
+        swept = None  # the sweep's trees, once grown
+        for kind in kinds:
             cell = cells[spec.name, kind]
             if kind == "riskscore" and train.n_actions > 2:
                 cell.skip = "unsupported: multiclass action space"
@@ -510,30 +541,16 @@ def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
                 kind, cfg.profile, n=cfg.n_candidates,
                 seed=derive_seed(cfg.seed, "hp", split.index, spec.name, kind),
             )
-
-            def fit_one(params, seed=0):
-                try:
-                    return fit_model(kind, params, train, val, seed=seed)
-                except SeqpolError as exc:
-                    return exc
-
             attempted += len(draws)
             if kind == "tree":
-                sweep = [] if swept is None else sweep_configs(
-                    spec_index, cfg.tree_sweep_n, cfg.profile, _sweep_seed(cfg)
-                )
-                grown, trees = grow_and_truncate(draws + sweep, fit_one)
-                outcomes = trees[: len(draws)]
-                if swept is not None and not any(
-                    isinstance(t, SeqpolError) for t in grown.values()
-                ):
-                    swept[spec.name] = grown
+                trees = grow_and_truncate(draws + sweep, lambda p: fit_one(kind, p))
+                outcomes, swept = trees[: len(draws)], trees[len(draws):]
             else:
-                seeds = [
-                    derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci)
-                    for ci in range(len(draws))
+                outcomes = [
+                    fit_one(kind, params,
+                            derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci))
+                    for ci, params in enumerate(draws)
                 ]
-                outcomes = list(map(fit_one, draws, seeds))
             for ci, (params, out) in enumerate(zip(draws, outcomes)):
                 if isinstance(out, SeqpolError):
                     failures.append({
@@ -558,6 +575,20 @@ def _fit_and_select(cfg, split, specs, cells, failures, swept=None) -> int:
             except UndefinedMetricError:
                 cell.split_auroc.append(None)
             cell.chunks.append((split.index, test, probs))
+        if not sweep:
+            continue
+        if swept is None:
+            swept = grow_and_truncate(sweep, lambda p: fit_one("tree", p))
+        failed = [t for t in swept if isinstance(t, SeqpolError)]
+        if failed:
+            failures.append({"split": split.index, "state": spec.name, "model": "tree",
+                             "sweep_configs_failed": len(failed), "error": str(failed[0])})
+            continue
+        rows = tree_complexity_sweep(
+            spec.name, swept, filter_switch_states(val), filter_switch_states(test),
+            cfg.tree_sweep_leaf_bin,
+        )
+        complexity += [dict(zip(_COMPLEXITY_COLUMNS, row)) for row in rows]
     return attempted
 
 
@@ -680,16 +711,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     severity_groups = assign_severity_groups(raw)
     cells = {(s.name, kind): _Cell(s, kind) for s in specs for kind in cfg.model_kinds}
 
-    n_fits, failures, prep_warnings = 0, [], []
-    swept = {} if cfg.tree_sweep_n > 0 else None  # split 0's tree growths by state
+    n_fits, failures, prep_warnings, complexity = 0, [], [], []
     for index in range(cfg.n_splits):
         split = _split(cfg, raw, index)
         if index == 0:
             split0 = split
         prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
-        n_fits += _fit_and_select(
-            cfg, split, specs, cells, failures, swept if index == 0 else None
-        )
+        n_fits += _fit_and_select(cfg, split, cfg.model_kinds, cells, failures, complexity)
 
     report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
     _summarize(cfg, cells, severity_groups.groups, report)
@@ -700,8 +728,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for (_, kind), cell in sorted(cells.items())
         if cell.model0 is not None
     ]
-    if cfg.tree_sweep_n > 0:
-        report.complexity = tree_sweep(cfg, raw, split0, swept)
+    report.complexity = complexity if cfg.tree_sweep_n > 0 else None
 
     report.metadata = {
         "package_version": _pkg_version,
@@ -769,9 +796,7 @@ def render_complexity(complexity: list[dict], outdir: str) -> list[str]:
     """Write complexity.csv and complexity.svg from ``tree_sweep`` rows."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        out / "complexity.csv", _COMPLEXITY_COLUMNS, ("val_auroc", "test_auroc"), complexity
-    )
+    _write_table(out / "complexity.csv", *_RECORDS["complexity"], complexity)
     _chart_by_state(
         complexity, lambda r: 0.5 * (r["leaves_low"] + r["leaves_high"]), "test_auroc",
         out / "complexity.svg", title="Switch-state test AUROC by tree size",
@@ -838,11 +863,11 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     table("calibration.csv", calibration_columns, calibration_columns[2:], calibration_rows)
 
     if report.by_group:
-        table("by_group.csv", _GROUP_COLUMNS, ("auroc",), report.by_group)
+        table("by_group.csv", *_RECORDS["by_group"], report.by_group)
     else:
         notes.append("by_group.csv omitted: no severity subgroups available")
     if report.by_stage:
-        table("by_stage.csv", _STAGE_COLUMNS, ("auroc",), report.by_stage)
+        table("by_stage.csv", *_RECORDS["by_stage"], report.by_stage)
     if report.switch_confusion:
         labels = report.switch_confusion["action_labels"]
         corner = "reference\\comparison"
@@ -854,7 +879,7 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         cause = report.metadata.get("switch_confusion_omitted", "cause not recorded")
         notes.append(f"switch_confusion.csv omitted: {cause}")
     if report.ope_curves:
-        table("ope_curve.csv", _OPE_COLUMNS, ("median",), report.ope_curves)
+        table("ope_curve.csv", *_RECORDS["ope_curves"], report.ope_curves)
         _chart_by_state(
             report.ope_curves, lambda r: r["stage"], "median", out / "ope_curve.svg",
             title="Median inverse-probability product by stage",

@@ -3,9 +3,9 @@
 Patients are grouped by the average per-stage rate of change of their severity
 score into six intervals; AUROC is broken down by any per-row level (stage,
 severity group) from one set of pooled predictions; rows where the chosen
-action differs from the previous one form the switch-state subset; and
-randomly configured trees are swept to relate model size (leaf count) to
-discrimination.
+action differs from the previous one form the switch-state subset; and a
+sweep of randomly configured trees is bucketed to relate model size (leaf
+count) to discrimination.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .metrics import RowWeightedMetrics, auroc_multiclass
-from .models import fit_tree, sample_hyperparams
-from .schema import EncodedCohort, EpisodeSet
-from .staterep import StateMatrix, StateSpec, assemble_state
+from .schema import EpisodeSet
+from .staterep import StateMatrix
+
+# Unused here; imported only because the benchmark's tracer
+# (perfbench/tracing.py) patches these names on this module.
+from .models import fit_tree  # noqa: F401
+from .staterep import assemble_state  # noqa: F401
 
 # Upper edges of the severity rate-of-change intervals for groups 1..5;
 # anything at or above the last edge falls in group 6.
@@ -93,23 +97,7 @@ def filter_switch_states(matrix: StateMatrix) -> StateMatrix:
     return matrix.subset(matrix.y != matrix.prev_actions)
 
 
-@dataclass
-class ComplexityBucket:
-    spec_name: str
-    leaves_low: int
-    leaves_high: int
-    n_models: int
-    val_auroc: float
-    test_auroc: float
-
-
-def sweep_configs(spec_index: int, n_models: int, profile: str, seed: int = 0) -> list[dict]:
-    """The tree configurations the sweep samples for the spec at ``spec_index``
-    under the profile named ``profile``."""
-    return sample_hyperparams("tree", profile, seed=seed * 10007 + spec_index, n=n_models)
-
-
-def grow_and_truncate(configs: list[dict], grow):
+def grow_and_truncate(configs: list[dict], grow) -> list:
     """Each tree configuration's tree, from one growth per criterion.
 
     A node's split depends only on the training rows reaching it and the
@@ -120,10 +108,9 @@ def grow_and_truncate(configs: list[dict], grow):
     ``grow`` (tree parameters -> tree) therefore runs once per criterion of
     ``configs``, with the largest depth and the smallest split size that
     criterion's configurations ask for, and every configuration's tree is
-    read off its growth with ``TreePolicy.truncated``. A growth may return an
-    exception instead of a tree; its configurations then get that exception.
-
-    Returns the growths by criterion and the configurations' trees in order.
+    read off its growth with ``TreePolicy.truncated``, in the order of
+    ``configs``. A growth may return an exception instead of a tree; its
+    configurations then get that exception.
     """
     loosest: dict[str, dict] = {}
     for p in configs:
@@ -137,85 +124,40 @@ def grow_and_truncate(configs: list[dict], grow):
         if not isinstance(tree, Exception):
             tree = tree.truncated(p["max_depth"], p["min_samples_split"])
         trees.append(tree)
-    return grown, trees
+    return trees
 
 
 def tree_complexity_sweep(
-    train: EncodedCohort,
-    val: EncodedCohort,
-    test: EncodedCohort,
-    specs: list[StateSpec],
-    n_models: int = 500,
-    leaf_bin_width: int = 5,
-    profile: str = "ra-like",
-    seed: int = 0,
-    grown: dict[str, dict] | None = None,
-) -> list[ComplexityBucket]:
-    """Fit many randomly configured trees and keep the best per size bucket.
+    spec_name: str, trees: list, sw_val: StateMatrix, sw_test: StateMatrix, leaf_bin_width: int
+) -> list[tuple]:
+    """The best of a state's ``trees`` per size bucket.
 
-    For every state spec, ``n_models`` tree configurations are sampled
-    (``sweep_configs``) and each is fit on the training split. Models are
-    bucketed by leaf count (buckets of ``leaf_bin_width`` leaves); within
-    each bucket the model with the best switch-state validation AUROC is
-    selected and its switch-state test AUROC reported. Empty buckets are
-    omitted.
-
-    The trees come from ``grow_and_truncate``: one growth per sampled
-    criterion, read off per configuration. A growth sorts each feature once
-    and hands each child its rows by a stable partition of the sorted
-    orders, with K - 1 cumulative class counts per split search (see
-    ``models.tree``). ``grown`` may hold, per spec name, growths already
-    made on the same training rows (criterion -> tree, grown with limits no
-    tighter than any sampled configuration's of that criterion);
-    ``run_experiment`` passes the growths it shares with its split-0 tree
-    candidates. A spec without them grows its own, as ``seqpol
-    sweep-trees`` does.
+    The trees are bucketed by leaf count (buckets of ``leaf_bin_width``
+    leaves); within each bucket the tree with the best validation AUROC on
+    the switch-state rows ``sw_val`` is selected and its AUROC on the
+    switch-state test rows ``sw_test`` reported. One row per bucket, in
+    ascending size: (``spec_name``, lowest leaf count, highest leaf count,
+    trees in the bucket, validation AUROC, test AUROC). Buckets where no
+    tree has both AUROCs defined are omitted.
     """
-    if leaf_bin_width < 1:
-        raise ConfigError("leaf_bin_width must be >= 1")
-    results: list[ComplexityBucket] = []
-    for spec_idx, spec in enumerate(specs):
-        m_val = assemble_state(val, spec)
-        m_test = assemble_state(test, spec)
-        sw_val = filter_switch_states(m_val)
-        sw_test = filter_switch_states(m_test)
-        configs = sweep_configs(spec_idx, n_models, profile, seed)
-        shared = (grown or {}).get(spec.name)
-        if shared is None:
-            m_train = assemble_state(train, spec)
-            _, trees = grow_and_truncate(configs, lambda p: fit_tree(m_train, **p))
-        else:
-            _, trees = grow_and_truncate(configs, lambda p: shared[p["criterion"]])
-        # bucket index -> (best val auroc, test auroc, count)
-        buckets: dict[int, list] = {}
-        for model in trees:
-            b = (model.n_leaves - 1) // leaf_bin_width
-            entry = buckets.setdefault(b, [None, None, 0])
-            entry[2] += 1
+    # bucket index -> (best val auroc, test auroc, count)
+    buckets: dict[int, list] = {}
+    for model in trees:
+        b = (model.n_leaves - 1) // leaf_bin_width
+        entry = buckets.setdefault(b, [None, None, 0])
+        entry[2] += 1
+        try:
+            val_auc = auroc_multiclass(model.predict_proba(sw_val), sw_val.y)
+        except UndefinedMetricError:
+            continue
+        if entry[0] is None or val_auc > entry[0]:
             try:
-                val_auc = auroc_multiclass(model.predict_proba(sw_val), sw_val.y)
+                test_auc = auroc_multiclass(model.predict_proba(sw_test), sw_test.y)
             except UndefinedMetricError:
                 continue
-            if entry[0] is None or val_auc > entry[0]:
-                try:
-                    test_auc = auroc_multiclass(
-                        model.predict_proba(sw_test), sw_test.y
-                    )
-                except UndefinedMetricError:
-                    continue
-                entry[0], entry[1] = val_auc, test_auc
-        for b in sorted(buckets):
-            best_val, best_test, count = buckets[b]
-            if best_val is None:
-                continue
-            results.append(
-                ComplexityBucket(
-                    spec_name=spec.name,
-                    leaves_low=b * leaf_bin_width + 1,
-                    leaves_high=(b + 1) * leaf_bin_width,
-                    n_models=count,
-                    val_auroc=best_val,
-                    test_auroc=best_test,
-                )
-            )
-    return results
+            entry[0], entry[1] = val_auc, test_auc
+    return [
+        (spec_name, b * leaf_bin_width + 1, (b + 1) * leaf_bin_width, count, best_val, best_test)
+        for b, (best_val, best_test, count) in sorted(buckets.items())
+        if best_val is not None
+    ]

@@ -163,6 +163,18 @@ _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schem
      "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got 5"),
     ("report", _report_with(cells=[_cell_with(auroc_split_values=["x"])]),
      "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got ['x']"),
+    ("report", _report_with(ope_curves=[{}]),
+     "report.json: ope_curves[0] lacks ['state', 'model', 'stage', 'median', 'n', "
+     "'floored_events']: {}"),
+    ("report", _report_with(complexity=[{"state": "current", "leaves_low": 1,
+                                         "leaves_high": 5, "n_models": 2,
+                                         "val_auroc": "x", "test_auroc": None}]),
+     "report.json: complexity[0]: 'val_auroc' must be a number or null, got 'x'"),
+    ("report", _report_with(cells=[_cell_with(accuracy_value="x")]),
+     "report.json: cells[0]: 'accuracy_value' must be a number or null, got 'x'"),
+    ("report", _report_with(cells=[_cell_with(
+        ece={"value": "x", "ci_low": 0.0, "ci_high": 1.0, "n_bootstrap": 10})]),
+     "report.json: cells[0].ece: 'value' must be a number or null, got 'x'"),
 ])
 def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
         tmp_path, capsys, command, content, error):

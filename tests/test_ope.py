@@ -1,6 +1,6 @@
 import numpy as np
 
-from seqpol.ope import PROB_FLOOR, inverse_probability_products
+from seqpol.ope import PROB_FLOOR, inverse_probability_products, median_product_curve
 from seqpol.staterep import StateSpec, assemble_state
 
 from conftest import THERAPY_ACTIONS, encoded_episode_set
@@ -40,12 +40,19 @@ def test_products_equal_the_per_patient_cumprod_bit_for_bit(therapy_schema):
         matrix = assemble_state(cohort, spec)
         picked = probs[np.arange(n_rows), matrix.y]
         inverse = 1.0 / np.maximum(picked, PROB_FLOOR)
-        want = {pid: np.cumprod(inverse[rows])
-                for pid, rows in zip(matrix.patient_ids, matrix.patient_groups())}
-        assert list(products.series) == list(want)
-        for pid, series in want.items():
-            got = products.series[pid]
-            assert (got.dtype, got.tobytes()) == (series.dtype, series.tobytes()), pid
+        bounds = matrix.offsets.tolist()
+        assert products.products.shape == (n_rows,)
+        assert products.stages.tolist() == matrix.stages.tolist()
+        for pid, lo, hi in zip(matrix.patient_ids, bounds, bounds[1:]):
+            got, want = products.products[lo:hi], np.cumprod(inverse[lo:hi])
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), pid
+        # the curve's stage-t median is that of the series reaching stage t
+        series = [np.cumprod(inverse[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        reached = [[s[t - 1] for s in series if len(s) >= t] for t in range(1, 11)]
+        assert median_product_curve(products, 10).rows() == [
+            (t, float(np.median(r)), len(r), products.floored_events)
+            for t, r in enumerate(reached, 1) if r
+        ]
         assert products.floored_events == int((picked < PROB_FLOOR).sum())
         floored += products.floored_events
     assert floored > 0

@@ -284,10 +284,16 @@ def test_shared_tree_growths_give_every_candidate_its_own_fit(monkeypatch):
     cfg = _tree_config(tree_sweep_n=12)
     draws, selected = [], []
     sample, select = runner.sample_hyperparams, runner.select_best_candidate
+    candidate_seeds = {
+        derive_seed(cfg.seed, "hp", index, spec.name, "tree")
+        for index in range(cfg.n_splits) for spec in cfg.resolved_states()
+    }
 
     def recording_sample(*args, **kwargs):
-        draws.append(sample(*args, **kwargs))
-        return draws[-1]
+        out = sample(*args, **kwargs)
+        if kwargs["seed"] in candidate_seeds:  # not the sweep's draws
+            draws.append(out)
+        return out
 
     def recording_select(candidates, val, metric):
         selected.append(candidates)
@@ -329,6 +335,44 @@ def test_a_failed_tree_growth_fails_each_of_its_candidates(monkeypatch):
     assert all(f["params"]["criterion"] == "entropy" for f in failures)
     assert len({(f["state"], f["candidate"]) for f in failures}) == len(failures)
     assert report.metadata["fits_attempted"] == 2 * cfg.n_candidates
+
+
+@pytest.mark.parametrize("kinds", [["tree"], ["logreg"]])
+def test_the_sweep_assembles_no_state_matrix_of_its_own(monkeypatch, kinds):
+    cfg = _tree_config(model_kinds=kinds, tree_sweep_n=12)
+    calls = []
+    assemble = runner.assemble_state
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args[1].name)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "assemble_state", counting_assemble)
+    report = run_experiment(cfg)
+    assert report.complexity
+    states = [spec.name for spec in cfg.resolved_states()]
+    assert calls == [name for _ in range(cfg.n_splits) for name in states for _ in range(3)]
+
+
+@pytest.mark.parametrize("kinds", [["tree"], ["logreg"]])
+def test_a_failed_sweep_growth_is_a_recorded_failure(monkeypatch, kinds):
+    # Every tree grown on the `window1` state fails: the run finishes, the
+    # failure is recorded and that state alone has no complexity rows.
+    cfg = _tree_config(model_kinds=kinds, n_splits=1, tree_sweep_n=12)
+    fit_model = runner.fit_model
+
+    def failing_fit(kind, params, train, *args, **kwargs):
+        if kind == "tree" and "x0@lag1" in train.feature_names:  # window1
+            raise FitError("boom")
+        return fit_model(kind, params, train, *args, **kwargs)
+
+    want = [r for r in run_experiment(cfg).complexity if r["state"] != "window1"]
+    monkeypatch.setattr(runner, "fit_model", failing_fit)
+    report = run_experiment(cfg)
+    assert report.complexity == want and want
+    (sweep_failure,) = [f for f in report.metadata["failures"] if "candidate" not in f]
+    assert sweep_failure == {"split": 0, "state": "window1", "model": "tree",
+                             "sweep_configs_failed": 12, "error": "boom"}
 
 
 def test_a_logreg_fit_out_of_newton_steps_is_a_recorded_skip(monkeypatch):

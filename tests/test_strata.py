@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from seqpol.dataset import apply_preprocessor, fit_preprocessor, split_dataset
 from seqpol.errors import UndefinedMetricError
 from seqpol.metrics import RowWeightedMetrics, auroc_multiclass
 from seqpol.models import fit_tree, sample_hyperparams
+from seqpol.runner import (
+    _COMPLEXITY_COLUMNS, ExperimentConfig, _split, derive_seed, resolve_episodes,
+    run_experiment, tree_sweep,
+)
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.strata import (
-    ComplexityBucket,
     assign_severity_groups,
     auroc_by_level,
     filter_switch_states,
-    tree_complexity_sweep,
 )
-from seqpol.synthgen import GeneratorConfig, generate_cohort
+from seqpol.synthgen import GeneratorConfig
 
 from conftest import raw_episode_set, row_ids
 
@@ -126,26 +127,30 @@ def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, 
         for b in sorted(buckets):
             best_val, best_test, count = buckets[b]
             if best_val is not None:
-                results.append(ComplexityBucket(
+                results.append((
                     spec.name, b * leaf_bin_width + 1, (b + 1) * leaf_bin_width,
                     count, best_val, best_test,
                 ))
     return results
 
 
+@pytest.mark.parametrize("kinds", [["tree"], ["logreg"]], ids=["with-tree", "no-tree"])
 @pytest.mark.parametrize("profile", ["ra-like", "adni-like"])
-def test_tree_sweep_equals_one_fit_per_configuration(profile):
-    episodes, _ = generate_cohort(
-        GeneratorConfig(n_patients=120, n_actions=3, t_fixed=5, seed=7)
+def test_tree_sweep_equals_one_fit_per_configuration(profile, kinds):
+    # The sweep's trees come off the tree candidates' growths, or off a
+    # growth of their own when no tree is fitted; either way each is the
+    # tree its own configuration grows.
+    cfg = ExperimentConfig(
+        generator=GeneratorConfig(n_patients=120, n_actions=3, t_fixed=5, seed=7),
+        states=[StateSpec(include_current_context=True), StateSpec(window_k=1)],
+        model_kinds=kinds, profile=profile, n_candidates=2, n_splits=1,
+        bootstrap_B=10, tree_sweep_n=40, tree_sweep_leaf_bin=3, seed=5,
     )
-    folds = split_dataset(episodes, seed=1)
-    prep = fit_preprocessor(folds[0], episodes.schema)
-    train, val, test = (apply_preprocessor(f, prep) for f in folds)
-    specs = [StateSpec(include_current_context=True), StateSpec(window_k=1)]
-    args = (train, val, test, specs)
-    got = tree_complexity_sweep(
-        *args, n_models=40, leaf_bin_width=3, profile=profile, seed=5
-    )
-    want = reference_sweep(*args, 40, 3, profile, 5)
-    assert got == want
-    assert sum(b.n_models for b in got) == 80  # no bucket lost its AUROC
+    raw = resolve_episodes(cfg)
+    split0 = _split(cfg, raw, 0)
+    want = reference_sweep(split0.train, split0.val, split0.test, cfg.resolved_states(),
+                           40, 3, profile, derive_seed(cfg.seed, "sweep"))
+    assert sum(row[3] for row in want) == 80  # no bucket lost its AUROC
+    rows = [dict(zip(_COMPLEXITY_COLUMNS, row)) for row in want]
+    assert run_experiment(cfg).complexity == rows
+    assert tree_sweep(cfg, raw) == rows
