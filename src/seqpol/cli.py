@@ -29,10 +29,9 @@ from .dataset import (
 from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import inverse_probability_products, median_product_curve
+from .report import _read_json, load_report
 from .runner import (
     ExperimentConfig,
-    _read_json,
-    load_report,
     render_complexity,
     render_report,
     resolve_episodes,

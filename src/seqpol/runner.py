@@ -1,26 +1,16 @@
 """End-to-end experiment protocol and report rendering.
 
 ``run_experiment`` runs its phases in order, and every configured (state,
-model) pair is one ``_Cell`` record that they fill in turn. Split: each
-seeded split's folds, encoded by a preprocessor fitted on its training
-patients. Fit and select: per state representation and cell, randomly
-sampled candidates are fitted, and the best on the validation fold (by
-AUROC or accuracy) scores the test fold; a state's tree candidates share one
-growth per criterion. On split 0 the same step grows the optional
-tree-complexity sweep's trees, with the tree candidates when ``tree`` is a
-model kind, and scores them on the switch-state rows of the state's
-validation and test matrices (``tree_sweep`` runs that step alone for
-``seqpol sweep-trees``). Pool: a cell's test rows of every split, stacked
-once. Summarize: one ``RowWeightedMetrics`` per cell gives the AUROC by
-stage and by severity group and the patient bootstrap intervals.
-Then the switch-state confusion, the OPE curves and the bundles of the
-split-0 models, and the metadata.
-Rendering writes every CSV table through one writer and every figure with
-one series per state. report.json holds no wall times, so repeated runs are
-byte-identical; only run_manifest.json records how long the run took, and
-its notes hold the preprocessor and bootstrap warnings. report.json lists the
-bundles by file name (``model_files``), models/ holds the only copy, and
-``load_report`` reads them back from there.
+model) pair is one ``_Cell`` that they fill in turn. Split: each seeded
+split's folds, encoded by a preprocessor fitted on its training patients.
+Fit and select: per state and cell, sampled candidates are fitted and the
+best on the validation fold scores the test fold; on split 0 the same loop
+grows the optional tree-complexity sweep. Pool and summarize: a cell's test
+rows of every split give its AUROC by stage and severity group and its
+patient bootstrap intervals. Then the switch-state confusion, the OPE curves,
+the split-0 bundles and the metadata. Rendering writes every CSV table
+through one writer and every figure with one series per state; only
+run_manifest.json records wall time, so reruns write the same report.json.
 """
 
 from __future__ import annotations
@@ -28,11 +18,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,7 +30,7 @@ from . import __version__ as _pkg_version
 from .dataset import (
     Preprocessor, apply_preprocessor, fit_preprocessor, load_episodes, split_dataset
 )
-from .errors import ConfigError, DataError, SeqpolError, UndefinedMetricError
+from .errors import ConfigError, SeqpolError, UndefinedMetricError
 from .metrics import (
     MetricEstimate,
     RowWeightedMetrics,
@@ -51,6 +41,8 @@ from .metrics import (
 )
 from .models import MODEL_KINDS, PolicyModel, fit_model, get_profile, sample_hyperparams
 from .ope import inverse_probability_products, median_product_curve
+from .report import (CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport, GroupRow,
+                     StageRow, SwitchConfusion, bundle_file, columns, kind_error)
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
@@ -61,22 +53,7 @@ from .strata import (
     tree_complexity_sweep,
 )
 from .svg import line_chart
-from .synthgen import GeneratorConfig, _is_number, generate_cohort
-
-# The columns of the report's record lists and of their CSV tables.
-_GROUP_COLUMNS = ["group", "state", "model", "auroc", "n"]
-_STAGE_COLUMNS = ["state", "model", "stage", "auroc", "n"]
-_OPE_COLUMNS = ["state", "model", "stage", "median", "n", "floored_events"]
-_COMPLEXITY_COLUMNS = [
-    "state", "leaves_low", "leaves_high", "n_models", "val_auroc", "test_auroc"
-]
-# Each record list of a report: its columns and the float columns among them.
-_RECORDS = {
-    "by_group": (_GROUP_COLUMNS, ("auroc",)),
-    "by_stage": (_STAGE_COLUMNS, ("auroc",)),
-    "ope_curves": (_OPE_COLUMNS, ("median",)),
-    "complexity": (_COMPLEXITY_COLUMNS, ("val_auroc", "test_auroc")),
-}
+from .synthgen import GeneratorConfig, generate_cohort
 
 
 def derive_seed(*parts) -> int:
@@ -116,18 +93,10 @@ class ExperimentConfig:
     tree_sweep_leaf_bin: int = 5
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_number(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_number(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            optional = f.type == "str | None"
-            if f.type in ("str", "str | None") and not (
-                    isinstance(value, str) or optional and value is None):
-                raise ConfigError(
-                    f"{f.name} must be a string{' or null' * optional}, got {value!r}"
-                )
+        for name, tp in get_type_hints(ExperimentConfig).items():
+            problem = tp in (int, float, str, str | None) and kind_error(tp, getattr(self, name))
+            if problem:
+                raise ConfigError(f"{name} {problem}")
         for name, low in (("n_candidates", 1), ("n_splits", 1), ("bootstrap_B", 1),
                           ("ope_max_stage", 1), ("tree_sweep_n", 0),
                           ("tree_sweep_leaf_bin", 1)):
@@ -211,119 +180,6 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Report containers
-# ---------------------------------------------------------------------------
-
-def _check_floats(where: str, record: dict, keys) -> None:
-    """A ``DataError`` unless each of ``keys`` holds a number or null in the
-    ``record`` of report.json at ``where``."""
-    for key in keys:
-        value = record.get(key)
-        if not (value is None or _is_number(value, numbers.Real)):
-            raise DataError(f"report.json: {where}: {key!r} must be a number or null, "
-                            f"got {value!r}")
-
-
-@dataclass
-class CellResult:
-    state: str
-    model: str
-    skip_reason: str | None = None
-    auroc: MetricEstimate | None = None
-    auroc_split_values: list[float] = field(default_factory=list)
-    ece: MetricEstimate | None = None
-    sce: MetricEstimate | None = None
-    accuracy_value: float | None = None
-
-    @property
-    def auroc_split_mean(self) -> float | None:
-        vals = [v for v in self.auroc_split_values if v is not None]
-        return float(np.mean(vals)) if vals else None
-
-
-@dataclass
-class ExperimentReport:
-    config: dict
-    states: list[str]
-    model_kinds: list[str]
-    cells: list[CellResult]
-    by_group: list[dict] = field(default_factory=list)
-    by_stage: list[dict] = field(default_factory=list)
-    switch_confusion: dict | None = None
-    ope_curves: list[dict] = field(default_factory=list)
-    complexity: list[dict] | None = None
-    model_bundles: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The content of report.json: bundles are listed by file name under
-        ``model_files``, and models/ holds the only copy of each."""
-        out = {}
-        for f in fields(self):
-            if f.name == "model_bundles":
-                out["model_files"] = [bundle_file(b) for b in self.model_bundles]
-            else:
-                out[f.name] = getattr(self, f.name)
-        out["cells"] = [asdict(c) for c in self.cells]
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        """The inverse of ``to_dict``, but for the bundles ``model_files``
-        lists; a missing optional key takes its default. A missing or
-        mistyped required key, a mistyped optional one, a record without its
-        table's columns or with no number or null in a float column, or a
-        malformed cell, is a ``DataError``."""
-        for key, kind, name in (("cells", list, "array"), ("config", dict, "object"),
-                                ("states", list, "array"), ("model_kinds", list, "array"),
-                                ("model_files", list, "array")):
-            if type(d.get(key)) is not kind:
-                got = f"got {d[key]!r}" if key in d else "it is missing"
-                raise DataError(f"report.json: {key!r} must be a JSON {name}, {got}")
-
-        def records(v):
-            return type(v) is list and all(type(r) is dict for r in v)
-
-        for key, valid, name in (
-            ("by_group", records, "an array of objects"),
-            ("by_stage", records, "an array of objects"),
-            ("ope_curves", records, "an array of objects"),
-            ("complexity", lambda v: v is None or records(v), "null or an array of objects"),
-            ("switch_confusion", lambda v: v is None or type(v) is dict, "null or an object"),
-            ("metadata", lambda v: type(v) is dict, "an object"),
-        ):
-            if key in d and not valid(d[key]):
-                raise DataError(f"report.json: {key!r} must be {name}, got {d[key]!r}")
-        for key, (columns, floats) in _RECORDS.items():
-            for i, r in enumerate(d.get(key) or ()):
-                missing = [c for c in columns if c not in r]
-                if missing:
-                    raise DataError(f"report.json: {key}[{i}] lacks {missing}: {r!r}")
-                _check_floats(f"{key}[{i}]", r, floats)
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        kwargs["cells"] = []
-        for i, c in enumerate(d["cells"]):
-            try:
-                cell = CellResult(**{**c, **{
-                    k: MetricEstimate(**c[k]) for k in ("auroc", "ece", "sce") if c[k]}})
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"report.json: cells[{i}] is no cell record: {c!r}") from exc
-            split = cell.auroc_split_values
-            if type(split) is not list or not all(
-                    v is None or type(v) in (int, float) for v in split):
-                raise DataError(
-                    f"report.json: cells[{i}]: 'auroc_split_values' must be an array "
-                    f"of numbers, got {split!r}"
-                )
-            _check_floats(f"cells[{i}]", c, ("accuracy_value",))
-            for k in ("auroc", "ece", "sce"):
-                if c[k]:
-                    _check_floats(f"cells[{i}].{k}", c[k], ("value", "ci_low", "ci_high"))
-            kwargs["cells"].append(cell)
-        return cls(**kwargs)
-
-
-# ---------------------------------------------------------------------------
 # Model bundles: a fitted model plus everything needed to apply it to raw data
 # ---------------------------------------------------------------------------
 
@@ -337,25 +193,6 @@ def make_model_bundle(model: PolicyModel, prep, spec: StateSpec, kind: str) -> d
         "state": spec.name,
         "model_kind": kind,
     }
-
-
-def bundle_file(bundle: dict) -> str:
-    """A bundle's path relative to the report directory."""
-    return f"models/{bundle['state']}__{bundle['model_kind']}.json"
-
-
-def _read_json(path: Path) -> dict:
-    """The JSON object in ``path``; anything else is a ``DataError``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if type(d) is not dict:
-        raise DataError(f"{path}: expected a JSON object, got {d!r}")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +329,10 @@ def _estimate(metric, row_patient: np.ndarray, B: int, seed: int) -> MetricEstim
     return bootstrap_ci(np.arange(n_patients), statistic, B=B, seed=seed)
 
 
-def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[dict]:
+def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[ComplexityRow]:
     """Rows of the tree-complexity sweep on the folds of split 0: the sweep
     step of ``_fit_and_select`` with no candidates."""
-    complexity: list[dict] = []
+    complexity: list[ComplexityRow] = []
     _fit_and_select(cfg, _split(cfg, raw, 0), (), {}, [], complexity)
     return complexity
 
@@ -588,7 +425,7 @@ def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
             spec.name, swept, filter_switch_states(val), filter_switch_states(test),
             cfg.tree_sweep_leaf_bin,
         )
-        complexity += [dict(zip(_COMPLEXITY_COLUMNS, row)) for row in rows]
+        complexity += [ComplexityRow(*row) for row in rows]
     return attempted
 
 
@@ -603,16 +440,12 @@ def _summarize(cfg, cells, group_of, report) -> None:
             scored = RowWeightedMetrics(rows.probs, rows.y)
             stages = range(1, cfg.by_stage_max + 1)
             for t, value, n in auroc_by_level(scored, rows.stages, stages):
-                report.by_stage.append(
-                    dict(zip(_STAGE_COLUMNS, (state, kind, t, value, n)))
-                )
+                report.by_stage.append(StageRow(state, kind, t, value, n))
             if group_of:
                 unit_group = [group_of.get(pid, 0) for pid in rows.patient_ids]
                 groups = np.array(unit_group)[rows.unit]
                 for g, value, n in auroc_by_level(scored, groups, range(1, 7)):
-                    report.by_group.append(
-                        dict(zip(_GROUP_COLUMNS, (g, state, kind, value, n)))
-                    )
+                    report.by_group.append(GroupRow(g, state, kind, value, n))
         if n_units == 1:
             cell.skip = "1 test patient; the bootstrap needs at least 2"
         if n_units < 2:
@@ -636,7 +469,7 @@ def _summarize(cfg, cells, group_of, report) -> None:
         report.cells.append(result)
 
 
-def _switch_confusion(cfg, cells, states, schema) -> tuple[dict | None, str | None]:
+def _switch_confusion(cfg, cells, states, schema) -> tuple[SwitchConfusion | None, str | None]:
     """Reference against comparison predicted actions on the switch-state
     rows, and None; or None and the reason there is no such table: the two
     are one cell, a cell has no test rows, or the cells hold the test rows of
@@ -663,12 +496,9 @@ def _switch_confusion(cfg, cells, states, schema) -> tuple[dict | None, str | No
         np.argmax(b.probs[a.switch], axis=1),
         schema.n_actions,
     )
-    return {
-        "reference": {"model": ref[0], "state": ref[1]},
-        "comparison": {"model": cmp_[0], "state": cmp_[1]},
-        "action_labels": list(schema.action_labels),
-        "counts": matrix.tolist(),
-    }, None
+    return SwitchConfusion(
+        CellRef(*ref), CellRef(*cmp_), list(schema.action_labels), matrix.tolist()
+    ), None
 
 
 def _default_ope_states(aggregation_op: str) -> tuple[str, ...]:
@@ -676,7 +506,7 @@ def _default_ope_states(aggregation_op: str) -> tuple[str, ...]:
     return ("prev_action", "window0", f"window0+agg_{aggregation_op}")
 
 
-def _ope_curves(cfg, cells, states, split0) -> list[dict]:
+def _ope_curves(cfg, cells, states, split0) -> list[CurveRow]:
     """Median inverse-probability product curves of the split-0 ``ope_model``
     of each OPE state, on split 0's test fold."""
     names = cfg.ope_states or [
@@ -689,9 +519,7 @@ def _ope_curves(cfg, cells, states, split0) -> list[dict]:
             continue
         products = inverse_probability_products(split0.test, cell.model0, cell.spec)
         curve = median_product_curve(products, cfg.ope_max_stage)
-        out.extend(
-            dict(zip(_OPE_COLUMNS, (name, cfg.ope_model, *row))) for row in curve.rows()
-        )
+        out.extend(CurveRow(name, cfg.ope_model, *row) for row in curve.rows())
     return out
 
 
@@ -768,7 +596,7 @@ def _fmt(v) -> str:
 def _write_table(path: Path, columns: list[str], float_columns, records) -> None:
     """CSV of ``records`` (dicts) in ``columns`` order. ``float_columns`` get
     six decimals; an absent key or None is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="", errors="backslashreplace") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(
@@ -777,13 +605,13 @@ def _write_table(path: Path, columns: list[str], float_columns, records) -> None
         )
 
 
-def _chart_by_state(records: list[dict], x, y: str, path: Path, **labels) -> None:
+def _chart_by_state(records: list, x, y: str, path: Path, **labels) -> None:
     """A line chart of ``records`` with one series per state, in order of first
     appearance; ``x`` maps a record to its abscissa, ``y`` names its ordinate."""
     series = []
-    for state in dict.fromkeys(r["state"] for r in records):
-        rows = [r for r in records if r["state"] == state]
-        series.append((state, [x(r) for r in rows], [r[y] for r in rows]))
+    for state in dict.fromkeys(r.state for r in records):
+        rows = [r for r in records if r.state == state]
+        series.append((state, [x(r) for r in rows], [getattr(r, y) for r in rows]))
     line_chart(series, str(path), **labels)
 
 
@@ -792,13 +620,13 @@ def _interval(est: MetricEstimate | None, *keys: str) -> dict:
     return dict(zip(keys, (est.value, est.ci_low, est.ci_high))) if est else {}
 
 
-def render_complexity(complexity: list[dict], outdir: str) -> list[str]:
+def render_complexity(complexity: list[ComplexityRow], outdir: str) -> list[str]:
     """Write complexity.csv and complexity.svg from ``tree_sweep`` rows."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / "complexity.csv", *_RECORDS["complexity"], complexity)
+    _write_table(out / "complexity.csv", *columns(ComplexityRow), map(vars, complexity))
     _chart_by_state(
-        complexity, lambda r: 0.5 * (r["leaves_low"] + r["leaves_high"]), "test_auroc",
+        complexity, lambda r: 0.5 * (r.leaves_low + r.leaves_high), "test_auroc",
         out / "complexity.svg", title="Switch-state test AUROC by tree size",
         x_label="leaves (bucket midpoint)", y_label="AUROC",
     )
@@ -863,25 +691,25 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     table("calibration.csv", calibration_columns, calibration_columns[2:], calibration_rows)
 
     if report.by_group:
-        table("by_group.csv", *_RECORDS["by_group"], report.by_group)
+        table("by_group.csv", *columns(GroupRow), map(vars, report.by_group))
     else:
         notes.append("by_group.csv omitted: no severity subgroups available")
     if report.by_stage:
-        table("by_stage.csv", *_RECORDS["by_stage"], report.by_stage)
+        table("by_stage.csv", *columns(StageRow), map(vars, report.by_stage))
     if report.switch_confusion:
-        labels = report.switch_confusion["action_labels"]
+        labels = report.switch_confusion.action_labels
         corner = "reference\\comparison"
         table("switch_confusion.csv", [corner] + labels, (), [
             {corner: label, **dict(zip(labels, counts))}
-            for label, counts in zip(labels, report.switch_confusion["counts"])
+            for label, counts in zip(labels, report.switch_confusion.counts)
         ])
     else:
         cause = report.metadata.get("switch_confusion_omitted", "cause not recorded")
         notes.append(f"switch_confusion.csv omitted: {cause}")
     if report.ope_curves:
-        table("ope_curve.csv", *_RECORDS["ope_curves"], report.ope_curves)
+        table("ope_curve.csv", *columns(CurveRow), map(vars, report.ope_curves))
         _chart_by_state(
-            report.ope_curves, lambda r: r["stage"], "median", out / "ope_curve.svg",
+            report.ope_curves, lambda r: r.stage, "median", out / "ope_curve.svg",
             title="Median inverse-probability product by stage",
             x_label="stage", y_label="median product", log_y=True,
         )
@@ -909,13 +737,7 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         (out / "models").mkdir(exist_ok=True)
     for bundle in report.model_bundles:
         json_file(bundle_file(bundle), bundle)
-    # full report for re-rendering; the run's wall time goes to the manifest
-    # only, so identical runs write identical report.json bytes
-    payload = report.to_dict()
-    payload["metadata"] = {
-        k: v for k, v in report.metadata.items() if k != "duration_seconds"
-    }
-    json_file("report.json", payload, indent=1)
+    json_file("report.json", report.to_dict(), indent=1)
     manifest = {
         "config": report.config,
         "metadata": report.metadata,
@@ -924,16 +746,3 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     }
     json_file("run_manifest.json", manifest, indent=1)
     return written
-
-
-def load_report(path: str) -> ExperimentReport:
-    """The report in directory ``path``, with the bundles report.json lists
-    read back from ``path``/models/."""
-    root = Path(path)
-    d = _read_json(root / "report.json")
-    report = ExperimentReport.from_dict(d)
-    files = d["model_files"]
-    if not all(type(name) is str for name in files):
-        raise DataError(f"report.json: 'model_files' must list file names, got {files!r}")
-    report.model_bundles = [_read_json(root / name) for name in files]
-    return report

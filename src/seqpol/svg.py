@@ -29,22 +29,20 @@ def line_chart(
         points = [(0.0, 1.0), (1.0, 2.0)]
     xs_all = [p[0] for p in points]
     ys_all = [math.log10(p[1]) if log_y else p[1] for p in points]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    # A flat axis spans 1; adding 1 to a huge bound would round back to it.
+    x_lo, y_lo = min(xs_all), min(ys_all)
+    x_span = (max(xs_all) - x_lo) or 1.0
+    y_span = (max(ys_all) - y_lo) or 1.0
 
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x - x_lo) / x_span * plot_w
 
     def sy(y: float) -> float:
         v = math.log10(y) if log_y else y
-        return _MARGIN_T + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + plot_h - (v - y_lo) / y_span * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -63,8 +61,8 @@ def line_chart(
         f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>'
     )
     for frac in (0.0, 0.5, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
+        xv = x_lo + frac * x_span
+        yv = y_lo + frac * y_span
         y_text = f"1e{yv:.2f}" if log_y else f"{yv:.3g}"
         parts.append(
             f'<text x="{sx(xv):.1f}" y="{y0 + 18}" text-anchor="middle" '
@@ -109,5 +107,5 @@ def line_chart(
             f'font-size="11">{escape(name)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqpol
 from seqpol.cli import main
@@ -118,6 +124,12 @@ def _report_with(**keys) -> str:
                        "model_files": [], **keys})
 
 
+def _switch_with(counts) -> dict:
+    return {"reference": {"model": "tree", "state": "current"},
+            "comparison": {"model": "logreg", "state": "current"},
+            "action_labels": ["A", "B"], "counts": counts}
+
+
 def _cell_with(**fields) -> dict:
     return {"state": "current", "model": "logreg", "skip_reason": None, "auroc": None,
             "auroc_split_values": [], "ece": None, "sce": None, "accuracy_value": None,
@@ -142,39 +154,60 @@ _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schem
     ("ope", _bundle_with(preprocessor="x"), _NOT_A_BUNDLE),
     ("ope", _bundle_with(state_spec=None), _NOT_A_BUNDLE),
     ("report", "[1]", "report.json: expected a JSON object, got [1]"),
-    ("report", "{}", "report.json: 'cells' must be a JSON array, it is missing"),
-    ("report", '{"cells": 5}', "report.json: 'cells' must be a JSON array, got 5"),
-    ("report", '{"cells": [1]}', "report.json: 'config' must be a JSON object, it is missing"),
-    ("report", '{"cells": [], "config": 5}', "report.json: 'config' must be a JSON object, got 5"),
-    ("report", _report_with(cells=[1]), "report.json: cells[0] is no cell record: 1"),
-    ("report", _report_with(cells=[{"state": "current"}]), "report.json: cells[0] is no cell"),
+    ("report", "{}", "report.json: lacks ['config', 'states', 'model_kinds', 'cells']"),
+    ("report", '{"cells": 5}', "report.json: cells must be an array, got 5"),
+    ("report", '{"cells": [1]}', "report.json: lacks ['config', 'states', 'model_kinds']"),
+    ("report", '{"cells": [], "config": 5}', "report.json: config must be an object, got 5"),
+    ("report", _report_with(cells=[1]), "report.json: cells[0] must be an object, got 1"),
+    ("report", _report_with(cells=[{"state": "current"}]),
+     "report.json: cells[0] lacks ['model']"),
     ("report", _report_with(model_files=[5]),
-     "report.json: 'model_files' must list file names, got [5]"),
-    ("report", _report_with(by_group=[5]),
-     "report.json: 'by_group' must be an array of objects, got [5]"),
+     "report.json: model_files[0] must be a string, got 5"),
+    ("report", _report_with(by_group=[5]), "report.json: by_group[0] must be an object, got 5"),
     ("report", _report_with(ope_curves=[[]]),
-     "report.json: 'ope_curves' must be an array of objects, got [[]]"),
+     "report.json: ope_curves[0] must be an object, got []"),
     ("report", _report_with(complexity=[1]),
-     "report.json: 'complexity' must be null or an array of objects, got [1]"),
+     "report.json: complexity[0] must be an object, got 1"),
     ("report", _report_with(switch_confusion=[1]),
-     "report.json: 'switch_confusion' must be null or an object, got [1]"),
-    ("report", _report_with(metadata=5), "report.json: 'metadata' must be an object, got 5"),
+     "report.json: switch_confusion must be an object or null, got [1]"),
+    ("report", _report_with(metadata=5), "report.json: metadata must be an object, got 5"),
     ("report", _report_with(cells=[_cell_with(auroc_split_values=5)]),
-     "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got 5"),
+     "report.json: cells[0].auroc_split_values must be an array, got 5"),
     ("report", _report_with(cells=[_cell_with(auroc_split_values=["x"])]),
-     "report.json: cells[0]: 'auroc_split_values' must be an array of numbers, got ['x']"),
+     "report.json: cells[0].auroc_split_values[0] must be a number or null, got 'x'"),
     ("report", _report_with(ope_curves=[{}]),
      "report.json: ope_curves[0] lacks ['state', 'model', 'stage', 'median', 'n', "
-     "'floored_events']: {}"),
+     "'floored_events']"),
     ("report", _report_with(complexity=[{"state": "current", "leaves_low": 1,
                                          "leaves_high": 5, "n_models": 2,
                                          "val_auroc": "x", "test_auroc": None}]),
-     "report.json: complexity[0]: 'val_auroc' must be a number or null, got 'x'"),
+     "report.json: complexity[0].val_auroc must be a number or null, got 'x'"),
     ("report", _report_with(cells=[_cell_with(accuracy_value="x")]),
-     "report.json: cells[0]: 'accuracy_value' must be a number or null, got 'x'"),
+     "report.json: cells[0].accuracy_value must be a number or null, got 'x'"),
     ("report", _report_with(cells=[_cell_with(
         ece={"value": "x", "ci_low": 0.0, "ci_high": 1.0, "n_bootstrap": 10})]),
-     "report.json: cells[0].ece: 'value' must be a number or null, got 'x'"),
+     "report.json: cells[0].ece.value must be a number, got 'x'"),
+    ("report", _report_with(states=[1], model_kinds=[["a"]]),
+     "report.json: states[0] must be a string, got 1"),
+    ("report", _report_with(by_stage=[{"state": "current", "model": "logreg", "stage": 1,
+                                       "auroc": None, "n": "many"}]),
+     "report.json: by_stage[0].n must be an integer, got 'many'"),
+    ("report", _report_with(complexity=[{"state": "current", "leaves_low": 2**60,
+                                         "leaves_high": 5, "n_models": 2,
+                                         "val_auroc": None, "test_auroc": None}]),
+     f"report.json: complexity[0].leaves_low must be at most 2**53 in magnitude, got {2**60}"),
+    ("report", _report_with(switch_confusion=_switch_with([[3, 1]])),
+     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "got [[3, 1]]"),
+    ("report", _report_with(switch_confusion=_switch_with([[3], [0, 2]])),
+     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "got [[3], [0, 2]]"),
+    ("report", _report_with(switch_confusion=_switch_with([[3, -1], [0, 2]])),
+     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "got [[3, -1], [0, 2]]"),
+    ("report", _report_with(model_files=["models/a\u0000.json"]), "embedded null byte"),
+    ("report", json.dumps({"cells": [], "config": {}, "states": [], "model_kinds": []}),
+     "report.json: lacks ['model_files']"),
 ])
 def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
         tmp_path, capsys, command, content, error):
@@ -422,6 +455,130 @@ def test_report_names_a_listed_bundle_that_is_missing(tmp_path, capsys):
     (d / "report.json").write_text("{")
     assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {d / 'report.json'}: invalid JSON")
+
+    (d / "report.json").write_bytes(b'{"cells": "\xff"}')  # no UTF-8
+    assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {d / 'report.json'}: 'utf-8'")
+
+
+def test_report_writes_a_lone_surrogate_as_its_escape(tmp_path):
+    # "\ud800" is valid JSON but has no UTF-8 form: tables and figures write
+    # the escape instead of failing.
+    d = _experiment_dir(tmp_path)
+    report = json.loads((d / "report.json").read_text())
+    report["config"]["name"] = report["ope_curves"][0]["state"] = "\ud800"
+    (d / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--in", str(d), "--out", str(tmp_path / "e")]) == 0
+    for name in ("metrics_long.csv", "ope_curve.csv", "ope_curve.svg"):
+        assert b"\\ud800" in (tmp_path / "e" / name).read_bytes(), name
+
+
+def _complexity_row(**fields) -> dict:
+    return {"state": "current", "leaves_low": 1, "leaves_high": 5, "n_models": 2,
+            "val_auroc": None, "test_auroc": 0.5, **fields}
+
+
+@pytest.mark.parametrize("keys, figure", [
+    ({"ope_curves": [{"state": "current", "model": "logreg", "stage": 2**53,
+                      "median": 0.5, "n": 3, "floored_events": 0}]}, "ope_curve.svg"),
+    ({"complexity": [_complexity_row(leaves_low=2**53, leaves_high=2**53)]},
+     "complexity.svg"),
+    ({"complexity": [_complexity_row(test_auroc=1e17)]}, "complexity.svg"),
+])
+def test_report_draws_a_flat_axis_at_a_huge_bound(tmp_path, keys, figure):
+    # A bound plus 1 rounds back to the bound at these magnitudes, so a
+    # one-point axis must not take its span from that sum.
+    (tmp_path / "report.json").write_text(_report_with(**keys))
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "e")]) == 0
+    assert "nan" not in (tmp_path / "e" / figure).read_text()
+
+
+@pytest.mark.parametrize("edit", [
+    {"state": None},  # the key is removed
+    {"state": "../../escaped"},
+    {"model_kind": "a/b"},
+    {"model_kind": 5},
+    {"state": "current"},  # a valid bundle, but of another file name
+])
+def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(tmp_path, capsys, edit):
+    d, out = _experiment_dir(tmp_path), tmp_path / "o" / "p"
+    path = d / "models" / "window1__logreg.json"
+    bundle = {k: v for k, v in {**json.loads(path.read_text()), **edit}.items()
+              if v is not None}
+    path.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["report", "--in", str(d), "--out", str(out)]) == 2
+    keys = [bundle.get("state"), bundle.get("model_kind")]
+    assert capsys.readouterr().err == (
+        "data error: report.json: model_files[2] is 'models/window1__logreg.json', but its "
+        f"bundle's state and model_kind {keys} are no strings without / or \\ that give it\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _paths(value, path=()):
+    """The path of every value under ``value``, by key and index."""
+    if type(value) is list:
+        value = dict(enumerate(value))
+    for key, item in value.items() if type(value) is dict else ():
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=5),  # surrogates too
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_report(tmp_path_factory):
+    """A report directory, its report.json with one preprocessor warning and a
+    switch_confusion_omitted note added, and the paths of its values outside
+    ``config``."""
+    d = _experiment_dir(tmp_path_factory.mktemp("report"))
+    report = json.loads((d / "report.json").read_text())
+    report["metadata"]["preprocessor_warnings"].append({"split": 0, "warning": "w"})
+    report["metadata"]["switch_confusion_omitted"] = "note"
+    assert report["switch_confusion"] and report["complexity"] and report["by_group"]
+    paths = [p for p in _paths(report) if p[0] != "config"]
+    return d, report, paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_report_with_one_value_of_another_json_type_renders_or_is_a_data_error(
+        valid_report, data):
+    # One value anywhere outside config takes a value of another JSON type:
+    # `report` either reads the new value as valid, and writes report.json
+    # back with it and the bundles as they were, or exits 2 with a data
+    # error; it never ends in a traceback.
+    d, report, paths = valid_report
+    path = data.draw(st.sampled_from(paths))
+    mutated = json.loads(json.dumps(report))
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    # bool, int and float count as types of their own
+    parent[path[-1]] = data.draw(_JSON.filter(lambda v: type(v) is not type(old)))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in", Path(tmp) / "out"
+        shutil.copytree(d / "models", src / "models")
+        text = json.dumps(mutated, indent=1) + "\n"
+        (src / "report.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--in", str(src), "--out", str(out)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("data error:")
+            return
+        assert (out / "report.json").read_text() == text
+        for bundle in (d / "models").iterdir():
+            assert (out / "models" / bundle.name).read_bytes() == bundle.read_bytes()
 
 
 def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:

@@ -9,14 +9,22 @@ from seqpol import runner
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
 from seqpol.models import fit_tree, hyperparams
-from seqpol.runner import (
+from seqpol.report import (
+    CellRef,
     CellResult,
-    ExperimentConfig,
+    ComplexityRow,
+    CurveRow,
     ExperimentReport,
+    GroupRow,
+    StageRow,
+    SwitchConfusion,
+    load_report,
+)
+from seqpol.runner import (
+    ExperimentConfig,
     _PooledRows,
     _split,
     derive_seed,
-    load_report,
     render_report,
     resolve_episodes,
     run_experiment,
@@ -118,17 +126,15 @@ def _golden_report() -> ExperimentReport:
              ("window1", 1, 5, 5, 0.65, 0.6)]
     return ExperimentReport(
         {"name": "demo"}, ["current", "window1"], ["logreg", "tree"], cells,
-        by_group=[{"group": 1, "state": "current", "model": "logreg", "auroc": 0.5, "n": 4},
-                  {"group": 2, "state": "current", "model": "logreg", "auroc": None, "n": 0}],
-        by_stage=[{"state": "current", "model": "logreg", "stage": 1, "auroc": 0.625, "n": 8},
-                  {"state": "current", "model": "logreg", "stage": 2, "auroc": None, "n": 3}],
-        switch_confusion={"reference": {"model": "tree", "state": "window1"},
-                          "comparison": {"model": "logreg", "state": "current"},
-                          "action_labels": ["A", "B"], "counts": [[3, 1], [0, 2]]},
-        ope_curves=[{"state": s, "model": "logreg", "stage": t, "median": m, "n": n,
-                     "floored_events": f} for s, t, m, n, f in ope],
-        complexity=[{"state": s, "leaves_low": lo, "leaves_high": hi, "n_models": n,
-                     "val_auroc": v, "test_auroc": t} for s, lo, hi, n, v, t in sweep],
+        by_group=[GroupRow(1, "current", "logreg", 0.5, 4),
+                  GroupRow(2, "current", "logreg", None, 0)],
+        by_stage=[StageRow("current", "logreg", 1, 0.625, 8),
+                  StageRow("current", "logreg", 2, None, 3)],
+        switch_confusion=SwitchConfusion(CellRef("tree", "window1"),
+                                         CellRef("logreg", "current"),
+                                         ["A", "B"], [[3, 1], [0, 2]]),
+        ope_curves=[CurveRow(s, "logreg", t, m, n, f) for s, t, m, n, f in ope],
+        complexity=[ComplexityRow(*row) for row in sweep],
         model_bundles=[{"format_version": 1, "state": "current", "model_kind": "logreg"}],
         metadata={"seed": 0, "preprocessor_warnings": [{"split": 0, "warning": "w"}],
                   "duration_seconds": 1.5},
@@ -366,7 +372,7 @@ def test_a_failed_sweep_growth_is_a_recorded_failure(monkeypatch, kinds):
             raise FitError("boom")
         return fit_model(kind, params, train, *args, **kwargs)
 
-    want = [r for r in run_experiment(cfg).complexity if r["state"] != "window1"]
+    want = [r for r in run_experiment(cfg).complexity if r.state != "window1"]
     monkeypatch.setattr(runner, "fit_model", failing_fit)
     report = run_experiment(cfg)
     assert report.complexity == want and want

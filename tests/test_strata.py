@@ -4,9 +4,9 @@ import pytest
 from seqpol.errors import UndefinedMetricError
 from seqpol.metrics import RowWeightedMetrics, auroc_multiclass
 from seqpol.models import fit_tree, sample_hyperparams
+from seqpol.report import ComplexityRow
 from seqpol.runner import (
-    _COMPLEXITY_COLUMNS, ExperimentConfig, _split, derive_seed, resolve_episodes,
-    run_experiment, tree_sweep,
+    ExperimentConfig, _split, derive_seed, resolve_episodes, run_experiment, tree_sweep,
 )
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.strata import (
@@ -151,6 +151,6 @@ def test_tree_sweep_equals_one_fit_per_configuration(profile, kinds):
     want = reference_sweep(split0.train, split0.val, split0.test, cfg.resolved_states(),
                            40, 3, profile, derive_seed(cfg.seed, "sweep"))
     assert sum(row[3] for row in want) == 80  # no bucket lost its AUROC
-    rows = [dict(zip(_COMPLEXITY_COLUMNS, row)) for row in want]
+    rows = [ComplexityRow(*row) for row in want]
     assert run_experiment(cfg).complexity == rows
     assert tree_sweep(cfg, raw) == rows
