@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .schema import (
-    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of
+    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, required
 )
 
 LOG_EPS = 1e-6
@@ -381,7 +381,7 @@ class Preprocessor:
                 raise ConfigError(f"invalid preprocessor state {s!r}: {exc}") from None
 
         return cls(
-            schema=CohortSchema.from_dict(d["schema"]),
+            schema=CohortSchema.from_dict(required(d, "schema", "preprocessor")),
             numeric={name: state(_NumericState, s) for name, s in d.get("numeric", {}).items()},
             categorical={
                 name: state(_CategoricalState, s)

@@ -5,15 +5,30 @@ mini-batch shuffling both driven by a seeded generator. Training keeps the
 parameter snapshot with the best validation loss and stops once the number of
 consecutive epochs without improvement exceeds the patience.
 
-``fit_mlp`` holds every weight and bias in one flat vector, with per-layer
-``(W, b)`` views into it, and the gradient in a second flat vector of the same
-layout. Adam then updates all layers with a few in-place operations on whole
-vectors, in the same arithmetic order as a per-array update, so the fitted
-parameters do not depend on the layout. Each epoch takes one permuted copy of
-the training rows, and the mini-batches are slices of it.
+``fit_mlp`` trains in float32: the rows, the one-hot targets, the parameters,
+the gradient and the Adam moments. ``init_params`` draws in float64, so a
+seed fixes one starting point, rounded once to float32. The fitted policy
+holds float64 copies of the best snapshot, so bundles and prediction stay in
+float64. A feature beyond float32's range rounds to inf and ends the fit as
+a divergence (``FitError``); training runs with numpy's overflow and invalid
+warnings off, since its own checks turn those into that error.
+
+All weights and biases live in one flat vector, with per-layer ``(W, b)``
+views into it, and the gradient in a second flat vector of the same layout.
+The bias gradient is the product of a vector of ones with the output error.
+Adam folds its bias corrections into the step size and epsilon (Kingma & Ba,
+section 2), ``theta -= lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))``, and
+updates all layers with a few in-place operations on whole vectors, in the
+same arithmetic order as a per-array update, so the fitted parameters do not
+depend on the layout. Each epoch takes one permuted copy of the training
+rows, and the mini-batches are slices of it. The validation loss floors the
+probabilities at ``LOSS_FLOOR``, a normal float32 (1e-300 would round to 0),
+and sums in float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +40,7 @@ from .logreg import softmax
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LOSS_FLOOR = 1e-30  # under the validation log-loss; a normal float32
 
 
 def init_params(
@@ -65,10 +81,11 @@ def gradient(
     probs, activations = forward(params, X)
     delta = probs - Y
     delta /= X.shape[0]
+    ones = np.ones(X.shape[0], dtype=delta.dtype)
     for i in range(len(params) - 1, -1, -1):
         gW, gb = grads[i]
         np.matmul(activations[i].T, delta, out=gW)
-        np.add.reduce(delta, axis=0, out=gb)
+        np.matmul(ones, delta, out=gb)
         if i > 0:
             delta = delta @ params[i][0].T
             delta *= activations[i] > 0
@@ -112,6 +129,7 @@ class MLPPolicy(PolicyModel):
         return cls(feature_names, class_labels, layers)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the module docstring
 def fit_mlp(
     train: StateMatrix,
     val: StateMatrix,
@@ -123,19 +141,22 @@ def fit_mlp(
     seed: int = 0,
 ) -> MLPPolicy:
     """Train with Adam; returns the snapshot with the best validation loss."""
-    X, y = train.X, train.y
+    X, y = train.X.astype(np.float32), train.y
     K = train.n_actions
     if np.unique(y).size < 2:
         raise FitError("MLP needs at least 2 classes in training data")
     n, d = X.shape
-    Y = np.zeros((n, K))
+    Y = np.zeros((n, K), dtype=np.float32)
     Y[np.arange(n), y] = 1.0
-    Yv = np.zeros((val.n_rows, K))
+    Xv = val.X.astype(np.float32)
+    Yv = np.zeros((val.n_rows, K), dtype=np.float32)
     Yv[np.arange(val.n_rows), val.y] = 1.0
 
     rng = np.random.default_rng(seed)
     sizes = [d, *hidden_dims, K]
-    theta = np.concatenate([a.ravel() for layer in init_params(sizes, rng) for a in layer])
+    theta = np.concatenate(
+        [a.ravel() for layer in init_params(sizes, rng) for a in layer], dtype=np.float32
+    )
     params = _layer_views(theta, sizes)
     grad = np.empty_like(theta)
     grads = _layer_views(grad, sizes)
@@ -143,8 +164,9 @@ def fit_mlp(
     num, den = np.empty_like(theta), np.empty_like(theta)
 
     def val_loss() -> float:
-        probs, _ = forward(params, val.X)
-        return -float(np.sum(Yv * np.log(np.maximum(probs, 1e-300)))) / max(val.n_rows, 1)
+        probs, _ = forward(params, Xv)
+        logp = np.log(np.maximum(probs, LOSS_FLOOR))
+        return -float(np.sum(Yv * logp, dtype=np.float64)) / max(val.n_rows, 1)
 
     best_loss = val_loss()
     best_theta = theta.copy()
@@ -164,7 +186,7 @@ def fit_mlp(
                 raise FitError("training diverged: non-finite loss")
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
-            c2 = 1.0 - ADAM_BETA2**step
+            root_c2 = math.sqrt(1.0 - ADAM_BETA2**step)
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
             m *= ADAM_BETA1
             np.multiply(grad, 1 - ADAM_BETA1, out=num)
@@ -173,12 +195,10 @@ def fit_mlp(
             np.square(grad, out=den)
             den *= 1 - ADAM_BETA2
             v += den
-            # theta -= lr * (m/c1) / (sqrt(v/c2) + eps)
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            np.divide(m, c1, out=num)
-            num *= lr
+            # theta -= lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))
+            np.sqrt(v, out=den)
+            den += ADAM_EPS * root_c2
+            np.multiply(m, lr * root_c2 / c1, out=num)
             num /= den
             theta -= num
         current = val_loss()

@@ -206,16 +206,21 @@ def bundle_file(bundle: dict) -> str:
     return f"models/{bundle['state']}__{bundle['model_kind']}.json"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is no JSON number")
+
+
 def _read_json(path: Path) -> dict:
-    """The JSON object in ``path``; anything else is a ``DataError``."""
+    """The JSON object in ``path``; anything else, or a ``NaN``,
+    ``Infinity`` or ``-Infinity`` in it, is a ``DataError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+            d = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    except ValueError as exc:  # no UTF-8 text, or a NUL in the path
+    except ValueError as exc:  # no UTF-8 text, a NUL in the path, or a constant
         raise DataError(f"{path}: {exc}") from exc
     if type(d) is not dict:
         raise DataError(f"{path}: expected a JSON object, got {d!r}")

@@ -33,6 +33,15 @@ IMPUTATIONS = ("locf-then-mean", "locf-then-mode", "constant")
 OTHER_TOKEN = "other"
 
 
+def required(d: dict, key: str, what: str) -> Any:
+    """``d[key]``, or a ``ConfigError`` naming the key that ``what`` lacks."""
+    if type(d) is not dict:
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    if key not in d:
+        raise ConfigError(f"{what} lacks {key!r}")
+    return d[key]
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """Declares one context variable and how to preprocess it."""
@@ -93,7 +102,7 @@ class VariableSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "VariableSpec":
         return cls(
-            name=d["name"],
+            name=required(d, "name", "variable"),
             kind=d.get("kind", "numeric"),
             transform=d.get("transform", "none"),
             imputation=d.get(
@@ -155,9 +164,11 @@ class CohortSchema:
     @classmethod
     def from_dict(cls, d: dict) -> "CohortSchema":
         return cls(
-            variables=tuple(VariableSpec.from_dict(v) for v in d["variables"]),
-            action_labels=tuple(d["action_labels"]),
-            default_action=d["default_action"],
+            variables=tuple(
+                VariableSpec.from_dict(v) for v in required(d, "variables", "schema")
+            ),
+            action_labels=tuple(required(d, "action_labels", "schema")),
+            default_action=required(d, "default_action", "schema"),
             severity_column=d.get("severity_column"),
         )
 
@@ -166,7 +177,7 @@ class CohortSchema:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, TypeError, ConfigError) as exc:
                 raise ConfigError(f"invalid schema file {path}: {exc}") from exc
 
     def to_json(self, path: str) -> None:

@@ -374,6 +374,26 @@ def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: invalid preprocessor state")
 
 
+@pytest.mark.parametrize("section, value, error", [
+    ("preprocessor", {}, "preprocessor lacks 'schema'"),
+    ("schema", {}, "schema lacks 'variables'"),
+    ("preprocessor", {"schema": {}}, "schema lacks 'variables'"),
+])
+def test_ope_names_the_key_a_bundle_section_lacks(tmp_path, capsys, section, value, error):
+    fit = tmp_path / "fit"
+    assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
+                 "--out", str(fit)]) == 0
+    bundle = json.loads((fit / "models" / "window1__logreg.json").read_text())
+    bundle[section] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["ope", "--model", str(path), "--data", str(tmp_path / "episodes.jsonl"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     # x0 is constant, so every split's preprocessor clamps its stddev to 1.
     episodes, _ = generate_cohort(
@@ -491,6 +511,21 @@ def test_report_draws_a_flat_axis_at_a_huge_bound(tmp_path, keys, figure):
     (tmp_path / "report.json").write_text(_report_with(**keys))
     assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "e")]) == 0
     assert "nan" not in (tmp_path / "e" / figure).read_text()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_report_refuses_nan_and_infinity(tmp_path, capsys, value):
+    # json.dumps writes these as NaN, Infinity and -Infinity, which are no
+    # JSON numbers; read as floats, a lone infinite test AUROC drew nan
+    # coordinates into complexity.svg.
+    text = _report_with(complexity=[_complexity_row(test_auroc=value)])
+    (tmp_path / "report.json").write_text(text)
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "e")]) == 2
+    constant = json.dumps(value)
+    assert constant in text
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'report.json'}: {constant} is no JSON number\n")
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
@@ -392,6 +393,29 @@ def test_a_logreg_fit_out_of_newton_steps_is_a_recorded_skip(monkeypatch):
     assert report.metadata["skips"] == [
         {"state": state, "model": "logreg", "reason": "all candidates failed in split 0"}
         for state in ("current", "window1")
+    ]
+
+
+def test_a_feature_beyond_the_float32_range_is_a_recorded_mlp_skip(monkeypatch):
+    # x0 untransformed and scaled by 1e39 reaches the MLP as finite float64
+    # values that float32 training cannot hold: every fit fails, no
+    # RuntimeWarning escapes (they are errors under pytest), and the run ends.
+    cfg = _tree_config(model_kinds=["mlp"], n_splits=1, n_candidates=2,
+                       states=[StateSpec(include_current_context=True)])
+    raw = resolve_episodes(cfg)
+    schema = dataclasses.replace(raw.schema, variables=tuple(
+        dataclasses.replace(v, transform="none") if v.name == "x0" else v
+        for v in raw.schema.variables
+    ))
+    huge = dataclasses.replace(raw, schema=schema,
+                               columns={**raw.columns, "x0": raw.columns["x0"] * 1e39})
+    monkeypatch.setattr(runner, "resolve_episodes", lambda cfg: huge)
+    report = run_experiment(cfg)
+    failures = report.metadata["failures"]
+    assert len(failures) == report.metadata["fits_attempted"] == 2
+    assert all(f["error"] == "training diverged: non-finite loss" for f in failures)
+    assert report.metadata["skips"] == [
+        {"state": "current", "model": "mlp", "reason": "all candidates failed in split 0"}
     ]
 
 
