@@ -9,7 +9,16 @@ synthetic cohort generator with a known ground-truth policy makes the whole
 pipeline verifiable end to end.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# One BLAS thread unless the user chose a number: the matrices here are small,
+# so more threads spend CPU time without saving wall time. A value already set
+# wins, and the defaults have no effect if numpy was imported first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 # Importing the package loads the whole program (the runner imports every
 # module but the CLI). perfbench/run.py imports ``seqpol`` before it times

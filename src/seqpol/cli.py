@@ -4,7 +4,11 @@ Subcommands:
   generate     sample a synthetic cohort (episodes.jsonl + oracle.csv)
   experiment   run the full protocol and render the report tables
   sweep-trees  tree-complexity sweep on split 0 (complexity.csv + .svg only)
-  ope          inverse-probability product diagnostics for a saved model bundle
+  ope          inverse-probability product diagnostics for a saved model bundle,
+               scored in blocks of patients in id order (at most
+               ``ope._BLOCK_ROWS`` rows a block, a longer patient alone), so
+               that it holds one block's state matrix at a time besides the
+               cohort and one product a row
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists
 
@@ -28,7 +32,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
-from .ope import inverse_probability_products, median_product_curve
+from .ope import _BLOCK_ROWS, inverse_probability_products, median_product_curve
 from .report import _read_json, load_report
 from .runner import (
     ExperimentConfig,
@@ -67,7 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500, help="models per state")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
 
-    p = sub.add_parser("ope", help="inverse-probability product diagnostics")
+    p = sub.add_parser(
+        "ope",
+        help="inverse-probability product diagnostics",
+        description="Median inverse-probability product by stage of a saved model "
+        "bundle on a cohort. Patients are scored in id order, in blocks of at most "
+        f"{_BLOCK_ROWS} rows (a longer patient alone), so memory holds one block's "
+        "state matrix besides the cohort and one product a row.",
+    )
     p.add_argument("--model", required=True, help="saved model bundle JSON")
     p.add_argument("--data", required=True, help="episodes (JSONL or CSV)")
     p.add_argument(

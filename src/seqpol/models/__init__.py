@@ -13,6 +13,7 @@ from .riskscore import RiskScorePolicy, fit_riskscore
 from .tree import TreePolicy, fit_tree
 
 from ..errors import ConfigError, UnsupportedModelError
+from ..schema import required
 from ..staterep import StateMatrix
 
 MODELS = {
@@ -41,7 +42,11 @@ def model_from_dict(d: dict) -> PolicyModel:
     kind = d.get("kind")
     if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    return MODELS[kind][0]._from_params(d["feature_names"], d["class_labels"], d["params"])
+    return MODELS[kind][0]._from_params(
+        required(d, "feature_names", "model"),
+        required(d, "class_labels", "model"),
+        required(d, "params", "model"),
+    )
 
 
 __all__ = [

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import FitError
+from ..schema import required
 from ..staterep import StateMatrix
 from .base import PolicyModel
 
@@ -214,7 +215,8 @@ class LogisticPolicy(PolicyModel):
 
     @classmethod
     def _from_params(cls, feature_names, class_labels, params) -> "LogisticPolicy":
-        return cls(feature_names, class_labels, np.array(params["W"]), np.array(params["b"]))
+        W, b = (np.array(required(params, key, "logreg params")) for key in ("W", "b"))
+        return cls(feature_names, class_labels, W, b)
 
 
 def fit_logreg(

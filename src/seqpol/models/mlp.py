@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from ..errors import FitError
+from ..schema import required
 from ..staterep import StateMatrix
 from .base import PolicyModel
 from .logreg import softmax
@@ -125,7 +126,10 @@ class MLPPolicy(PolicyModel):
 
     @classmethod
     def _from_params(cls, feature_names, class_labels, params) -> "MLPPolicy":
-        layers = [(np.array(l["W"]), np.array(l["b"])) for l in params["layers"]]
+        layers = [
+            (np.array(required(l, "W", "MLP layer")), np.array(required(l, "b", "MLP layer")))
+            for l in required(params, "layers", "MLP params")
+        ]
         return cls(feature_names, class_labels, layers)
 
 

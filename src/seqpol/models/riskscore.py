@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FitError, UnsupportedModelError
+from ..schema import required
 from ..staterep import StateMatrix
 from .base import PolicyModel
 from .logreg import _newton_minimize
@@ -403,7 +404,10 @@ class RiskScorePolicy(PolicyModel):
     @classmethod
     def _from_params(cls, feature_names, class_labels, params) -> "RiskScorePolicy":
         return cls(
-            feature_names, class_labels, np.array(params["weights"]), params["intercept"]
+            feature_names,
+            class_labels,
+            np.array(required(params, "weights", "risk score params")),
+            required(params, "intercept", "risk score params"),
         )
 
 

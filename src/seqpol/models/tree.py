@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FitError
+from ..schema import required
 from ..staterep import StateMatrix
 from .base import PolicyModel
 
@@ -249,18 +250,18 @@ class TreePolicy(PolicyModel):
 
         def flatten(d: dict) -> int:
             i = len(feature)
-            counts.append(d["counts"])
+            counts.append(required(d, "counts", "tree node"))
             split = "feature" in d
             feature.append(d["feature"] if split else -1)
-            threshold.append(d["threshold"] if split else np.nan)
+            threshold.append(required(d, "threshold", "tree node") if split else np.nan)
             left.append(-1)
             right.append(-1)
             if split:
-                left[i] = flatten(d["left"])
-                right[i] = flatten(d["right"])
+                left[i] = flatten(required(d, "left", "tree node"))
+                right[i] = flatten(required(d, "right", "tree node"))
             return i
 
-        flatten(params["root"])
+        flatten(required(params, "root", "tree params"))
         return cls(
             feature_names, class_labels, feature, threshold, left, right, counts
         )

@@ -5,6 +5,14 @@ variance diagnostic for importance-weighted off-policy evaluation: the faster
 the median product grows with the stage, the less practical the re-weighting.
 Probabilities are floored before inversion so the diagnostic stays finite;
 floored events are counted and reported instead of silently clipped.
+
+The products are computed in patient blocks: the patients, in id order, are
+cut into runs of at most ``_BLOCK_ROWS`` rows (a longer patient is a block of
+its own), and each block's state matrix is assembled, scored and dropped
+before the next. A patient's series depends on its own rows alone, so the
+series are those of the whole cohort's matrix, bit for bit, while the memory
+held is O(block rows x state width) for the matrix plus O(rows) for the
+products.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ from .schema import EncodedCohort
 from .staterep import StateSpec, accumulate_stages, assemble_state
 
 PROB_FLOOR = 1e-6
+# Rows of the largest state matrix held at once (module docstring).
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -60,20 +70,48 @@ class ProductCurve:
         ]
 
 
+def _patient_blocks(cohort: EncodedCohort) -> list[np.ndarray]:
+    """The cohort's patient indices in id order, cut into consecutive runs of
+    at most ``_BLOCK_ROWS`` rows; a patient with more rows is a run alone."""
+    order = np.array(
+        sorted(range(len(cohort)), key=cohort.patient_ids.__getitem__), dtype=np.int64
+    )
+    lengths = np.diff(cohort.offsets)[order].tolist()
+    blocks, start, rows = [], 0, 0
+    for i, n in enumerate(lengths):
+        if rows + n > _BLOCK_ROWS and i > start:
+            blocks.append(order[start:i])
+            start, rows = i, 0
+        rows += n
+    blocks.append(order[start:])
+    return blocks
+
+
 def inverse_probability_products(
     cohort: EncodedCohort, model: PolicyModel, spec: StateSpec
 ) -> InverseProductSeries:
     """Cumulative product of inverse model probabilities per patient.
 
     Probabilities are floored at 1e-6 before inversion; each floored stage is
-    counted. Every series is non-decreasing and at least 1.
+    counted. Every series is non-decreasing and at least 1, and the rows are
+    those of ``assemble_state(cohort, spec)``: patients in id order. The
+    patients are scored in blocks of at most ``_BLOCK_ROWS`` rows (a longer
+    patient alone), one block's state matrix at a time, so memory is
+    O(block rows x state width) plus O(rows) for the products.
     """
-    matrix = assemble_state(cohort, spec)
-    probs = model.predict_proba(matrix)
-    picked = probs[np.arange(matrix.n_rows), matrix.y]
-    products = 1.0 / np.maximum(picked, PROB_FLOOR)
-    accumulate_stages(np.multiply, products, matrix.stages)
-    return InverseProductSeries(products, int((picked < PROB_FLOOR).sum()), matrix.stages)
+    products = np.empty(cohort.n_stages)
+    stages = np.empty(cohort.n_stages, dtype=np.int64)
+    floored, lo = 0, 0
+    for patients in _patient_blocks(cohort):
+        matrix = assemble_state(cohort.take(patients), spec)
+        picked = model.predict_proba(matrix)[np.arange(matrix.n_rows), matrix.y]
+        block = slice(lo, lo + matrix.n_rows)
+        np.divide(1.0, np.maximum(picked, PROB_FLOOR), out=products[block])
+        accumulate_stages(np.multiply, products[block], matrix.stages)
+        stages[block] = matrix.stages
+        floored += int((picked < PROB_FLOOR).sum())
+        lo = block.stop
+    return InverseProductSeries(products, floored, stages)
 
 
 def median_product_curve(

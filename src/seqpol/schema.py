@@ -193,6 +193,15 @@ def offsets_of(lengths) -> np.ndarray:
     return offsets
 
 
+def taken_rows(offsets: np.ndarray, patients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``offsets`` of the patients at indices ``patients``, in that order,
+    and the rows they own in the layout of ``offsets``, in the same order."""
+    lengths = np.diff(offsets)[patients]
+    taken = offsets_of(lengths)
+    rows = np.arange(taken[-1]) + np.repeat(offsets[patients] - taken[:-1], lengths)
+    return taken, rows
+
+
 @dataclass(frozen=True)
 class EncodedFeature:
     """Numeric column produced by the preprocessor, traced to its source variable."""
@@ -228,9 +237,7 @@ class EpisodeSet:
 
     def take(self, patients: np.ndarray) -> "EpisodeSet":
         """The cohort of the patients at indices ``patients``, in that order."""
-        lengths = np.diff(self.offsets)[patients]
-        offsets = offsets_of(lengths)
-        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[patients] - offsets[:-1], lengths)
+        offsets, rows = taken_rows(self.offsets, patients)
         return EpisodeSet(
             schema=self.schema,
             patient_ids=[self.patient_ids[i] for i in patients],
@@ -262,3 +269,16 @@ class EncodedCohort:
     @property
     def n_stages(self) -> int:
         return self.X.shape[0]
+
+    def take(self, patients: np.ndarray) -> "EncodedCohort":
+        """The cohort of the patients at indices ``patients``, in that order."""
+        offsets, rows = taken_rows(self.offsets, patients)
+        return EncodedCohort(
+            schema=self.schema,
+            features=self.features,
+            patient_ids=[self.patient_ids[i] for i in patients],
+            offsets=offsets,
+            X=self.X[rows],
+            actions=self.actions[rows],
+            severity=self.severity[rows],
+        )

@@ -374,21 +374,59 @@ def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: invalid preprocessor state")
 
 
-@pytest.mark.parametrize("section, value, error", [
-    ("preprocessor", {}, "preprocessor lacks 'schema'"),
-    ("schema", {}, "schema lacks 'variables'"),
-    ("preprocessor", {"schema": {}}, "schema lacks 'variables'"),
-])
-def test_ope_names_the_key_a_bundle_section_lacks(tmp_path, capsys, section, value, error):
-    fit = tmp_path / "fit"
-    assert main(["experiment", "--config", str(_write_experiment(tmp_path)),
-                 "--out", str(fit)]) == 0
-    bundle = json.loads((fit / "models" / "window1__logreg.json").read_text())
-    bundle[section] = value
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(bundle))
+@pytest.fixture(scope="module")
+def fitted_bundles(tmp_path_factory):
+    """models/ of a 2-action experiment that fits every model kind on window1;
+    its tree's root is split."""
+    tmp = tmp_path_factory.mktemp("bundles")
+    config = _write_experiment(
+        tmp,
+        generator={"n_patients": 60, "n_actions": 2, "t_fixed": 4, "seed": 5},
+        states=[{"window_k": 1}],
+        model_kinds=["logreg", "tree", "riskscore", "mlp"],
+    )
+    assert main(["experiment", "--config", str(config), "--out", str(tmp / "fit")]) == 0
+    return tmp / "fit" / "models"
+
+
+def _lacking(case):
+    """A case of the test below, named by the path of the key it deletes."""
+    return pytest.param(*case, id=".".join(map(str, case[1])))
+
+
+@pytest.mark.parametrize("stem, path, error", [_lacking(c) for c in [
+    ("logreg", ("preprocessor", "schema"), "preprocessor lacks 'schema'"),
+    ("logreg", ("schema", "variables"), "schema lacks 'variables'"),
+    ("logreg", ("preprocessor", "schema", "variables"), "schema lacks 'variables'"),
+    ("logreg", ("model", "feature_names"), "model lacks 'feature_names'"),
+    ("logreg", ("model", "class_labels"), "model lacks 'class_labels'"),
+    ("logreg", ("model", "params"), "model lacks 'params'"),
+    ("logreg", ("model", "params", "W"), "logreg params lacks 'W'"),
+    ("logreg", ("model", "params", "b"), "logreg params lacks 'b'"),
+    ("riskscore", ("model", "params", "weights"), "risk score params lacks 'weights'"),
+    ("riskscore", ("model", "params", "intercept"), "risk score params lacks 'intercept'"),
+    ("mlp", ("model", "params", "layers"), "MLP params lacks 'layers'"),
+    ("mlp", ("model", "params", "layers", 0, "W"), "MLP layer lacks 'W'"),
+    ("mlp", ("model", "params", "layers", -1, "b"), "MLP layer lacks 'b'"),
+    ("tree", ("model", "params", "root"), "tree params lacks 'root'"),
+    ("tree", ("model", "params", "root", "counts"), "tree node lacks 'counts'"),
+    ("tree", ("model", "params", "root", "threshold"), "tree node lacks 'threshold'"),
+    ("tree", ("model", "params", "root", "left"), "tree node lacks 'left'"),
+    ("tree", ("model", "params", "root", "right"), "tree node lacks 'right'"),
+    ("tree", ("model", "params", "root", "right", "counts"), "tree node lacks 'counts'"),
+]])
+def test_ope_names_the_key_a_bundle_section_lacks(
+    fitted_bundles, tmp_path, capsys, stem, path, error
+):
+    bundle = json.loads((fitted_bundles / f"window1__{stem}.json").read_text())
+    owner = bundle
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    model = tmp_path / "bundle.json"
+    model.write_text(json.dumps(bundle))
     capsys.readouterr()
-    assert main(["ope", "--model", str(path), "--data", str(tmp_path / "episodes.jsonl"),
+    assert main(["ope", "--model", str(model), "--data", str(tmp_path / "episodes.jsonl"),
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"config error: {error}\n"
     assert not (tmp_path / "o").exists()
@@ -616,9 +654,11 @@ def test_report_with_one_value_of_another_json_type_renders_or_is_a_data_error(
             assert (out / "models" / bundle.name).read_bytes() == bundle.read_bytes()
 
 
-def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this seqpol."""
-    env = {**os.environ, "PYTHONPATH": str(Path(seqpol.__file__).parents[1])}
+def _python(code: str, *args: str, cwd: Path, **variables) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this seqpol, with the
+    environment ``variables`` set (or unset, where None)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(seqpol.__file__).parents[1]), **variables}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -628,6 +668,15 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     run = _python(code, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_importing_seqpol_defaults_blas_to_one_thread_and_keeps_a_users_count(tmp_path):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, seqpol; print([os.environ.get(n) for n in {names!r}])"
+    run = _python(code, cwd=tmp_path, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS="3",
+                  MKL_NUM_THREADS=None)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['1', '3', '1']"
 
 
 _GENERATE_AND_FIT = """
