@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Median inverse-probability product by stage of a saved model "
         "bundle on a cohort. Patients are scored in id order, in blocks of at most "
         f"{_BLOCK_ROWS} rows (a longer patient alone), so memory holds one block's "
-        "state matrix besides the cohort and one product a row.",
+        "state matrix besides the cohort and one product a row. A product or "
+        "median past float64's range (about 1.8e308) prints as inf.",
     )
     p.add_argument("--model", required=True, help="saved model bundle JSON")
     p.add_argument("--data", required=True, help="episodes (JSONL or CSV)")
@@ -85,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spec", default=None, help="state spec JSON (default: the bundle's own)"
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-stage", type=int, default=10)
+    p.add_argument(
+        "--max-stage", type=int, default=10, help="last stage of the curve (>= 1)"
+    )
 
     p = sub.add_parser("report", help="re-render a report directory")
     p.add_argument("--in", dest="indir", required=True, help="report directory")
@@ -136,6 +139,8 @@ def _cmd_sweep_trees(args) -> int:
 
 
 def _cmd_ope(args) -> int:
+    if args.max_stage < 1:  # before the cohort is loaded and scored
+        raise ConfigError(f"--max-stage must be >= 1, got {args.max_stage}")
     bundle = _read_json(Path(args.model))
     sections = ("model", "schema", "preprocessor", "state_spec")
     if not all(type(bundle.get(name)) is dict for name in sections):

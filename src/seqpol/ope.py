@@ -13,6 +13,10 @@ before the next. A patient's series depends on its own rows alone, so the
 series are those of the whole cohort's matrix, bit for bit, while the memory
 held is O(block rows x state width) for the matrix plus O(rows) for the
 products.
+
+Each stage's median is read from a sort (``_median``), bit for bit what
+``np.median`` returns: ``np.median``'s NaN check imports ``numpy.ma``, a
+module ``seqpol ope`` otherwise never loads.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def inverse_probability_products(
     those of ``assemble_state(cohort, spec)``: patients in id order. The
     patients are scored in blocks of at most ``_BLOCK_ROWS`` rows (a longer
     patient alone), one block's state matrix at a time, so memory is
-    O(block rows x state width) plus O(rows) for the products.
+    O(block rows x state width) plus O(rows) for the products. A product
+    past float64's range is inf, with no overflow warning.
     """
     products = np.empty(cohort.n_stages)
     stages = np.empty(cohort.n_stages, dtype=np.int64)
@@ -107,11 +112,29 @@ def inverse_probability_products(
         picked = model.predict_proba(matrix)[np.arange(matrix.n_rows), matrix.y]
         block = slice(lo, lo + matrix.n_rows)
         np.divide(1.0, np.maximum(picked, PROB_FLOOR), out=products[block])
-        accumulate_stages(np.multiply, products[block], matrix.stages)
+        with np.errstate(over="ignore"):  # a product past the range is inf
+            accumulate_stages(np.multiply, products[block], matrix.stages)
         stages[block] = matrix.stages
         floored += int((picked < PROB_FLOOR).sum())
         lo = block.stop
     return InverseProductSeries(products, floored, stages)
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-d array, from a sort.
+
+    The mean of the middle value (odd size) or the two middle values (even
+    size) is ``np.median``'s own arithmetic, so the bits are the same, a
+    signed zero included; a NaN sorts last and makes the median NaN.
+    """
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    n = len(s)
+    # The two middle values may sum past the range or be -inf and inf; the
+    # median is then inf or NaN, as np.median's, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(s[(n - 1) // 2 : n // 2 + 1]))
 
 
 def median_product_curve(
@@ -125,6 +148,6 @@ def median_product_curve(
     for t in range(1, width + 1):
         active = products.products[products.stages == t]
         stages.append(t)
-        medians.append(float(np.median(active)))
+        medians.append(_median(active))
         counts.append(len(active))
     return ProductCurve(stages, medians, counts, products.floored_events)

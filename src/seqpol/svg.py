@@ -1,13 +1,31 @@
-"""Minimal dependency-free SVG line charts for report figures."""
+"""Minimal dependency-free SVG line charts for report figures.
+
+Text is escaped by ``escape`` here, not by ``xml.sax.saxutils.escape``: that
+module imports ``urllib.request`` and with it the network stack (``http``,
+``email``, ``ssl``, ``socket``), about 3.5 MiB of every ``seqpol`` process for
+three string replacements.
+"""
 
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 _W, _H = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 160, 40, 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``>`` and ``<`` as ``xml.sax.saxutils.escape`` does by
+    default, in its order (``&`` first)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _drawn(x: float, y: float | None, log_y: bool) -> bool:
+    """Whether a point is drawn, and so counts towards the axis spans."""
+    return (
+        y is not None and math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
+    )
 
 
 def line_chart(
@@ -18,12 +36,14 @@ def line_chart(
     y_label: str = "",
     log_y: bool = False,
 ) -> None:
-    """Write a line chart with one polyline per (label, xs, ys) series."""
+    """Write a line chart with one polyline per (label, xs, ys) series.
+
+    Points with a missing or non-finite coordinate, and on a log axis those
+    with y <= 0, are left out, and the axes span the points drawn: an inf
+    value cannot stretch an axis to inf.
+    """
     points = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if y is not None and (not log_y or y > 0)
+        (x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _drawn(x, y, log_y)
     ]
     if not points:
         points = [(0.0, 1.0), (1.0, 2.0)]
@@ -89,7 +109,7 @@ def line_chart(
         pts = " ".join(
             f"{sx(x):.1f},{sy(y):.1f}"
             for x, y in zip(xs, ys)
-            if y is not None and (not log_y or y > 0)
+            if _drawn(x, y, log_y)
         )
         if pts:
             parts.append(

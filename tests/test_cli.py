@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -432,6 +434,59 @@ def test_ope_names_the_key_a_bundle_section_lacks(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("max_stage", ["0", "-2"])
+def test_ope_checks_max_stage_before_it_reads_the_cohort(
+    fitted_bundles, tmp_path, capsys, max_stage
+):
+    # The data file is missing, which would be a data error (exit 2) had the
+    # cohort been read first.
+    out = tmp_path / "o"
+    assert main(["ope", "--model", str(fitted_bundles / "window1__logreg.json"),
+                 "--data", str(tmp_path / "missing.jsonl"), "--out", str(out),
+                 "--max-stage", max_stage]) == 1
+    assert capsys.readouterr().err == f"config error: --max-stage must be >= 1, got {max_stage}\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def long_episodes(tmp_path_factory):
+    """A 3-action logreg bundle and a cohort of 4 patients of 1 000 stages
+    under its schema, whose inverse-probability products overflow."""
+    tmp = tmp_path_factory.mktemp("long")
+    config = _write_experiment(tmp, model_kinds=["logreg"])
+    assert main(["experiment", "--config", str(config), "--out", str(tmp / "fit")]) == 0
+    generator = tmp / "long.json"
+    generator.write_text(json.dumps(
+        {"n_patients": 4, "n_actions": 3, "t_fixed": 1000, "seed": 5}))
+    assert main(["generate", "--config", str(generator), "--out", str(tmp / "cohort")]) == 0
+    return ["ope", "--model", str(tmp / "fit" / "models" / "window1__logreg.json"),
+            "--data", str(tmp / "cohort" / "episodes.jsonl"), "--max-stage", "1000"]
+
+
+def test_ope_prints_inf_medians_and_draws_the_finite_ones(long_episodes, tmp_path):
+    # No overflow warning either: this suite's filterwarnings makes it an error.
+    assert main(long_episodes + ["--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "ope_curve.csv").read_text().splitlines()[1:]
+    medians = [float(row.split(",")[1]) for row in rows]
+    finite = [m for m in medians if math.isfinite(m)]
+    assert len(medians) == 1000 and math.isinf(medians[-1]) and len(finite) > 100
+    svg = (tmp_path / "ope_curve.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+    ys = [float(point.split(",")[1]) for point in points]
+    assert len(points) == len(finite)
+    assert (min(ys), max(ys)) == (40.0, 350.0)  # the finite medians span the y axis
+
+
+def test_ope_loads_no_numpy_ma(long_episodes, tmp_path):
+    # np.median's NaN check would import numpy.ma on the first curve.
+    code = ("import sys\nfrom seqpol.cli import main\n"
+            "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
+    run = _python(code, *long_episodes, "--out", str(tmp_path / "o"), cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
 def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     # x0 is constant, so every split's preprocessor clamps its stddev to 1.
     episodes, _ = generate_cohort(
@@ -665,6 +720,16 @@ def _python(code: str, *args: str, cwd: Path, **variables) -> subprocess.Complet
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     code = "import sys, seqpol.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    run = _python(code, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_network_stack(tmp_path):
+    # xml.sax.saxutils would pull these in through urllib.request; pathlib
+    # needs urllib.parse alone.
+    names = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+    code = f"import sys, seqpol.cli; print(sorted({names!r} & sys.modules.keys()))"
     run = _python(code, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

@@ -1,6 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqpol import ope
 from seqpol.models import LogisticPolicy
@@ -171,3 +174,47 @@ def test_scoring_holds_less_than_half_of_the_cohorts_state_matrix(therapy_schema
     finally:
         tracemalloc.stop()
     assert peak < matrix_bytes / 2
+
+
+def test_products_past_the_float64_range_are_inf_without_a_warning(therapy_schema):
+    # 3**647 > 1.8e308 > 3**646: a product overflows at stage 647, with
+    # no RuntimeWarning (an error under this suite's filterwarnings).
+    lengths = [2100, 700, 3, 2100]
+    cohort = _cohort(therapy_schema, lengths, np.random.default_rng(31))
+    third = _KeyedProbabilities({pid: np.full((n, 3), 1 / 3)
+                                 for pid, n in zip(cohort.patient_ids, lengths)})
+    products = inverse_probability_products(cohort, third, StateSpec(window_k=0))
+    assert np.isinf(products.products).sum() == 2 * (2100 - 646) + (700 - 646)
+    curve = median_product_curve(products, 2100)
+    assert np.isfinite(curve.medians[:646]).all()
+    assert curve.medians[-1] == curve.medians[700] == np.inf
+
+
+def _bits(value: float):
+    """A float's bytes, or "nan" for any NaN (a sort may change its sign bit)."""
+    return "nan" if np.isnan(value) else np.float64(value).tobytes()
+
+
+def _np_median(values):
+    with np.errstate(all="ignore"):  # inf + -inf and overflowing pairs warn
+        return float(np.median(np.array(values, dtype=np.float64)))
+
+
+_BIG = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [7.5],
+    [2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 2.0, 3.0], [2.0, 1.0, 2.0],
+    [np.inf, 1.0], [np.inf, np.inf, 1.0], [-np.inf, np.inf], [-np.inf, -np.inf, 0.5, 2.0],
+    [np.nan, 1.0, 2.0], [1.0, np.nan], [np.nan], [np.inf, np.nan, -np.inf],
+    [_BIG, _BIG], [1.7e308, 1.6e308, 1.0, 1e308], [-_BIG, -_BIG], [_BIG, 1e308, 1.0],
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324, 5e-324], [5e-324, 0.0],
+])
+def test_the_stage_median_is_np_median_bit_for_bit(values):
+    assert _bits(ope._median(np.array(values))) == _bits(_np_median(values))
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=12))
+def test_the_stage_median_of_any_floats_is_np_median_bit_for_bit(values):
+    assert _bits(ope._median(np.array(values, dtype=np.float64))) == _bits(_np_median(values))
