@@ -5,10 +5,10 @@ Subcommands:
   experiment   run the full protocol and render the report tables
   sweep-trees  tree-complexity sweep on split 0 (complexity.csv + .svg only)
   ope          inverse-probability product diagnostics for a saved model bundle,
-               scored in blocks of patients in id order (at most
-               ``ope._BLOCK_ROWS`` rows a block, a longer patient alone), so
-               that it holds one block's state matrix at a time besides the
-               cohort and one product a row
+               scored in blocks of consecutive patients, which load in id
+               order (at most ``ope._BLOCK_ROWS`` rows a block, a longer
+               patient alone), so that it holds one block's state matrix at a
+               time besides the cohort and one product a row
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists
 
@@ -75,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "ope",
         help="inverse-probability product diagnostics",
         description="Median inverse-probability product by stage of a saved model "
-        "bundle on a cohort. Patients are scored in id order, in blocks of at most "
-        f"{_BLOCK_ROWS} rows (a longer patient alone), so memory holds one block's "
-        "state matrix besides the cohort and one product a row. A product or "
-        "median past float64's range (about 1.8e308) prints as inf.",
+        "bundle on a cohort. Patients load in id order and are scored in blocks of "
+        f"consecutive patients of at most {_BLOCK_ROWS} rows (a longer patient alone), "
+        "so memory holds one block's state matrix besides the cohort and one product "
+        "a row. A product or median past float64's range (about 1.8e308) prints as inf.",
     )
     p.add_argument("--model", required=True, help="saved model bundle JSON")
     p.add_argument("--data", required=True, help="episodes (JSONL or CSV)")

@@ -18,13 +18,14 @@ A cohort is read from JSONL, or from a long CSV when the file name ends in
 In both, a patient's stages are numbered 1..T in order, severity is
 optional, numbers must be finite, and every action label and variable must be
 in the schema. Both loaders hand each patient's stage records, in the JSONL
-shape, to one ``CohortBuilder``; it checks every value, names the first
-problem with its ``path:line`` and patient, and writes each value straight
-into its variable's column. It keeps no record: the JSONL loader reads one
-line at a time and the CSV loader one patient's rows at a time, so memory
-holds the columns and one patient's records. ``save_episodes_jsonl`` writes the
-JSONL format back, with every schema variable in each context and null where
-a value is missing.
+shape, to one ``CohortBuilder``; it checks every value in file order, names
+the first problem with its ``path:line`` and patient, writes each value
+straight into its variable's column, and returns the patients in id order
+(the ``schema`` module's), whatever the file's order. It keeps no record:
+the JSONL loader reads one line at a time and the CSV loader one patient's
+rows at a time, so memory holds the columns and one patient's records.
+``save_episodes_jsonl`` writes the JSONL format back, with every schema
+variable in each context and null where a value is missing.
 
 Preprocessing fits per-variable statistics on training episodes only, imputes
 missing values by carrying the last observation forward (falling back to the
@@ -51,7 +52,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .schema import (
-    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, required
+    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, required,
+    taken_rows,
 )
 
 LOG_EPS = 1e-6
@@ -194,24 +196,27 @@ class CohortBuilder:
         self._lengths.append(len(ts))
 
     def build(self) -> EpisodeSet:
-        """The cohort of every patient added, in order; DataError if none was."""
-        if not self._patient_ids:
+        """The cohort of every patient added, in id order; DataError if none was."""
+        ids = self._patient_ids
+        if not ids:
             raise DataError("no episodes")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        offsets, rows = taken_rows(offsets_of(self._lengths), order)
         return EpisodeSet(
             schema=self.schema,
-            patient_ids=self._patient_ids,
-            offsets=offsets_of(self._lengths),
-            actions=np.array(self._actions, dtype=np.int64),
-            severity=np.array(self._severity, dtype=float),
+            patient_ids=[ids[i] for i in order],
+            offsets=offsets,
+            actions=np.array(self._actions, dtype=np.int64)[rows],
+            severity=np.array(self._severity, dtype=float)[rows],
             columns={
-                name: np.array(column, dtype=float if type(column) is array else object)
+                name: np.array(column, dtype=float if type(column) is array else object)[rows]
                 for name, column in self._columns.items()
             },
         )
 
 
 def load_episodes(path: str, schema: CohortSchema) -> EpisodeSet:
-    """Load raw episodes from a JSONL or long-format CSV file.
+    """Load raw episodes, in id order, from a JSONL or long-format CSV file.
 
     Raises DataError on malformed records (with ``path:line``), non-contiguous
     stage indices, duplicate patients, unknown actions/columns, or an empty
@@ -568,7 +573,7 @@ def split_dataset(
     The split is at patient level: every stage of a patient lands in the same
     fold. ``test_frac`` is taken from the whole cohort and ``val_frac`` from
     the remaining training portion, both rounded to the nearest patient; a
-    fold that would get no patient is a ``ConfigError``.
+    fold that would get no patient is a ``ConfigError``. A fold keeps id order.
     """
     if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
         raise ConfigError("split fractions must lie in (0, 1)")
@@ -589,7 +594,5 @@ def split_dataset(
     ):
         if size == 0:
             raise ConfigError(f"the {fold} fold would be empty: {share} rounds to 0")
-    # patients by id, so that the folds do not depend on the input order
-    by_id = np.array(sorted(range(n), key=episodes.patient_ids.__getitem__), dtype=np.int64)
     folds = (order[n_test + n_val :], order[n_test : n_test + n_val], order[:n_test])
-    return tuple(episodes.take(np.sort(by_id[fold])) for fold in folds)
+    return tuple(episodes.take(np.sort(fold)) for fold in folds)

@@ -6,13 +6,13 @@ the median product grows with the stage, the less practical the re-weighting.
 Probabilities are floored before inversion so the diagnostic stays finite;
 floored events are counted and reported instead of silently clipped.
 
-The products are computed in patient blocks: the patients, in id order, are
-cut into runs of at most ``_BLOCK_ROWS`` rows (a longer patient is a block of
-its own), and each block's state matrix is assembled, scored and dropped
-before the next. A patient's series depends on its own rows alone, so the
-series are those of the whole cohort's matrix, bit for bit, while the memory
-held is O(block rows x state width) for the matrix plus O(rows) for the
-products.
+The products are computed in patient blocks: the cohort's patients, in id
+order, are cut into runs of at most ``_BLOCK_ROWS`` rows (a longer patient is
+a block of its own), and each block's state matrix is assembled, scored and
+dropped before the next. A patient's series depends on its own rows alone,
+so the series are those of the whole cohort's matrix, bit for bit, while the
+memory held is O(block rows x state width) for the matrix plus O(rows) for
+the products.
 
 Each stage's median is read from a sort (``_median``), bit for bit what
 ``np.median`` returns: ``np.median``'s NaN check imports ``numpy.ma``, a
@@ -75,19 +75,15 @@ class ProductCurve:
 
 
 def _patient_blocks(cohort: EncodedCohort) -> list[np.ndarray]:
-    """The cohort's patient indices in id order, cut into consecutive runs of
+    """The cohort's patient indices cut into runs of consecutive patients of
     at most ``_BLOCK_ROWS`` rows; a patient with more rows is a run alone."""
-    order = np.array(
-        sorted(range(len(cohort)), key=cohort.patient_ids.__getitem__), dtype=np.int64
-    )
-    lengths = np.diff(cohort.offsets)[order].tolist()
     blocks, start, rows = [], 0, 0
-    for i, n in enumerate(lengths):
+    for i, n in enumerate(np.diff(cohort.offsets).tolist()):
         if rows + n > _BLOCK_ROWS and i > start:
-            blocks.append(order[start:i])
+            blocks.append(np.arange(start, i))
             start, rows = i, 0
         rows += n
-    blocks.append(order[start:])
+    blocks.append(np.arange(start, len(cohort)))
     return blocks
 
 
@@ -98,7 +94,7 @@ def inverse_probability_products(
 
     Probabilities are floored at 1e-6 before inversion; each floored stage is
     counted. Every series is non-decreasing and at least 1, and the rows are
-    those of ``assemble_state(cohort, spec)``: patients in id order. The
+    the cohort's, as those of ``assemble_state(cohort, spec)``. The
     patients are scored in blocks of at most ``_BLOCK_ROWS`` rows (a longer
     patient alone), one block's state matrix at a time, so memory is
     O(block rows x state width) plus O(rows) for the products. A product

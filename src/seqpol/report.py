@@ -43,12 +43,17 @@ class StageRow:
 
 @dataclass(frozen=True)
 class CurveRow:
+    """An inf ``median`` (the products overflowed) is null in report.json."""
     state: str
     model: str
     stage: int
     median: float | None
     n: int
     floored_events: int
+
+    def __post_init__(self) -> None:
+        if self.median is None:  # JSON has no infinity
+            object.__setattr__(self, "median", np.inf)
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,8 @@ class ExperimentReport:
         out = asdict(replace(self, model_bundles=[]))
         out["model_bundles"] = [bundle_file(b) for b in self.model_bundles]
         out["metadata"].pop("duration_seconds", None)
+        for row in out["ope_curves"]:
+            row["median"] = None if row["median"] == np.inf else row["median"]
         return {("model_files" if k == "model_bundles" else k): v for k, v in out.items()}
 
     @classmethod

@@ -572,7 +572,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             if cell.skip
         ],
         "preprocessor_warnings": prep_warnings,
-        "severity_excluded": dict(sorted(severity_groups.excluded.items())),
+        "severity_excluded": severity_groups.excluded,
         "n_patients": len(raw),
         "n_rows": raw.n_stages,
         "duration_seconds": round(time.time() - t_start, 3),

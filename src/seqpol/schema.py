@@ -10,15 +10,17 @@ Row layout. A raw cohort (``EpisodeSet``), a preprocessed one
 per (patient, stage) and name each patient once: ``patient_ids[i]`` owns rows
 ``offsets[i]:offsets[i + 1]`` of every per-row array, in stage order, so
 ``offsets`` starts at 0, never decreases and ends at the row count
-(``offsets_of`` builds it from per-patient row counts). A state matrix sorts
-its patients by id and holds no patient without rows; the cohorts keep their
-input order.
+(``offsets_of`` builds it from per-patient row counts). The patients strictly
+ascend by id, in Python's string order (``"p10"`` before ``"p2"``): the
+loaders sort them, ``EpisodeSet`` and ``EncodedCohort`` refuse any other order
+and ``take`` needs ascending indices, so nothing downstream sorts again. A
+state matrix holds no patient without rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -210,8 +212,34 @@ class EncodedFeature:
     variable: str
 
 
+class _Cohort:
+    """What the cohorts share: ``patient_ids`` and ``offsets`` in the row
+    layout, the ids strictly ascending (module docstring), and per-row arrays,
+    which ``_rows`` takes."""
+
+    def __post_init__(self) -> None:
+        ids = self.patient_ids
+        for before, after in zip(ids, ids[1:]):
+            if not before < after:
+                raise DataError(
+                    f"patient ids must strictly ascend, but {after!r} follows {before!r}")
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
+
+    @property
+    def n_stages(self) -> int:
+        return int(self.offsets[-1])
+
+    def take(self, patients: np.ndarray):
+        """The cohort of the patients at ascending indices ``patients``."""
+        offsets, rows = taken_rows(self.offsets, patients)
+        ids = [self.patient_ids[i] for i in patients]
+        return replace(self, patient_ids=ids, offsets=offsets, **self._rows(rows))
+
+
 @dataclass
-class EpisodeSet:
+class EpisodeSet(_Cohort):
     """A raw cohort in the row layout (module docstring).
 
     ``actions`` holds indices into the schema's action labels and
@@ -228,28 +256,13 @@ class EpisodeSet:
     severity: np.ndarray
     columns: dict[str, np.ndarray]
 
-    def __len__(self) -> int:
-        return len(self.patient_ids)
-
-    @property
-    def n_stages(self) -> int:
-        return int(self.offsets[-1])
-
-    def take(self, patients: np.ndarray) -> "EpisodeSet":
-        """The cohort of the patients at indices ``patients``, in that order."""
-        offsets, rows = taken_rows(self.offsets, patients)
-        return EpisodeSet(
-            schema=self.schema,
-            patient_ids=[self.patient_ids[i] for i in patients],
-            offsets=offsets,
-            actions=self.actions[rows],
-            severity=self.severity[rows],
-            columns={name: col[rows] for name, col in self.columns.items()},
-        )
+    def _rows(self, rows: np.ndarray) -> dict:
+        columns = {name: col[rows] for name, col in self.columns.items()}
+        return {"actions": self.actions[rows], "severity": self.severity[rows], "columns": columns}
 
 
 @dataclass
-class EncodedCohort:
+class EncodedCohort(_Cohort):
     """A preprocessed cohort in the row layout (module docstring). ``X`` has
     one column per encoded feature and no missing value; ``actions`` holds
     indices into the schema's action labels; ``severity`` is NaN where absent.
@@ -263,22 +276,5 @@ class EncodedCohort:
     actions: np.ndarray
     severity: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.patient_ids)
-
-    @property
-    def n_stages(self) -> int:
-        return self.X.shape[0]
-
-    def take(self, patients: np.ndarray) -> "EncodedCohort":
-        """The cohort of the patients at indices ``patients``, in that order."""
-        offsets, rows = taken_rows(self.offsets, patients)
-        return EncodedCohort(
-            schema=self.schema,
-            features=self.features,
-            patient_ids=[self.patient_ids[i] for i in patients],
-            offsets=offsets,
-            X=self.X[rows],
-            actions=self.actions[rows],
-            severity=self.severity[rows],
-        )
+    def _rows(self, rows: np.ndarray) -> dict:
+        return {"X": self.X[rows], "actions": self.actions[rows], "severity": self.severity[rows]}

@@ -138,7 +138,7 @@ def enumerate_standard_states(op: str) -> list[StateSpec]:
 @dataclass
 class StateMatrix:
     """Flattened (patient, stage) design matrix in the row layout of
-    ``schema`` (its module docstring): patients sorted by id, none without
+    ``schema`` (its module docstring): patients in id order, none without
     rows. ``y`` and ``prev_actions`` are indices into ``action_labels``.
     """
 
@@ -226,7 +226,7 @@ def accumulate_stages(ufunc: np.ufunc, values: np.ndarray, stages: np.ndarray) -
 
 
 def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
-    """Build the design matrix for a state spec over a whole cohort."""
+    """Build the design matrix for a state spec over a whole cohort, row for row."""
     if not isinstance(cohort, EncodedCohort):
         raise ConfigError("episodes must be preprocessed to numeric form first")
     schema = cohort.schema
@@ -253,27 +253,21 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
         names.extend(f"{feats[j].name}@agg_{op}" for j in agg_cols)
         names.extend(f"action:{label}@agg_{op}" for label in schema.action_labels)
 
-    # Output rows run over patients sorted by id, each in stage order; ``src``
-    # is each output row's row in the cohort and ``before`` its stage - 1.
-    order = sorted(range(len(cohort)), key=cohort.patient_ids.__getitem__)
-    lengths = np.diff(cohort.offsets)[order]
-    offsets = offsets_of(lengths)
-    n = int(offsets[-1])
-    before = np.arange(n) - np.repeat(offsets[:-1], lengths)
-    src = np.repeat(cohort.offsets[:-1][order], lengths) + before
-    rows = np.arange(n)
+    # The matrix rows are the cohort's; ``before`` is each row's stage - 1.
+    rows = np.arange(cohort.n_stages)
+    before = rows - np.repeat(cohort.offsets[:-1], np.diff(cohort.offsets))
 
     def lagged(lag: int) -> np.ndarray:
-        """Cohort row ``lag`` stages back, clamped at the patient's first."""
-        return src - np.minimum(before, lag)
+        """The row ``lag`` stages back, clamped at the patient's first."""
+        return rows - np.minimum(before, lag)
 
     def action_lag(lag: int) -> np.ndarray:
         return np.where(before >= lag, cohort.actions[lagged(lag)], default_idx)
 
-    X = np.zeros((n, len(names)))
+    X = np.zeros((len(rows), len(names)))
     col = 0
     if spec.include_current_context:
-        X[:, : len(feats)] = cohort.X[src]
+        X[:, : len(feats)] = cohort.X
         col = len(feats)
     if k is not None:
         lag_X = cohort.X[:, lag_cols]
@@ -291,7 +285,7 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
     if op != "none":
         n_ctx = len(agg_cols)
         agg = X[:, col:]
-        agg[:, :n_ctx] = cohort.X[src[:, None], agg_cols]
+        agg[:, :n_ctx] = cohort.X[:, agg_cols]
         later = before > 0  # the previous action counts from stage 2 on
         agg[rows[later], n_ctx + prev_idx[later]] = 1.0
         accumulate_stages(np.maximum if op == "max" else np.add, agg, before + 1)
@@ -303,10 +297,10 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
     return StateMatrix(
         X=X,
         feature_names=names,
-        y=cohort.actions[src],
+        y=cohort.actions.copy(),
         action_labels=list(schema.action_labels),
-        patient_ids=[cohort.patient_ids[i] for i in order],
-        offsets=offsets,
+        patient_ids=cohort.patient_ids,
+        offsets=cohort.offsets,
         stages=before + 1,
         prev_actions=prev_idx,
     )

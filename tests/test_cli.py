@@ -556,6 +556,28 @@ def test_report_rewrites_the_experiments_files_from_report_json_and_models(tmp_p
             assert (e / rel).read_bytes() == (d / rel).read_bytes(), rel
 
 
+def test_an_experiments_inf_ope_medians_round_trip_through_report(tmp_path):
+    # Products of 1 000 stages pass float64's range. JSON has no infinity, so
+    # report.json holds null for an inf median, and `report` reads it as inf.
+    config = _write_experiment(
+        tmp_path, states=[{"window_k": 1}], model_kinds=["logreg"],
+        ope_states=["window1"], ope_max_stage=1000,
+        generator={"n_patients": 20, "n_actions": 3, "t_fixed": 1000, "w_context": 0,
+                   "w_prev_action": 0, "w_action_agg": 0, "seed": 7},
+    )
+    d, e = tmp_path / "d", tmp_path / "e"
+    assert main(["experiment", "--config", str(config), "--out", str(d)]) == 0
+    medians = [row["median"] for row in json.loads((d / "report.json").read_text())["ope_curves"]]
+    assert len(medians) == 1000 and medians[-1] is None and None not in medians[:100]
+    assert (d / "ope_curve.csv").read_text().count(",inf,") == medians.count(None)
+    assert main(["report", "--in", str(d), "--out", str(e)]) == 0
+    written = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(e).as_posix() for p in e.rglob("*") if p.is_file())
+    for rel in written:
+        if rel != "run_manifest.json":  # records the run's wall time
+            assert (e / rel).read_bytes() == (d / rel).read_bytes(), rel
+
+
 def test_report_names_a_listed_bundle_that_is_missing(tmp_path, capsys):
     d = _experiment_dir(tmp_path)
     (d / "models" / "window1__tree.json").unlink()

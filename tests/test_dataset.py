@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -327,13 +328,15 @@ class TestLoadEpisodes:
         assert_same_columns(load_episodes(str(tmp_path / "new.jsonl"), schema), eps)
 
 
-def write_long_csv(episodes, path):
-    """The cohort as a long CSV: one row per stage, an empty cell where missing."""
+def write_long_csv(episodes, path, order=None):
+    """The cohort as a long CSV: one row per stage, an empty cell where
+    missing, its patients in ``order`` (indices; default the cohort's)."""
     names = list(episodes.columns)
+    patients = episode_stages(episodes)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "t", "action", "severity", *names])
-        for pid, stages in episode_stages(episodes):
+        for pid, stages in (patients if order is None else [patients[i] for i in order]):
             for t, (context, action, severity) in enumerate(stages, start=1):
                 cells = [severity] + [context[name] for name in names]
                 writer.writerow([pid, t, action] + [
@@ -377,6 +380,111 @@ def test_jsonl_and_csv_of_one_cohort_load_and_run_alike(tmp_path):
     # the configs differ in data_path only
     report = (a / "report.json").read_text().replace(paths["jsonl"], paths["csv"])
     assert report == (b / "report.json").read_text()
+
+
+def test_a_cohort_in_another_patient_order_gives_the_same_files(tmp_path):
+    # The loaders return patients in id order, so neither `experiment` nor
+    # `ope` sees the order of the patients in the input file.
+    episodes, _ = generate_cohort(GeneratorConfig(
+        n_patients=40, n_actions=3, t_kind="geometric", t_p=0.3, t_min=1, t_max=8, seed=8
+    ))
+    episodes.columns["x1"][::7] = np.nan
+    schema = episodes.schema
+    schema.to_json(str(tmp_path / "schema.json"))
+    save_episodes_jsonl(episodes, str(tmp_path / "sorted.jsonl"))
+    shuffled = np.random.default_rng(0).permutation(len(episodes)).tolist()
+    lines = (tmp_path / "sorted.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "shuffled.jsonl").write_text("".join(lines[i] for i in shuffled))
+    write_long_csv(episodes, str(tmp_path / "shuffled.csv"), shuffled)
+
+    def outputs(d):
+        return sorted(p.relative_to(d).as_posix() for p in d.rglob("*")
+                      if p.suffix in (".csv", ".svg") or p.parent.name == "models")
+
+    runs = {}
+    for name in ("sorted.jsonl", "shuffled.jsonl", "shuffled.csv"):
+        assert_same_columns(load_episodes(str(tmp_path / name), schema), episodes)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "data_path": str(tmp_path / name), "schema_path": str(tmp_path / "schema.json"),
+            "states": [{"current": True}, {"window_k": 1, "agg": "sum"}],
+            "model_kinds": ["logreg", "tree"], "n_candidates": 1, "n_splits": 1,
+            "bootstrap_B": 10, "ope_states": ["window1+agg_sum"],
+        }))
+        runs[name] = out = tmp_path / f"{name}.out"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["ope", "--model", str(tmp_path / "sorted.jsonl.out" / "models" /
+                                           "window1+agg_sum__tree.json"),
+                     "--data", str(tmp_path / name), "--out", str(out / "ope")]) == 0
+    a = runs["sorted.jsonl"]
+    files = outputs(a)
+    assert {"models/window1+agg_sum__logreg.json", "ope/ope_curve.csv",
+            "ope/ope_curve.svg"} <= set(files)
+    for b in runs.values():
+        assert outputs(b) == files
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), (b, rel)
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "csv"])
+def test_loaders_return_patients_in_id_order(tmp_path, kind):
+    # Python's string order, in which p10 sorts before p2.
+    records = [record("p2", 2), record("p10", 1, action="pressor"), record("p1", 3)]
+    records[0]["stages"][1]["context"]["bmi"] = None
+    if kind == "jsonl":
+        path = write_jsonl(tmp_path, records)
+    else:
+        path = str(tmp_path / "eps.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["patient_id", "t", "action", "severity", "hr", "bmi"])
+            for r in records:
+                for s in r["stages"]:
+                    writer.writerow([r["patient_id"], s["t"], s["action"], s["severity"],
+                                     s["context"]["hr"], s["context"]["bmi"] or ""])
+    eps = load_episodes(path, make_schema())
+    assert eps.patient_ids == ["p1", "p10", "p2"]
+    assert eps.offsets.tolist() == [0, 3, 4, 6]
+    assert eps.actions.tolist() == [0, 0, 0, 1, 0, 0]
+    assert eps.columns["hr"].tolist() == [71.0, 72.0, 73.0, 71.0, 71.0, 72.0]
+    assert eps.columns["bmi"].tolist() == ["obese"] * 5 + [None]
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "csv"])
+@pytest.mark.parametrize("problem", ["bad number", "duplicate id"])
+def test_a_file_out_of_id_order_names_the_line_of_its_first_problem(
+    tmp_path, kind, problem
+):
+    ids = ["p3", "p1", "p2" if problem == "bad number" else "p3", "p0"]
+    if kind == "jsonl":
+        records = [record(pid, 1) for pid in ids]
+        records[2]["stages"][0]["context"]["hr"] = "x"
+        path = write_jsonl(tmp_path, records)
+    else:
+        path = tmp_path / "eps.csv"
+        path.write_text("patient_id,t,action,severity,hr,bmi\n" + "".join(
+            f"{pid},1,fluids,1.0,{'x' if i == 2 else 70},obese\n" for i, pid in enumerate(ids)
+        ))
+    with pytest.raises(DataError) as info:
+        load_episodes(str(path), make_schema())
+    assert str(info.value).startswith(f"{path}:{3 if kind == 'jsonl' else 4}: ")
+    if problem == "duplicate id":
+        assert str(info.value).endswith("duplicate patient id 'p3'")
+    else:
+        assert "patient 'p2', variable 'hr': expected a finite number" in str(info.value)
+
+
+@pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"], ["p2", "p10"]])
+def test_cohorts_refuse_patient_ids_that_do_not_strictly_ascend(ids):
+    schema = make_schema()
+    eps = raw_episode_set(schema, [(pid, [({"hr": 1.0}, "fluids", None)]) for pid in "ab"])
+    encoded = apply_preprocessor(eps, fit_preprocessor(eps, schema))
+    message = f"patient ids must strictly ascend, but {ids[1]!r} follows {ids[0]!r}"
+    for cohort in (eps, encoded):
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(cohort, patient_ids=ids)
+        with pytest.raises(DataError, match="'a' follows 'b'"):
+            cohort.take(np.array([1, 0]))
 
 
 def assert_same_columns(a, b):
