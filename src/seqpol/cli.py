@@ -12,7 +12,8 @@ Subcommands:
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error, 2 data error; the module
+docstring of ``seqpol.reader`` states which input faults are which.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .dataset import (
 from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import _BLOCK_ROWS, inverse_probability_products, median_product_curve
-from .report import _read_json, load_report
+from .reader import load, read, read_json
+from .report import load_report
 from .runner import (
     ExperimentConfig,
     render_complexity,
@@ -97,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    gen = GeneratorConfig.from_json(args.config)
+    gen = load(GeneratorConfig, args.config)
     if args.seed is not None:
         gen = dataclasses.replace(gen, seed=args.seed)
     outdir = Path(args.out)
@@ -117,7 +119,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = load(ExperimentConfig, args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     report = run_experiment(cfg)
@@ -127,7 +129,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep_trees(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = load(ExperimentConfig, args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.n < 1:
@@ -138,29 +140,44 @@ def _cmd_sweep_trees(args) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _Bundle:
+    """A model bundle, as `seqpol experiment` writes it to models/."""
+
+    format_version: int
+    model: dict  # read by model_from_dict
+    preprocessor: Preprocessor
+    schema: CohortSchema
+    state_spec: StateSpec
+    state: str
+    model_kind: str
+
+    def __post_init__(self) -> None:
+        if self.preprocessor.schema != self.schema:
+            raise ConfigError("preprocessor.schema differs from schema")
+        for var in self.schema.variables:
+            if var.name not in getattr(self.preprocessor, var.kind):  # numeric or categorical
+                raise ConfigError(f"preprocessor.{var.kind} lacks {var.name!r}, a "
+                                  f"{var.kind} variable of the schema")
+
+
 def _cmd_ope(args) -> int:
     if args.max_stage < 1:  # before the cohort is loaded and scored
         raise ConfigError(f"--max-stage must be >= 1, got {args.max_stage}")
-    bundle = _read_json(Path(args.model))
-    sections = ("model", "schema", "preprocessor", "state_spec")
-    if not all(type(bundle.get(name)) is dict for name in sections):
-        raise ConfigError(
-            "model file must be a bundle with 'model', 'schema', 'preprocessor' "
-            "and 'state_spec' objects, as `seqpol experiment` writes to models/"
-        )
-    model = model_from_dict(bundle["model"])
-    schema = CohortSchema.from_dict(bundle["schema"])
-    prep = Preprocessor.from_dict(bundle["preprocessor"])
-    spec = StateSpec.from_dict(bundle["state_spec"])
+    bundle = read(_Bundle, read_json(args.model, DataError), args.model)
+    model, schema, spec = model_from_dict(bundle.model), bundle.schema, bundle.state_spec
+    if model.class_labels != list(schema.action_labels):
+        raise ConfigError(f"{args.model}: model.class_labels {model.class_labels} differ "
+                          f"from schema.action_labels {list(schema.action_labels)}")
     if args.spec is not None:
-        given = StateSpec.from_json(args.spec)
+        given = load(StateSpec, args.spec)
         if given != spec:
             raise ConfigError(
                 f"--spec {args.spec} is state {given.name!r}, but the model was "
                 f"fitted on state {spec.name!r}"
             )
     episodes = load_episodes(args.data, schema)
-    encoded = apply_preprocessor(episodes, prep)
+    encoded = apply_preprocessor(episodes, bundle.preprocessor)
     products = inverse_probability_products(encoded, model, spec)
     curve = median_product_curve(products, args.max_stage)
     outdir = Path(args.out)
@@ -207,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SeqpolError as exc:

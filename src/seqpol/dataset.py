@@ -51,9 +51,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .reader import read, unreadable
 from .schema import (
-    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, required,
-    taken_rows,
+    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, taken_rows,
 )
 
 LOG_EPS = 1e-6
@@ -218,12 +218,15 @@ class CohortBuilder:
 def load_episodes(path: str, schema: CohortSchema) -> EpisodeSet:
     """Load raw episodes, in id order, from a JSONL or long-format CSV file.
 
-    Raises DataError on malformed records (with ``path:line``), non-contiguous
-    stage indices, duplicate patients, unknown actions/columns, or an empty
-    file.
+    Raises DataError on a file that cannot be opened or is no UTF-8 text,
+    malformed records (with ``path:line``), non-contiguous stage indices,
+    duplicate patients, unknown actions/columns, or an empty file.
     """
     load = _load_csv if str(path).endswith(".csv") else _load_jsonl
-    return load(path, schema)
+    try:
+        return load(path, schema)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(path, exc) from exc
 
 
 def _load_jsonl(path: str, schema: CohortSchema) -> EpisodeSet:
@@ -379,21 +382,8 @@ class Preprocessor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
-        def state(kind, s: dict):
-            try:
-                return kind(**{k: tuple(v) if type(v) is list else v for k, v in s.items()})
-            except TypeError as exc:  # a key the state does not have, or lacks
-                raise ConfigError(f"invalid preprocessor state {s!r}: {exc}") from None
-
-        return cls(
-            schema=CohortSchema.from_dict(required(d, "schema", "preprocessor")),
-            numeric={name: state(_NumericState, s) for name, s in d.get("numeric", {}).items()},
-            categorical={
-                name: state(_CategoricalState, s)
-                for name, s in d.get("categorical", {}).items()
-            },
-            warnings=list(d.get("warnings", [])),
-        )
+        """The preprocessor section of a model bundle (``reader`` rules)."""
+        return read(cls, d, "preprocessor")
 
 
 def _carried_rows(episodes: EpisodeSet, missing: np.ndarray) -> np.ndarray:

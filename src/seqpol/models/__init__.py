@@ -5,6 +5,8 @@ reads its saved form back, and its fit function, whose keyword arguments are
 the keys of ``hyperparams.grid``.
 """
 
+from dataclasses import dataclass
+
 from .base import FORMAT_VERSION, PolicyModel
 from .hyperparams import PROFILES, get_profile, grid, sample_hyperparams
 from .logreg import LogisticPolicy, fit_logreg
@@ -13,7 +15,7 @@ from .riskscore import RiskScorePolicy, fit_riskscore
 from .tree import TreePolicy, fit_tree
 
 from ..errors import ConfigError, UnsupportedModelError
-from ..schema import required
+from ..reader import read
 from ..staterep import StateMatrix
 
 MODELS = {
@@ -36,17 +38,28 @@ def fit_model(kind: str, params: dict, train: StateMatrix, val: StateMatrix, see
     return fit(train, **params)
 
 
+@dataclass(frozen=True)
+class _Saved:
+    """A bundle's ``model`` (``PolicyModel.to_dict``); ``params`` is read as its kind's."""
+
+    format_version: int
+    kind: str
+    feature_names: list[str]
+    class_labels: list[str]
+    params: dict
+
+    def __post_init__(self) -> None:
+        if self.format_version != FORMAT_VERSION:
+            raise ConfigError(f"unsupported model format version {self.format_version}")
+        if self.kind not in MODELS:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+
+
 def model_from_dict(d: dict) -> PolicyModel:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {d.get('format_version')}")
-    kind = d.get("kind")
-    if kind not in MODELS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return MODELS[kind][0]._from_params(
-        required(d, "feature_names", "model"),
-        required(d, "class_labels", "model"),
-        required(d, "params", "model"),
-    )
+    saved = read(_Saved, d, "model")
+    policy = MODELS[saved.kind][0]
+    params = read(policy.Params, saved.params, "model", where="params")
+    return policy.from_saved(saved.feature_names, saved.class_labels, params)
 
 
 __all__ = [

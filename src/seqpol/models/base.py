@@ -11,10 +11,16 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ConfigError, ContractError
 from ..staterep import StateMatrix
 
 FORMAT_VERSION = 1
+
+
+def check_width(path: str, items: list, n: int, per: str) -> None:
+    """A ``ConfigError`` unless ``items``, at ``path`` in a saved model, holds ``n``."""
+    if len(items) != n:
+        raise ConfigError(f"model: {path} must have {n} entries, one per {per}, got {len(items)}")
 
 
 class PolicyModel(ABC):

@@ -30,14 +30,14 @@ left to numpy there. tests/test_logreg.py checks both sides against numpy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..errors import FitError
-from ..schema import required
 from ..staterep import StateMatrix
-from .base import PolicyModel
+from .base import PolicyModel, check_width
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -199,8 +199,15 @@ def _newton_minimize(
     return polished if f_new <= f and np.abs(g_new).max() <= tol else theta
 
 
+@dataclass(frozen=True)
+class _Params:
+    W: list[list[float]]  # a row per feature, a column per class
+    b: list[float]
+
+
 class LogisticPolicy(PolicyModel):
     kind = "logreg"
+    Params = _Params
 
     def __init__(self, feature_names, class_labels, W: np.ndarray, b: np.ndarray):
         super().__init__(feature_names, class_labels)
@@ -214,9 +221,13 @@ class LogisticPolicy(PolicyModel):
         return {"W": self.W.tolist(), "b": self.b.tolist()}
 
     @classmethod
-    def _from_params(cls, feature_names, class_labels, params) -> "LogisticPolicy":
-        W, b = (np.array(required(params, key, "logreg params")) for key in ("W", "b"))
-        return cls(feature_names, class_labels, W, b)
+    def from_saved(cls, feature_names, class_labels, params: _Params) -> "LogisticPolicy":
+        K = len(class_labels)
+        check_width("params.W", params.W, len(feature_names), "feature name")
+        for i, row in enumerate(params.W):
+            check_width(f"params.W[{i}]", row, K, "class label")
+        check_width("params.b", params.b, K, "class label")
+        return cls(feature_names, class_labels, np.array(params.W), np.array(params.b))
 
 
 def fit_logreg(

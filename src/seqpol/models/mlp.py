@@ -29,13 +29,13 @@ and sums in float64.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FitError
-from ..schema import required
+from ..errors import ConfigError, FitError
 from ..staterep import StateMatrix
-from .base import PolicyModel
+from .base import PolicyModel, check_width
 from .logreg import softmax
 
 ADAM_BETA1 = 0.9
@@ -106,8 +106,20 @@ def _layer_views(
     return views
 
 
+@dataclass(frozen=True)
+class _Layer:
+    W: list[list[float]]  # a row per input, a column per output
+    b: list[float]
+
+
+@dataclass(frozen=True)
+class _Params:
+    layers: list[_Layer]
+
+
 class MLPPolicy(PolicyModel):
     kind = "mlp"
+    Params = _Params
 
     def __init__(self, feature_names, class_labels, params):
         super().__init__(feature_names, class_labels)
@@ -125,11 +137,18 @@ class MLPPolicy(PolicyModel):
         }
 
     @classmethod
-    def _from_params(cls, feature_names, class_labels, params) -> "MLPPolicy":
-        layers = [
-            (np.array(required(l, "W", "MLP layer")), np.array(required(l, "b", "MLP layer")))
-            for l in required(params, "layers", "MLP params")
-        ]
+    def from_saved(cls, feature_names, class_labels, params: _Params) -> "MLPPolicy":
+        if not params.layers:
+            raise ConfigError("model: params.layers must hold at least one layer")
+        n, per = len(feature_names), "feature name"  # the first layer's inputs
+        for i, layer in enumerate(params.layers):
+            at = f"params.layers[{i}]"
+            check_width(f"{at}.W", layer.W, n, per)
+            for j, row in enumerate(layer.W):
+                check_width(f"{at}.W[{j}]", row, len(layer.b), f"entry of {at}.b")
+            n, per = len(layer.b), f"entry of {at}.b"  # the next layer's inputs
+        check_width(f"{at}.b", layer.b, len(class_labels), "class label")
+        layers = [(np.array(layer.W), np.array(layer.b)) for layer in params.layers]
         return cls(feature_names, class_labels, layers)
 
 

@@ -39,12 +39,13 @@ buffer where one is given.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import FitError, UnsupportedModelError
-from ..schema import required
 from ..staterep import StateMatrix
-from .base import PolicyModel
+from .base import PolicyModel, check_width
 from .logreg import _newton_minimize
 
 _B_LO, _B_HI = -30.0, 30.0
@@ -376,8 +377,15 @@ def _local_search(
         w[cols[k]] += steps[k]
 
 
+@dataclass(frozen=True)
+class _Params:
+    weights: list[int]  # points per feature
+    intercept: float
+
+
 class RiskScorePolicy(PolicyModel):
     kind = "riskscore"
+    Params = _Params
 
     def __init__(self, feature_names, class_labels, weights: np.ndarray, intercept: float):
         super().__init__(feature_names, class_labels)
@@ -402,13 +410,10 @@ class RiskScorePolicy(PolicyModel):
         }
 
     @classmethod
-    def _from_params(cls, feature_names, class_labels, params) -> "RiskScorePolicy":
-        return cls(
-            feature_names,
-            class_labels,
-            np.array(required(params, "weights", "risk score params")),
-            required(params, "intercept", "risk score params"),
-        )
+    def from_saved(cls, feature_names, class_labels, params: _Params) -> "RiskScorePolicy":
+        check_width("class_labels", class_labels, 2, "action of a risk score")
+        check_width("params.weights", params.weights, len(feature_names), "feature name")
+        return cls(feature_names, class_labels, np.array(params.weights), params.intercept)
 
 
 def fit_riskscore(

@@ -34,12 +34,13 @@ criterion among the candidates of a run and the tree-complexity sweep.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import FitError
-from ..schema import required
+from ..errors import ConfigError, FitError
 from ..staterep import StateMatrix
-from .base import PolicyModel
+from .base import PolicyModel, check_width
 
 _MIN_GAIN = 1e-12
 # Rows x features scored at once in the split search; bounds its temporaries.
@@ -130,8 +131,32 @@ def _best_split(XT: np.ndarray, labels: np.ndarray, order: np.ndarray, counts, c
     return best
 
 
+@dataclass(frozen=True)
+class _Node:
+    """A saved node: training rows per class, and a split's feature, threshold and children."""
+
+    counts: list[int]
+    feature: int | None = None
+    threshold: float | None = None
+    left: _Node | None = None
+    right: _Node | None = None
+
+    def __post_init__(self) -> None:
+        if min(self.counts, default=-1) < 0 or sum(self.counts) == 0:
+            raise ConfigError(f"counts must be non-negative with a positive sum, got {self.counts}")
+        missing = [key for key in ("threshold", "left", "right") if getattr(self, key) is None]
+        if self.feature is not None and missing:
+            raise ConfigError(f"a node with a feature lacks {missing}")
+
+
+@dataclass(frozen=True)
+class _Params:
+    root: _Node
+
+
 class TreePolicy(PolicyModel):
     kind = "tree"
+    Params = _Params
 
     def __init__(
         self,
@@ -245,26 +270,28 @@ class TreePolicy(PolicyModel):
         return {"root": nested(0)}
 
     @classmethod
-    def _from_params(cls, feature_names, class_labels, params) -> "TreePolicy":
+    def from_saved(cls, feature_names, class_labels, params: _Params) -> "TreePolicy":
         feature, threshold, left, right, counts = [], [], [], [], []
 
-        def flatten(d: dict) -> int:
+        def flatten(node: _Node, at: str) -> int:
             i = len(feature)
-            counts.append(required(d, "counts", "tree node"))
-            split = "feature" in d
-            feature.append(d["feature"] if split else -1)
-            threshold.append(required(d, "threshold", "tree node") if split else np.nan)
+            check_width(f"{at}.counts", node.counts, len(class_labels), "class label")
+            counts.append(node.counts)
+            split = node.feature is not None
+            if split and not 0 <= node.feature < len(feature_names):
+                raise ConfigError(f"model: {at}.feature must index one of the "
+                                  f"{len(feature_names)} feature names, got {node.feature}")
+            feature.append(node.feature if split else -1)
+            threshold.append(node.threshold if split else np.nan)
             left.append(-1)
             right.append(-1)
             if split:
-                left[i] = flatten(required(d, "left", "tree node"))
-                right[i] = flatten(required(d, "right", "tree node"))
+                left[i] = flatten(node.left, at + ".left")
+                right[i] = flatten(node.right, at + ".right")
             return i
 
-        flatten(required(params, "root", "tree params"))
-        return cls(
-            feature_names, class_labels, feature, threshold, left, right, counts
-        )
+        flatten(params.root, "params.root")
+        return cls(feature_names, class_labels, feature, threshold, left, right, counts)
 
 
 def fit_tree(

@@ -1,0 +1,155 @@
+"""The one reader of JSON input, and the rules every JSON input follows.
+
+Configs, schemas, state specs, model bundles and report.json are read by
+``read_json`` and then by ``read``, which checks the value against a Python
+annotation and builds it:
+
+- Kinds: ``str``; ``bool`` (true or false); ``int``; ``float`` (any number);
+  ``X | None`` (X or null); ``list[X]``; ``tuple[X, ...]`` and ``tuple[X, Y]``
+  (an array, of exactly that length for the latter); ``dict`` (any object);
+  ``dict[str, X]``; ``Any``; and records: dataclasses and TypedDicts.
+- Numbers must be finite: ``NaN``, ``Infinity`` and numbers past the double
+  range (``1e400``) are refused, and so are integers beyond 2**53 in
+  magnitude, which JSON doubles cannot hold (RFC 7493). A number keeps the
+  type JSON gave it, so a config is written back as it was read.
+- A record is an object keyed by its fields, or by the names their
+  ``metadata["key"]`` gives. A field without a default must be present. A
+  dataclass refuses keys it does not name, so a misspelled key is an error;
+  a TypedDict keeps them. Every key is checked for its presence and kind
+  before any is read in depth, then the record's ``__post_init__`` checks
+  ranges, choices and how the fields agree.
+- A file that cannot be opened or is no UTF-8 text is a ``DataError`` (exit
+  2). Any other fault is the input's own error class: ``ConfigError`` (exit
+  1) for configs, schemas, state specs and the sections of a model bundle;
+  ``DataError`` for report.json and for a bundle file that is no JSON
+  object. A message names the input and the JSON path of the value, as in
+  ``exp.json: states[0].current must be true or false, got 1``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import numbers
+from dataclasses import MISSING, fields
+from functools import cache
+from pathlib import Path
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints, is_typeddict
+
+from .errors import ConfigError, DataError, SeqpolError
+
+# Per annotation kind, the Python types of its JSON values and their name.
+_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "a string"), list: (list, "an array"),
+          tuple: ((list, tuple), "an array"), dict: (dict, "an object")}
+
+
+class _Problem(Exception):
+    """What is wrong with the value at JSON path ``where`` of an input."""
+
+    def __init__(self, where: str, text: str):
+        super().__init__(f"{where} {text}" if where else text)
+
+
+def read(tp, value, source: str, error: type[SeqpolError] = ConfigError, where: str = ""):
+    """``value``, at JSON path ``where`` of input ``source``, read as
+    annotation ``tp``; a fault is an ``error`` (module docstring)."""
+    try:
+        return _read(tp, value, where)
+    except _Problem as exc:
+        raise error(f"{source}: {exc}") from None
+    except RecursionError:
+        raise error(f"{source}: nested too deeply") from None
+
+
+def load(tp, path, error: type[SeqpolError] = ConfigError):
+    """The JSON file ``path`` read as annotation ``tp``."""
+    return read(tp, read_json(path, error), str(path), error)
+
+
+def unreadable(path, exc: OSError | ValueError) -> DataError:
+    """The ``DataError`` of a file that cannot be opened or decoded."""
+    return DataError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}")
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is no JSON number")
+
+
+def read_json(path, error: type[SeqpolError] = ConfigError) -> dict:
+    """The JSON object in file ``path``; anything else in it is an ``error``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # no such file, no UTF-8, a NUL in the path
+        raise unreadable(path, exc) from exc
+    try:
+        value = json.loads(text, parse_constant=_refuse_constant)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a constant, or too deep
+        raise error(f"{path}: {exc}") from exc
+    if type(value) is not dict:
+        raise error(f"{path}: expected a JSON object, got {value!r}")
+    return value
+
+
+@cache
+def _record(tp) -> tuple[dict, frozenset, bool]:
+    """A record's (field name, annotation) by JSON key, the keys it
+    requires, and whether it keeps the keys it does not name."""
+    hints = get_type_hints(tp)
+    if is_typeddict(tp):
+        return {key: (key, hint) for key, hint in hints.items()}, tp.__required_keys__, True
+    init = [f for f in fields(tp) if f.init]
+    keys = {f.metadata.get("key", f.name): (f.name, hints[f.name]) for f in init}
+    required = frozenset(f.metadata.get("key", f.name) for f in init
+                         if f.default is MISSING and f.default_factory is MISSING)
+    return keys, required, False
+
+
+def _read(tp, value, where: str, deep: bool = True):
+    """``value`` read as ``tp``, or, if not ``deep``, only checked for its
+    kind and the number rules."""
+    optional = get_origin(tp) is UnionType
+    if optional and value is None:
+        return None
+    tp = get_args(tp)[0] if optional else tp
+    if tp is Any:
+        return value
+    kind, args = get_origin(tp), get_args(tp)
+    shape = (kind or tp) if (kind or tp) in _KINDS else dict  # a record is an object
+    types, name = _KINDS[shape]
+    if not isinstance(value, types) or isinstance(value, bool) != (shape is bool):
+        raise _Problem(where, f"must be {name}{' or null' * optional}, got {value!r}")
+    if shape in (int, float) and isinstance(value, numbers.Integral) and abs(value) > 2**53:
+        raise _Problem(where, f"must be at most 2**53 in magnitude, got {value!r}")
+    if shape is float and not math.isfinite(value):
+        raise _Problem(where, f"must be a finite number, got {value!r}")
+    if not deep or tp in (bool, int, float, str, dict):
+        return value
+    if kind in (list, tuple):
+        items = [args[0]] * len(value) if kind is list or args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise _Problem(where, f"must be an array of {len(args)} items, got {value!r}")
+        read = [_read(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
+        return read if kind is list else tuple(read)
+    if kind is dict:
+        return {k: _read(args[1], v, f"{where}.{k}".lstrip(".")) for k, v in value.items()}
+    keys, required, free = _record(tp)
+    unknown = [key for key in value if key not in keys]
+    if unknown and not free:
+        raise _Problem(where, f"has unknown keys {unknown}")
+    paths = {key: f"{where}.{key}".lstrip(".") for key in keys if key in value}
+    for key, path in paths.items():
+        _read(keys[key][1], value[key], path, deep=False)
+    missing = [key for key in keys if key in required and key not in value]
+    if missing:
+        raise _Problem(where, f"lacks {missing}")
+    read = {keys[key][0]: _read(keys[key][1], value[key], path) for key, path in paths.items()}
+    if free:
+        return {**value, **read}
+    try:
+        return tp(**read)
+    except SeqpolError as exc:  # the record's own checks
+        raise _Problem(where and f"{where}:", str(exc)) from None

@@ -22,7 +22,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .metrics import (
 from .models import MODEL_KINDS, PolicyModel, fit_model, get_profile, sample_hyperparams
 from .ope import inverse_probability_products, median_product_curve
 from .report import (CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport, GroupRow,
-                     StageRow, SwitchConfusion, bundle_file, columns, kind_error)
+                     StageRow, SwitchConfusion, bundle_file, columns)
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
@@ -93,10 +92,6 @@ class ExperimentConfig:
     tree_sweep_leaf_bin: int = 5
 
     def __post_init__(self) -> None:
-        for name, tp in get_type_hints(ExperimentConfig).items():
-            problem = tp in (int, float, str, str | None) and kind_error(tp, getattr(self, name))
-            if problem:
-                raise ConfigError(f"{name} {problem}")
         for name, low in (("n_candidates", 1), ("n_splits", 1), ("bootstrap_B", 1),
                           ("ope_max_stage", 1), ("tree_sweep_n", 0),
                           ("tree_sweep_leaf_bin", 1)):
@@ -117,20 +112,15 @@ class ExperimentConfig:
         states = [s.name for s in self.resolved_states()]
         for name in self.ope_states or ():
             if name not in states or self.ope_model not in self.model_kinds:
-                raise ConfigError(
-                    f"ope_states names {name!r}, but ({name!r}, {self.ope_model!r}) is "
-                    f"no configured cell: the states are {states} and the model "
-                    f"kinds {self.model_kinds}"
-                )
+                raise ConfigError(f"ope_states names {name!r}, but ({name!r}, {self.ope_model!r}) "
+                                  f"is no configured cell: the states are {states} and the "
+                                  f"model kinds {self.model_kinds}")
         for key in ("confusion_reference", "confusion_comparison"):
             pair = getattr(self, key)
-            if pair is not None and not (
-                len(pair) == 2 and pair[0] in self.model_kinds and pair[1] in states
-            ):
-                raise ConfigError(
-                    f"{key} {list(pair)} is no configured (model kind, state) cell: "
-                    f"the model kinds are {self.model_kinds} and the states {states}"
-                )
+            if pair is not None and (pair[0] not in self.model_kinds or pair[1] not in states):
+                raise ConfigError(f"{key} {list(pair)} is no configured (model kind, state) "
+                                  f"cell: the model kinds are {self.model_kinds} and the "
+                                  f"states {states}")
 
     def resolved_states(self) -> list[StateSpec]:
         if self.states is not None:
@@ -143,40 +133,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         states = [s.to_dict() for s in self.states] if self.states else None
         return {**asdict(self), "states": states}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if type(d) is not dict:
-            raise ConfigError(f"an experiment config must be an object, got {d!r}")
-        d = dict(d)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment options: {sorted(unknown)}")
-        for key in ("states", "model_kinds", "ope_states"):
-            if d.get(key) is not None and type(d[key]) is not list:
-                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
-        if d.get("generator") is not None:
-            d["generator"] = GeneratorConfig.from_dict(d["generator"])
-        if d.get("states"):
-            d["states"] = [StateSpec.from_dict(s) for s in d["states"]]
-        for key in ("confusion_reference", "confusion_comparison"):
-            pair = d.get(key)
-            if pair is not None:
-                if type(pair) not in (list, tuple) or len(pair) != 2:
-                    raise ConfigError(
-                        f"{key} must be a [model kind, state name] pair, got {pair!r}"
-                    )
-                d[key] = tuple(pair)
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid experiment config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +186,7 @@ def resolve_episodes(cfg: ExperimentConfig) -> EpisodeSet:
         return episodes
     if cfg.schema_path is None:
         raise ConfigError("data_path requires schema_path")
-    schema = CohortSchema.from_json(cfg.schema_path)
-    return load_episodes(cfg.data_path, schema)
+    return load_episodes(cfg.data_path, CohortSchema.from_json(cfg.schema_path))
 
 
 @dataclass

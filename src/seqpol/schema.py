@@ -20,28 +20,23 @@ state matrix holds no patient without rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .reader import load, read
 
-VARIABLE_KINDS = ("numeric", "categorical")
-TRANSFORMS = ("standardize", "log-standardize", "discretize-quintiles", "none")
-IMPUTATIONS = ("locf-then-mean", "locf-then-mode", "constant")
+# The transforms and imputations each kind of variable takes, the default imputation first.
+RECIPES = {
+    "numeric": (("standardize", "log-standardize", "discretize-quintiles", "none"),
+                ("locf-then-mean", "constant")),
+    "categorical": (("none",), ("locf-then-mode", "constant")),
+}
 
 # Reserved one-hot bucket for category tokens never seen during fitting.
 OTHER_TOKEN = "other"
-
-
-def required(d: dict, key: str, what: str) -> Any:
-    """``d[key]``, or a ``ConfigError`` naming the key that ``what`` lacks."""
-    if type(d) is not dict:
-        raise ConfigError(f"{what} must be an object, got {d!r}")
-    if key not in d:
-        raise ConfigError(f"{what} lacks {key!r}")
-    return d[key]
 
 
 @dataclass(frozen=True)
@@ -51,70 +46,32 @@ class VariableSpec:
     name: str
     kind: str = "numeric"
     transform: str = "none"
-    imputation: str = "locf-then-mean"
+    imputation: str = None  # None: its kind's default (RECIPES)
     fill_value: Any = None  # used when imputation == "constant"
     aggregate_eligible: bool = True
     lag_eligible: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in VARIABLE_KINDS:
+        if self.kind not in RECIPES:
             raise ConfigError(f"variable {self.name!r}: unknown kind {self.kind!r}")
-        if self.transform not in TRANSFORMS:
-            raise ConfigError(
-                f"variable {self.name!r}: unknown transform {self.transform!r}"
-            )
-        if self.imputation not in IMPUTATIONS:
-            raise ConfigError(
-                f"variable {self.name!r}: unknown imputation {self.imputation!r}"
-            )
-        if self.kind == "categorical" and self.transform not in ("none",):
-            raise ConfigError(
-                f"variable {self.name!r}: categorical variables take transform 'none'"
-            )
-        if self.transform == "log-standardize" and self.kind != "numeric":
-            raise ConfigError(
-                f"variable {self.name!r}: log-standardize requires a numeric variable"
-            )
-        if self.imputation == "locf-then-mode" and self.kind != "categorical":
-            raise ConfigError(
-                f"variable {self.name!r}: locf-then-mode is for categorical variables"
-            )
-        if self.imputation == "locf-then-mean" and self.kind != "numeric":
-            raise ConfigError(
-                f"variable {self.name!r}: locf-then-mean is for numeric variables"
-            )
+        transforms, imputations = RECIPES[self.kind]
+        if self.imputation is None:
+            object.__setattr__(self, "imputation", imputations[0])
+        for key, choices in (("transform", transforms), ("imputation", imputations)):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"variable {self.name!r}: a {self.kind} variable takes "
+                                  f"{key} {list(choices)}, got {getattr(self, key)!r}")
         if self.imputation == "constant" and self.fill_value is None:
-            raise ConfigError(
-                f"variable {self.name!r}: constant imputation needs fill_value"
-            )
+            raise ConfigError(f"variable {self.name!r}: constant imputation needs fill_value")
+        if self.imputation == "constant" and self.kind == "numeric":
+            read(float, self.fill_value, f"variable {self.name!r}", where="fill_value")
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "kind": self.kind,
-            "transform": self.transform,
-            "imputation": self.imputation,
-            "aggregate_eligible": self.aggregate_eligible,
-            "lag_eligible": self.lag_eligible,
-        }
+        """The fields, ``fill_value`` last and only for constant imputation."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fill_value"}
         if self.imputation == "constant":
             d["fill_value"] = self.fill_value
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariableSpec":
-        return cls(
-            name=required(d, "name", "variable"),
-            kind=d.get("kind", "numeric"),
-            transform=d.get("transform", "none"),
-            imputation=d.get(
-                "imputation",
-                "locf-then-mean" if d.get("kind", "numeric") == "numeric" else "locf-then-mode",
-            ),
-            fill_value=d.get("fill_value"),
-            aggregate_eligible=d.get("aggregate_eligible", True),
-            lag_eligible=d.get("lag_eligible", True),
-        )
 
 
 @dataclass(frozen=True)
@@ -132,9 +89,7 @@ class CohortSchema:
         if len(set(self.action_labels)) != len(self.action_labels):
             raise ConfigError("duplicate action labels")
         if self.default_action not in self.action_labels:
-            raise ConfigError(
-                f"default action {self.default_action!r} not in action labels"
-            )
+            raise ConfigError(f"default action {self.default_action!r} not in action labels")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variable names")
@@ -164,23 +119,8 @@ class CohortSchema:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CohortSchema":
-        return cls(
-            variables=tuple(
-                VariableSpec.from_dict(v) for v in required(d, "variables", "schema")
-            ),
-            action_labels=tuple(required(d, "action_labels", "schema")),
-            default_action=required(d, "default_action", "schema"),
-            severity_column=d.get("severity_column"),
-        )
-
-    @classmethod
     def from_json(cls, path: str) -> "CohortSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (json.JSONDecodeError, TypeError, ConfigError) as exc:
-                raise ConfigError(f"invalid schema file {path}: {exc}") from exc
+        return load(cls, path)
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -26,12 +26,12 @@ depend on which other patients are in the cohort.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
+from .reader import read
 from .schema import EncodedCohort, offsets_of
 
 AGG_OPS = ("none", "sum", "max", "mean")
@@ -39,24 +39,20 @@ AGG_OPS = ("none", "sum", "max", "mean")
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Declarative recipe for building the state at each stage."""
+    """Declarative recipe for building the state at each stage. Its JSON form
+    (``to_dict``) keys three fields by their metadata's ``key``."""
 
-    include_current_context: bool = False
-    include_prev_action: bool = False
+    include_current_context: bool = field(default=False, metadata={"key": "current"})
+    include_prev_action: bool = field(default=False, metadata={"key": "prev_action"})
     window_k: int | None = None
-    aggregate_op: str = "none"
+    aggregate_op: str = field(default="none", metadata={"key": "agg"})
 
     def __post_init__(self) -> None:
-        for name in ("include_current_context", "include_prev_action"):
-            if type(getattr(self, name)) is not bool:
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.aggregate_op not in AGG_OPS:
             raise ConfigError(f"unknown aggregation operator {self.aggregate_op!r}")
         if self.window_k is not None:
-            if type(self.window_k) is not int or self.window_k < 0:
-                raise ConfigError(
-                    f"window_k must be a non-negative integer or null, got {self.window_k!r}"
-                )
+            if self.window_k < 0:
+                raise ConfigError(f"window_k must be >= 0 or null, got {self.window_k}")
             # A rolling window always contains the current context and the
             # previous action (the window of size 0 is exactly that pair).
             object.__setattr__(self, "include_current_context", True)
@@ -84,35 +80,12 @@ class StateSpec:
         return "+".join(parts)
 
     def to_dict(self) -> dict:
-        return {
-            "current": self.include_current_context,
-            "prev_action": self.include_prev_action,
-            "window_k": self.window_k,
-            "agg": self.aggregate_op,
-        }
+        return {f.metadata.get("key", f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpec":
-        """The spec of a ``to_dict`` mapping; a key it lacks takes its default."""
-        if type(d) is not dict:
-            raise ConfigError(f"a state spec must be an object, got {d!r}")
-        unknown = set(d) - {"current", "prev_action", "window_k", "agg"}
-        if unknown:
-            raise ConfigError(f"unknown state spec keys: {sorted(unknown)}")
-        return cls(
-            include_current_context=d.get("current", False),
-            include_prev_action=d.get("prev_action", False),
-            window_k=d.get("window_k"),
-            aggregate_op=d.get("agg", "none"),
-        )
-
-    @classmethod
-    def from_json(cls, path: str) -> "StateSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid state spec file {path}: {exc}") from exc
+        """The state_spec section of a model bundle (``reader`` rules)."""
+        return read(cls, d, "state_spec")
 
 
 def enumerate_standard_states(op: str) -> list[StateSpec]:

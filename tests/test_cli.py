@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import seqpol
 from seqpol.cli import main
 from seqpol.dataset import save_episodes_jsonl, split_dataset
+from seqpol.reader import load
 from seqpol.runner import derive_seed
 from seqpol.synthgen import GeneratorConfig, generate_cohort
 
@@ -73,28 +74,27 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     ({"ope_max_stage": 0}, "ope_max_stage must be >= 1, got 0"),
     ({"tree_sweep_leaf_bin": 0}, "tree_sweep_leaf_bin must be >= 1, got 0"),
     ({"ope_model": "mlpx"}, "unknown model kind 'mlpx'"),
-    ({"states": [{"window_k": "2"}]}, "window_k must be a non-negative integer or null, got '2'"),
-    ({"states": [{"window_k": True}]}, "window_k must be a non-negative integer or null, got True"),
-    ({"states": [{"window_k": -1}]}, "window_k must be a non-negative integer or null, got -1"),
-    ({"states": [{"current": 1}]}, "include_current_context must be true or false, got 1"),
-    ({"states": [{"prev_action": "yes"}]}, "include_prev_action must be true or false"),
+    ({"states": [{"window_k": "2"}]}, "states[0].window_k must be an integer or null, got '2'"),
+    ({"states": [{"window_k": True}]}, "states[0].window_k must be an integer or null, got True"),
+    ({"states": [{"window_k": -1}]}, "window_k must be >= 0 or null, got -1"),
+    ({"states": [{"current": 1}]}, "states[0].current must be true or false, got 1"),
+    ({"states": [{"prev_action": "yes"}]}, "states[0].prev_action must be true or false"),
     ({"states": [{"agg": "median"}]}, "unknown aggregation operator 'median'"),
-    ({"states": [{"windowk": 2}]}, "unknown state spec keys: ['windowk']"),
-    ({"states": ["window2"]}, "a state spec must be an object, got 'window2'"),
+    ({"states": [{"windowk": 2}]}, "states[0] has unknown keys ['windowk']"),
+    ({"states": ["window2"]}, "states[0] must be an object, got 'window2'"),
     ({"ope_states": ["windowX"]}, "ope_states names 'windowX', but ('windowX', 'logreg')"),
     ({"ope_states": ["window1"], "ope_model": "mlp"}, "('window1', 'mlp') is no configured cell"),
     ({"confusion_reference": ["tree", "nope"]},
      "confusion_reference ['tree', 'nope'] is no configured (model kind, state) cell"),
     ({"confusion_comparison": ["mlp", "current"]}, "confusion_comparison ['mlp', 'current']"),
     ({"tree_sweep_n": -1}, "tree_sweep_n must be >= 0, got -1"),
-    ({"generator": 5}, "a generator config must be an object, got 5"),
-    ({"states": 5}, "states must be a list, got 5"),
-    ({"model_kinds": "tree"}, "model_kinds must be a list, got 'tree'"),
-    ({"ope_states": "window1"}, "ope_states must be a list, got 'window1'"),
-    ({"confusion_reference": 5},
-     "confusion_reference must be a [model kind, state name] pair, got 5"),
+    ({"generator": 5}, "generator must be an object or null, got 5"),
+    ({"states": 5}, "states must be an array or null, got 5"),
+    ({"model_kinds": "tree"}, "model_kinds must be an array, got 'tree'"),
+    ({"ope_states": "window1"}, "ope_states must be an array or null, got 'window1'"),
+    ({"confusion_reference": 5}, "confusion_reference must be an array or null, got 5"),
     ({"confusion_comparison": ["tree"]},
-     "confusion_comparison must be a [model kind, state name] pair, got ['tree']"),
+     "confusion_comparison must be an array of 2 items, got ['tree']"),
     ({"name": 3}, "name must be a string, got 3"),
     ({"aggregation_op": None}, "aggregation_op must be a string, got None"),
     ({"profile": [1]}, "profile must be a string, got [1]"),
@@ -138,23 +138,22 @@ def _cell_with(**fields) -> dict:
             **fields}
 
 
-_NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schema', "
-                 "'preprocessor' and 'state_spec' objects")
-
-
 @pytest.mark.parametrize("command, content, error", [
-    ("experiment", '"x"', "config error: an experiment config must be an object, got 'x'"),
-    ("experiment", "5", "config error: an experiment config must be an object, got 5"),
-    ("experiment", "[1, 2]", "config error: an experiment config must be an object, got [1, 2]"),
-    ("experiment", "null", "config error: an experiment config must be an object, got None"),
-    ("generate", "5", "config error: a generator config must be an object, got 5"),
-    ("generate", "null", "config error: a generator config must be an object, got None"),
+    ("experiment", '"x"', "config error: report.json: expected a JSON object, got 'x'"),
+    ("experiment", "5", "config error: report.json: expected a JSON object, got 5"),
+    ("experiment", "[1, 2]", "config error: report.json: expected a JSON object, got [1, 2]"),
+    ("experiment", "null", "config error: report.json: expected a JSON object, got None"),
+    ("generate", "5", "config error: report.json: expected a JSON object, got 5"),
+    ("generate", "null", "config error: report.json: expected a JSON object, got None"),
     ("ope", "{", "report.json: invalid JSON"),
     ("ope", "[1]", "report.json: expected a JSON object, got [1]"),
-    ("ope", _bundle_with(model=5), _NOT_A_BUNDLE),
-    ("ope", _bundle_with(schema=[1]), _NOT_A_BUNDLE),
-    ("ope", _bundle_with(preprocessor="x"), _NOT_A_BUNDLE),
-    ("ope", _bundle_with(state_spec=None), _NOT_A_BUNDLE),
+    ("ope", _bundle_with(model=5), "config error: report.json: model must be an object, got 5"),
+    ("ope", _bundle_with(schema=[1]),
+     "config error: report.json: schema must be an object, got [1]"),
+    ("ope", _bundle_with(preprocessor="x"),
+     "config error: report.json: preprocessor must be an object, got 'x'"),
+    ("ope", _bundle_with(state_spec=None),
+     "config error: report.json: state_spec must be an object, got None"),
     ("report", "[1]", "report.json: expected a JSON object, got [1]"),
     ("report", "{}", "report.json: lacks ['config', 'states', 'model_kinds', 'cells']"),
     ("report", '{"cells": 5}', "report.json: cells must be an array, got 5"),
@@ -199,13 +198,13 @@ _NOT_A_BUNDLE = ("config error: model file must be a bundle with 'model', 'schem
                                          "val_auroc": None, "test_auroc": None}]),
      f"report.json: complexity[0].leaves_low must be at most 2**53 in magnitude, got {2**60}"),
     ("report", _report_with(switch_confusion=_switch_with([[3, 1]])),
-     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "report.json: switch_confusion: counts must be 2 rows of 2 non-negative integers, "
      "got [[3, 1]]"),
     ("report", _report_with(switch_confusion=_switch_with([[3], [0, 2]])),
-     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "report.json: switch_confusion: counts must be 2 rows of 2 non-negative integers, "
      "got [[3], [0, 2]]"),
     ("report", _report_with(switch_confusion=_switch_with([[3, -1], [0, 2]])),
-     "report.json: switch_confusion.counts must be 2 rows of 2 non-negative integers, "
+     "report.json: switch_confusion: counts must be 2 rows of 2 non-negative integers, "
      "got [[3, -1], [0, 2]]"),
     ("report", _report_with(model_files=["models/a\u0000.json"]), "embedded null byte"),
     ("report", json.dumps({"cells": [], "config": {}, "states": [], "model_kinds": []}),
@@ -226,7 +225,7 @@ def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
     assert main([command, *args, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 1 else "data error:")
-    assert error in err
+    assert error.removeprefix("config error: ") in err
     assert not out.exists()
 
 
@@ -339,8 +338,8 @@ def test_generate_writes_a_generator_config_that_reads_back(tmp_path):
     out = tmp_path / "cohort"
     assert main(["generate", "--config", str(config), "--seed", "11",
                  "--out", str(out)]) == 0
-    written = GeneratorConfig.from_json(str(out / "generator.json"))
-    assert written == GeneratorConfig.from_dict({**json.loads(config.read_text()), "seed": 11})
+    written = load(GeneratorConfig, out / "generator.json")
+    assert written == GeneratorConfig(**{**json.loads(config.read_text()), "seed": 11})
 
 
 def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
@@ -373,7 +372,8 @@ def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):
     broken["preprocessor"]["numeric"]["x0"]["stdev"] = 1.0
     bundle.write_text(json.dumps(broken))
     assert main(ope + ["--out", str(tmp_path / "d")]) == 1
-    assert capsys.readouterr().err.startswith("config error: invalid preprocessor state")
+    assert capsys.readouterr().err == (
+        f"config error: {bundle}: preprocessor.numeric.x0 has unknown keys ['stdev']\n")
 
 
 @pytest.fixture(scope="module")
@@ -397,25 +397,30 @@ def _lacking(case):
 
 
 @pytest.mark.parametrize("stem, path, error", [_lacking(c) for c in [
-    ("logreg", ("preprocessor", "schema"), "preprocessor lacks 'schema'"),
-    ("logreg", ("schema", "variables"), "schema lacks 'variables'"),
-    ("logreg", ("preprocessor", "schema", "variables"), "schema lacks 'variables'"),
-    ("logreg", ("model", "feature_names"), "model lacks 'feature_names'"),
-    ("logreg", ("model", "class_labels"), "model lacks 'class_labels'"),
-    ("logreg", ("model", "params"), "model lacks 'params'"),
-    ("logreg", ("model", "params", "W"), "logreg params lacks 'W'"),
-    ("logreg", ("model", "params", "b"), "logreg params lacks 'b'"),
-    ("riskscore", ("model", "params", "weights"), "risk score params lacks 'weights'"),
-    ("riskscore", ("model", "params", "intercept"), "risk score params lacks 'intercept'"),
-    ("mlp", ("model", "params", "layers"), "MLP params lacks 'layers'"),
-    ("mlp", ("model", "params", "layers", 0, "W"), "MLP layer lacks 'W'"),
-    ("mlp", ("model", "params", "layers", -1, "b"), "MLP layer lacks 'b'"),
-    ("tree", ("model", "params", "root"), "tree params lacks 'root'"),
-    ("tree", ("model", "params", "root", "counts"), "tree node lacks 'counts'"),
-    ("tree", ("model", "params", "root", "threshold"), "tree node lacks 'threshold'"),
-    ("tree", ("model", "params", "root", "left"), "tree node lacks 'left'"),
-    ("tree", ("model", "params", "root", "right"), "tree node lacks 'right'"),
-    ("tree", ("model", "params", "root", "right", "counts"), "tree node lacks 'counts'"),
+    ("logreg", ("preprocessor", "schema"), "{bundle}: preprocessor lacks ['schema']"),
+    ("logreg", ("schema", "variables"), "{bundle}: schema lacks ['variables']"),
+    ("logreg", ("preprocessor", "schema", "variables"),
+     "{bundle}: preprocessor.schema lacks ['variables']"),
+    ("logreg", ("model", "feature_names"), "model: lacks ['feature_names']"),
+    ("logreg", ("model", "class_labels"), "model: lacks ['class_labels']"),
+    ("logreg", ("model", "params"), "model: lacks ['params']"),
+    ("logreg", ("model", "params", "W"), "model: params lacks ['W']"),
+    ("logreg", ("model", "params", "b"), "model: params lacks ['b']"),
+    ("riskscore", ("model", "params", "weights"), "model: params lacks ['weights']"),
+    ("riskscore", ("model", "params", "intercept"), "model: params lacks ['intercept']"),
+    ("mlp", ("model", "params", "layers"), "model: params lacks ['layers']"),
+    ("mlp", ("model", "params", "layers", 0, "W"), "model: params.layers[0] lacks ['W']"),
+    ("mlp", ("model", "params", "layers", -1, "b"), "model: params.layers[1] lacks ['b']"),
+    ("tree", ("model", "params", "root"), "model: params lacks ['root']"),
+    ("tree", ("model", "params", "root", "counts"), "model: params.root lacks ['counts']"),
+    ("tree", ("model", "params", "root", "threshold"),
+     "model: params.root: a node with a feature lacks ['threshold']"),
+    ("tree", ("model", "params", "root", "left"),
+     "model: params.root: a node with a feature lacks ['left']"),
+    ("tree", ("model", "params", "root", "right"),
+     "model: params.root: a node with a feature lacks ['right']"),
+    ("tree", ("model", "params", "root", "right", "counts"),
+     "model: params.root.right lacks ['counts']"),
 ]])
 def test_ope_names_the_key_a_bundle_section_lacks(
     fitted_bundles, tmp_path, capsys, stem, path, error
@@ -430,7 +435,38 @@ def test_ope_names_the_key_a_bundle_section_lacks(
     capsys.readouterr()
     assert main(["ope", "--model", str(model), "--data", str(tmp_path / "episodes.jsonl"),
                  "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert capsys.readouterr().err == f"config error: {error.format(bundle=model)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def logreg_bundle(tmp_path_factory):
+    """The window1 logreg bundle of a 3-action experiment."""
+    tmp = tmp_path_factory.mktemp("logreg")
+    config = _write_experiment(tmp, model_kinds=["logreg"])
+    assert main(["experiment", "--config", str(config), "--out", str(tmp / "fit")]) == 0
+    return json.loads((tmp / "fit" / "models" / "window1__logreg.json").read_text())
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda b: b["model"]["params"].update(b=[0.5]),
+     "model: params.b must have 3 entries, one per class label, got 1"),
+    (lambda b: b["model"].update(class_labels=["a2", "a1", "a0"]),
+     "{bundle}: model.class_labels ['a2', 'a1', 'a0'] differ from schema.action_labels "
+     "['a0', 'a1', 'a2']"),
+    (lambda b: b["preprocessor"].update(numeric={}),
+     "{bundle}: preprocessor.numeric lacks 'x0', a numeric variable of the schema"),
+])
+def test_ope_refuses_a_bundle_whose_sections_disagree(
+    logreg_bundle, tmp_path, capsys, edit, error
+):
+    bundle = json.loads(json.dumps(logreg_bundle))
+    edit(bundle)
+    model = tmp_path / "bundle.json"
+    model.write_text(json.dumps(bundle))
+    assert main(["ope", "--model", str(model), "--data", str(tmp_path / "episodes.jsonl"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {error.format(bundle=model)}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -803,3 +839,104 @@ def test_generate_and_fit_without_scipy_write_the_same_files(tmp_path):
     for rel in written:
         if rel != "run/run_manifest.json":  # records the run's wall time
             assert (blocked / rel).read_bytes() == (normal / rel).read_bytes(), rel
+
+
+# One sample of every JSON kind, and 1e400, which json.dumps cannot write.
+_KIND_SAMPLES = (None, True, 0.5, "x", [], {})
+_BIG = "__1e400__"
+
+
+def _kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _probes(doc: dict, nullable: tuple = (), within: tuple = ()):
+    """(case, JSON text) pairs: one value of ``doc`` under the path
+    ``within`` swapped for a value of every other JSON kind, for NaN and for
+    1e400, or an unknown key added to one object. Arrays are entered at their
+    first item. A key in ``nullable`` accepts null, so null is no swap for it."""
+    def walk(value, path):
+        yield path, value
+        items = enumerate(value[:1]) if type(value) is list else ()
+        for key, item in value.items() if type(value) is dict else items:
+            yield from walk(item, path + (key,))
+
+    def text(path, new):
+        out = json.loads(json.dumps(doc))
+        owner = out
+        for key in path[:-1]:
+            owner = owner[key]
+        if path:
+            owner[path[-1]] = new
+        else:
+            out = new
+        return json.dumps(out).replace(f'"{_BIG}"', "1e400")
+
+    for path, value in walk(doc, ()):
+        if path[:len(within)] != within:
+            continue
+        swaps = [s for s in _KIND_SAMPLES if path and _kind(s) != _kind(value)
+                 and not (s is None and path[-1] in nullable)]
+        for swap in swaps + ([float("nan"), _BIG] if path else []):
+            yield f"{path}={swap!r}", text(path, swap)
+        if type(value) is dict:
+            yield f"{path}+unknown", text(path, {**value, "zz_unknown": 1})
+
+
+def test_every_input_with_a_value_of_another_kind_is_refused(fitted_bundles, tmp_path):
+    # Each input kind: a swapped value or an unknown key exits 1 or 2 with
+    # the prefix of its code, before any output directory is made, and never
+    # in a traceback.
+    cohort = tmp_path / "cohort"
+    assert main(["generate", "--config", str(_write_generator(tmp_path)), "--out",
+                 str(cohort)]) == 0
+    generator = {"n_patients": 12, "n_actions": 3, "context_dim": 2, "t_kind": "geometric",
+                 "t_fixed": 4, "t_p": 0.3, "t_min": 1, "t_max": 6, "w_context": 1.0,
+                 "w_prev_action": 2.0, "w_action_agg": 0.3, "w_lag_context": 0.1,
+                 "ar_coef": 0.7, "noise_scale": 0.5, "drift_scale": 0.3,
+                 "severity_coupling": 1.0, "severity_noise": 0.2, "seed": 1}
+    experiment = {"name": "probe", "generator": generator, "aggregation_op": "sum",
+                  "states": [{"current": True, "prev_action": False, "agg": "max"},
+                             {"window_k": 1}],
+                  "model_kinds": ["logreg"], "profile": "ra-like", "n_candidates": 1,
+                  "n_splits": 1, "seed": 0, "test_frac": 0.2, "val_frac": 0.2,
+                  "bootstrap_B": 10, "by_stage_max": 10, "ope_model": "logreg",
+                  "ope_max_stage": 10, "tree_sweep_n": 0, "tree_sweep_leaf_bin": 5}
+    schema = json.loads((cohort / "schema.json").read_text())
+    schema["variables"][0].update(imputation="constant", fill_value=0.0)
+    config, data = tmp_path / "config.json", str(cohort / "episodes.jsonl")
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "experiment.json").write_text(json.dumps(
+        {"data_path": data, "schema_path": str(tmp_path / "schema.json"),
+         "model_kinds": ["logreg"]}))
+    bundles = {kind: json.loads((fitted_bundles / f"window1__{kind}.json").read_text())
+               for kind in ("logreg", "tree", "riskscore", "mlp")}
+    ope = ["ope", "--model", str(config), "--data", data]
+    # (input, its JSON, keys that accept null, the path probed, command)
+    inputs = [
+        ("generator", generator, (), (), ["generate", "--config", str(config)]),
+        ("experiment", experiment, ("states",), (), ["experiment", "--config", str(config)]),
+        ("schema", schema, ("severity_column",), (),
+         ["experiment", "--config", str(tmp_path / "experiment.json")]),
+        ("state spec", bundles["logreg"]["state_spec"], (), (),
+         ["ope", "--model", str(fitted_bundles / "window1__logreg.json"), "--data", data,
+          "--spec", str(config)]),
+        # The bundles share every section but the model: those are probed once.
+        *((kind, bundle, (), () if kind == "logreg" else ("model",), ope)
+          for kind, bundle in bundles.items()),
+    ]
+    cases, failed = 0, []
+    for name, doc, nullable, within, argv in inputs:
+        path = tmp_path / "schema.json" if name == "schema" else config
+        for case, text in _probes(doc, nullable, within):
+            path.write_text(text)
+            out, err = tmp_path / "out", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(out)])
+            prefix = {1: ("config error:", "error:"), 2: ("data error:",)}.get(code, ())
+            if not err.getvalue().startswith(prefix) or out.exists():
+                failed.append((name, case, code, err.getvalue()))
+                shutil.rmtree(out, ignore_errors=True)
+            cases += 1
+    assert not failed, failed
+    assert cases == 1453

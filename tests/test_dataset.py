@@ -70,6 +70,22 @@ def record(pid, n_stages, action="fluids"):
 
 
 class TestLoadEpisodes:
+    @pytest.mark.parametrize("name, content, error", [
+        ("episodes.jsonl", None, "Is a directory"),
+        ("episodes.csv", None, "Is a directory"),
+        ("episodes.jsonl", b'{"patient_id": "\xff"}\n', "'utf-8' codec can't decode"),
+        ("episodes.csv", b"patient_id,t,action\n\xff,1,fluids\n", "'utf-8' codec can't"),
+        ("missing.jsonl", False, "No such file or directory"),
+    ])
+    def test_a_file_that_cannot_be_read_is_a_data_error(self, tmp_path, name, content, error):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        elif content:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=f"^{path}: {error}"):
+            load_episodes(str(path), make_schema())
+
     def test_jsonl_two_patients_three_stages(self, tmp_path):
         path = write_jsonl(tmp_path, [record("a", 3), record("b", 3)])
         eps = load_episodes(path, make_schema())
@@ -485,6 +501,37 @@ def test_cohorts_refuse_patient_ids_that_do_not_strictly_ascend(ids):
             dataclasses.replace(cohort, patient_ids=ids)
         with pytest.raises(DataError, match="'a' follows 'b'"):
             cohort.take(np.array([1, 0]))
+
+
+@pytest.mark.parametrize("fill_value", ["x", True, [1.0], None, float("nan"), float("inf"),
+                                        10**400])
+def test_a_numeric_constant_fill_value_must_be_a_finite_number(fill_value):
+    with pytest.raises(ConfigError, match="variable 'hr': .*fill_value"):
+        VariableSpec("hr", imputation="constant", fill_value=fill_value)
+
+
+@pytest.mark.parametrize("fill_value", ["NaN", "1e400", '"x"'])
+def test_a_schema_with_a_numeric_fill_value_that_is_no_finite_number_exits_1(
+        tmp_path, capsys, fill_value):
+    # NaN once ran with NaN thresholds in the tree bundles, which report --in
+    # then refused; "x" failed in fit_preprocessor.
+    cohort = tmp_path / "cohort"
+    (tmp_path / "generator.json").write_text('{"n_patients": 10, "t_fixed": 3}')
+    assert main(["generate", "--config", str(tmp_path / "generator.json"),
+                 "--out", str(cohort)]) == 0
+    text = (cohort / "schema.json").read_text()
+    (cohort / "schema.json").write_text(text.replace(
+        '"imputation": "locf-then-mean"', f'"imputation": "constant", "fill_value": {fill_value}',
+        1))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"data_path": str(cohort / "episodes.jsonl"),
+                                  "schema_path": str(cohort / "schema.json"),
+                                  "model_kinds": ["tree"], "n_splits": 1}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def assert_same_columns(a, b):

@@ -1,0 +1,94 @@
+"""The JSON reader's rules, on small annotations and files."""
+
+import re
+from dataclasses import dataclass, field
+from typing import Any, TypedDict
+
+import pytest
+
+from seqpol.errors import ConfigError, DataError
+from seqpol.reader import load, read, read_json
+from seqpol.staterep import StateSpec
+
+
+@dataclass(frozen=True)
+class Pair:
+    name: str
+    weight: float = 1.0
+    flag: bool = field(default=False, metadata={"key": "on"})
+
+
+class Free(TypedDict, total=False):
+    name: str
+
+
+@pytest.mark.parametrize("tp, value, error", [
+    (bool, 1, "must be true or false, got 1"),
+    (int, True, "must be an integer, got True"),
+    (int, 2.5, "must be an integer, got 2.5"),
+    (int, 2**53 + 1, f"must be at most 2**53 in magnitude, got {2**53 + 1}"),
+    (float, "1", "must be a number, got '1'"),
+    (float, float("inf"), "must be a finite number, got inf"),  # how json reads 1e400
+    (float, float("nan"), "must be a finite number, got nan"),
+    (str | None, 5, "must be a string or null, got 5"),
+    (list[int], [1, "2"], "[1] must be an integer, got '2'"),
+    (tuple[str, str], ["a"], "must be an array of 2 items, got ['a']"),
+    (tuple[str, ...], ("a", 1), "[1] must be a string, got 1"),
+    (dict[str, int], {"a": 1.5}, "a must be an integer, got 1.5"),
+    (Pair, {"name": "a", "weigth": 2}, "has unknown keys ['weigth']"),
+    (Pair, {"weight": 2}, "lacks ['name']"),
+    (Pair, {"name": "a", "flag": True}, "has unknown keys ['flag']"),
+    (list[Pair], [{"name": "a", "on": 1}], "[0].on must be true or false, got 1"),
+])
+def test_a_value_that_breaks_a_rule_names_its_path(tp, value, error):
+    with pytest.raises(ConfigError) as err:
+        read(tp, value, "in")
+    assert str(err.value) == f"in: {error}"
+
+
+@pytest.mark.parametrize("tp, value, expected", [
+    (float, 3, 3),  # an integer stays one, so a config is written back as read
+    (tuple[str, ...], ["a", "b"], ("a", "b")),
+    (Any, [None, {"x": 1}], [None, {"x": 1}]),
+    (dict, {"x": [1, "y"]}, {"x": [1, "y"]}),
+    (Pair, {"name": "a", "on": True}, Pair("a", 1.0, True)),
+    (Free, {"name": "a", "other": [1]}, {"name": "a", "other": [1]}),
+])
+def test_a_value_that_keeps_the_rules_is_read(tp, value, expected):
+    got = read(tp, value, "in")
+    assert got == expected and type(got) is type(expected)
+
+
+def test_a_record_check_names_the_path_and_takes_the_inputs_error_class():
+    with pytest.raises(DataError, match=r"^in: states\[0\]: empty state spec"):
+        read(dict[str, list[StateSpec]], {"states": [{"agg": "none"}]}, "in", DataError)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{", "invalid JSON"),
+    ('{"a": NaN}', "NaN is no JSON number"),
+    ('{"a": -Infinity}', "-Infinity is no JSON number"),
+    ("[1]", "expected a JSON object, got [1]"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+])
+def test_a_file_that_is_no_json_object_is_the_inputs_error(tmp_path, text, error):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    for cls in (ConfigError, DataError):
+        with pytest.raises(cls, match=re.escape(f"{path}: {error}")):
+            read_json(path, cls)
+
+
+@pytest.mark.parametrize("content, error", [
+    (None, "Is a directory"),
+    (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (False, "No such file or directory"),
+])
+def test_a_file_that_cannot_be_read_is_a_data_error(tmp_path, content, error):
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    elif content:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=f"^{path}: {error}"):
+        load(Pair, path, ConfigError)

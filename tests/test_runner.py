@@ -10,6 +10,7 @@ from seqpol import runner
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
 from seqpol.models import fit_tree, hyperparams
+from seqpol.reader import read
 from seqpol.report import (
     CellRef,
     CellResult,
@@ -85,8 +86,8 @@ def test_experiment_config_round_trips_through_json():
         confusion_comparison=("logreg", "window2+agg_max"),
         tree_sweep_n=3,
     )
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert read(ExperimentConfig, cfg.to_dict(), "config") == cfg
+    assert read(ExperimentConfig, json.loads(json.dumps(cfg.to_dict())), "config") == cfg
 
 
 def test_report_round_trip_keeps_every_cells_estimates():

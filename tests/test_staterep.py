@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
+from seqpol.reader import load
 from seqpol.schema import EncodedCohort, offsets_of
 from seqpol.staterep import (
     AGG_OPS,
@@ -177,7 +178,7 @@ class TestStateSpec:
         spec = StateSpec(window_k=1, aggregate_op="max")
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
-        assert StateSpec.from_json(str(path)) == spec
+        assert load(StateSpec, path) == spec
 
     def test_names_are_self_describing(self):
         assert StateSpec(include_current_context=True).name == "current"

@@ -8,6 +8,7 @@ import pytest
 from seqpol.cli import main
 from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
+from seqpol.reader import read
 from seqpol.runner import ExperimentConfig
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.strata import filter_switch_states
@@ -145,11 +146,11 @@ class TestBadConfig:
     )
     def test_rejected_with_the_field_named(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            GeneratorConfig.from_dict({field: value})
+            read(GeneratorConfig, {field: value}, "generator config")
 
     def test_experiment_generator_block(self):
         with pytest.raises(ConfigError, match="n_patients"):
-            ExperimentConfig.from_dict({"generator": {"n_patients": 2.5}})
+            read(ExperimentConfig, {"generator": {"n_patients": 2.5}}, "experiment config")
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "generator.json"
