@@ -10,7 +10,8 @@ Subcommands:
                patient alone), so that it holds one block's state matrix at a
                time besides the cohort and one product a row
   report       re-render tables, figures and model bundles from a saved
-               report.json and the models/ files it lists
+               report.json and the models/ files it lists; each bundle is
+               read back as a record and refused when malformed
 
 Exit codes: 0 success, 1 configuration error, 2 data error; the module
 docstring of ``seqpol.reader`` states which input faults are which.
@@ -25,7 +26,6 @@ import sys
 from pathlib import Path
 
 from .dataset import (
-    Preprocessor,
     apply_preprocessor,
     fit_preprocessor,
     load_episodes,
@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import _BLOCK_ROWS, inverse_probability_products, median_product_curve
 from .reader import load, read, read_json
-from .report import load_report
+from .report import Bundle, load_report
 from .runner import (
     ExperimentConfig,
     render_complexity,
@@ -44,8 +44,7 @@ from .runner import (
     run_experiment,
     tree_sweep,
 )
-from .schema import CohortSchema
-from .staterep import StateSpec
+from .staterep import StateSpec, state_feature_names
 from .svg import line_chart
 from .synthgen import GeneratorConfig, generate_cohort
 
@@ -140,32 +139,16 @@ def _cmd_sweep_trees(args) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class _Bundle:
-    """A model bundle, as `seqpol experiment` writes it to models/."""
-
-    format_version: int
-    model: dict  # read by model_from_dict
-    preprocessor: Preprocessor
-    schema: CohortSchema
-    state_spec: StateSpec
-    state: str
-    model_kind: str
-
-    def __post_init__(self) -> None:
-        if self.preprocessor.schema != self.schema:
-            raise ConfigError("preprocessor.schema differs from schema")
-        for var in self.schema.variables:
-            if var.name not in getattr(self.preprocessor, var.kind):  # numeric or categorical
-                raise ConfigError(f"preprocessor.{var.kind} lacks {var.name!r}, a "
-                                  f"{var.kind} variable of the schema")
-
-
 def _cmd_ope(args) -> int:
     if args.max_stage < 1:  # before the cohort is loaded and scored
         raise ConfigError(f"--max-stage must be >= 1, got {args.max_stage}")
-    bundle = read(_Bundle, read_json(args.model, DataError), args.model)
+    bundle = read(Bundle, read_json(args.model, DataError), args.model)
     model, schema, spec = model_from_dict(bundle.model), bundle.schema, bundle.state_spec
+    names = state_feature_names(bundle.preprocessor.encoded_features(), schema, spec)
+    if names != model.feature_names:
+        raise ConfigError(f"{args.model}: state_spec is state {spec.name!r}, whose "
+                          f"{len(names)} columns are not the {len(model.feature_names)} "
+                          f"of model.feature_names")
     if model.class_labels != list(schema.action_labels):
         raise ConfigError(f"{args.model}: model.class_labels {model.class_labels} differ "
                           f"from schema.action_labels {list(schema.action_labels)}")

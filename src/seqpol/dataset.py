@@ -478,7 +478,7 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
                     f"variable {var.name!r}: no observed training tokens"
                 )
             if var.imputation == "constant":
-                mode = str(var.fill_value)
+                mode = var.fill_value
                 if mode not in tokens and mode != OTHER_TOKEN:
                     tokens = sorted(tokens + [mode])
             prep.categorical[var.name] = _CategoricalState(
@@ -525,7 +525,7 @@ def apply_preprocessor(
             col += 1
         else:
             state = prep.categorical[var.name]
-            fill = str(var.fill_value) if var.imputation == "constant" else state.mode
+            fill = var.fill_value if var.imputation == "constant" else state.mode
             position = {token: j for j, token in enumerate(state.vocabulary)}
             other = position[OTHER_TOKEN]
             column = episodes.columns[var.name]

@@ -12,6 +12,11 @@ annotation and builds it:
   range (``1e400``) are refused, and so are integers beyond 2**53 in
   magnitude, which JSON doubles cannot hold (RFC 7493). A number keeps the
   type JSON gave it, so a config is written back as it was read.
+- Free values, those read as ``Any``, as ``dict`` or under the keys a
+  TypedDict keeps, are not checked for their kind, but every number with a
+  fraction or exponent in them must still be finite, so nothing read is
+  written back as ``Infinity``. Their integers are left as they are: a
+  report's ``metadata.split_seeds`` holds 63-bit seeds.
 - A record is an object keyed by its fields, or by the names their
   ``metadata["key"]`` gives. A field without a default must be present. A
   dataclass refuses keys it does not name, so a misspelled key is an error;
@@ -20,9 +25,10 @@ annotation and builds it:
   ranges, choices and how the fields agree.
 - A file that cannot be opened or is no UTF-8 text is a ``DataError`` (exit
   2). Any other fault is the input's own error class: ``ConfigError`` (exit
-  1) for configs, schemas, state specs and the sections of a model bundle;
-  ``DataError`` for report.json and for a bundle file that is no JSON
-  object. A message names the input and the JSON path of the value, as in
+  1) for configs, schemas, state specs and the sections of the model bundle
+  ``seqpol ope`` applies; ``DataError`` for report.json, the bundles it
+  lists, and an ``ope`` bundle file that is no JSON object. A message names
+  the input and the JSON path of the value, as in
   ``exp.json: states[0].current must be true or false, got 1``.
 """
 
@@ -108,6 +114,18 @@ def _record(tp) -> tuple[dict, frozenset, bool]:
     return keys, required, False
 
 
+def _finite(value, where: str) -> None:
+    """Refuse a free value that holds a non-finite float."""
+    if type(value) is float and not math.isfinite(value):
+        raise _Problem(where, f"must be a finite number, got {value!r}")
+    if type(value) is dict:
+        for key, item in value.items():
+            _finite(item, f"{where}.{key}".lstrip("."))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _finite(item, f"{where}[{i}]")
+
+
 def _read(tp, value, where: str, deep: bool = True):
     """``value`` read as ``tp``, or, if not ``deep``, only checked for its
     kind and the number rules."""
@@ -116,6 +134,8 @@ def _read(tp, value, where: str, deep: bool = True):
         return None
     tp = get_args(tp)[0] if optional else tp
     if tp is Any:
+        if deep:
+            _finite(value, where)
         return value
     kind, args = get_origin(tp), get_args(tp)
     shape = (kind or tp) if (kind or tp) in _KINDS else dict  # a record is an object
@@ -126,6 +146,8 @@ def _read(tp, value, where: str, deep: bool = True):
         raise _Problem(where, f"must be at most 2**53 in magnitude, got {value!r}")
     if shape is float and not math.isfinite(value):
         raise _Problem(where, f"must be a finite number, got {value!r}")
+    if deep and tp is dict:
+        _finite(value, where)
     if not deep or tp in (bool, int, float, str, dict):
         return value
     if kind in (list, tuple):
@@ -148,6 +170,8 @@ def _read(tp, value, where: str, deep: bool = True):
         raise _Problem(where, f"lacks {missing}")
     read = {keys[key][0]: _read(keys[key][1], value[key], path) for key, path in paths.items()}
     if free:
+        for key in unknown:
+            _finite(value[key], f"{where}.{key}".lstrip("."))
         return {**value, **read}
     try:
         return tp(**read)

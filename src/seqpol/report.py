@@ -1,10 +1,14 @@
-"""The format of report.json: the record classes below are its schema.
+"""The format of a report directory: the record classes below are its schema.
 
 A table's CSV columns are its record class's fields, and its float columns
 the fields annotated ``float | None``. report.json is read by the one JSON
 reader (``reader``) against the same annotations, so any fault in it is a
 ``DataError``. ``config`` is a free object, and so is ``metadata`` but for
 the keys rendering reads (``Metadata``).
+
+Model bundles are records too: ``Bundle`` is the format of
+``models/<state>__<model_kind>.json``, which a run writes, ``report --in``
+reads back and ``seqpol ope`` applies to new patients.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from typing import TypedDict, get_type_hints
 
 import numpy as np
 
-from .errors import DataError
+from .dataset import Preprocessor
+from .errors import ConfigError, DataError
 from .metrics import MetricEstimate
-from .reader import read, read_json
+from .reader import load, read, read_json
+from .schema import CohortSchema
+from .staterep import StateSpec
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,45 @@ class SwitchConfusion:
                 f"counts must be {k} rows of {k} non-negative integers, got {self.counts!r}")
 
 
+@dataclass(frozen=True)
+class Bundle:
+    """A fitted model and everything that applies it to raw data. Its
+    ``state`` and ``model_kind`` name its file, so they hold no path
+    separator."""
+
+    format_version: int
+    model: dict  # read by models.model_from_dict
+    preprocessor: Preprocessor
+    schema: CohortSchema
+    state_spec: StateSpec
+    state: str
+    model_kind: str
+
+    def __post_init__(self) -> None:
+        if self.format_version != 1:
+            raise ConfigError(f"format_version must be 1, got {self.format_version}")
+        for key in ("state", "model_kind"):
+            if {"/", "\\"} & set(getattr(self, key)):
+                raise ConfigError(f"{key} must hold no / or \\, got {getattr(self, key)!r}")
+        if self.preprocessor.schema != self.schema:
+            raise ConfigError("preprocessor.schema differs from schema")
+        for var in self.schema.variables:
+            if var.name not in getattr(self.preprocessor, var.kind):  # numeric or categorical
+                raise ConfigError(f"preprocessor.{var.kind} lacks {var.name!r}, a "
+                                  f"{var.kind} variable of the schema")
+
+    @property
+    def file(self) -> str:
+        """The bundle's path relative to the report directory."""
+        return f"models/{self.state}__{self.model_kind}.json"
+
+    def to_dict(self) -> dict:
+        return {"format_version": self.format_version, "model": self.model,
+                "preprocessor": self.preprocessor.to_dict(), "schema": self.schema.to_dict(),
+                "state_spec": self.state_spec.to_dict(), "state": self.state,
+                "model_kind": self.model_kind}
+
+
 class PreprocessorWarning(TypedDict):
     split: int
     warning: str
@@ -124,14 +170,14 @@ class ExperimentReport:
     switch_confusion: SwitchConfusion | None = None
     ope_curves: list[CurveRow] = field(default_factory=list)
     complexity: list[ComplexityRow] | None = None
-    model_bundles: list[dict] = field(default_factory=list)
+    model_bundles: list[Bundle] = field(default_factory=list)
     metadata: Metadata = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """The content of report.json: the bundles by file name (``model_files``)
         and no wall time, so reruns write the same report.json bytes."""
         out = asdict(replace(self, model_bundles=[]))
-        out["model_bundles"] = [bundle_file(b) for b in self.model_bundles]
+        out["model_bundles"] = [bundle.file for bundle in self.model_bundles]
         out["metadata"].pop("duration_seconds", None)
         for row in out["ope_curves"]:
             row["median"] = None if row["median"] == np.inf else row["median"]
@@ -154,25 +200,17 @@ class _Listing(TypedDict):
     model_files: list[str]
 
 
-def bundle_file(bundle: dict) -> str:
-    """A bundle's path relative to the report directory."""
-    return f"models/{bundle['state']}__{bundle['model_kind']}.json"
-
-
 def load_report(path: str) -> ExperimentReport:
     """The report in directory ``path``, with the bundles report.json lists
-    read back from ``path``/models/. The ``state`` and ``model_kind`` of each
-    must be strings with no path separator that give the name it is listed by."""
+    read back from ``path``/models/; each must be the bundle of the name it
+    is listed by."""
     root = Path(path)
     d = read_json(root / "report.json", DataError)
     report, bundles = ExperimentReport.from_dict(d), []
     for i, name in enumerate(read(_Listing, d, "report.json", DataError)["model_files"]):
-        bundle = read_json(root / name, DataError)
-        keys = [bundle.get("state"), bundle.get("model_kind")]
-        if not all(type(k) is str and not {"/", "\\"} & set(k) for k in keys) or (
-                bundle_file(bundle) != name):
-            raise DataError(f"report.json: model_files[{i}] is {name!r}, but its bundle's state "
-                            f"and model_kind {keys} are no strings without / or \\ that give it")
-        bundles.append(bundle)
+        bundles.append(load(Bundle, root / name, DataError))
+        if bundles[-1].file != name:
+            raise DataError(f"report.json: model_files[{i}] is {name!r}, but {root / name} "
+                            f"is the bundle {bundles[-1].file!r}")
     report.model_bundles = bundles
     return report

@@ -40,8 +40,8 @@ from .metrics import (
 )
 from .models import MODEL_KINDS, PolicyModel, fit_model, get_profile, sample_hyperparams
 from .ope import inverse_probability_products, median_product_curve
-from .report import (CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport, GroupRow,
-                     StageRow, SwitchConfusion, bundle_file, columns)
+from .report import (Bundle, CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport,
+                     GroupRow, StageRow, SwitchConfusion, columns)
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
@@ -110,6 +110,8 @@ class ExperimentConfig:
         if self.data_path is None and self.generator is None:
             raise ConfigError("config needs either data_path or generator")
         states = [s.name for s in self.resolved_states()]
+        if len(set(states)) != len(states):
+            raise ConfigError(f"duplicate state specs: the states are {states}")
         for name in self.ope_states or ():
             if name not in states or self.ope_model not in self.model_kinds:
                 raise ConfigError(f"ope_states names {name!r}, but ({name!r}, {self.ope_model!r}) "
@@ -133,22 +135,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         states = [s.to_dict() for s in self.states] if self.states else None
         return {**asdict(self), "states": states}
-
-
-# ---------------------------------------------------------------------------
-# Model bundles: a fitted model plus everything needed to apply it to raw data
-# ---------------------------------------------------------------------------
-
-def make_model_bundle(model: PolicyModel, prep, spec: StateSpec, kind: str) -> dict:
-    return {
-        "format_version": 1,
-        "model": model.to_dict(),
-        "preprocessor": prep.to_dict(),
-        "schema": prep.schema.to_dict(),
-        "state_spec": spec.to_dict(),
-        "state": spec.name,
-        "model_kind": kind,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +475,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     raw = resolve_episodes(cfg)
     specs = cfg.resolved_states()
     states = [s.name for s in specs]
-    if len(set(states)) != len(states):
-        raise ConfigError("duplicate state specs in config")
     severity_groups = assign_severity_groups(raw)
     cells = {(s.name, kind): _Cell(s, kind) for s in specs for kind in cfg.model_kinds}
 
@@ -507,7 +491,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report.switch_confusion, no_confusion = _switch_confusion(cfg, cells, states, raw.schema)
     report.ope_curves = _ope_curves(cfg, cells, states, split0)
     report.model_bundles = [
-        make_model_bundle(cell.model0, split0.prep, cell.spec, kind)
+        Bundle(1, cell.model0.to_dict(), split0.prep, split0.prep.schema, cell.spec,
+               cell.spec.name, kind)
         for (_, kind), cell in sorted(cells.items())
         if cell.model0 is not None
     ]
@@ -691,7 +676,7 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     if report.model_bundles:
         (out / "models").mkdir(exist_ok=True)
     for bundle in report.model_bundles:
-        json_file(bundle_file(bundle), bundle)
+        json_file(bundle.file, bundle.to_dict())
     json_file("report.json", report.to_dict(), indent=1)
     manifest = {
         "config": report.config,

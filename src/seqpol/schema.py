@@ -47,7 +47,7 @@ class VariableSpec:
     kind: str = "numeric"
     transform: str = "none"
     imputation: str = None  # None: its kind's default (RECIPES)
-    fill_value: Any = None  # used when imputation == "constant"
+    fill_value: Any = None  # used when imputation == "constant": a number or a token
     aggregate_eligible: bool = True
     lag_eligible: bool = True
 
@@ -63,8 +63,9 @@ class VariableSpec:
                                   f"{key} {list(choices)}, got {getattr(self, key)!r}")
         if self.imputation == "constant" and self.fill_value is None:
             raise ConfigError(f"variable {self.name!r}: constant imputation needs fill_value")
-        if self.imputation == "constant" and self.kind == "numeric":
-            read(float, self.fill_value, f"variable {self.name!r}", where="fill_value")
+        if self.imputation == "constant":
+            read(float if self.kind == "numeric" else str, self.fill_value,
+                 f"variable {self.name!r}", where="fill_value")
 
     def to_dict(self) -> dict:
         """The fields, ``fill_value`` last and only for constant imputation."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .reader import read
-from .schema import EncodedCohort, offsets_of
+from .schema import CohortSchema, EncodedCohort, EncodedFeature, offsets_of
 
 AGG_OPS = ("none", "sum", "max", "mean")
 
@@ -173,12 +173,33 @@ class StateMatrix:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _eligible_columns(cohort: EncodedCohort, flag: str) -> list[int]:
-    schema = cohort.schema
-    return [
-        j for j, feat in enumerate(cohort.features)
-        if getattr(schema.variable(feat.variable), flag)
-    ]
+def _eligible_columns(features: list[EncodedFeature], schema: CohortSchema,
+                      flag: str) -> list[int]:
+    return [j for j, feat in enumerate(features) if getattr(schema.variable(feat.variable), flag)]
+
+
+def state_feature_names(features: list[EncodedFeature], schema: CohortSchema,
+                        spec: StateSpec) -> list[str]:
+    """The column names of ``spec``'s state over the encoded ``features`` of
+    ``schema``'s variables, in the layout of the module docstring."""
+    k, op, labels = spec.window_k, spec.aggregate_op, schema.action_labels
+    names: list[str] = []
+    if spec.include_current_context:
+        names.extend(f.name for f in features)
+    if k is not None:
+        lag_cols = _eligible_columns(features, schema, "lag_eligible")
+        for lag in range(1, k + 1):
+            names.extend(f"{features[j].name}@lag{lag}" for j in lag_cols)
+    if spec.include_prev_action:
+        names.extend(f"action:{label}@lag1" for label in labels)
+    if k is not None:
+        for lag in range(2, k + 2):
+            names.extend(f"action:{label}@lag{lag}" for label in labels)
+    if op != "none":
+        agg_cols = _eligible_columns(features, schema, "aggregate_eligible")
+        names.extend(f"{features[j].name}@agg_{op}" for j in agg_cols)
+        names.extend(f"action:{label}@agg_{op}" for label in labels)
+    return names
 
 
 def accumulate_stages(ufunc: np.ufunc, values: np.ndarray, stages: np.ndarray) -> None:
@@ -206,25 +227,11 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
     feats = cohort.features
     K = schema.n_actions
     default_idx = schema.action_index(schema.default_action)
-    lag_cols = _eligible_columns(cohort, "lag_eligible")
-    agg_cols = _eligible_columns(cohort, "aggregate_eligible")
+    lag_cols = _eligible_columns(feats, schema, "lag_eligible")
+    agg_cols = _eligible_columns(feats, schema, "aggregate_eligible")
     k = spec.window_k
     op = spec.aggregate_op
-
-    names: list[str] = []
-    if spec.include_current_context:
-        names.extend(f.name for f in feats)
-    if k is not None:
-        for lag in range(1, k + 1):
-            names.extend(f"{feats[j].name}@lag{lag}" for j in lag_cols)
-    if spec.include_prev_action:
-        names.extend(f"action:{label}@lag1" for label in schema.action_labels)
-    if k is not None:
-        for lag in range(2, k + 2):
-            names.extend(f"action:{label}@lag{lag}" for label in schema.action_labels)
-    if op != "none":
-        names.extend(f"{feats[j].name}@agg_{op}" for j in agg_cols)
-        names.extend(f"action:{label}@agg_{op}" for label in schema.action_labels)
+    names = state_feature_names(feats, schema, spec)
 
     # The matrix rows are the cohort's; ``before`` is each row's stage - 1.
     rows = np.arange(cohort.n_stages)

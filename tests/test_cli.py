@@ -172,6 +172,9 @@ def _cell_with(**fields) -> dict:
     ("report", _report_with(switch_confusion=[1]),
      "report.json: switch_confusion must be an object or null, got [1]"),
     ("report", _report_with(metadata=5), "report.json: metadata must be an object, got 5"),
+    # json reads 1e400 as inf, which `report` once wrote back as Infinity
+    ("report", _report_with(config={"test_frac": "x"}).replace('"x"', "1e400"),
+     "report.json: config.test_frac must be a finite number, got inf"),
     ("report", _report_with(cells=[_cell_with(auroc_split_values=5)]),
      "report.json: cells[0].auroc_split_values must be an array, got 5"),
     ("report", _report_with(cells=[_cell_with(auroc_split_values=["x"])]),
@@ -325,6 +328,21 @@ def test_sweep_trees_needs_at_least_one_model_per_state(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-trees", "experiment"])
+def test_duplicate_states_are_refused_before_the_cohort_is_read(tmp_path, capsys, command):
+    # sweep-trees once wrote two interleaved row sets of `current`. The data
+    # file is missing, which would be a data error (exit 2) had it been read.
+    config = _write_experiment(tmp_path, generator=None,
+                               data_path=str(tmp_path / "missing.jsonl"),
+                               states=[{"current": True}, {"current": True}])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {config}: duplicate state specs: the states are "
+        "['current', 'current']\n")
+    assert not out.exists()
+
+
 def _write_generator(tmp_path):
     config = tmp_path / "generator.json"
     config.write_text(json.dumps(
@@ -456,6 +474,11 @@ def logreg_bundle(tmp_path_factory):
      "['a0', 'a1', 'a2']"),
     (lambda b: b["preprocessor"].update(numeric={}),
      "{bundle}: preprocessor.numeric lacks 'x0', a numeric variable of the schema"),
+    # a valid spec, but not the state the model was fitted on: refused before
+    # the cohort is read, as the data file is missing (a data error, exit 2)
+    (lambda b: b["state_spec"].update(window_k=None),
+     "{bundle}: state_spec is state 'current+prev_action', whose 7 columns are not the 14 "
+     "of model.feature_names"),
 ])
 def test_ope_refuses_a_bundle_whose_sections_disagree(
     logreg_bundle, tmp_path, capsys, edit, error
@@ -679,14 +702,17 @@ def test_report_refuses_nan_and_infinity(tmp_path, capsys, value):
     assert not (tmp_path / "e").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    {"state": None},  # the key is removed
-    {"state": "../../escaped"},
-    {"model_kind": "a/b"},
-    {"model_kind": 5},
-    {"state": "current"},  # a valid bundle, but of another file name
-])
-def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, error", [
+    ({"state": None}, "{path}: lacks ['state']"),  # the key is removed
+    ({"state": "../../escaped"}, "{path}: state must hold no / or \\, got '../../escaped'"),
+    ({"model_kind": "a/b"}, "{path}: model_kind must hold no / or \\, got 'a/b'"),
+    ({"model_kind": 5}, "{path}: model_kind must be a string, got 5"),
+    ({"state": "current"},  # a valid bundle, but of another file name
+     "report.json: model_files[2] is 'models/window1__logreg.json', but {path} is the "
+     "bundle 'models/current__logreg.json'"),
+], ids=[f"edit{i}" for i in range(5)])
+def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(
+        tmp_path, capsys, edit, error):
     d, out = _experiment_dir(tmp_path), tmp_path / "o" / "p"
     path = d / "models" / "window1__logreg.json"
     bundle = {k: v for k, v in {**json.loads(path.read_text()), **edit}.items()
@@ -694,11 +720,24 @@ def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(tmp_path, ca
     path.write_text(json.dumps(bundle))
     capsys.readouterr()
     assert main(["report", "--in", str(d), "--out", str(out)]) == 2
-    keys = [bundle.get("state"), bundle.get("model_kind")]
-    assert capsys.readouterr().err == (
-        "data error: report.json: model_files[2] is 'models/window1__logreg.json', but its "
-        f"bundle's state and model_kind {keys} are no strings without / or \\ that give it\n")
+    assert capsys.readouterr().err == f"data error: {error.format(path=path)}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, error", [
+    ({"schema": 5}, "schema must be an object, got 5"),
+    ({"preprocessor": {}}, "preprocessor lacks ['schema']"),
+    ({"format_version": 2}, "format_version must be 1, got 2"),
+])
+def test_report_refuses_a_malformed_bundle(tmp_path, capsys, edit, error):
+    # Such a bundle was once written back as read, and `ope` then refused it.
+    d, out = _experiment_dir(tmp_path), tmp_path / "o"
+    path = d / "models" / "window1__logreg.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    capsys.readouterr()
+    assert main(["report", "--in", str(d), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {error}\n"
+    assert not out.exists()
 
 
 def _paths(value, path=()):

@@ -510,6 +510,15 @@ def test_a_numeric_constant_fill_value_must_be_a_finite_number(fill_value):
         VariableSpec("hr", imputation="constant", fill_value=fill_value)
 
 
+@pytest.mark.parametrize("fill_value", [1, 0.5, True, [1, {"a": None}], {"a": "b"}])
+def test_a_categorical_constant_fill_value_must_be_a_string(fill_value):
+    # [1, {"a": None}] was once imputed as the token "[1, {'a': None}]".
+    with pytest.raises(ConfigError, match="variable 'ward': fill_value must be a string"):
+        VariableSpec("ward", kind="categorical", imputation="constant", fill_value=fill_value)
+    assert VariableSpec("ward", kind="categorical", imputation="constant",
+                        fill_value="none").fill_value == "none"
+
+
 @pytest.mark.parametrize("fill_value", ["NaN", "1e400", '"x"'])
 def test_a_schema_with_a_numeric_fill_value_that_is_no_finite_number_exits_1(
         tmp_path, capsys, fill_value):

@@ -39,6 +39,11 @@ class Free(TypedDict, total=False):
     (Pair, {"weight": 2}, "lacks ['name']"),
     (Pair, {"name": "a", "flag": True}, "has unknown keys ['flag']"),
     (list[Pair], [{"name": "a", "on": 1}], "[0].on must be true or false, got 1"),
+    # a free value is not checked for its kind, but its numbers must be finite
+    (Any, [1, {"x": float("inf")}], "[1].x must be a finite number, got inf"),
+    (dict, {"x": [0.5, float("-inf")]}, "x[1] must be a finite number, got -inf"),
+    (Free, {"name": "a", "other": {"y": float("nan")}}, "other.y must be a finite number, got nan"),
+    (dict[str, Any], {"a": float("inf")}, "a must be a finite number, got inf"),
 ])
 def test_a_value_that_breaks_a_rule_names_its_path(tp, value, error):
     with pytest.raises(ConfigError) as err:
@@ -53,6 +58,7 @@ def test_a_value_that_breaks_a_rule_names_its_path(tp, value, error):
     (dict, {"x": [1, "y"]}, {"x": [1, "y"]}),
     (Pair, {"name": "a", "on": True}, Pair("a", 1.0, True)),
     (Free, {"name": "a", "other": [1]}, {"name": "a", "other": [1]}),
+    (dict, {"split_seeds": [2**63 - 1]}, {"split_seeds": [2**63 - 1]}),  # 63-bit seeds
 ])
 def test_a_value_that_keeps_the_rules_is_read(tp, value, expected):
     got = read(tp, value, "in")

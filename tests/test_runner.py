@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from seqpol import runner
+from seqpol.dataset import Preprocessor
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
 from seqpol.models import fit_tree, hyperparams
 from seqpol.reader import read
 from seqpol.report import (
+    Bundle,
     CellRef,
     CellResult,
     ComplexityRow,
@@ -33,6 +35,7 @@ from seqpol.runner import (
     select_best_candidate,
     tree_sweep,
 )
+from seqpol.schema import CohortSchema
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.synthgen import GeneratorConfig
 
@@ -126,6 +129,7 @@ def _golden_report() -> ExperimentReport:
     ope = [("current", 1, 1.5, 10, 0), ("current", 2, 2.25, 7, 1), ("window1", 1, 1.125, 10, 0)]
     sweep = [("current", 1, 5, 3, 0.6, 0.55), ("current", 6, 10, 2, 0.7, None),
              ("window1", 1, 5, 5, 0.65, 0.6)]
+    schema = CohortSchema((), ("A", "B"), "A")
     return ExperimentReport(
         {"name": "demo"}, ["current", "window1"], ["logreg", "tree"], cells,
         by_group=[GroupRow(1, "current", "logreg", 0.5, 4),
@@ -137,7 +141,8 @@ def _golden_report() -> ExperimentReport:
                                          ["A", "B"], [[3, 1], [0, 2]]),
         ope_curves=[CurveRow(s, "logreg", t, m, n, f) for s, t, m, n, f in ope],
         complexity=[ComplexityRow(*row) for row in sweep],
-        model_bundles=[{"format_version": 1, "state": "current", "model_kind": "logreg"}],
+        model_bundles=[Bundle(1, {"kind": "logreg"}, Preprocessor(schema), schema,
+                              StateSpec(include_current_context=True), "current", "logreg")],
         metadata={"seed": 0, "preprocessor_warnings": [{"split": 0, "warning": "w"}],
                   "duration_seconds": 1.5},
     )
@@ -194,7 +199,7 @@ GOLDEN_SHA256 = {
     "complexity.svg": "fc0d37a893dfedc6d674fbe9c2023538a7f2ecf9ea180f57d189b598a49db459",
     "report.json": "78b9fa79a6edec8ca77a058549bfb068898b839cc3795c27846aa19282e74799",
     "models/current__logreg.json":
-        "55e81b551216c757af886555ba037d2af9107bc48517ee7f5f91fc6d7953c43f",
+        "24fb8f1fa0e8cfe8ad36d7bf9ac6bb92ae7d9cba8b2c0aad10bc847eee5772a9",
 }
 
 
