@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .dataset import (
 from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import _BLOCK_ROWS, inverse_probability_products, median_product_curve
-from .reader import load, read, read_json
+from .reader import load, read, read_json, save
 from .report import Bundle, load_report
 from .runner import (
     ExperimentConfig,
@@ -106,10 +105,8 @@ def _cmd_generate(args) -> int:
     episodes, oracle = generate_cohort(gen)
     save_episodes_jsonl(episodes, str(outdir / "episodes.jsonl"))
     oracle.to_csv(str(outdir / "oracle.csv"))
-    episodes.schema.to_json(str(outdir / "schema.json"))
-    with open(outdir / "generator.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(gen), fh, indent=2)
-        fh.write("\n")
+    save(episodes.schema, outdir / "schema.json", indent=2)
+    save(gen, outdir / "generator.json", indent=2)
     print(
         f"generated {len(episodes)} patients, {episodes.n_stages} stages "
         f"-> {outdir}"

@@ -46,15 +46,14 @@ import hashlib
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .reader import read, unreadable
-from .schema import (
-    OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet, offsets_of, taken_rows,
-)
+from .reader import read, unreadable, write
+from .schema import (OTHER_TOKEN, CohortSchema, EncodedCohort, EncodedFeature, EpisodeSet,
+                     offsets_of, rows_before, taken_rows)
 
 LOG_EPS = 1e-6
 
@@ -303,8 +302,7 @@ def save_episodes_jsonl(episodes: EpisodeSet, path: str) -> None:
     context = ", ".join(json.dumps(v.name).replace("%", "%%") + ": %s" for v in schema.variables)
     stage = '{"t": %d, "context": {' + context + '}, "action": %s, "severity": %s}'
     labels = [json.dumps(label) for label in schema.action_labels]
-    lengths = np.diff(offsets)
-    t = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], lengths)
+    t = rows_before(offsets) + 1
     rows = [
         stage % values
         for values in zip(
@@ -368,17 +366,9 @@ class Preprocessor:
         return feats
 
     def digest(self) -> str:
-        """Stable hash of the fitted state (the ``to_dict`` payload), for leakage checks."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Stable hash of the fitted state (its JSON form), for leakage checks."""
+        blob = json.dumps(write(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema.to_dict(),
-            "numeric": {name: asdict(s) for name, s in self.numeric.items()},
-            "categorical": {name: asdict(s) for name, s in self.categorical.items()},
-            "warnings": list(self.warnings),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
@@ -393,11 +383,12 @@ def _carried_rows(episodes: EpisodeSet, missing: np.ndarray) -> np.ndarray:
     (a forward fill of row indices that restarts at each patient), or -1
     before the patient's first observation.
     """
-    offsets = episodes.offsets
+    first = rows_before(episodes.offsets)
     source = np.arange(len(missing))
+    np.subtract(source, first, out=first)  # each row's patient's first row
     source[missing] = -1
-    source = np.maximum.accumulate(source)
-    source[source < np.repeat(offsets[:-1], np.diff(offsets))] = -1
+    np.maximum.accumulate(source, out=source)
+    source[source < first] = -1
     return source
 
 

@@ -7,7 +7,7 @@ the keys of ``hyperparams.grid``.
 
 from dataclasses import dataclass
 
-from .base import FORMAT_VERSION, PolicyModel
+from .base import PolicyModel
 from .hyperparams import PROFILES, get_profile, grid, sample_hyperparams
 from .logreg import LogisticPolicy, fit_logreg
 from .mlp import MLPPolicy, fit_mlp
@@ -25,6 +25,7 @@ MODELS = {
     "mlp": (MLPPolicy, fit_mlp),
 }
 MODEL_KINDS = tuple(MODELS)
+FORMAT_VERSION = 1  # of a bundle's model section (_Saved)
 
 
 def fit_model(kind: str, params: dict, train: StateMatrix, val: StateMatrix, seed: int = 0) -> PolicyModel:
@@ -40,7 +41,7 @@ def fit_model(kind: str, params: dict, train: StateMatrix, val: StateMatrix, see
 
 @dataclass(frozen=True)
 class _Saved:
-    """A bundle's ``model`` (``PolicyModel.to_dict``); ``params`` is read as its kind's."""
+    """A bundle's ``model`` (``model_record``); ``params`` is its kind's ``Params`` record."""
 
     format_version: int
     kind: str
@@ -53,6 +54,12 @@ class _Saved:
             raise ConfigError(f"unsupported model format version {self.format_version}")
         if self.kind not in MODELS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
+
+
+def model_record(model: PolicyModel) -> _Saved:
+    """The record of a bundle's ``model``, which ``reader.write`` writes."""
+    return _Saved(FORMAT_VERSION, model.kind, model.feature_names, model.class_labels,
+                  model.saved_params())
 
 
 def model_from_dict(d: dict) -> PolicyModel:
@@ -74,6 +81,7 @@ __all__ = [
     "fit_mlp",
     "fit_model",
     "model_from_dict",
+    "model_record",
     "MODELS",
     "MODEL_KINDS",
     "PROFILES",

@@ -14,8 +14,6 @@ import numpy as np
 from ..errors import ConfigError, ContractError
 from ..staterep import StateMatrix
 
-FORMAT_VERSION = 1
-
 
 def check_width(path: str, items: list, n: int, per: str) -> None:
     """A ``ConfigError`` unless ``items``, at ``path`` in a saved model, holds ``n``."""
@@ -80,14 +78,5 @@ class PolicyModel(ABC):
         ...
 
     @abstractmethod
-    def _params_dict(self) -> dict:
-        ...
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "feature_names": self.feature_names,
-            "class_labels": self.class_labels,
-            "params": self._params_dict(),
-        }
+    def saved_params(self):
+        """The kind's ``Params`` record of this model, which ``from_saved`` reads."""

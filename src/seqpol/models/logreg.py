@@ -217,8 +217,8 @@ class LogisticPolicy(PolicyModel):
     def _predict_proba_impl(self, X: np.ndarray) -> np.ndarray:
         return softmax(X @ self.W + self.b)
 
-    def _params_dict(self) -> dict:
-        return {"W": self.W.tolist(), "b": self.b.tolist()}
+    def saved_params(self) -> _Params:
+        return _Params(self.W.tolist(), self.b.tolist())
 
     @classmethod
     def from_saved(cls, feature_names, class_labels, params: _Params) -> "LogisticPolicy":

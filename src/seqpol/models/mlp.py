@@ -129,12 +129,8 @@ class MLPPolicy(PolicyModel):
         probs, _ = forward(self.params, X)
         return probs
 
-    def _params_dict(self) -> dict:
-        return {
-            "layers": [
-                {"W": W.tolist(), "b": b.tolist()} for W, b in self.params
-            ]
-        }
+    def saved_params(self) -> _Params:
+        return _Params([_Layer(W.tolist(), b.tolist()) for W, b in self.params])
 
     @classmethod
     def from_saved(cls, feature_names, class_labels, params: _Params) -> "MLPPolicy":

@@ -403,11 +403,8 @@ class RiskScorePolicy(PolicyModel):
             for j in np.flatnonzero(self.weights)
         ]
 
-    def _params_dict(self) -> dict:
-        return {
-            "weights": [int(v) for v in self.weights],
-            "intercept": self.intercept,
-        }
+    def saved_params(self) -> _Params:
+        return _Params(self.weights.tolist(), self.intercept)
 
     @classmethod
     def from_saved(cls, feature_names, class_labels, params: _Params) -> "RiskScorePolicy":

@@ -11,8 +11,7 @@ A tree is a set of node arrays indexed in preorder (a node before its left
 subtree, the left subtree before the right one): ``feature`` (-1 at a
 leaf), ``threshold``, ``left``, ``right`` (-1 at a leaf) and ``counts``, the
 per-class training counts reaching each node. Model files keep the nested
-``{"counts", "feature", "threshold", "left", "right"}`` form; prediction
-descends all rows one level at a time.
+``_Node`` form; prediction descends all rows one level at a time.
 
 Growth sorts each feature once, at the root, with a stable argsort (as
 SLIQ does), taken from ``StateMatrix.column_order`` so that every growth on
@@ -34,11 +33,12 @@ criterion among the candidates of a run and the tree-complexity sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError, FitError
+from ..reader import OMIT_NONE
 from ..staterep import StateMatrix
 from .base import PolicyModel, check_width
 
@@ -136,10 +136,10 @@ class _Node:
     """A saved node: training rows per class, and a split's feature, threshold and children."""
 
     counts: list[int]
-    feature: int | None = None
-    threshold: float | None = None
-    left: _Node | None = None
-    right: _Node | None = None
+    feature: int | None = field(default=None, metadata=OMIT_NONE)
+    threshold: float | None = field(default=None, metadata=OMIT_NONE)
+    left: _Node | None = field(default=None, metadata=OMIT_NONE)
+    right: _Node | None = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
         if min(self.counts, default=-1) < 0 or sum(self.counts) == 0:
@@ -255,19 +255,15 @@ class TreePolicy(PolicyModel):
         lines.append("}")
         return "\n".join(lines)
 
-    def _params_dict(self) -> dict:
-        def nested(i: int) -> dict:
-            d: dict = {"counts": [int(c) for c in self.counts[i]]}
-            if self.feature[i] >= 0:
-                d.update(
-                    feature=int(self.feature[i]),
-                    threshold=float(self.threshold[i]),
-                    left=nested(self.left[i]),
-                    right=nested(self.right[i]),
-                )
-            return d
+    def saved_params(self) -> _Params:
+        def node(i: int) -> _Node:
+            counts = [int(c) for c in self.counts[i]]
+            if self.feature[i] < 0:
+                return _Node(counts)
+            return _Node(counts, int(self.feature[i]), float(self.threshold[i]),
+                         node(self.left[i]), node(self.right[i]))
 
-        return {"root": nested(0)}
+        return _Params(node(0))
 
     @classmethod
     def from_saved(cls, feature_names, class_labels, params: _Params) -> "TreePolicy":

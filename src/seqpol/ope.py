@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import PolicyModel
-from .schema import EncodedCohort
+from .schema import EncodedCohort, rows_before
 from .staterep import StateSpec, accumulate_stages, assemble_state
 
 PROB_FLOOR = 1e-6
@@ -101,7 +101,6 @@ def inverse_probability_products(
     past float64's range is inf, with no overflow warning.
     """
     products = np.empty(cohort.n_stages)
-    stages = np.empty(cohort.n_stages, dtype=np.int64)
     floored, lo = 0, 0
     for patients in _patient_blocks(cohort):
         matrix = assemble_state(cohort.take(patients), spec)
@@ -110,10 +109,9 @@ def inverse_probability_products(
         np.divide(1.0, np.maximum(picked, PROB_FLOOR), out=products[block])
         with np.errstate(over="ignore"):  # a product past the range is inf
             accumulate_stages(np.multiply, products[block], matrix.stages)
-        stages[block] = matrix.stages
         floored += int((picked < PROB_FLOOR).sum())
         lo = block.stop
-    return InverseProductSeries(products, floored, stages)
+    return InverseProductSeries(products, floored, rows_before(cohort.offsets) + 1)
 
 
 def _median(values: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""The one reader of JSON input, and the rules every JSON input follows.
+"""The one reader and the one writer of JSON, and the rules they follow.
 
 Configs, schemas, state specs, model bundles and report.json are read by
 ``read_json`` and then by ``read``, which checks the value against a Python
@@ -30,6 +30,13 @@ annotation and builds it:
   lists, and an ``ope`` bundle file that is no JSON object. A message names
   the input and the JSON path of the value, as in
   ``exp.json: states[0].current must be true or false, got 1``.
+
+Every JSON file but the episodes' JSONL is written by ``save``, of
+``write``'s value, which ``read`` reads back as the record written: a
+dataclass is an object of its init fields in field order, keyed as ``read``
+keys them, but for a field with ``OMIT_NONE`` metadata that is None; dicts,
+lists and tuples are copied (a list of strings, integers, booleans and
+nulls, or of finite floats, is kept as it is); a non-finite float is null.
 """
 
 from __future__ import annotations
@@ -37,13 +44,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints, is_typeddict
 
 from .errors import ConfigError, DataError, SeqpolError
+
+OMIT_NONE = {"omit_none": True}  # the metadata of a field ``write`` leaves out where None
+_PLAIN = frozenset({bool, int, str, type(None)})  # ``write`` keeps these as they are
 
 # Per annotation kind, the Python types of its JSON values and their name.
 _KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
@@ -72,6 +82,11 @@ def read(tp, value, source: str, error: type[SeqpolError] = ConfigError, where: 
 def load(tp, path, error: type[SeqpolError] = ConfigError):
     """The JSON file ``path`` read as annotation ``tp``."""
     return read(tp, read_json(path, error), str(path), error)
+
+
+def save(value, path, indent: int | None = None) -> None:
+    """Write ``write(value)`` to file ``path`` as JSON and a newline."""
+    Path(path).write_text(json.dumps(write(value), indent=indent) + "\n", encoding="utf-8")
 
 
 def unreadable(path, exc: OSError | ValueError) -> DataError:
@@ -177,3 +192,24 @@ def _read(tp, value, where: str, deep: bool = True):
         return tp(**read)
     except SeqpolError as exc:  # the record's own checks
         raise _Problem(where and f"{where}:", str(exc)) from None
+
+
+def write(value):
+    """``value`` as a JSON value: lists, dicts and scalars (module docstring)."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        if kinds <= _PLAIN or kinds == {float} and all(map(math.isfinite, value)):
+            return value if kind is list else list(value)
+        return [write(item) for item in value]
+    if kind is dict:
+        return {key: write(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if is_dataclass(value):
+        items = ((f, getattr(value, f.name)) for f in fields(value) if f.init)
+        return {f.metadata.get("key", f.name): write(item) for f, item in items
+                if item is not None or not f.metadata.get("omit_none")}
+    return value

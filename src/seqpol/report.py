@@ -1,10 +1,10 @@
 """The format of a report directory: the record classes below are its schema.
 
 A table's CSV columns are its record class's fields, and its float columns
-the fields annotated ``float | None``. report.json is read by the one JSON
-reader (``reader``) against the same annotations, so any fault in it is a
-``DataError``. ``config`` is a free object, and so is ``metadata`` but for
-the keys rendering reads (``Metadata``).
+the fields annotated ``float | None``. report.json is ``ExperimentReport``,
+written by ``reader.write`` and read back against the same annotations, so
+any fault in it is a ``DataError``. ``config`` is a free object, and so is
+``metadata`` but for the keys rendering reads (``Metadata``).
 
 Model bundles are records too: ``Bundle`` is the format of
 ``models/<state>__<model_kind>.json``, which a run writes, ``report --in``
@@ -13,7 +13,7 @@ reads back and ``seqpol ope`` applies to new patients.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypedDict, get_type_hints
 
@@ -95,9 +95,9 @@ class SwitchConfusion:
 
 @dataclass(frozen=True)
 class Bundle:
-    """A fitted model and everything that applies it to raw data. Its
-    ``state`` and ``model_kind`` name its file, so they hold no path
-    separator."""
+    """A fitted model and everything that applies it to raw data. Its file is
+    named by ``state``, its state spec's name, and ``model_kind``, its model's
+    kind, so these hold no path separator."""
 
     format_version: int
     model: dict  # read by models.model_from_dict
@@ -113,6 +113,12 @@ class Bundle:
         for key in ("state", "model_kind"):
             if {"/", "\\"} & set(getattr(self, key)):
                 raise ConfigError(f"{key} must hold no / or \\, got {getattr(self, key)!r}")
+        if self.state != self.state_spec.name:
+            raise ConfigError(f"state is {self.state!r}, but state_spec is state "
+                              f"{self.state_spec.name!r}")
+        kind = self.model.get("kind")
+        if kind is not None and kind != self.model_kind:
+            raise ConfigError(f"model_kind is {self.model_kind!r}, but model.kind is {kind!r}")
         if self.preprocessor.schema != self.schema:
             raise ConfigError("preprocessor.schema differs from schema")
         for var in self.schema.variables:
@@ -124,12 +130,6 @@ class Bundle:
     def file(self) -> str:
         """The bundle's path relative to the report directory."""
         return f"models/{self.state}__{self.model_kind}.json"
-
-    def to_dict(self) -> dict:
-        return {"format_version": self.format_version, "model": self.model,
-                "preprocessor": self.preprocessor.to_dict(), "schema": self.schema.to_dict(),
-                "state_spec": self.state_spec.to_dict(), "state": self.state,
-                "model_kind": self.model_kind}
 
 
 class PreprocessorWarning(TypedDict):
@@ -170,24 +170,9 @@ class ExperimentReport:
     switch_confusion: SwitchConfusion | None = None
     ope_curves: list[CurveRow] = field(default_factory=list)
     complexity: list[ComplexityRow] | None = None
-    model_bundles: list[Bundle] = field(default_factory=list)
+    model_files: list[str] = field(kw_only=True)  # the files of model_bundles
     metadata: Metadata = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The content of report.json: the bundles by file name (``model_files``)
-        and no wall time, so reruns write the same report.json bytes."""
-        out = asdict(replace(self, model_bundles=[]))
-        out["model_bundles"] = [bundle.file for bundle in self.model_bundles]
-        out["metadata"].pop("duration_seconds", None)
-        for row in out["ope_curves"]:
-            row["median"] = None if row["median"] == np.inf else row["median"]
-        return {("model_files" if k == "model_bundles" else k): v for k, v in out.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        """The report of report.json content ``d``, without the bundles ``model_files`` lists."""
-        d = {key: value for key, value in d.items() if key != "model_files"}
-        return read(cls, d, "report.json", DataError)
+    model_bundles: list[Bundle] = field(default_factory=list, init=False)  # not in report.json
 
 
 def columns(record: type) -> tuple[list[str], list[str]]:
@@ -196,21 +181,17 @@ def columns(record: type) -> tuple[list[str], list[str]]:
     return list(hints), [name for name, tp in hints.items() if tp == float | None]
 
 
-class _Listing(TypedDict):
-    model_files: list[str]
-
-
 def load_report(path: str) -> ExperimentReport:
     """The report in directory ``path``, with the bundles report.json lists
     read back from ``path``/models/; each must be the bundle of the name it
     is listed by."""
     root = Path(path)
-    d = read_json(root / "report.json", DataError)
-    report, bundles = ExperimentReport.from_dict(d), []
-    for i, name in enumerate(read(_Listing, d, "report.json", DataError)["model_files"]):
-        bundles.append(load(Bundle, root / name, DataError))
-        if bundles[-1].file != name:
+    report = read(ExperimentReport, read_json(root / "report.json", DataError), "report.json",
+                  DataError)
+    for i, name in enumerate(report.model_files):
+        bundle = load(Bundle, root / name, DataError)
+        if bundle.file != name:
             raise DataError(f"report.json: model_files[{i}] is {name!r}, but {root / name} "
-                            f"is the bundle {bundles[-1].file!r}")
-    report.model_bundles = bundles
+                            f"is the bundle {bundle.file!r}")
+        report.model_bundles.append(bundle)
     return report

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -38,8 +37,10 @@ from .metrics import (
     bootstrap_ci,
     confusion_matrix,
 )
-from .models import MODEL_KINDS, PolicyModel, fit_model, get_profile, sample_hyperparams
+from .models import (MODEL_KINDS, PolicyModel, fit_model, get_profile, model_record,
+                     sample_hyperparams)
 from .ope import inverse_probability_products, median_product_curve
+from .reader import save, write
 from .report import (Bundle, CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport,
                      GroupRow, StageRow, SwitchConfusion, columns)
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
@@ -131,10 +132,6 @@ class ExperimentConfig:
 
     def resolved_selection_metric(self) -> str:
         return self.selection_metric or get_profile(self.profile).selection_metric
-
-    def to_dict(self) -> dict:
-        states = [s.to_dict() for s in self.states] if self.states else None
-        return {**asdict(self), "states": states}
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +359,10 @@ def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
             failures.append({"split": split.index, "state": spec.name, "model": "tree",
                              "sweep_configs_failed": len(failed), "error": str(failed[0])})
             continue
-        rows = tree_complexity_sweep(
+        complexity += tree_complexity_sweep(
             spec.name, swept, filter_switch_states(val), filter_switch_states(test),
             cfg.tree_sweep_leaf_bin,
         )
-        complexity += [ComplexityRow(*row) for row in rows]
     return attempted
 
 
@@ -486,16 +482,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         prep_warnings += [{"split": index, "warning": w} for w in split.prep.warnings]
         n_fits += _fit_and_select(cfg, split, cfg.model_kinds, cells, failures, complexity)
 
-    report = ExperimentReport(cfg.to_dict(), states, list(cfg.model_kinds), cells=[])
-    _summarize(cfg, cells, severity_groups.groups, report)
-    report.switch_confusion, no_confusion = _switch_confusion(cfg, cells, states, raw.schema)
-    report.ope_curves = _ope_curves(cfg, cells, states, split0)
-    report.model_bundles = [
-        Bundle(1, cell.model0.to_dict(), split0.prep, split0.prep.schema, cell.spec,
+    bundles = [
+        Bundle(1, write(model_record(cell.model0)), split0.prep, split0.prep.schema, cell.spec,
                cell.spec.name, kind)
         for (_, kind), cell in sorted(cells.items())
         if cell.model0 is not None
     ]
+    report = ExperimentReport(write(cfg), states, list(cfg.model_kinds), cells=[],
+                              model_files=[bundle.file for bundle in bundles])
+    report.model_bundles = bundles
+    _summarize(cfg, cells, severity_groups.groups, report)
+    report.switch_confusion, no_confusion = _switch_confusion(cfg, cells, states, raw.schema)
+    report.ope_curves = _ope_curves(cfg, cells, states, split0)
     report.complexity = complexity if cfg.tree_sweep_n > 0 else None
 
     report.metadata = {
@@ -587,11 +585,8 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         _write_table(out / name, columns, float_columns, records)
         written.append(name)
 
-    def json_file(name, obj, indent=None):
-        # Without indent, json.dumps runs the C encoder and json.dump the
-        # pure-Python one. The bytes are the same.
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, indent=indent) + "\n")
+    def json_file(name, value, indent=None):
+        save(value, out / name, indent)
         written.append(name)
 
     # results.csv: state rows x model columns of pooled test AUROC
@@ -676,8 +671,10 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     if report.model_bundles:
         (out / "models").mkdir(exist_ok=True)
     for bundle in report.model_bundles:
-        json_file(bundle.file, bundle.to_dict())
-    json_file("report.json", report.to_dict(), indent=1)
+        json_file(bundle.file, bundle)
+    content = write(report)
+    content["metadata"].pop("duration_seconds", None)  # so reruns write the same bytes
+    json_file("report.json", content, indent=1)
     manifest = {
         "config": report.config,
         "metadata": report.metadata,

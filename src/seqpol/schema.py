@@ -19,14 +19,13 @@ state matrix holds no patient without rows.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .reader import load, read
+from .reader import OMIT_NONE, load, read
 
 # The transforms and imputations each kind of variable takes, the default imputation first.
 RECIPES = {
@@ -47,9 +46,9 @@ class VariableSpec:
     kind: str = "numeric"
     transform: str = "none"
     imputation: str = None  # None: its kind's default (RECIPES)
-    fill_value: Any = None  # used when imputation == "constant": a number or a token
     aggregate_eligible: bool = True
     lag_eligible: bool = True
+    fill_value: Any = field(default=None, metadata=OMIT_NONE)  # constant imputation's value
 
     def __post_init__(self) -> None:
         if self.kind not in RECIPES:
@@ -61,18 +60,13 @@ class VariableSpec:
             if getattr(self, key) not in choices:
                 raise ConfigError(f"variable {self.name!r}: a {self.kind} variable takes "
                                   f"{key} {list(choices)}, got {getattr(self, key)!r}")
-        if self.imputation == "constant" and self.fill_value is None:
+        if self.imputation != "constant":
+            object.__setattr__(self, "fill_value", None)
+        elif self.fill_value is None:
             raise ConfigError(f"variable {self.name!r}: constant imputation needs fill_value")
-        if self.imputation == "constant":
+        else:
             read(float if self.kind == "numeric" else str, self.fill_value,
                  f"variable {self.name!r}", where="fill_value")
-
-    def to_dict(self) -> dict:
-        """The fields, ``fill_value`` last and only for constant imputation."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fill_value"}
-        if self.imputation == "constant":
-            d["fill_value"] = self.fill_value
-        return d
 
 
 @dataclass(frozen=True)
@@ -111,22 +105,9 @@ class CohortSchema:
         except ValueError:
             raise DataError(f"unknown action label {label!r}") from None
 
-    def to_dict(self) -> dict:
-        return {
-            "variables": [v.to_dict() for v in self.variables],
-            "action_labels": list(self.action_labels),
-            "default_action": self.default_action,
-            "severity_column": self.severity_column,
-        }
-
     @classmethod
     def from_json(cls, path: str) -> "CohortSchema":
         return load(cls, path)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def offsets_of(lengths) -> np.ndarray:
@@ -134,6 +115,13 @@ def offsets_of(lengths) -> np.ndarray:
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
+
+
+def rows_before(offsets: np.ndarray) -> np.ndarray:
+    """Per row of the layout of ``offsets``, its patient's rows before it (its stage - 1)."""
+    before = np.arange(offsets[-1])
+    before -= np.repeat(offsets[:-1], np.diff(offsets))
+    return before
 
 
 def taken_rows(offsets: np.ndarray, patients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

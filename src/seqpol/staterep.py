@@ -26,21 +26,21 @@ depend on which other patients are in the cohort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .reader import read
-from .schema import CohortSchema, EncodedCohort, EncodedFeature, offsets_of
+from .schema import CohortSchema, EncodedCohort, EncodedFeature, offsets_of, rows_before
 
 AGG_OPS = ("none", "sum", "max", "mean")
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Declarative recipe for building the state at each stage. Its JSON form
-    (``to_dict``) keys three fields by their metadata's ``key``."""
+    """Declarative recipe for building the state at each stage. In JSON three
+    fields go by their metadata's ``key``."""
 
     include_current_context: bool = field(default=False, metadata={"key": "current"})
     include_prev_action: bool = field(default=False, metadata={"key": "prev_action"})
@@ -78,9 +78,6 @@ class StateSpec:
         if self.aggregate_op != "none":
             parts.append(f"agg_{self.aggregate_op}")
         return "+".join(parts)
-
-    def to_dict(self) -> dict:
-        return {f.metadata.get("key", f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpec":
@@ -235,7 +232,7 @@ def assemble_state(cohort: EncodedCohort, spec: StateSpec) -> StateMatrix:
 
     # The matrix rows are the cohort's; ``before`` is each row's stage - 1.
     rows = np.arange(cohort.n_stages)
-    before = rows - np.repeat(cohort.offsets[:-1], np.diff(cohort.offsets))
+    before = rows_before(cohort.offsets)
 
     def lagged(lag: int) -> np.ndarray:
         """The row ``lag`` stages back, clamped at the patient's first."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .metrics import RowWeightedMetrics, auroc_multiclass
+from .report import ComplexityRow
 from .schema import EpisodeSet
 from .staterep import StateMatrix
 
@@ -129,16 +130,15 @@ def grow_and_truncate(configs: list[dict], grow) -> list:
 
 def tree_complexity_sweep(
     spec_name: str, trees: list, sw_val: StateMatrix, sw_test: StateMatrix, leaf_bin_width: int
-) -> list[tuple]:
+) -> list[ComplexityRow]:
     """The best of a state's ``trees`` per size bucket.
 
     The trees are bucketed by leaf count (buckets of ``leaf_bin_width``
     leaves); within each bucket the tree with the best validation AUROC on
     the switch-state rows ``sw_val`` is selected and its AUROC on the
-    switch-state test rows ``sw_test`` reported. One row per bucket, in
-    ascending size: (``spec_name``, lowest leaf count, highest leaf count,
-    trees in the bucket, validation AUROC, test AUROC). Buckets where no
-    tree has both AUROCs defined are omitted.
+    switch-state test rows ``sw_test`` reported. One row per bucket of
+    state ``spec_name``, in ascending size. Buckets where no tree has both
+    AUROCs defined are omitted.
     """
     # bucket index -> (best val auroc, test auroc, count)
     buckets: dict[int, list] = {}
@@ -156,8 +156,6 @@ def tree_complexity_sweep(
             except UndefinedMetricError:
                 continue
             entry[0], entry[1] = val_auc, test_auc
-    return [
-        (spec_name, b * leaf_bin_width + 1, (b + 1) * leaf_bin_width, count, best_val, best_test)
-        for b, (best_val, best_test, count) in sorted(buckets.items())
-        if best_val is not None
-    ]
+    width = leaf_bin_width
+    return [ComplexityRow(spec_name, b * width + 1, (b + 1) * width, count, best_val, best_test)
+            for b, (best_val, best_test, count) in sorted(buckets.items()) if best_val is not None]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import seqpol
 from seqpol.cli import main
 from seqpol.dataset import save_episodes_jsonl, split_dataset
-from seqpol.reader import load
+from seqpol.reader import load, save
 from seqpol.runner import derive_seed
 from seqpol.synthgen import GeneratorConfig, generate_cohort
 
@@ -155,9 +155,11 @@ def _cell_with(**fields) -> dict:
     ("ope", _bundle_with(state_spec=None),
      "config error: report.json: state_spec must be an object, got None"),
     ("report", "[1]", "report.json: expected a JSON object, got [1]"),
-    ("report", "{}", "report.json: lacks ['config', 'states', 'model_kinds', 'cells']"),
+    ("report", "{}",
+     "report.json: lacks ['config', 'states', 'model_kinds', 'cells', 'model_files']"),
     ("report", '{"cells": 5}', "report.json: cells must be an array, got 5"),
-    ("report", '{"cells": [1]}', "report.json: lacks ['config', 'states', 'model_kinds']"),
+    ("report", '{"cells": [1]}',
+     "report.json: lacks ['config', 'states', 'model_kinds', 'model_files']"),
     ("report", '{"cells": [], "config": 5}', "report.json: config must be an object, got 5"),
     ("report", _report_with(cells=[1]), "report.json: cells[0] must be an object, got 1"),
     ("report", _report_with(cells=[{"state": "current"}]),
@@ -212,6 +214,8 @@ def _cell_with(**fields) -> dict:
     ("report", _report_with(model_files=["models/a\u0000.json"]), "embedded null byte"),
     ("report", json.dumps({"cells": [], "config": {}, "states": [], "model_kinds": []}),
      "report.json: lacks ['model_files']"),
+    # the bundles are files of their own, which report.json names
+    ("report", _report_with(model_bundles=[]), "report.json: has unknown keys ['model_bundles']"),
 ])
 def test_an_input_file_that_is_no_json_object_is_a_config_or_data_error(
         tmp_path, capsys, command, content, error):
@@ -242,7 +246,7 @@ def test_single_class_test_fold_is_recorded_skip(tmp_path):
     in_test = [pid in test.patient_ids for pid in episodes.patient_ids]
     episodes.actions[np.repeat(in_test, np.diff(episodes.offsets))] = 0
     save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
-    episodes.schema.to_json(str(tmp_path / "schema.json"))
+    save(episodes.schema, tmp_path / "schema.json")
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps({
         "data_path": str(tmp_path / "episodes.jsonl"),
@@ -474,11 +478,16 @@ def logreg_bundle(tmp_path_factory):
      "['a0', 'a1', 'a2']"),
     (lambda b: b["preprocessor"].update(numeric={}),
      "{bundle}: preprocessor.numeric lacks 'x0', a numeric variable of the schema"),
-    # a valid spec, but not the state the model was fitted on: refused before
-    # the cohort is read, as the data file is missing (a data error, exit 2)
-    (lambda b: b["state_spec"].update(window_k=None),
+    # a valid spec and its state's name, but not the state the model was fitted
+    # on: refused before the cohort is read, as the data file is missing (a
+    # data error, exit 2)
+    (lambda b: (b["state_spec"].update(window_k=None), b.update(state="current+prev_action")),
      "{bundle}: state_spec is state 'current+prev_action', whose 7 columns are not the 14 "
      "of model.feature_names"),
+    (lambda b: b.update(state="current"),
+     "{bundle}: state is 'current', but state_spec is state 'window1'"),
+    (lambda b: b.update(model_kind="tree"),
+     "{bundle}: model_kind is 'tree', but model.kind is 'logreg'"),
 ])
 def test_ope_refuses_a_bundle_whose_sections_disagree(
     logreg_bundle, tmp_path, capsys, edit, error
@@ -553,7 +562,7 @@ def test_preprocessor_warnings_become_manifest_notes(tmp_path):
     )
     episodes.columns["x0"][:] = 1.5
     save_episodes_jsonl(episodes, str(tmp_path / "episodes.jsonl"))
-    episodes.schema.to_json(str(tmp_path / "schema.json"))
+    save(episodes.schema, tmp_path / "schema.json")
     config = _write_experiment(
         tmp_path,
         generator=None,
@@ -707,9 +716,7 @@ def test_report_refuses_nan_and_infinity(tmp_path, capsys, value):
     ({"state": "../../escaped"}, "{path}: state must hold no / or \\, got '../../escaped'"),
     ({"model_kind": "a/b"}, "{path}: model_kind must hold no / or \\, got 'a/b'"),
     ({"model_kind": 5}, "{path}: model_kind must be a string, got 5"),
-    ({"state": "current"},  # a valid bundle, but of another file name
-     "report.json: model_files[2] is 'models/window1__logreg.json', but {path} is the "
-     "bundle 'models/current__logreg.json'"),
+    ({"state": "current"}, "{path}: state is 'current', but state_spec is state 'window1'"),
 ], ids=[f"edit{i}" for i in range(5)])
 def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(
         tmp_path, capsys, edit, error):
@@ -722,6 +729,18 @@ def test_report_refuses_a_bundle_that_does_not_name_its_listed_file(
     assert main(["report", "--in", str(d), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: {error.format(path=path)}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_report_refuses_a_listed_file_that_holds_another_bundle(tmp_path, capsys):
+    d, out = _experiment_dir(tmp_path), tmp_path / "o"
+    path = d / "models" / "window1__logreg.json"
+    path.write_bytes((d / "models" / "current__logreg.json").read_bytes())
+    capsys.readouterr()
+    assert main(["report", "--in", str(d), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: report.json: model_files[2] is 'models/window1__logreg.json', but {path} "
+        "is the bundle 'models/current__logreg.json'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, error", [

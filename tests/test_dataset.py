@@ -17,6 +17,7 @@ from seqpol.dataset import (
     split_dataset,
 )
 from seqpol.errors import ConfigError, DataError
+from seqpol.reader import save, write
 from seqpol.schema import CohortSchema, VariableSpec
 from seqpol.synthgen import GeneratorConfig, generate_cohort
 
@@ -367,7 +368,7 @@ def test_jsonl_and_csv_of_one_cohort_load_and_run_alike(tmp_path):
     episodes.columns["x1"][::7] = np.nan
     episodes.severity[::5] = np.nan
     schema = episodes.schema
-    schema.to_json(str(tmp_path / "schema.json"))
+    save(schema, tmp_path / "schema.json")
     paths = {"jsonl": str(tmp_path / "episodes.jsonl"), "csv": str(tmp_path / "episodes.csv")}
     save_episodes_jsonl(episodes, paths["jsonl"])
     write_long_csv(episodes, paths["csv"])
@@ -406,7 +407,7 @@ def test_a_cohort_in_another_patient_order_gives_the_same_files(tmp_path):
     ))
     episodes.columns["x1"][::7] = np.nan
     schema = episodes.schema
-    schema.to_json(str(tmp_path / "schema.json"))
+    save(schema, tmp_path / "schema.json")
     save_episodes_jsonl(episodes, str(tmp_path / "sorted.jsonl"))
     shuffled = np.random.default_rng(0).permutation(len(episodes)).tolist()
     lines = (tmp_path / "sorted.jsonl").read_text().splitlines(keepends=True)
@@ -702,7 +703,7 @@ class TestApplyPreprocessor:
         target = data.draw(raw_cohorts(schema, tokens=("a", "b", "c", "d", "other")))
         prep = fit_preprocessor(train, schema)
         reference = reference_fit_preprocessor(train, schema)
-        assert prep.to_dict() == reference.to_dict()
+        assert write(prep) == write(reference)
         assert prep.digest() == reference.digest()
 
         out = apply_preprocessor(target, prep)

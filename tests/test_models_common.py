@@ -17,8 +17,10 @@ from seqpol.models import (
     fit_tree,
     grid,
     model_from_dict,
+    model_record,
     sample_hyperparams,
 )
+from seqpol.reader import write
 
 from conftest import random_matrix, state_matrix
 
@@ -104,7 +106,7 @@ class TestSerialization:
         train = random_matrix(seed=24, n=120, d=4, K=2)
         probe = np.random.default_rng(1).standard_normal((7, 4))
         for name, model in fit_all(train).items():
-            clone = model_from_dict(model.to_dict())
+            clone = model_from_dict(write(model_record(model)))
             a = model.predict_proba(probe, train.feature_names)
             b = clone.predict_proba(probe, train.feature_names)
             assert np.allclose(a, b, atol=1e-12), name

@@ -1,5 +1,6 @@
 """The JSON reader's rules, on small annotations and files."""
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Any, TypedDict
@@ -7,7 +8,8 @@ from typing import Any, TypedDict
 import pytest
 
 from seqpol.errors import ConfigError, DataError
-from seqpol.reader import load, read, read_json
+from seqpol.reader import OMIT_NONE, load, read, read_json, save, write
+from seqpol.schema import VariableSpec
 from seqpol.staterep import StateSpec
 
 
@@ -20,6 +22,13 @@ class Pair:
 
 class Free(TypedDict, total=False):
     name: str
+
+
+@dataclass(frozen=True)
+class Sparse:
+    values: list[float]
+    note: str | None = field(default=None, metadata=OMIT_NONE)
+    pairs: tuple[Pair, ...] = ()
 
 
 @pytest.mark.parametrize("tp, value, error", [
@@ -98,3 +107,52 @@ def test_a_file_that_cannot_be_read_is_a_data_error(tmp_path, content, error):
         path.write_bytes(content)
     with pytest.raises(DataError, match=f"^{path}: {error}"):
         load(Pair, path, ConfigError)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Pair("a", 2.0, True), {"name": "a", "weight": 2.0, "on": True}),
+    (Sparse([0.5, 1.5]), {"values": [0.5, 1.5], "pairs": []}),
+    (Sparse([1.0], "n", (Pair("b"),)),
+     {"values": [1.0], "note": "n", "pairs": [{"name": "b", "weight": 1.0, "on": False}]}),
+    # a non-finite float is null, in a list of floats too
+    (Sparse([1.0, float("inf")]), {"values": [1.0, None], "pairs": []}),
+    (Pair("a", float("nan")), {"name": "a", "weight": None, "on": False}),
+    ({"x": (1, "y", None), "z": [-float("inf"), 2]}, {"x": [1, "y", None], "z": [None, 2]}),
+])
+def test_a_record_is_written_in_field_order_under_its_keys(value, expected):
+    got = write(value)
+    assert got == expected
+    assert json.dumps(got) == json.dumps(expected)  # the key order too
+
+
+def test_what_write_gives_is_read_back_as_the_same_record(tmp_path):
+    value = Sparse([0.25, 2.0], None, (Pair("a", 3, True), Pair("b")))
+    assert read(Sparse, json.loads(json.dumps(write(value))), "in") == value
+    save(value, tmp_path / "value.json", indent=1)
+    assert load(Sparse, tmp_path / "value.json") == value
+
+
+def test_a_list_of_plain_scalars_is_kept_as_it_is():
+    for values in ([1, "a", True, None], [0.5, 2.0], []):
+        assert write(values) is values
+    record = Sparse([0.5, 1.0])
+    assert write(record)["values"] is record.values
+    assert type(write(("a", 1))) is list
+
+
+@pytest.mark.parametrize("var, keys", [
+    (VariableSpec("hr", imputation="constant", fill_value=0.5),
+     ["name", "kind", "transform", "imputation", "aggregate_eligible", "lag_eligible",
+      "fill_value"]),
+    (VariableSpec("ward", kind="categorical", imputation="constant", fill_value="icu"),
+     ["name", "kind", "transform", "imputation", "aggregate_eligible", "lag_eligible",
+      "fill_value"]),
+    # another imputation drops a fill_value, which is then not written
+    (VariableSpec("bmi", fill_value=3.0),
+     ["name", "kind", "transform", "imputation", "aggregate_eligible", "lag_eligible"]),
+])
+def test_a_variable_writes_its_fill_value_last_and_only_for_constant_imputation(var, keys):
+    got = write(var)
+    assert list(got) == keys
+    assert got.get("fill_value") == var.fill_value
+    assert read(VariableSpec, got, "schema") == var

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 
 from seqpol.errors import FitError, UnsupportedModelError
-from seqpol.models import model_from_dict, riskscore
+from seqpol.models import model_from_dict, model_record, riskscore
 from seqpol.models.riskscore import (
     _B_HI,
     _B_LO,
@@ -18,6 +18,7 @@ from seqpol.models.riskscore import (
     optimal_intercept,
     weighted_logloss,
 )
+from seqpol.reader import write
 
 from conftest import random_matrix, state_matrix
 
@@ -138,7 +139,7 @@ class TestRiskScoreContract:
     def test_serialization_round_trip(self):
         m = synthetic_binary(seed=4)
         model = fit_riskscore(m, max_coef=3, max_size=2)
-        again = model_from_dict(json.loads(json.dumps(model.to_dict())))
+        again = model_from_dict(json.loads(json.dumps(write(model_record(model)))))
         assert np.array_equal(again.weights, model.weights)
         assert again.intercept == model.intercept
 

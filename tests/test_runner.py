@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from seqpol import runner
-from seqpol.dataset import Preprocessor
+from seqpol.dataset import Preprocessor, apply_preprocessor
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
 from seqpol.metrics import MetricEstimate
-from seqpol.models import fit_tree, hyperparams
-from seqpol.reader import read
+from seqpol.models import fit_tree, hyperparams, model_from_dict, model_record
+from seqpol.reader import read, write
 from seqpol.report import (
     Bundle,
     CellRef,
@@ -52,7 +52,8 @@ def test_bootstrap_warnings_become_manifest_notes(tmp_path):
         CellResult("window0", "tree", auroc=MetricEstimate(0.6, 0.5, 0.7, 1000),
                    ece=quiet, sce=MetricEstimate(0.1, 0.0, 0.3, 1000, warning=warning)),
     ]
-    report = ExperimentReport({"name": "cohort"}, ["window0"], ["logreg", "tree"], cells)
+    report = ExperimentReport({"name": "cohort"}, ["window0"], ["logreg", "tree"], cells,
+                              model_files=[])
     render_report(report, str(tmp_path))
     notes = json.loads((tmp_path / "run_manifest.json").read_text())["notes"]
     assert [n for n in notes if n.startswith("bootstrap warning")] == [
@@ -89,8 +90,8 @@ def test_experiment_config_round_trips_through_json():
         confusion_comparison=("logreg", "window2+agg_max"),
         tree_sweep_n=3,
     )
-    assert read(ExperimentConfig, cfg.to_dict(), "config") == cfg
-    assert read(ExperimentConfig, json.loads(json.dumps(cfg.to_dict())), "config") == cfg
+    assert read(ExperimentConfig, write(cfg), "config") == cfg
+    assert read(ExperimentConfig, json.loads(json.dumps(write(cfg))), "config") == cfg
 
 
 def test_report_round_trip_keeps_every_cells_estimates():
@@ -106,8 +107,8 @@ def test_report_round_trip_keeps_every_cells_estimates():
         CellResult("window0", "mlp", skip_reason="no results"),
     ]
     report = ExperimentReport({"name": "cohort"}, ["window0"], ["logreg", "tree", "mlp"],
-                              cells, metadata={"seed": 3})
-    again = ExperimentReport.from_dict(json.loads(json.dumps(report.to_dict())))
+                              cells, model_files=[], metadata={"seed": 3})
+    again = read(ExperimentReport, json.loads(json.dumps(write(report))), "report.json")
     assert again.cells == report.cells
     assert again.metadata == report.metadata
 
@@ -130,7 +131,9 @@ def _golden_report() -> ExperimentReport:
     sweep = [("current", 1, 5, 3, 0.6, 0.55), ("current", 6, 10, 2, 0.7, None),
              ("window1", 1, 5, 5, 0.65, 0.6)]
     schema = CohortSchema((), ("A", "B"), "A")
-    return ExperimentReport(
+    bundle = Bundle(1, {"kind": "logreg"}, Preprocessor(schema), schema,
+                    StateSpec(include_current_context=True), "current", "logreg")
+    report = ExperimentReport(
         {"name": "demo"}, ["current", "window1"], ["logreg", "tree"], cells,
         by_group=[GroupRow(1, "current", "logreg", 0.5, 4),
                   GroupRow(2, "current", "logreg", None, 0)],
@@ -141,11 +144,12 @@ def _golden_report() -> ExperimentReport:
                                          ["A", "B"], [[3, 1], [0, 2]]),
         ope_curves=[CurveRow(s, "logreg", t, m, n, f) for s, t, m, n, f in ope],
         complexity=[ComplexityRow(*row) for row in sweep],
-        model_bundles=[Bundle(1, {"kind": "logreg"}, Preprocessor(schema), schema,
-                              StateSpec(include_current_context=True), "current", "logreg")],
+        model_files=[bundle.file],
         metadata={"seed": 0, "preprocessor_warnings": [{"split": 0, "warning": "w"}],
                   "duration_seconds": 1.5},
     )
+    report.model_bundles = [bundle]
+    return report
 
 
 GOLDEN_CSV = {
@@ -225,7 +229,8 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
     ]
 
     bare = ExperimentReport({"name": "demo"}, ["current"], ["logreg"],
-                            [CellResult("current", "logreg", skip_reason="no results")])
+                            [CellResult("current", "logreg", skip_reason="no results")],
+                            model_files=[])
     assert render_report(bare, str(tmp_path / "bare")) == [
         "results.csv", "metrics_long.csv", "calibration.csv", "report.json",
         "run_manifest.json",
@@ -326,7 +331,7 @@ def test_shared_tree_growths_give_every_candidate_its_own_fit(monkeypatch):
             train = assemble_state(split.train, spec)
             assert len(candidates) == cfg.n_candidates
             for p, model in zip(params, candidates):
-                assert model.to_dict() == fit_tree(train, **p).to_dict()
+                assert write(model_record(model)) == write(model_record(fit_tree(train, **p)))
     assert report.metadata["fits_attempted"] == cfg.n_splits * len(specs) * cfg.n_candidates
     monkeypatch.undo()
     assert report.complexity == tree_sweep(cfg, raw)
@@ -460,3 +465,36 @@ def test_an_omitted_switch_confusion_names_its_cause(tmp_path, monkeypatch, opti
         notes = json.loads((tmp_path / out / "run_manifest.json").read_text())["notes"]
         assert f"switch_confusion.csv omitted: {cause}" in notes
         assert not (tmp_path / out / "switch_confusion.csv").exists()
+
+
+def test_every_record_a_run_writes_reads_back_from_its_json():
+    cfg = ExperimentConfig(
+        generator=GeneratorConfig(n_patients=40, n_actions=2, t_fixed=4, seed=3),
+        states=[StateSpec(include_current_context=True), StateSpec(window_k=1)],
+        model_kinds=["logreg", "tree", "riskscore", "mlp"], n_candidates=1, n_splits=1,
+        bootstrap_B=10, ope_states=["window1"], tree_sweep_n=2,
+    )
+    report = run_experiment(cfg)
+
+    def again(tp, value):
+        return read(tp, json.loads(json.dumps(write(value))), "in")
+
+    assert again(ExperimentConfig, cfg) == cfg
+    assert again(GeneratorConfig, cfg.generator) == cfg.generator
+    back = again(ExperimentReport, report)
+    assert back.model_bundles == [] and back.model_files == report.model_files
+    back.model_bundles = report.model_bundles
+    assert back == report
+    assert [b.model_kind for b in report.model_bundles] == [
+        "logreg", "mlp", "riskscore", "tree"] * 2
+    raw = resolve_episodes(cfg)
+    for bundle in report.model_bundles:
+        assert again(Bundle, bundle) == bundle
+        for part, tp in ((bundle.schema, CohortSchema), (bundle.state_spec, StateSpec),
+                         (bundle.preprocessor, Preprocessor)):
+            assert again(tp, part) == part
+        matrix = assemble_state(apply_preprocessor(raw, bundle.preprocessor), bundle.state_spec)
+        model = model_from_dict(bundle.model)
+        copy = model_from_dict(json.loads(json.dumps(write(model_record(model)))))
+        assert write(model_record(model)) == bundle.model
+        assert np.array_equal(copy.predict_proba(matrix), model.predict_proba(matrix))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqpol.dataset import apply_preprocessor, fit_preprocessor
 from seqpol.errors import ConfigError
-from seqpol.reader import load
+from seqpol.reader import load, write
 from seqpol.schema import EncodedCohort, offsets_of
 from seqpol.staterep import (
     AGG_OPS,
@@ -177,7 +177,7 @@ class TestStateSpec:
     def test_json_round_trip(self, tmp_path):
         spec = StateSpec(window_k=1, aggregate_op="max")
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps(write(spec)))
         assert load(StateSpec, path) == spec
 
     def test_names_are_self_describing(self):

@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpol.models import model_from_dict
+from seqpol.models import model_from_dict, model_record
 from seqpol.models.tree import _sum_classes, fit_tree
+from seqpol.reader import write
 
 from conftest import random_matrix, state_matrix
 
 
 def matrix(X, y, K=2, names=None):
     return state_matrix(X, y, K, names=names)
+
+
+def saved(model) -> dict:
+    """The model as a bundle holds it."""
+    return write(model_record(model))
 
 
 class TestFitTree:
@@ -82,7 +88,7 @@ class TestFitTree:
         m = random_matrix(seed=5, n=200, d=5, K=3)
         a = fit_tree(m, max_depth=6)
         b = fit_tree(m, max_depth=6)
-        assert a.to_dict() == b.to_dict()
+        assert saved(a) == saved(b)
 
     def test_dot_export_mentions_features(self):
         m = matrix([0, 0, 1, 1], [0, 0, 1, 1], names=["marker"])
@@ -93,7 +99,7 @@ class TestFitTree:
     def test_serialization_round_trip(self):
         m = random_matrix(seed=6, n=120, d=4, K=3)
         model = fit_tree(m, max_depth=4)
-        again = model_from_dict(json.loads(json.dumps(model.to_dict())))
+        again = model_from_dict(json.loads(json.dumps(saved(model))))
         probs_a = model.predict_proba(m.X[:10], m.feature_names)
         probs_b = again.predict_proba(m.X[:10], m.feature_names)
         assert np.array_equal(probs_a, probs_b)
@@ -213,7 +219,7 @@ def reference_tree(train, criterion="gini", max_depth=8, min_samples_split=2):
 
 def reference_predict(model, X):
     """Per-row descent of the nested model dict."""
-    root = model.to_dict()["params"]["root"]
+    root = saved(model)["params"]["root"]
     out = []
     for x in np.atleast_2d(X):
         node = root
@@ -259,7 +265,7 @@ class TestReferenceOracle:
         for max_depth, mss in [(0, 2), (1, 2), (3, 5), (8, 2), (15, 40)]:
             got = fit_tree(m, criterion, max_depth=max_depth, min_samples_split=mss)
             want = reference_tree(m, criterion, max_depth, mss)
-            assert got.to_dict()["params"]["root"] == want
+            assert saved(got)["params"]["root"] == want
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_nodes_spanning_several_column_blocks(self, criterion):
@@ -272,7 +278,7 @@ class TestReferenceOracle:
         m.X[:, 11] = m.X[:, 8]
         got = fit_tree(m, criterion, max_depth=4)
         assert got.feature[0] == 8 and 11 not in got.feature
-        assert got.to_dict()["params"]["root"] == reference_tree(m, criterion, 4)
+        assert saved(got)["params"]["root"] == reference_tree(m, criterion, 4)
 
 
 class TestSharedSort:
@@ -285,7 +291,7 @@ class TestSharedSort:
             warm_matrix = make(seed=5, n=200, d=5, K=3)
             fit_tree(warm_matrix, other)
             assert warm_matrix._column_order is not None
-            assert fit_tree(warm_matrix, criterion).to_dict() == cold.to_dict()
+            assert saved(fit_tree(warm_matrix, criterion)) == saved(cold)
 
     def test_one_matrix_is_sorted_once_across_both_criteria(self, monkeypatch):
         m = tied_matrix(seed=6, n=150, d=5, K=3)
@@ -324,7 +330,7 @@ def test_presorted_fit_equals_recursive_grower(
     m = make(seed=seed, n=n, d=d, K=K)
     got = fit_tree(m, criterion, max_depth=max_depth, min_samples_split=min_samples_split)
     want = reference_tree(m, criterion, max_depth, min_samples_split)
-    assert got.to_dict()["params"]["root"] == want
+    assert saved(got)["params"]["root"] == want
 
 
 class TestTruncation:
@@ -338,7 +344,7 @@ class TestTruncation:
             for min_samples_split in (2, 3, 8, 16, 64, 128, 500):
                 direct = fit_tree(m, criterion, max_depth, min_samples_split)
                 cut = grown.truncated(max_depth, min_samples_split)
-                assert cut.to_dict() == direct.to_dict()
+                assert saved(cut) == saved(direct)
                 assert cut.n_leaves == direct.n_leaves
                 assert cut.depth == direct.depth
 
@@ -376,6 +382,6 @@ class TestVectorizedPredict:
     def test_model_from_dict_round_trip_writes_same_bytes(self):
         m = tied_matrix(seed=6, n=300, d=5, K=3)
         model = fit_tree(m, criterion="entropy", max_depth=6)
-        again = model_from_dict(model.to_dict())
-        assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
+        again = model_from_dict(saved(model))
+        assert json.dumps(saved(again)) == json.dumps(saved(model))
         assert np.array_equal(again.predict_proba(m.X), model.predict_proba(m.X))
