@@ -11,7 +11,7 @@ Subcommands:
                time besides the cohort and one product a row
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists; each bundle is
-               read back as a record and refused when malformed
+               read back as a record and refused as ``ope`` refuses it
 
 Exit codes: 0 success, 1 configuration error, 2 data error; the module
 docstring of ``seqpol.reader`` states which input faults are which.
@@ -43,7 +43,7 @@ from .runner import (
     run_experiment,
     tree_sweep,
 )
-from .staterep import StateSpec, state_feature_names
+from .staterep import StateSpec
 from .svg import line_chart
 from .synthgen import GeneratorConfig, generate_cohort
 
@@ -141,14 +141,7 @@ def _cmd_ope(args) -> int:
         raise ConfigError(f"--max-stage must be >= 1, got {args.max_stage}")
     bundle = read(Bundle, read_json(args.model, DataError), args.model)
     model, schema, spec = model_from_dict(bundle.model), bundle.schema, bundle.state_spec
-    names = state_feature_names(bundle.preprocessor.encoded_features(), schema, spec)
-    if names != model.feature_names:
-        raise ConfigError(f"{args.model}: state_spec is state {spec.name!r}, whose "
-                          f"{len(names)} columns are not the {len(model.feature_names)} "
-                          f"of model.feature_names")
-    if model.class_labels != list(schema.action_labels):
-        raise ConfigError(f"{args.model}: model.class_labels {model.class_labels} differ "
-                          f"from schema.action_labels {list(schema.action_labels)}")
+    bundle.check_model(model, args.model)
     if args.spec is not None:
         given = load(StateSpec, args.spec)
         if given != spec:

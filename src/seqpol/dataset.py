@@ -543,6 +543,14 @@ def apply_preprocessor(
 # Splitting
 # ---------------------------------------------------------------------------
 
+def check_split_fractions(test_frac: float, val_frac: float) -> None:
+    """Refuse split fractions outside (0, 1) or summing to 1 or more."""
+    if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
+        raise ConfigError("split fractions must lie in (0, 1)")
+    if test_frac + val_frac >= 1.0:
+        raise ConfigError("split fractions must sum to less than 1")
+
+
 def split_dataset(
     episodes: EpisodeSet,
     seed: int,
@@ -556,10 +564,7 @@ def split_dataset(
     the remaining training portion, both rounded to the nearest patient; a
     fold that would get no patient is a ``ConfigError``. A fold keeps id order.
     """
-    if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
-        raise ConfigError("split fractions must lie in (0, 1)")
-    if test_frac + val_frac >= 1.0:
-        raise ConfigError("split fractions must sum to less than 1")
+    check_split_fractions(test_frac, val_frac)
     n = len(episodes)
     if n < 5:
         raise DataError(f"need at least 5 patients to split, got {n}")

@@ -20,11 +20,12 @@ from typing import TypedDict, get_type_hints
 import numpy as np
 
 from .dataset import Preprocessor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SeqpolError
 from .metrics import MetricEstimate
+from .models import PolicyModel, model_from_dict
 from .reader import load, read, read_json
 from .schema import CohortSchema
-from .staterep import StateSpec
+from .staterep import StateSpec, state_feature_names
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,20 @@ class Bundle:
         """The bundle's path relative to the report directory."""
         return f"models/{self.state}__{self.model_kind}.json"
 
+    def check_model(self, model: PolicyModel, source, error=ConfigError) -> None:
+        """Refuse ``model``, the model section read back, unless it takes the
+        columns of the state spec and predicts the schema's actions; a fault
+        is an ``error`` that names the bundle file ``source``."""
+        names = state_feature_names(self.preprocessor.encoded_features(), self.schema,
+                                    self.state_spec)
+        if names != model.feature_names:
+            raise error(f"{source}: state_spec is state {self.state_spec.name!r}, whose "
+                        f"{len(names)} columns are not the {len(model.feature_names)} "
+                        f"of model.feature_names")
+        if model.class_labels != list(self.schema.action_labels):
+            raise error(f"{source}: model.class_labels {model.class_labels} differ "
+                        f"from schema.action_labels {list(self.schema.action_labels)}")
+
 
 class PreprocessorWarning(TypedDict):
     split: int
@@ -184,7 +199,7 @@ def columns(record: type) -> tuple[list[str], list[str]]:
 def load_report(path: str) -> ExperimentReport:
     """The report in directory ``path``, with the bundles report.json lists
     read back from ``path``/models/; each must be the bundle of the name it
-    is listed by."""
+    is listed by, and its model one that ``seqpol ope`` would apply."""
     root = Path(path)
     report = read(ExperimentReport, read_json(root / "report.json", DataError), "report.json",
                   DataError)
@@ -193,5 +208,10 @@ def load_report(path: str) -> ExperimentReport:
         if bundle.file != name:
             raise DataError(f"report.json: model_files[{i}] is {name!r}, but {root / name} "
                             f"is the bundle {bundle.file!r}")
+        try:
+            model = model_from_dict(bundle.model)
+        except SeqpolError as exc:
+            raise DataError(f"{root / name}: {exc}") from None
+        bundle.check_model(model, root / name, DataError)
         report.model_bundles.append(bundle)
     return report

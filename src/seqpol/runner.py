@@ -4,11 +4,12 @@
 model) pair is one ``_Cell`` that they fill in turn. Split: each seeded
 split's folds, encoded by a preprocessor fitted on its training patients.
 Fit and select: per state and cell, sampled candidates are fitted and the
-best on the validation fold scores the test fold; on split 0 the same loop
-grows the optional tree-complexity sweep. Pool and summarize: a cell's test
-rows of every split give its AUROC by stage and severity group and its
-patient bootstrap intervals. Then the switch-state confusion, the OPE curves,
-the split-0 bundles and the metadata. Rendering writes every CSV table
+best on the validation fold predicts the test fold; on split 0 the same loop
+grows the optional tree-complexity sweep. Pool and summarize: a cell's
+predicted test rows of every split are scored in place, each stratum (split,
+stage, severity group, switch state) a row mask of them, and give its patient
+bootstrap intervals. Then the switch-state confusion, the OPE curves, the
+split-0 bundles and the metadata. Rendering writes every CSV table
 through one writer and every figure with one series per state; only
 run_manifest.json records wall time, so reruns write the same report.json.
 """
@@ -25,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .dataset import (
-    Preprocessor, apply_preprocessor, fit_preprocessor, load_episodes, split_dataset
-)
+from .dataset import (Preprocessor, apply_preprocessor, check_split_fractions,
+                      fit_preprocessor, load_episodes, split_dataset)
 from .errors import ConfigError, SeqpolError, UndefinedMetricError
 from .metrics import (
     MetricEstimate,
@@ -94,10 +94,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("n_candidates", 1), ("n_splits", 1), ("bootstrap_B", 1),
-                          ("ope_max_stage", 1), ("tree_sweep_n", 0),
+                          ("by_stage_max", 1), ("ope_max_stage", 1), ("tree_sweep_n", 0),
                           ("tree_sweep_leaf_bin", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_split_fractions(self.test_frac, self.val_frac)
         if self.states is not None and not self.states:
             raise ConfigError("states is empty; omit it for the 7 standard specs")
         get_profile(self.profile)  # an unknown profile fails before any data is read
@@ -197,15 +198,16 @@ class _PooledRows:
 
     Each (split, test patient) pair is one bootstrap unit: unit ``i`` is
     patient ``patient_ids[i]`` and owns rows ``offsets[i]:offsets[i + 1]``.
-    The bootstrap, the stage and severity strata and the switch confusion all
-    read these rows; the first two score them through one ``RowWeightedMetrics``.
+    The bootstrap, the split, stage and severity strata and the switch
+    confusion all read these rows in place; all but the last score them
+    through one ``RowWeightedMetrics``.
     """
 
-    splits: list[int]  # one per stacked test matrix
     patient_ids: list[str]
     offsets: np.ndarray
+    split: np.ndarray  # each row's split
     stages: np.ndarray
-    switch: np.ndarray  # the chosen action differs from the previous one
+    switch: np.ndarray  # the switch-state mask (``filter_switch_states``)
     probs: np.ndarray
     y: np.ndarray
 
@@ -213,11 +215,11 @@ class _PooledRows:
     def stack(cls, chunks: list[tuple[int, StateMatrix, np.ndarray]]) -> "_PooledRows":
         """Rows of ``(split, test matrix, test probabilities)`` chunks."""
         return cls(
-            splits=[s for s, _, _ in chunks],
             patient_ids=[pid for _, m, _ in chunks for pid in m.patient_ids],
             offsets=offsets_of(np.concatenate([np.diff(m.offsets) for _, m, _ in chunks])),
+            split=np.concatenate([np.full(m.n_rows, s) for s, m, _ in chunks]),
             stages=np.concatenate([m.stages for _, m, _ in chunks]),
-            switch=np.concatenate([m.y != m.prev_actions for _, m, _ in chunks]),
+            switch=np.concatenate([filter_switch_states(m) for _, m, _ in chunks]),
             probs=np.vstack([probs for _, _, probs in chunks]),
             y=np.concatenate([m.y for _, m, _ in chunks]),
         )
@@ -244,7 +246,6 @@ class _Cell:
     kind: str
     skip: str | None = None  # the reason metadata.skips records
     model0: PolicyModel | None = None  # the model selected in split 0
-    split_auroc: list = field(default_factory=list)  # None where undefined
     chunks: list = field(default_factory=list)  # (split, test matrix, test probs)
 
     @cached_property
@@ -277,17 +278,16 @@ def tree_sweep(cfg: ExperimentConfig, raw: EpisodeSet) -> list[ComplexityRow]:
 
 def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
     """Fit each cell's candidates of ``kinds`` on one split, select the best
-    on its validation fold and score that on its test fold; failed fits go
-    to ``failures``. Returns the fits attempted.
+    on its validation fold and keep its predictions of the test fold; failed
+    fits go to ``failures``. Returns the fits attempted.
 
-    A state's tree candidates share one growth per criterion
-    (``grow_and_truncate``). On split 0 with ``tree_sweep_n`` set, each
-    state's sweep configurations are drawn too and their trees read off the
-    same growths, or off a growth of their own when ``tree`` is not among
-    ``kinds``. ``tree_complexity_sweep`` scores those trees on the
-    switch-state rows of the state's validation and test matrices and its
-    rows go to ``complexity``. A failed sweep growth is one ``failures``
-    entry, and its state gets no rows.
+    Every kind's candidates are drawn before any is fitted, and on split 0
+    with ``tree_sweep_n`` set each state's sweep configurations too. A
+    state's tree candidates and sweep trees share one growth per criterion
+    (``grow_and_truncate``). ``tree_complexity_sweep`` scores the sweep's
+    trees on the switch-state rows of the state's validation and test
+    matrices and its rows go to ``complexity``. A failed sweep growth is one
+    ``failures`` entry, and its state gets no rows.
     """
     metric = cfg.resolved_selection_metric()
     attempted = 0
@@ -306,27 +306,26 @@ def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
         if split.index == 0 and cfg.tree_sweep_n > 0:
             seed = derive_seed(cfg.seed, "sweep") * 10007 + spec_index
             sweep = sample_hyperparams("tree", cfg.profile, seed=seed, n=cfg.tree_sweep_n)
-        swept = None  # the sweep's trees, once grown
+        draws = {}
         for kind in kinds:
-            cell = cells[spec.name, kind]
             if kind == "riskscore" and train.n_actions > 2:
-                cell.skip = "unsupported: multiclass action space"
+                cells[spec.name, kind].skip = "unsupported: multiclass action space"
                 continue
-            draws = sample_hyperparams(
+            draws[kind] = sample_hyperparams(
                 kind, cfg.profile, n=cfg.n_candidates,
                 seed=derive_seed(cfg.seed, "hp", split.index, spec.name, kind),
             )
-            attempted += len(draws)
-            if kind == "tree":
-                trees = grow_and_truncate(draws + sweep, lambda p: fit_one(kind, p))
-                outcomes, swept = trees[: len(draws)], trees[len(draws):]
-            else:
-                outcomes = [
-                    fit_one(kind, params,
-                            derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci))
-                    for ci, params in enumerate(draws)
-                ]
-            for ci, (params, out) in enumerate(zip(draws, outcomes)):
+        tree_draws = draws.get("tree", [])
+        trees = grow_and_truncate(tree_draws + sweep, lambda p: fit_one("tree", p))
+        for kind, params_drawn in draws.items():
+            cell = cells[spec.name, kind]
+            attempted += len(params_drawn)
+            outcomes = trees[:len(tree_draws)] if kind == "tree" else [
+                fit_one(kind, params,
+                        derive_seed(cfg.seed, "fit", split.index, spec.name, kind, ci))
+                for ci, params in enumerate(params_drawn)
+            ]
+            for ci, (params, out) in enumerate(zip(params_drawn, outcomes)):
                 if isinstance(out, SeqpolError):
                     failures.append({
                         "split": split.index,
@@ -339,35 +338,26 @@ def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
             candidates = [m for m in outcomes if not isinstance(m, SeqpolError)]
             if not candidates:
                 cell.skip = cell.skip or f"all candidates failed in split {split.index}"
-                cell.split_auroc.append(None)
                 continue
             best = select_best_candidate(candidates, val, metric)
             if split.index == 0:
                 cell.model0 = best
-            probs = best.predict_proba(test)
-            try:
-                cell.split_auroc.append(auroc_multiclass(probs, test.y))
-            except UndefinedMetricError:
-                cell.split_auroc.append(None)
-            cell.chunks.append((split.index, test, probs))
-        if not sweep:
-            continue
-        if swept is None:
-            swept = grow_and_truncate(sweep, lambda p: fit_one("tree", p))
+            cell.chunks.append((split.index, test, best.predict_proba(test)))
+        swept = trees[len(tree_draws):]
         failed = [t for t in swept if isinstance(t, SeqpolError)]
         if failed:
             failures.append({"split": split.index, "state": spec.name, "model": "tree",
                              "sweep_configs_failed": len(failed), "error": str(failed[0])})
-            continue
-        complexity += tree_complexity_sweep(
-            spec.name, swept, filter_switch_states(val), filter_switch_states(test),
-            cfg.tree_sweep_leaf_bin,
-        )
+        elif swept:
+            complexity += tree_complexity_sweep(
+                spec.name, swept, val, filter_switch_states(val), test,
+                filter_switch_states(test), cfg.tree_sweep_leaf_bin,
+            )
     return attempted
 
 
 def _summarize(cfg, cells, group_of, report) -> None:
-    """Each cell's AUROC by stage and by severity group, then its bootstrap
+    """Each cell's AUROC by stage, severity group and split, then its bootstrap
     summary. A cell's sort orders live only while the cell is summarized."""
     for (state, kind), cell in cells.items():
         rows = cell.rows
@@ -390,7 +380,8 @@ def _summarize(cfg, cells, group_of, report) -> None:
                 CellResult(state, kind, skip_reason=cell.skip or "no results")
             )
             continue
-        result = CellResult(state, kind, auroc_split_values=cell.split_auroc)
+        splits = auroc_by_level(scored, rows.split, range(cfg.n_splits))
+        result = CellResult(state, kind, auroc_split_values=[value for _, value, _ in splits])
 
         def estimate(metric, name):
             seed = derive_seed(cfg.seed, "boot", state, kind, name)
@@ -423,10 +414,11 @@ def _switch_confusion(cfg, cells, states, schema) -> tuple[SwitchConfusion | Non
             skip = f" ({cell.skip})" if cell.skip else ""
             return None, f"{name} has no test rows{skip}"
     a, b = ref_cell.rows, cmp_cell.rows
-    if a.splits != b.splits:
+    held = [np.unique(rows.split).tolist() for rows in (a, b)]
+    if held[0] != held[1]:
         return None, (
-            f"{ref_name} holds the test rows of splits {a.splits}, "
-            f"{cmp_name} those of splits {b.splits}"
+            f"{ref_name} holds the test rows of splits {held[0]}, "
+            f"{cmp_name} those of splits {held[1]}"
         )
     matrix = confusion_matrix(
         np.argmax(a.probs[a.switch], axis=1),

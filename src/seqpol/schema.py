@@ -13,8 +13,7 @@ per (patient, stage) and name each patient once: ``patient_ids[i]`` owns rows
 (``offsets_of`` builds it from per-patient row counts). The patients strictly
 ascend by id, in Python's string order (``"p10"`` before ``"p2"``): the
 loaders sort them, ``EpisodeSet`` and ``EncodedCohort`` refuse any other order
-and ``take`` needs ascending indices, so nothing downstream sorts again. A
-state matrix holds no patient without rows.
+and ``take`` needs ascending indices, so nothing downstream sorts again.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .reader import read
-from .schema import CohortSchema, EncodedCohort, EncodedFeature, offsets_of, rows_before
+from .schema import CohortSchema, EncodedCohort, EncodedFeature, rows_before
 
 AGG_OPS = ("none", "sum", "max", "mean")
 
@@ -108,8 +108,9 @@ def enumerate_standard_states(op: str) -> list[StateSpec]:
 @dataclass
 class StateMatrix:
     """Flattened (patient, stage) design matrix in the row layout of
-    ``schema`` (its module docstring): patients in id order, none without
-    rows. ``y`` and ``prev_actions`` are indices into ``action_labels``.
+    ``schema`` (its module docstring): every stage of each patient, in id
+    order; a stratum of its rows, such as the switch states, is a row mask,
+    never a copy. ``y`` and ``prev_actions`` are indices into ``action_labels``.
     """
 
     X: np.ndarray
@@ -144,22 +145,6 @@ class StateMatrix:
     @property
     def n_actions(self) -> int:
         return len(self.action_labels)
-
-    def subset(self, mask: np.ndarray) -> "StateMatrix":
-        """The rows where ``mask`` is true; a patient left without rows drops out."""
-        idx = np.flatnonzero(mask)
-        offsets = offsets_of(mask)[self.offsets]  # kept rows before each patient
-        kept = np.flatnonzero(np.diff(offsets))
-        return StateMatrix(
-            X=self.X[idx],
-            feature_names=self.feature_names,
-            y=self.y[idx],
-            action_labels=self.action_labels,
-            patient_ids=[self.patient_ids[i] for i in kept],
-            offsets=np.append(offsets[kept], offsets[-1]),
-            stages=self.stages[idx],
-            prev_actions=self.prev_actions[idx],
-        )
 
     def patient_groups(self) -> list[np.ndarray]:
         """Row-index arrays, one per patient, preserving matrix order."""

@@ -3,9 +3,9 @@
 Patients are grouped by the average per-stage rate of change of their severity
 score into six intervals; AUROC is broken down by any per-row level (stage,
 severity group) from one set of pooled predictions; rows where the chosen
-action differs from the previous one form the switch-state subset; and a
-sweep of randomly configured trees is bucketed to relate model size (leaf
-count) to discrimination.
+action differs from the previous one are the switch states, a row mask that
+scores predictions in place; and a sweep of randomly configured trees is
+bucketed to relate model size (leaf count) to discrimination.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ def auroc_by_level(
     return out
 
 
-def filter_switch_states(matrix: StateMatrix) -> StateMatrix:
-    """Rows where the chosen action differs from the previous one.
+def filter_switch_states(matrix: StateMatrix) -> np.ndarray:
+    """The mask of the rows where the chosen action differs from the previous one.
 
     First stages carry the schema's default action as their previous action,
-    so a stage-1 row is kept exactly when its action differs from the default.
+    so a stage-1 row switches exactly when its action differs from the default.
     """
-    return matrix.subset(matrix.y != matrix.prev_actions)
+    return matrix.y != matrix.prev_actions
 
 
 def grow_and_truncate(configs: list[dict], grow) -> list:
@@ -129,17 +129,20 @@ def grow_and_truncate(configs: list[dict], grow) -> list:
 
 
 def tree_complexity_sweep(
-    spec_name: str, trees: list, sw_val: StateMatrix, sw_test: StateMatrix, leaf_bin_width: int
+    spec_name: str, trees: list, val: StateMatrix, val_switch: np.ndarray,
+    test: StateMatrix, test_switch: np.ndarray, leaf_bin_width: int,
 ) -> list[ComplexityRow]:
     """The best of a state's ``trees`` per size bucket.
 
     The trees are bucketed by leaf count (buckets of ``leaf_bin_width``
     leaves); within each bucket the tree with the best validation AUROC on
-    the switch-state rows ``sw_val`` is selected and its AUROC on the
-    switch-state test rows ``sw_test`` reported. One row per bucket of
-    state ``spec_name``, in ascending size. Buckets where no tree has both
-    AUROCs defined are omitted.
+    the switch-state rows of ``val`` (mask ``val_switch``) is selected and
+    its AUROC on those of ``test`` (mask ``test_switch``) reported: a tree
+    predicts the whole matrix and the masked rows are scored. One row per
+    bucket of state ``spec_name``, in ascending size. Buckets where no tree
+    has both AUROCs defined are omitted.
     """
+    y_val, y_test = val.y[val_switch], test.y[test_switch]
     # bucket index -> (best val auroc, test auroc, count)
     buckets: dict[int, list] = {}
     for model in trees:
@@ -147,12 +150,12 @@ def tree_complexity_sweep(
         entry = buckets.setdefault(b, [None, None, 0])
         entry[2] += 1
         try:
-            val_auc = auroc_multiclass(model.predict_proba(sw_val), sw_val.y)
+            val_auc = auroc_multiclass(model.predict_proba(val)[val_switch], y_val)
         except UndefinedMetricError:
             continue
         if entry[0] is None or val_auc > entry[0]:
             try:
-                test_auc = auroc_multiclass(model.predict_proba(sw_test), sw_test.y)
+                test_auc = auroc_multiclass(model.predict_proba(test)[test_switch], y_test)
             except UndefinedMetricError:
                 continue
             entry[0], entry[1] = val_auc, test_auc

@@ -347,6 +347,26 @@ def test_duplicate_states_are_refused_before_the_cohort_is_read(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"test_frac": 0.0}, "split fractions must lie in (0, 1)"),
+    ({"val_frac": 1.5}, "split fractions must lie in (0, 1)"),
+    ({"test_frac": 0.6, "val_frac": 0.5}, "split fractions must sum to less than 1"),
+    ({"by_stage_max": 0}, "by_stage_max must be >= 1, got 0"),
+])
+def test_split_fractions_and_by_stage_max_are_refused_before_the_cohort_is_read(
+        tmp_path, capsys, options, message):
+    # A by_stage_max of 0 would write no by_stage.csv and no note. The data
+    # and schema files are missing, which would be a data error (exit 2) had
+    # they been read.
+    config = _write_experiment(tmp_path, generator=None,
+                               data_path=str(tmp_path / "missing.jsonl"),
+                               schema_path=str(tmp_path / "missing.json"), **options)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {config}: {message}\n"
+    assert not out.exists()
+
+
 def _write_generator(tmp_path):
     config = tmp_path / "generator.json"
     config.write_text(json.dumps(
@@ -754,6 +774,29 @@ def test_report_refuses_a_malformed_bundle(tmp_path, capsys, edit, error):
     path = d / "models" / "window1__logreg.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
     capsys.readouterr()
+    assert main(["report", "--in", str(d), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda b: b.update(model={"kind": "logreg"}),
+     "model: lacks ['format_version', 'feature_names', 'class_labels', 'params']"),
+    (lambda b: b["model"]["feature_names"].reverse(),
+     "state_spec is state 'window1', whose 14 columns are not the 14 of model.feature_names"),
+], ids=["no-model", "reversed-features"])
+def test_report_refuses_a_bundle_that_ope_refuses(tmp_path, capsys, edit, error):
+    # `ope` refuses such a bundle, so `report --in` must not write it back.
+    d, out = _experiment_dir(tmp_path), tmp_path / "o"
+    path = d / "models" / "window1__logreg.json"
+    bundle = json.loads(path.read_text())
+    edit(bundle)
+    path.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["ope", "--model", str(path), "--data", str(tmp_path / "missing.jsonl"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.endswith(f"{error}\n")
     assert main(["report", "--in", str(d), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: {path}: {error}\n"
     assert not out.exists()

@@ -9,7 +9,7 @@ import pytest
 from seqpol import runner
 from seqpol.dataset import Preprocessor, apply_preprocessor
 from seqpol.errors import ConfigError, FitError, UndefinedMetricError
-from seqpol.metrics import MetricEstimate
+from seqpol.metrics import MetricEstimate, auroc_multiclass
 from seqpol.models import fit_tree, hyperparams, model_from_dict, model_record
 from seqpol.reader import read, write
 from seqpol.report import (
@@ -39,8 +39,6 @@ from seqpol.schema import CohortSchema
 from seqpol.staterep import StateSpec, assemble_state
 from seqpol.synthgen import GeneratorConfig
 
-from conftest import row_ids
-
 
 def test_bootstrap_warnings_become_manifest_notes(tmp_path):
     warning = "statistic undefined on 300/1000 resamples; interval may be unreliable"
@@ -66,12 +64,15 @@ def test_bootstrap_warnings_become_manifest_notes(tmp_path):
 
 def test_pooled_rows_count_one_unit_per_split_and_patient(therapy_episodes):
     # p2 ends split 0 and is split 1's only test patient: two units, not one.
-    matrix = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
-    p2 = matrix.subset(np.array(row_ids(matrix)) == "p2")
+    spec = StateSpec(include_current_context=True)
+    matrix = assemble_state(therapy_episodes, spec)
+    p2 = assemble_state(therapy_episodes.take(np.array([1])), spec)
+    assert p2.patient_ids == ["p2"]
     rows = _PooledRows.stack([
         (0, matrix, np.full((6, 3), 1 / 3)), (1, p2, np.full((3, 3), 1 / 3))
     ])
     assert rows.unit.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert rows.split.tolist() == [0] * 6 + [1] * 3
     assert rows.n_units == 3
     assert rows.switch.tolist() == [False, True, True, True, False, True] + [
         True, False, True
@@ -335,6 +336,44 @@ def test_shared_tree_growths_give_every_candidate_its_own_fit(monkeypatch):
     assert report.metadata["fits_attempted"] == cfg.n_splits * len(specs) * cfg.n_candidates
     monkeypatch.undo()
     assert report.complexity == tree_sweep(cfg, raw)
+
+
+def test_split_aurocs_are_the_split_strata_of_the_pooled_rows(monkeypatch):
+    # Every logreg candidate of `window1` fails in split 1, so that cell pools
+    # the test rows of splits 0 and 2 and its split-1 value is None. Every
+    # other value is, bit for bit, the AUROC of that split's test rows alone.
+    cfg = _tree_config(model_kinds=["logreg", "tree"], n_splits=3, n_candidates=2)
+    fit_model = runner.fit_model
+    doomed = {derive_seed(cfg.seed, "fit", 1, "window1", "logreg", ci)
+              for ci in range(cfg.n_candidates)}
+
+    def failing_fit(kind, params, train, val, seed=0):
+        if seed in doomed:
+            raise FitError("boom")
+        return fit_model(kind, params, train, val, seed=seed)
+
+    stacked, stack = [], _PooledRows.stack
+
+    def recording_stack(cls, chunks):
+        stacked.append(chunks)
+        return stack(chunks)
+
+    monkeypatch.setattr(runner, "fit_model", failing_fit)
+    monkeypatch.setattr(_PooledRows, "stack", classmethod(recording_stack))
+    report = run_experiment(cfg)
+    raw = resolve_episodes(cfg)
+    tests = [_split(cfg, raw, index).test.patient_ids for index in range(cfg.n_splits)]
+    assert [(c.state, c.model) for c in report.cells] == [
+        ("current", "logreg"), ("current", "tree"), ("window1", "logreg"), ("window1", "tree")]
+    assert [[s for s, _, _ in chunks] for chunks in stacked] == [[0, 1, 2]] * 2 + [
+        [0, 2], [0, 1, 2]]
+    for cell, chunks in zip(report.cells, stacked):
+        want = [None] * cfg.n_splits
+        for index, matrix, probs in chunks:
+            assert matrix.patient_ids == tests[index]
+            want[index] = auroc_multiclass(probs, matrix.y)
+        assert cell.auroc_split_values == want
+    assert report.cells[2].auroc_split_values[1] is None
 
 
 def test_a_failed_tree_growth_fails_each_of_its_candidates(monkeypatch):

@@ -441,22 +441,3 @@ def test_patient_groups_are_the_runs_of_equal_ids():
     for ids in ([], ["a"], ["a", "a", "b"], ["b", "a", "a", "c", "c", "c", "d"]):
         m = state_matrix(np.zeros(len(ids)), np.zeros(len(ids)), row_ids=ids)
         assert [g.tolist() for g in m.patient_groups()] == _runs(ids)
-
-
-@given(
-    lengths=st.lists(st.integers(1, 4), max_size=8),
-    data=st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_subset_keeps_the_runs_of_the_kept_rows(lengths, data):
-    ids = [f"p{i}" for i, n in enumerate(lengths) for _ in range(n)]
-    n = len(ids)
-    m = state_matrix(np.arange(n), np.arange(n) % 2, row_ids=ids, stages=np.arange(n) + 1)
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    sub = m.subset(mask)
-    kept = [pid for pid, keep in zip(ids, mask) if keep]
-    assert sub.patient_ids == list(dict.fromkeys(kept))
-    assert row_ids(sub) == kept
-    assert [g.tolist() for g in sub.patient_groups()] == _runs(kept)
-    assert sub.X[:, 0].tolist() == np.flatnonzero(mask).tolist()
-    assert sub.stages.tolist() == (np.flatnonzero(mask) + 1).tolist()

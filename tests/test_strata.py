@@ -65,9 +65,11 @@ def test_switch_states_compare_stage_one_with_the_default_action(therapy_episode
     # Default action MTX: p1 starts on MTX (no switch), p2 on JAK (a switch).
     matrix = assemble_state(therapy_episodes, StateSpec(include_current_context=True))
     switched = filter_switch_states(matrix)
+    assert switched.tolist() == [False, True, True, True, False, True]
     rows = [
-        (pid, int(t), switched.action_labels[a])
-        for pid, t, a in zip(row_ids(switched), switched.stages, switched.y)
+        (pid, int(t), matrix.action_labels[a])
+        for pid, t, a, switch in zip(row_ids(matrix), matrix.stages, matrix.y, switched)
+        if switch
     ]
     assert rows == [("p1", 2, "TNF"), ("p1", 3, "MTX"), ("p2", 1, "JAK"), ("p2", 3, "TNF")]
 
@@ -99,12 +101,13 @@ def test_auroc_by_level_equals_auroc_of_each_subset(seed):
 
 
 def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, seed):
-    """The sweep as one separate fit_tree per sampled configuration."""
+    """The sweep as one separate fit_tree per sampled configuration, each
+    scored on the switch-state rows it predicts."""
     results = []
     for spec_idx, spec in enumerate(specs):
         m_train = assemble_state(train, spec)
-        sw_val = filter_switch_states(assemble_state(val, spec))
-        sw_test = filter_switch_states(assemble_state(test, spec))
+        m_val, m_test = assemble_state(val, spec), assemble_state(test, spec)
+        sw_val, sw_test = filter_switch_states(m_val), filter_switch_states(m_test)
         configs = sample_hyperparams(
             "tree", profile, seed=seed * 10007 + spec_idx, n=n_models
         )
@@ -115,12 +118,14 @@ def reference_sweep(train, val, test, specs, n_models, leaf_bin_width, profile, 
             entry = buckets.setdefault(b, [None, None, 0])
             entry[2] += 1
             try:
-                val_auc = auroc_multiclass(model.predict_proba(sw_val), sw_val.y)
+                val_auc = auroc_multiclass(model.predict_proba(m_val)[sw_val], m_val.y[sw_val])
             except UndefinedMetricError:
                 continue
             if entry[0] is None or val_auc > entry[0]:
                 try:
-                    test_auc = auroc_multiclass(model.predict_proba(sw_test), sw_test.y)
+                    test_auc = auroc_multiclass(
+                        model.predict_proba(m_test)[sw_test], m_test.y[sw_test]
+                    )
                 except UndefinedMetricError:
                     continue
                 entry[0], entry[1] = val_auc, test_auc

@@ -124,12 +124,15 @@ def test_first_patients_do_not_depend_on_cohort_size(lengths):
 
 
 def test_oracle_rows_align_with_a_switch_state_subset():
+    # The matrix of every third patient; its switch states are a row mask.
     episodes, oracle = generate_cohort(_config(3, 2, "geometric", 0.5, n_patients=40))
     cohort = apply_preprocessor(episodes, fit_preprocessor(episodes, episodes.schema))
-    matrix = filter_switch_states(assemble_state(cohort, StateSpec(window_k=1)))
-    assert 0 < len(matrix.patient_ids) < len(episodes)  # some patients drop out
-    want = [oracle.probs[pid][t - 1] for pid, t in zip(row_ids(matrix), matrix.stages)]
-    assert np.array_equal(oracle.aligned_with(matrix), np.array(want))
+    matrix = assemble_state(cohort.take(np.arange(0, len(cohort), 3)), StateSpec(window_k=1))
+    switch = filter_switch_states(matrix)
+    assert 0 < switch.sum() < matrix.n_rows
+    want = [oracle.probs[pid][t - 1]
+            for pid, t, keep in zip(row_ids(matrix), matrix.stages, switch) if keep]
+    assert np.array_equal(oracle.aligned_with(matrix)[switch], np.array(want))
 
 
 class TestBadConfig:
