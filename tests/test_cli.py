@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import seqpol
 from seqpol.cli import main
 from seqpol.dataset import save_episodes_jsonl, split_dataset
+from seqpol.ope import ProductCurve
 from seqpol.reader import load, save
 from seqpol.runner import derive_seed
 from seqpol.synthgen import GeneratorConfig, generate_cohort
@@ -564,6 +565,21 @@ def test_ope_prints_inf_medians_and_draws_the_finite_ones(long_episodes, tmp_pat
     ys = [float(point.split(",")[1]) for point in points]
     assert len(points) == len(finite)
     assert (min(ys), max(ys)) == (40.0, 350.0)  # the finite medians span the y axis
+
+
+def test_ope_curve_csv_matches_the_golden_bytes(long_episodes, tmp_path, monkeypatch):
+    # The benchmark's checks read this header literally; lines end in \n, not
+    # in the \r\n of a report directory's tables, and an overflowed median is inf.
+    curve = ProductCurve([1, 2, 3], [np.float64(1.5), np.float64(2 / 3), np.float64(np.inf)],
+                         [4, 3, 1], floored_events=2)
+    monkeypatch.setattr(seqpol.cli, "median_product_curve", lambda products, max_stage: curve)
+    assert main(long_episodes + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "ope_curve.csv").read_bytes() == (
+        b"stage,median,n,floored_events\n"
+        b"1,1.500000,4,2\n"
+        b"2,0.666667,3,2\n"
+        b"3,inf,1,2\n"
+    )
 
 
 def test_ope_loads_no_numpy_ma(long_episodes, tmp_path):
