@@ -8,7 +8,9 @@ Subcommands:
                scored in blocks of consecutive patients, which load in id
                order (at most ``ope._BLOCK_ROWS`` rows a block, a longer
                patient alone), so that it holds one block's state matrix at a
-               time besides the cohort and one product a row
+               time besides the cohort and one product a row; it writes
+               ope_curve.csv through ``report.write_table``, the writer of
+               every report table, with LF line ends
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists; each bundle is
                read back as a record and refused as ``ope`` refuses it
@@ -34,7 +36,7 @@ from .errors import ConfigError, DataError, SeqpolError
 from .models import model_from_dict
 from .ope import _BLOCK_ROWS, inverse_probability_products, median_product_curve
 from .reader import load, read, read_json, save
-from .report import Bundle, load_report
+from .report import Bundle, load_report, write_table
 from .runner import (
     ExperimentConfig,
     render_complexity,
@@ -155,10 +157,8 @@ def _cmd_ope(args) -> int:
     curve = median_product_curve(products, args.max_stage)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "ope_curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("stage,median,n,floored_events\n")
-        for t, median, n, floored in curve.rows():
-            fh.write(f"{t},{median:.6f},{n},{floored}\n")
+    write_table(outdir / "ope_curve.csv", ["stage", "median", "n", "floored_events"],
+                ["median"], curve.rows(), lineterminator="\n")
     line_chart(
         [("model", curve.stages, curve.medians)],
         str(outdir / "ope_curve.svg"),

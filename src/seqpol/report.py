@@ -1,10 +1,15 @@
 """The format of a report directory: the record classes below are its schema.
 
-A table's CSV columns are its record class's fields, and its float columns
-the fields annotated ``float | None``. report.json is ``ExperimentReport``,
+Every CSV table, ``seqpol ope``'s curve too, is written by ``write_table``.
+A record table's columns are its record class's fields, and its float
+columns the fields annotated ``float | None``. The other tables are tuples
+in column order: metrics_long.csv, calibration.csv and the two pivots,
+results.csv (a state a row, a model kind a column) and switch_confusion.csv
+(an action a row and a column). report.json is ``ExperimentReport``,
 written by ``reader.write`` and read back against the same annotations, so
 any fault in it is a ``DataError``. ``config`` is a free object, and so is
-``metadata`` but for the keys rendering reads (``Metadata``).
+``metadata`` but for the keys rendering reads (``Metadata``), among them
+the reasons the run recorded for a missing table.
 
 Model bundles are records too: ``Bundle`` is the format of
 ``models/<state>__<model_kind>.json``, which a run writes, ``report --in``
@@ -13,6 +18,7 @@ reads back and ``seqpol ope`` applies to new patients.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypedDict, get_type_hints
@@ -155,6 +161,7 @@ class PreprocessorWarning(TypedDict):
 class Metadata(TypedDict, total=False):
     preprocessor_warnings: list[PreprocessorWarning]
     switch_confusion_omitted: str
+    ope_curve_omitted: str
 
 
 @dataclass
@@ -194,6 +201,21 @@ def columns(record: type) -> tuple[list[str], list[str]]:
     """A record table's CSV columns and its float columns."""
     hints = get_type_hints(record)
     return list(hints), [name for name, tp in hints.items() if tp == float | None]
+
+
+def write_table(path, columns, float_columns, rows, lineterminator="\r\n") -> None:
+    """CSV of ``rows``, each a tuple or a record whose values are ``columns``
+    in order. ``float_columns`` get six decimals (an infinity is ``inf``), and
+    None is an empty cell."""
+    floats = [c in float_columns for c in columns]
+    with open(path, "w", encoding="utf-8", newline="", errors="backslashreplace") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(columns)
+        writer.writerows(
+            ["" if v is None else f"{v:.6f}" if f else v
+             for v, f in zip(row if isinstance(row, tuple) else vars(row).values(), floats)]
+            for row in rows
+        )
 
 
 def load_report(path: str) -> ExperimentReport:

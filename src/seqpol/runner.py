@@ -9,14 +9,15 @@ grows the optional tree-complexity sweep. Pool and summarize: a cell's
 predicted test rows of every split are scored in place, each stratum (split,
 stage, severity group, switch state) a row mask of them, and give its patient
 bootstrap intervals. Then the switch-state confusion, the OPE curves, the
-split-0 bundles and the metadata. Rendering writes every CSV table
-through one writer and every figure with one series per state; only
-run_manifest.json records wall time, so reruns write the same report.json.
+split-0 bundles and the metadata, which records why the switch confusion or
+the OPE curve is missing. Rendering reads the report alone: it writes every
+CSV table through ``report.write_table`` and every figure with one series per
+state; only run_manifest.json records wall time, so reruns write the same
+report.json.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from .models import (MODEL_KINDS, PolicyModel, fit_model, get_profile, model_rec
 from .ope import inverse_probability_products, median_product_curve
 from .reader import save, write
 from .report import (Bundle, CellRef, CellResult, ComplexityRow, CurveRow, ExperimentReport,
-                     GroupRow, StageRow, SwitchConfusion, columns)
+                     GroupRow, StageRow, SwitchConfusion, columns, write_table)
 from .schema import CohortSchema, EncodedCohort, EpisodeSet, offsets_of
 from .staterep import StateMatrix, StateSpec, assemble_state, enumerate_standard_states
 from .strata import (
@@ -430,26 +431,26 @@ def _switch_confusion(cfg, cells, states, schema) -> tuple[SwitchConfusion | Non
     ), None
 
 
-def _default_ope_states(aggregation_op: str) -> tuple[str, ...]:
-    """The states whose curves are drawn when ``ope_states`` is unset."""
-    return ("prev_action", "window0", f"window0+agg_{aggregation_op}")
-
-
-def _ope_curves(cfg, cells, states, split0) -> list[CurveRow]:
+def _ope_curves(cfg, cells, states, split0) -> tuple[list[CurveRow], str | None]:
     """Median inverse-probability product curves of the split-0 ``ope_model``
-    of each OPE state, on split 0's test fold."""
-    names = cfg.ope_states or [
-        n for n in _default_ope_states(cfg.aggregation_op) if n in states
-    ]
+    of each OPE state, on split 0's test fold, and None; or no rows and the
+    reason there are none: the OPE model is no configured kind, no OPE state
+    is configured, or no OPE cell has a split-0 model."""
+    if cfg.ope_model not in cfg.model_kinds:
+        return [], f"ope_model {cfg.ope_model!r} is not among model_kinds {cfg.model_kinds}"
+    defaults = ("prev_action", "window0", f"window0+agg_{cfg.aggregation_op}")
+    names = cfg.ope_states or [n for n in defaults if n in states]
+    if not names:
+        return [], ("ope_states is unset and none of its default states "
+                    f"({', '.join(defaults)}) is configured")
     out = []
     for name in names:
-        cell = cells.get((name, cfg.ope_model))
-        if cell is None or cell.model0 is None:
-            continue
-        products = inverse_probability_products(split0.test, cell.model0, cell.spec)
-        curve = median_product_curve(products, cfg.ope_max_stage)
-        out.extend(CurveRow(name, cfg.ope_model, *row) for row in curve.rows())
-    return out
+        cell = cells[name, cfg.ope_model]
+        if cell.model0 is not None:
+            products = inverse_probability_products(split0.test, cell.model0, cell.spec)
+            curve = median_product_curve(products, cfg.ope_max_stage)
+            out.extend(CurveRow(name, cfg.ope_model, *row) for row in curve.rows())
+    return out, None if out else "no OPE-eligible models"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -485,7 +486,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report.model_bundles = bundles
     _summarize(cfg, cells, severity_groups.groups, report)
     report.switch_confusion, no_confusion = _switch_confusion(cfg, cells, states, raw.schema)
-    report.ope_curves = _ope_curves(cfg, cells, states, split0)
+    report.ope_curves, no_curve = _ope_curves(cfg, cells, states, split0)
     report.complexity = complexity if cfg.tree_sweep_n > 0 else None
 
     report.metadata = {
@@ -510,30 +511,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     if no_confusion is not None:
         report.metadata["switch_confusion_omitted"] = no_confusion
+    if no_curve is not None:
+        report.metadata["ope_curve_omitted"] = no_curve
     return report
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.6f}"
-
-
-def _write_table(path: Path, columns: list[str], float_columns, records) -> None:
-    """CSV of ``records`` (dicts) in ``columns`` order. ``float_columns`` get
-    six decimals; an absent key or None is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="", errors="backslashreplace") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(
-            [_fmt(r.get(c)) if c in float_columns else r.get(c) for c in columns]
-            for r in records
-        )
-
 
 def _chart_by_state(records: list, x, y: str, path: Path, **labels) -> None:
     """A line chart of ``records`` with one series per state, in order of first
@@ -545,16 +530,11 @@ def _chart_by_state(records: list, x, y: str, path: Path, **labels) -> None:
     line_chart(series, str(path), **labels)
 
 
-def _interval(est: MetricEstimate | None, *keys: str) -> dict:
-    """An estimate's value, ci_low and ci_high under ``keys``; none for None."""
-    return dict(zip(keys, (est.value, est.ci_low, est.ci_high))) if est else {}
-
-
 def render_complexity(complexity: list[ComplexityRow], outdir: str) -> list[str]:
     """Write complexity.csv and complexity.svg from ``tree_sweep`` rows."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / "complexity.csv", *columns(ComplexityRow), map(vars, complexity))
+    write_table(out / "complexity.csv", *columns(ComplexityRow), complexity)
     _chart_by_state(
         complexity, lambda r: 0.5 * (r.leaves_low + r.leaves_high), "test_auroc",
         out / "complexity.svg", title="Switch-state test AUROC by tree size",
@@ -573,44 +553,43 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         for w in report.metadata.get("preprocessor_warnings", [])
     ]
 
-    def table(name, columns, float_columns, records):
-        _write_table(out / name, columns, float_columns, records)
+    def table(name, columns, float_columns, rows):
+        write_table(out / name, columns, float_columns, rows)
         written.append(name)
 
     def json_file(name, value, indent=None):
         save(value, out / name, indent)
         written.append(name)
 
+    def omitted(name, key):
+        notes.append(f"{name} omitted: {report.metadata.get(key, 'cause not recorded')}")
+
     # results.csv: state rows x model columns of pooled test AUROC
     auroc = {(c.state, c.model): c.auroc.value for c in report.cells if c.auroc}
-    table("results.csv", ["state"] + report.model_kinds, report.model_kinds, [
-        {"state": s, **{k: auroc.get((s, k)) for k in report.model_kinds}}
-        for s in report.states
-    ])
+    table("results.csv", ["state"] + report.model_kinds, report.model_kinds,
+          [(s, *(auroc.get((s, k)) for k in report.model_kinds)) for s in report.states])
 
     # metrics_long.csv (every estimate with its interval) and calibration.csv
+    dataset = report.config.get("name", "cohort")
     long_rows, calibration_rows = [], []
     for c in report.cells:
-        key = {"dataset": report.config.get("name", "cohort"), "state": c.state,
-               "model": c.model}
+        interval = {}
         for name, est in (("auroc", c.auroc), ("ece", c.ece), ("sce", c.sce)):
+            interval[name] = (est.value, est.ci_low, est.ci_high) if est else (None,) * 3
             if est is None:
                 continue
             if est.warning is not None:
                 notes.append(
                     f"bootstrap warning ({c.state}, {c.model}, {name}): {est.warning}"
                 )
-            long_rows.append({**key, "metric": name, "n": est.n_bootstrap,
-                              **_interval(est, "value", "ci_low", "ci_high")})
+            long_rows.append((dataset, c.state, c.model, name, *interval[name],
+                              est.n_bootstrap))
         for name, value in (("accuracy", c.accuracy_value),
                             ("auroc_split_mean", c.auroc_split_mean)):
             if value is not None:
-                long_rows.append({**key, "metric": name, "value": value})
+                long_rows.append((dataset, c.state, c.model, name, value, None, None, None))
         if c.ece is not None or c.sce is not None:
-            calibration_rows.append({
-                **key, **_interval(c.ece, "ece", "ece_ci_low", "ece_ci_high"),
-                **_interval(c.sce, "sce", "sce_ci_low", "sce_ci_high"),
-            })
+            calibration_rows.append((c.state, c.model, *interval["ece"], *interval["sce"]))
     long_columns = ["dataset", "state", "model", "metric", "value", "ci_low", "ci_high", "n"]
     table("metrics_long.csv", long_columns, ("value", "ci_low", "ci_high"), long_rows)
     calibration_columns = ["state", "model", "ece", "ece_ci_low", "ece_ci_high",
@@ -618,23 +597,19 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
     table("calibration.csv", calibration_columns, calibration_columns[2:], calibration_rows)
 
     if report.by_group:
-        table("by_group.csv", *columns(GroupRow), map(vars, report.by_group))
+        table("by_group.csv", *columns(GroupRow), report.by_group)
     else:
         notes.append("by_group.csv omitted: no severity subgroups available")
     if report.by_stage:
-        table("by_stage.csv", *columns(StageRow), map(vars, report.by_stage))
+        table("by_stage.csv", *columns(StageRow), report.by_stage)
     if report.switch_confusion:
         labels = report.switch_confusion.action_labels
-        corner = "reference\\comparison"
-        table("switch_confusion.csv", [corner] + labels, (), [
-            {corner: label, **dict(zip(labels, counts))}
-            for label, counts in zip(labels, report.switch_confusion.counts)
-        ])
+        table("switch_confusion.csv", ["reference\\comparison"] + labels, (),
+              [(label, *counts) for label, counts in zip(labels, report.switch_confusion.counts)])
     else:
-        cause = report.metadata.get("switch_confusion_omitted", "cause not recorded")
-        notes.append(f"switch_confusion.csv omitted: {cause}")
+        omitted("switch_confusion.csv", "switch_confusion_omitted")
     if report.ope_curves:
-        table("ope_curve.csv", *columns(CurveRow), map(vars, report.ope_curves))
+        table("ope_curve.csv", *columns(CurveRow), report.ope_curves)
         _chart_by_state(
             report.ope_curves, lambda r: r.stage, "median", out / "ope_curve.svg",
             title="Median inverse-probability product by stage",
@@ -642,18 +617,7 @@ def render_report(report: ExperimentReport, outdir: str) -> list[str]:
         )
         written.append("ope_curve.svg")
     else:
-        ope_model = report.config.get("ope_model")
-        defaults = _default_ope_states(report.config.get("aggregation_op", "sum"))
-        if ope_model is not None and ope_model not in report.model_kinds:
-            cause = f"ope_model {ope_model!r} is not among model_kinds {report.model_kinds}"
-        elif not report.config.get("ope_states") and not set(defaults) & set(report.states):
-            cause = (
-                "ope_states is unset and none of its default states "
-                f"({', '.join(defaults)}) is configured"
-            )
-        else:
-            cause = "no OPE-eligible models"
-        notes.append(f"ope_curve.csv omitted: {cause}")
+        omitted("ope_curve.csv", "ope_curve_omitted")
     if report.complexity is not None:
         written.extend(render_complexity(report.complexity, outdir))
     else:

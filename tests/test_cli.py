@@ -838,13 +838,14 @@ _JSON = st.recursive(
 
 @pytest.fixture(scope="module")
 def valid_report(tmp_path_factory):
-    """A report directory, its report.json with one preprocessor warning and a
-    switch_confusion_omitted note added, and the paths of its values outside
-    ``config``."""
+    """A report directory, its report.json with one preprocessor warning and
+    switch_confusion_omitted and ope_curve_omitted notes added, and the paths
+    of its values outside ``config``."""
     d = _experiment_dir(tmp_path_factory.mktemp("report"))
     report = json.loads((d / "report.json").read_text())
     report["metadata"]["preprocessor_warnings"].append({"split": 0, "warning": "w"})
     report["metadata"]["switch_confusion_omitted"] = "note"
+    report["metadata"]["ope_curve_omitted"] = "note"
     assert report["switch_confusion"] and report["complexity"] and report["by_group"]
     paths = [p for p in _paths(report) if p[0] != "config"]
     return d, report, paths

@@ -239,8 +239,7 @@ def test_rendered_files_match_the_golden_bytes(tmp_path):
     assert json.loads((tmp_path / "bare" / "run_manifest.json").read_text())["notes"] == [
         "by_group.csv omitted: no severity subgroups available",
         "switch_confusion.csv omitted: cause not recorded",
-        "ope_curve.csv omitted: ope_states is unset and none of its default states "
-        "(prev_action, window0, window0+agg_sum) is configured",
+        "ope_curve.csv omitted: cause not recorded",
         "complexity.csv omitted: tree sweep not configured",
     ]
 
@@ -469,12 +468,25 @@ def test_a_feature_beyond_the_float32_range_is_a_recorded_mlp_skip(monkeypatch):
     ]
 
 
-def test_an_ope_model_outside_the_model_kinds_is_named_in_the_note(tmp_path):
-    cfg = _tree_config(n_splits=1, n_candidates=1, ope_model="logreg")
-    render_report(run_experiment(cfg), str(tmp_path))
-    notes = json.loads((tmp_path / "run_manifest.json").read_text())["notes"]
-    assert "ope_curve.csv omitted: ope_model 'logreg' is not among model_kinds ['tree']" in notes
-    assert not (tmp_path / "ope_curve.csv").exists()
+@pytest.mark.parametrize("options, cause", [
+    ({"ope_model": "logreg"}, "ope_model 'logreg' is not among model_kinds ['tree']"),
+    ({"ope_model": "tree"}, "ope_states is unset and none of its default states "
+                            "(prev_action, window0, window0+agg_sum) is configured"),
+    # The risk score is skipped on 3 actions, so its OPE cell has no split-0 model.
+    ({"model_kinds": ["tree", "riskscore"], "ope_model": "riskscore",
+      "ope_states": ["window1"]}, "no OPE-eligible models"),
+])
+def test_the_run_records_why_the_ope_curve_is_omitted(tmp_path, options, cause):
+    report = run_experiment(_tree_config(n_splits=1, n_candidates=1, **options))
+    assert report.ope_curves == [] and report.metadata["ope_curve_omitted"] == cause
+    render_report(report, str(tmp_path / "a"))
+    again = load_report(str(tmp_path / "a"))
+    assert again.metadata["ope_curve_omitted"] == cause
+    render_report(again, str(tmp_path / "b"))
+    for out in ("a", "b"):
+        notes = json.loads((tmp_path / out / "run_manifest.json").read_text())["notes"]
+        assert f"ope_curve.csv omitted: {cause}" in notes
+        assert not (tmp_path / out / "ope_curve.csv").exists()
 
 
 @pytest.mark.parametrize("options, cause", [
@@ -514,6 +526,7 @@ def test_every_record_a_run_writes_reads_back_from_its_json():
         bootstrap_B=10, ope_states=["window1"], tree_sweep_n=2,
     )
     report = run_experiment(cfg)
+    assert report.ope_curves and "ope_curve_omitted" not in report.metadata
 
     def again(tp, value):
         return read(tp, json.loads(json.dumps(write(value))), "in")
