@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 
 from seqpol.errors import FitError, UnsupportedModelError
-from seqpol.models import model_from_dict, model_record, riskscore
+from seqpol.models import get_profile, grid, model_from_dict, model_record, riskscore
 from seqpol.models.riskscore import (
     _B_HI,
     _B_LO,
@@ -736,3 +736,67 @@ def test_generator_cohort_fits_match_the_golden_models():
         assert (model.weights.tolist(), model.intercept.hex()) == (weights, intercept), (
             index, name, max_size
         )
+
+
+# (cohort, state, (max_coef, max_size, pos_weight), class-weighted training
+# loss) of the risk score fitted with the L1 path, restarts and pool search,
+# on the cohorts of ``generator_matrices`` and the 10 grid draws of
+# ``sample_hyperparams("riskscore", "ra-like", seed=2, n=10)``, which take
+# every value of each key. A change to the search may not fit a model of
+# higher loss on any of them.
+PARENT_LOSSES = [
+    (0, "current", (8, 4, 1), "0x1.c5e44350c9e63p-2"),
+    (0, "current", (4, 5, 5), "0x1.9f6ef06aeea4bp-2"),
+    (0, "current", (5, 3, 2), "0x1.e3399ce0a5349p-2"),
+    (0, "current", (6, 7, 4), "0x1.b92c3371dc3c5p-2"),
+    (0, "current", (8, 3, 5), "0x1.9f6ef06aeea4bp-2"),
+    (0, "current", (3, 5, 2), "0x1.e3399ce0a5349p-2"),
+    (0, "current", (4, 6, 2), "0x1.e3399ce0a5349p-2"),
+    (0, "current", (6, 4, 1), "0x1.c5e44350c9e63p-2"),
+    (0, "current", (7, 5, 4), "0x1.b92c3371dc3c5p-2"),
+    (0, "current", (7, 7, 3), "0x1.d294fd6da6681p-2"),
+    (0, "window1", (8, 4, 1), "0x1.038729a092682p-2"),
+    (0, "window1", (4, 5, 5), "0x1.12b5580ae81c8p-2"),
+    (0, "window1", (5, 3, 2), "0x1.26587e0be7131p-2"),
+    (0, "window1", (6, 7, 4), "0x1.1dec0f8e6e7a8p-2"),
+    (0, "window1", (8, 3, 5), "0x1.12b5580ae81c9p-2"),
+    (0, "window1", (3, 5, 2), "0x1.25e866e19aa98p-2"),
+    (0, "window1", (4, 6, 2), "0x1.25e866e19aa97p-2"),
+    (0, "window1", (6, 4, 1), "0x1.038729a092682p-2"),
+    (0, "window1", (7, 5, 4), "0x1.1dec0f8e6e7a8p-2"),
+    (0, "window1", (7, 7, 3), "0x1.268bfd2de2267p-2"),
+    (1, "current", (8, 4, 1), "0x1.c0ed4a6f2386bp-2"),
+    (1, "current", (4, 5, 5), "0x1.c6d458bdac460p-2"),
+    (1, "current", (5, 3, 2), "0x1.f62ea6e93affbp-2"),
+    (1, "current", (6, 7, 4), "0x1.dd97ed7ecf391p-2"),
+    (1, "current", (8, 3, 5), "0x1.c6d458bdac460p-2"),
+    (1, "current", (3, 5, 2), "0x1.f62ea6e93affbp-2"),
+    (1, "current", (4, 6, 2), "0x1.f62ea6e93affbp-2"),
+    (1, "current", (6, 4, 1), "0x1.c0ed4a6f2386bp-2"),
+    (1, "current", (7, 5, 4), "0x1.dd97ed7ecf391p-2"),
+    (1, "current", (7, 7, 3), "0x1.f139139fd2f63p-2"),
+    (1, "window1", (8, 4, 1), "0x1.f1c074e2f4e14p-3"),
+    (1, "window1", (4, 5, 5), "0x1.17246628577a8p-2"),
+    (1, "window1", (5, 3, 2), "0x1.2853775cd5322p-2"),
+    (1, "window1", (6, 7, 4), "0x1.1d806b762975ap-2"),
+    (1, "window1", (8, 3, 5), "0x1.1924b065b9bcap-2"),
+    (1, "window1", (3, 5, 2), "0x1.242e97054f7b1p-2"),
+    (1, "window1", (4, 6, 2), "0x1.1f44a375b94ecp-2"),
+    (1, "window1", (6, 4, 1), "0x1.f1c074e2f4e14p-3"),
+    (1, "window1", (7, 5, 4), "0x1.21191b14229c4p-2"),
+    (1, "window1", (7, 7, 3), "0x1.238ae11c15b28p-2"),
+]
+
+
+def test_generator_cohort_fits_lose_no_loss():
+    sets = grid("riskscore", get_profile("ra-like"))
+    matrices = {(index, name): m for index, name, m in generator_matrices()}
+    for index, name, params, before in PARENT_LOSSES:
+        assert all(v in sets[k] for k, v in zip(sets, params))
+        max_coef, max_size, pos_weight = params
+        m = matrices[index, name]
+        y = m.y.astype(float)
+        sw = np.where(y == 1, float(pos_weight), 1.0)
+        model = fit_riskscore(m, max_coef=max_coef, max_size=max_size, pos_weight=pos_weight)
+        loss = weighted_logloss(model.intercept + m.X @ model.weights, y, sw)
+        assert loss <= float.fromhex(before) + 1e-12, (index, name, params)
