@@ -7,6 +7,8 @@ the keys of ``hyperparams.grid``.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base import PolicyModel
 from .hyperparams import PROFILES, get_profile, grid, sample_hyperparams
 from .logreg import LogisticPolicy, fit_logreg
@@ -14,7 +16,7 @@ from .mlp import MLPPolicy, fit_mlp
 from .riskscore import RiskScorePolicy, fit_riskscore
 from .tree import TreePolicy, fit_tree
 
-from ..errors import ConfigError, UnsupportedModelError
+from ..errors import ConfigError, FitError, UnsupportedModelError
 from ..reader import read
 from ..staterep import StateMatrix
 
@@ -30,9 +32,19 @@ FORMAT_VERSION = 1  # of a bundle's model section (_Saved)
 
 def fit_model(kind: str, params: dict, train: StateMatrix, val: StateMatrix, seed: int = 0) -> PolicyModel:
     """Fit a candidate of ``kind`` with sampled hyperparameters ``params``;
-    the MLP alone also takes the validation fold (early stopping) and a seed."""
+    the MLP alone also takes the validation fold (early stopping) and a seed.
+
+    A training fold that lacks an action of the schema is a ``FitError`` for
+    every kind. Left to fit, logreg's intercept of that action runs toward
+    -inf, the tree gives it probability 0, and the MLP's early stopping can
+    keep its untrained snapshot.
+    """
     if kind not in MODELS:
         raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    absent = np.flatnonzero(np.bincount(train.y, minlength=train.n_actions) == 0)
+    if absent.size:
+        names = ", ".join(repr(train.action_labels[a]) for a in absent)
+        raise FitError(f"the training fold lacks action {names}")
     fit = MODELS[kind][1]
     if kind == "mlp":
         return fit(train, val, seed=seed, **params)

@@ -2,21 +2,17 @@
 
 The model is sigmoid(intercept + sum_i w_i * x_i) with integer weights
 bounded by max_coef and at most max_size of them nonzero. Training
-approximates the exact mixed-integer problem (RiskSLIM, Ustun & Rudin 2019):
-an L1 regularization path picks a candidate feature pool, the continuous
-solution is scaled and rounded, and a greedy +-1 local search polishes the
-integers. The search restarts from several points, including the best
-exhaustively enumerated single-feature model, and keeps the lowest
-class-weighted log-loss. Equal starts end in equal searches, so each
-distinct start is searched once.
-
-The L1 path solves no intercept per step: it updates the intercept as an
-unpenalized coordinate of the proximal-gradient step. Each stage of the path
-takes FISTA steps (Beck & Teboulle 2009) warm-started from the previous
-stage, with the momentum restarted at the stage's start and whenever a step
-points against the direction the iterates move in (the gradient test of
-O'Donoghue & Candes 2015). The path ends once its pool is settled: when
-max_size features, or all d of them, have entered.
+approximates the exact mixed-integer problem (RiskSLIM, Ustun & Rudin 2019)
+by one greedy +-1 local search over every column, run from three starts: the
+empty model, the best single-feature model, and the continuous logistic fit
+on every column, clipped to +-max_coef, rounded and trimmed to its max_size
+largest weights. The fit keeps the search of lowest class-weighted log-loss;
+equal starts end in equal searches, so each distinct start is searched once.
+No start suffices alone. Once max_size binds, a search cannot swap a
+feature for another, and the search from a large single-feature weight can
+stop where the search from the empty model, which grows its weights one
+point at a time, does not; the rounded refit reaches optima that neither
+of the others does.
 
 Every candidate set of integer weights is scored with its own optimal
 intercept. That 1-D convex problem is solved by a safeguarded Newton
@@ -25,16 +21,15 @@ matrix: gradient and Hessian come from one sigmoid pass, each evaluated point
 narrows the column's bracket on the root, a step that leaves the bracket
 falls back to bisection, and a column stops once its Newton step is below
 ``_B_TOL``. A pass writes its terms into two buffers of the block's shape
-and memory layout, reallocated only when columns stop. The single-feature
-search scores all of its candidates in one call, and each sweep of the local
-search scores all of its moves in one call, warm-started from the current
-intercept.
+and memory layout, reallocated only when columns stop. Each step of the
+single-feature walk scores its candidates in one call, and each sweep of the
+local search scores all of its moves in one call, warm-started from the
+current intercept.
 
-The continuous refit that seeds the rounded starts is a weighted logistic
-regression with a tiny ridge on the pool's columns, centered, minimized by
-the damped Newton solver of ``logreg``. The sigmoid (``expit``) is
-1 / (1 + exp(-z)) in four numpy passes, written in place into the caller's
-buffer where one is given.
+The continuous refit is a weighted logistic regression with a tiny ridge on
+the centered columns, minimized by the damped Newton solver of ``logreg``.
+The sigmoid (``expit``) is 1 / (1 + exp(-z)) in four numpy passes, written
+in place into the caller's buffer where one is given.
 """
 
 from __future__ import annotations
@@ -226,98 +221,48 @@ def _move_losses(
 def best_single_feature_model(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_coef: int
 ) -> tuple[np.ndarray, float, float]:
-    """Exhaustive search over all one-feature integer models."""
+    """The one-feature integer model of lowest loss, and its loss and intercept.
+
+    With its optimal intercept, the loss of c * X[:, j] is convex in c (the
+    minimum over b of a function convex in (b, c)). So each column walks
+    from c = 0 in steps of 1 in the direction that improves on 0, until a
+    step does not improve or |c| reaches max_coef: no coefficient past a
+    column's minimum is scored. The scored models are taken in the order of
+    an exhaustive search, by column and then coefficient, and each whose
+    loss is lower than the best so far by more than 1e-12 becomes the best.
+    """
     n, d = X.shape
     best_w = np.zeros(d, dtype=int)
     best_loss, best_b = _loss_with_best_intercept(X, y, best_w, sample_weight)
-    coefs = [c for c in range(-max_coef, max_coef + 1) if c != 0]
-    cols = np.repeat(np.arange(d), len(coefs))
-    steps = np.tile(coefs, d)
-    losses, intercepts = _move_losses(
-        X, y, sample_weight, np.zeros(n), cols, steps, 0.0
-    )
+    cols, steps = np.repeat(np.arange(d), 2), np.tile([-1, 1], d)
+    prev = np.full(2 * d, best_loss)
+    scored = []
+    while cols.size:
+        losses, intercepts = _move_losses(
+            X, y, sample_weight, np.zeros(n), cols, steps, 0.0
+        )
+        scored.append((cols, steps, losses, intercepts))
+        walk = (losses < prev) & (np.abs(steps) < max_coef)
+        cols, steps, prev = cols[walk], steps[walk] + np.sign(steps[walk]), losses[walk]
+    cols, steps, losses, intercepts = map(np.concatenate, zip(*scored))
     best = None
-    for k, loss in enumerate(losses):
-        if loss < best_loss - 1e-12:
-            best, best_loss, best_b = k, float(loss), float(intercepts[k])
+    for k in np.lexsort((steps, cols)):
+        if losses[k] < best_loss - 1e-12:
+            best, best_loss, best_b = k, float(losses[k]), float(intercepts[k])
     if best is not None:
         best_w[cols[best]] = steps[best]
     return best_w, best_loss, best_b
 
 
-def _l1_feature_order(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_size: int
-) -> list[int]:
-    """Feature indices in order of first activation along an L1 path.
-
-    The intercept is an unpenalized coordinate of each proximal-gradient
-    step, so the step size comes from X with a column of ones added. Each
-    stage of the path takes FISTA steps from the previous stage's solution;
-    the momentum restarts at the stage's start and whenever the step from
-    the extrapolated point z to the new iterate points against the
-    iterates' motion, (z - x_new) . (x_new - x_old) > 0. A stage ends once
-    an iterate moves by less than 1e-9, or after 200 steps. The path ends
-    once min(max_size, d) features have entered, since no later stage can
-    add one.
-    """
-    n, d = X.shape
-    wsum = sample_weight.sum()
-    # Lipschitz bound for the weighted logistic gradient in (w, intercept).
-    Xb = np.column_stack([X, np.ones(n)])
-    H = (Xb * sample_weight[:, None]).T @ Xb / (4.0 * wsum)
-    L = float(np.linalg.eigvalsh(H)[-1]) + 1e-12
-    step = 1.0 / L
-
-    w = np.zeros(d)
-    xw = np.zeros(n)
-    b = optimal_intercept(xw, y, sample_weight)
-    resid = sample_weight * (expit(np.full(n, b)) - y)
-    lam_max = float(np.abs(X.T @ resid).max() / wsum)
-    if lam_max <= 0:
-        return []
-    order: list[int] = []
-    lam = lam_max
-    for _ in range(40):
-        lam *= 0.7
-        # (zw, zb) is the extrapolated point the step is taken from; xz = X @ zw.
-        zw, zb, xz, t = w, b, xw, 1.0
-        for _ in range(200):
-            r = sample_weight * (expit(zb + xz) - y) / wsum
-            w_new = zw - step * (X.T @ r)
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
-            b_new = zb - step * r.sum()
-            xw_new = X @ w_new
-            dw, db = w_new - w, b_new - b
-            moved = max(np.abs(dw).max(), abs(db))
-            if (zw - w_new) @ dw + (zb - b_new) * db > 0.0:
-                t = 1.0  # a momentum of 0 for the next step
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            zw, zb = w_new + beta * dw, b_new + beta * db
-            xz = xw_new + beta * (xw_new - xw)
-            w, b, xw, t = w_new, b_new, xw_new, t_next
-            if moved < 1e-9:
-                break
-        for j in np.flatnonzero(np.abs(w) > 1e-8):
-            if j not in order:
-                order.append(int(j))
-        if len(order) >= min(max_size, d):
-            break
-    return order[:max_size]
-
-
-def _continuous_refit(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, cols: list[int]
-) -> np.ndarray:
-    """Weighted logistic fit on a feature subset (tiny ridge for stability).
+def _continuous_refit(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray) -> np.ndarray:
+    """Weighted logistic fit on every column (tiny ridge for stability).
 
     The fit runs on centered columns, which changes only the intercept, as
     in ``logreg``; the weights are returned without it.
     """
-    Xs = X[:, cols]
-    Xa = np.column_stack([Xs - Xs.mean(axis=0), np.ones(len(y))])
+    Xa = np.column_stack([X - X.mean(axis=0), np.ones(len(y))])
     wsum = sample_weight.sum()
-    ridge = np.full(len(cols) + 1, 2e-6)
+    ridge = np.full(X.shape[1] + 1, 2e-6)
     ridge[-1] = 0.0  # the intercept is unpenalized
 
     def objective(theta):
@@ -334,10 +279,7 @@ def _continuous_refit(
 
         return loss, grad, hessian
 
-    theta = _newton_minimize(objective, np.zeros(len(cols) + 1), _REFIT_TOL, _REFIT_MAX_ITER)
-    full = np.zeros(X.shape[1])
-    full[cols] = theta[:-1]
-    return full
+    return _newton_minimize(objective, np.zeros(X.shape[1] + 1), _REFIT_TOL, _REFIT_MAX_ITER)[:-1]
 
 
 def _local_search(
@@ -345,14 +287,16 @@ def _local_search(
     y: np.ndarray,
     sample_weight: np.ndarray,
     w0: np.ndarray,
-    pool: list[int],
     max_coef: int,
     max_size: int,
 ) -> tuple[np.ndarray, float, float]:
     """Greedy +-1 coordinate moves until no move improves the loss.
 
-    Each sweep scores every allowed move in one solve and takes the first
-    move of lowest loss, if it improves the current loss by more than 1e-12.
+    Each sweep scores every allowed move on every column in one solve and
+    takes the first move whose loss is within 1e-12 of the lowest, if it
+    improves the current loss by more than 1e-12. Equivalent moves (on a
+    one-hot pair, say) then differ in loss by rounding alone, and the fit
+    does not depend on the intercept solver's last bits.
     """
     w = w0.copy()
     loss, b = _loss_with_best_intercept(X, y, w, sample_weight)
@@ -360,7 +304,7 @@ def _local_search(
         full = np.count_nonzero(w) >= max_size
         moves = [
             (j, delta)
-            for j in pool
+            for j in range(len(w))
             for delta in (-1, 1)
             if abs(w[j] + delta) <= max_coef and not (full and w[j] == 0)
         ]
@@ -370,7 +314,7 @@ def _local_search(
         losses, intercepts = _move_losses(
             X, y, sample_weight, X @ w, cols, steps, b
         )
-        k = int(np.argmin(losses))
+        k = int(np.argmax(losses <= losses.min() + 1e-12))
         if not losses[k] < loss - 1e-12:
             return w, loss, b
         loss, b = float(losses[k]), float(intercepts[k])
@@ -419,7 +363,15 @@ def fit_riskscore(
     max_size: int = 5,
     pos_weight: float = 1.0,
 ) -> RiskScorePolicy:
-    """Fit an integer scoring system on a binary-action matrix."""
+    """Fit an integer scoring system on a binary-action matrix.
+
+    ``_local_search`` over every column runs from the empty model, from the
+    best one-feature model and from the continuous refit clipped to
+    +-max_coef, rounded and trimmed to its max_size largest |w| (a stable
+    sort keeps the first of equal ones). The search of lowest class-weighted
+    loss is kept: a later one replaces an earlier one only if its loss is
+    lower by more than 1e-12. Positive rows weigh ``pos_weight``.
+    """
     if train.n_actions != 2:
         raise UnsupportedModelError(
             f"risk score supports exactly 2 actions, got {train.n_actions}"
@@ -432,36 +384,21 @@ def fit_riskscore(
         raise FitError("risk score needs both classes in training data")
     sample_weight = np.where(y == 1.0, float(pos_weight), 1.0)
 
-    pool = _l1_feature_order(X, y, sample_weight, max_size)
     single_w, _, _ = best_single_feature_model(X, y, sample_weight, max_coef)
-    for j in np.flatnonzero(single_w):
-        if int(j) not in pool:
-            pool.append(int(j))
-
-    starts = [np.zeros(X.shape[1], dtype=int), single_w]
-    if pool:
-        cont = _continuous_refit(X, y, sample_weight, pool)
-        top = np.max(np.abs(cont))
-        for scale in (1.0, max_coef / top if top > 0 else 1.0):
-            rounded = np.rint(np.clip(cont * scale, -max_coef, max_coef)).astype(int)
-            if np.count_nonzero(rounded) > max_size:
-                keep = np.argsort(-np.abs(rounded), kind="stable")[:max_size]
-                trimmed = np.zeros_like(rounded)
-                trimmed[keep] = rounded[keep]
-                rounded = trimmed
-            starts.append(rounded)
+    rounded = np.rint(np.clip(_continuous_refit(X, y, sample_weight), -max_coef, max_coef))
+    keep = np.argsort(-np.abs(rounded), kind="stable")[:max_size]
+    refit_w = np.zeros(X.shape[1], dtype=int)
+    refit_w[keep] = rounded[keep]
 
     # Equal starts end in equal searches, and the strict test below keeps the
     # first of equal results, so each distinct start is searched once.
-    distinct: list[np.ndarray] = []
-    for w0 in starts:
-        if not any(np.array_equal(w0, s) for s in distinct):
-            distinct.append(w0)
+    searched: list[np.ndarray] = []
     best: tuple[np.ndarray, float, float] | None = None
-    for w0 in distinct:
-        w, loss, b = _local_search(
-            X, y, sample_weight, w0, pool, max_coef, max_size
-        )
+    for w0 in (np.zeros(X.shape[1], dtype=int), single_w, refit_w):
+        if any(np.array_equal(w0, s) for s in searched):
+            continue
+        searched.append(w0)
+        w, loss, b = _local_search(X, y, sample_weight, w0, max_coef, max_size)
         if best is None or loss < best[1] - 1e-12:
             best = (w, loss, b)
     w, _, b = best

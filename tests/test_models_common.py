@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpol.errors import ContractError
+from seqpol.errors import ContractError, FitError
 from seqpol.models import (
     MODELS,
     PROFILES,
+    fit_model,
     fit_logreg,
     fit_mlp,
     fit_riskscore,
@@ -214,3 +215,19 @@ class TestHyperparamSampling:
             for d in sample_hyperparams(kind, "copd-like", seed=seed, n=3):
                 for key, value in d.items():
                     assert value in grid(kind, PROFILES["copd-like"])[key]
+
+
+class TestAbsentAction:
+    # An action that the training fold lacks is a recorded failure for every
+    # kind, whatever the validation fold holds.
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_a_training_fold_without_an_action_fails(self, kind):
+        K = 2 if kind == "riskscore" else 3
+        train = random_matrix(seed=30, n=120, d=4, K=K)
+        val = random_matrix(seed=31, n=60, d=4, K=K)
+        assert set(train.y.tolist()) == set(val.y.tolist()) == set(range(K))
+        params = sample_hyperparams(kind, "ra-like", seed=0, n=1)[0]
+        lacking = state_matrix(train.X, np.where(train.y == K - 1, 0, train.y), K)
+        fit_model(kind, params, train, val, seed=0)
+        with pytest.raises(FitError, match=f"lacks action 'a{K - 1}'"):
+            fit_model(kind, params, lacking, val, seed=0)

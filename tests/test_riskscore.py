@@ -67,6 +67,27 @@ def count_expit_calls(monkeypatch):
     return calls
 
 
+def exhaustive_single_feature_model(X, y, sample_weight, max_coef):
+    """Reference: every one-feature integer model, in order of column and then
+    coefficient, each scored with its own intercept; a model replaces the
+    best so far if its loss is lower by more than 1e-12."""
+    d = X.shape[1]
+    best_w = np.zeros(d, dtype=int)
+    best_loss = weighted_logloss(
+        optimal_intercept(np.zeros(len(y)), y, sample_weight), y, sample_weight
+    )
+    for j in range(d):
+        for c in range(-max_coef, max_coef + 1):
+            scores = c * X[:, j]
+            loss = weighted_logloss(
+                optimal_intercept(scores, y, sample_weight) + scores, y, sample_weight
+            )
+            if c and loss < best_loss - 1e-12:
+                best_w = np.zeros(d, dtype=int)
+                best_w[j], best_loss = c, loss
+    return best_w, best_loss
+
+
 def synthetic_binary(seed, n=300, d=6, informative=(0, 2)):
     rng = np.random.default_rng(seed)
     X = (rng.uniform(size=(n, d)) < 0.4).astype(float)
@@ -114,7 +135,7 @@ class TestRiskScoreContract:
         model = fit_riskscore(m, max_coef=5, max_size=1, pos_weight=1)
 
         sw = np.ones(n)
-        oracle_w, oracle_loss, _ = best_single_feature_model(X, y.astype(float), sw, 5)
+        oracle_w, oracle_loss = exhaustive_single_feature_model(X, y.astype(float), sw, 5)
         assert np.flatnonzero(oracle_w).tolist() == [3]
         assert np.flatnonzero(model.weights).tolist() == [3]
         scores = model.intercept + X @ model.weights.astype(float)
@@ -339,45 +360,6 @@ class TestEquivalentModels:
         )
 
 
-def exact_intercept_l1_order(X, y, sample_weight, max_size):
-    """Reference L1 path: the intercept re-solved exactly after each step.
-
-    The previous form of ``_l1_feature_order``: a proximal-gradient step on
-    the weights alone, with the Lipschitz bound taken from X, then a warm-
-    started ``optimal_intercept`` solve.
-    """
-    n, d = X.shape
-    wsum = sample_weight.sum()
-    H = (X * sample_weight[:, None]).T @ X / (4.0 * wsum)
-    step = 1.0 / (float(np.linalg.eigvalsh(H)[-1]) + 1e-12)
-    w = np.zeros(d)
-    xw = np.zeros(n)
-    b = optimal_intercept(xw, y, sample_weight)
-    resid = sample_weight * (expit(np.full(n, b)) - y)
-    lam = float(np.abs(X.T @ resid).max() / wsum)
-    if lam <= 0:
-        return []
-    order = []
-    for _ in range(40):
-        lam *= 0.7
-        for _ in range(200):
-            g = X.T @ (sample_weight * (expit(b + xw) - y)) / wsum
-            w_new = w - step * g
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
-            xw = X @ w_new
-            b = optimal_intercept(xw, y, sample_weight, b)
-            if np.abs(w_new - w).max() < 1e-9:
-                w = w_new
-                break
-            w = w_new
-        for j in np.flatnonzero(np.abs(w) > 1e-8):
-            if j not in order:
-                order.append(int(j))
-        if len(order) >= max_size:
-            break
-    return order[:max_size]
-
-
 def continuous_binary(seed, n=250, d=8):
     """Gaussian features, labels from a sparse logistic model."""
     rng = np.random.default_rng(seed)
@@ -406,6 +388,36 @@ def lbfgsb_refit_loss(X, y, sample_weight, cols):
     return fg, res.fun
 
 
+class TestSingleFeatureWalk:
+    # The loss of c * x_j with its best intercept is convex in c, so walking
+    # each column from 0 finds what the exhaustive search finds.
+    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_exhaustive_search(self, make, seed):
+        m = make(seed)
+        y = m.y.astype(float)
+        for max_coef, pos_weight in [(1, 1.0), (3, 2.5), (8, 1.0), (5, 4.0)]:
+            sw = np.where(y == 1, pos_weight, 1.0)
+            w, loss, b = best_single_feature_model(m.X, y, sw, max_coef)
+            want_w, want_loss = exhaustive_single_feature_model(m.X, y, sw, max_coef)
+            assert w.tolist() == want_w.tolist(), (max_coef, pos_weight)
+            assert loss == pytest.approx(want_loss, abs=1e-12)
+            assert weighted_logloss(b + m.X @ w, y, sw) == pytest.approx(loss, abs=1e-12)
+
+    def test_scores_no_coefficient_past_a_columns_minimum(self, monkeypatch):
+        m = synthetic_binary(0)
+        scored = []
+        move_losses = riskscore._move_losses
+
+        def recording(X, y, sw, base, cols, steps, start):
+            scored.extend(zip(cols.tolist(), steps.tolist()))
+            return move_losses(X, y, sw, base, cols, steps, start)
+
+        monkeypatch.setattr(riskscore, "_move_losses", recording)
+        best_single_feature_model(m.X, m.y.astype(float), np.ones(m.n_rows), 8)
+        assert len(scored) == len(set(scored)) < 6 * 16
+
+
 class TestContinuousRefit:
     @pytest.mark.parametrize("make, cols", [
         (synthetic_binary, [0, 2, 3]),
@@ -426,106 +438,14 @@ class TestContinuousRefit:
             return theta
 
         monkeypatch.setattr(riskscore, "_newton_minimize", capturing)
-        w = riskscore._continuous_refit(m.X, y, sw, cols)
+        w = riskscore._continuous_refit(m.X[:, cols], y, sw)
         assert np.abs(grads[0]).max() <= riskscore._REFIT_TOL
-        assert not np.delete(w, cols).any()
         # The ridge leaves the intercept alone: its best value for w is the
         # risk score's optimal intercept.
-        b = optimal_intercept(m.X @ w, y, sw)
+        b = optimal_intercept(m.X[:, cols] @ w, y, sw)
         fg, ref = lbfgsb_refit_loss(m.X, y, sw, cols)
-        f = fg(np.append(w[cols], b))[0]
+        f = fg(np.append(w, b))[0]
         assert f <= ref + 1e-12 * max(1.0, abs(ref))
-
-
-class TestL1Path:
-    # Updating the intercept inside the proximal step changes the path's
-    # iterates but should not change which features enter it, or in what
-    # order.
-    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_pool_matches_exact_intercept_path(self, make, seed):
-        m = make(seed)
-        y = m.y.astype(float)
-        for max_size in (1, 3, 5):
-            for pos_weight in (1.0, 3.0):
-                sw = np.where(y == 1, pos_weight, 1.0)
-                assert riskscore._l1_feature_order(m.X, y, sw, max_size) == (
-                    exact_intercept_l1_order(m.X, y, sw, max_size)
-                )
-
-
-def ista_l1_order(X, y, sample_weight, max_size):
-    """Reference L1 path: plain proximal-gradient steps on (w, intercept).
-
-    The previous form of ``_l1_feature_order``: no momentum, and all 40
-    stages run unless max_size features have entered.
-    """
-    n, d = X.shape
-    wsum = sample_weight.sum()
-    Xb = np.column_stack([X, np.ones(n)])
-    H = (Xb * sample_weight[:, None]).T @ Xb / (4.0 * wsum)
-    step = 1.0 / (float(np.linalg.eigvalsh(H)[-1]) + 1e-12)
-    w = np.zeros(d)
-    xw = np.zeros(n)
-    b = optimal_intercept(xw, y, sample_weight)
-    resid = sample_weight * (expit(np.full(n, b)) - y)
-    lam = float(np.abs(X.T @ resid).max() / wsum)
-    if lam <= 0:
-        return []
-    order = []
-    for _ in range(40):
-        lam *= 0.7
-        for _ in range(200):
-            r = sample_weight * (expit(b + xw) - y) / wsum
-            w_new = w - step * (X.T @ r)
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * lam, 0.0)
-            b_new = b - step * r.sum()
-            xw = X @ w_new
-            moved = max(np.abs(w_new - w).max(), abs(b_new - b))
-            w, b = w_new, b_new
-            if moved < 1e-9:
-                break
-        for j in np.flatnonzero(np.abs(w) > 1e-8):
-            if j not in order:
-                order.append(int(j))
-        if len(order) >= max_size:
-            break
-    return order[:max_size]
-
-
-class TestRestartedPath:
-    # Restarted FISTA steps and the early exit once every column has entered
-    # change the path's iterates and length, not its pool. max_size 8 is at
-    # least d on all three generators (d = 6, 4, 8), and so is 5 on the
-    # collinear one. A smaller max_size only stops the reference path
-    # earlier, so its pool is a prefix of the max_size 8 pool.
-    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_pool_matches_plain_proximal_path(self, make, seed):
-        m = make(seed)
-        y = m.y.astype(float)
-        for pos_weight in (1.0, 3.0):
-            sw = np.where(y == 1, pos_weight, 1.0)
-            want = ista_l1_order(m.X, y, sw, 8)
-            for max_size in (1, 3, 5, 8):
-                assert riskscore._l1_feature_order(m.X, y, sw, max_size) == want[:max_size]
-
-    @pytest.mark.parametrize("make", [synthetic_binary, continuous_binary])
-    def test_path_stops_once_every_column_has_entered(self, make, monkeypatch):
-        # Once all d columns have entered, a larger max_size costs nothing
-        # more: the plain path ran all 40 stages whenever max_size > d.
-        m = make(0)
-        d = m.X.shape[1]
-        y = m.y.astype(float)
-        sw = np.ones_like(y)
-        assert len(ista_l1_order(m.X, y, sw, d)) == d
-        calls = count_expit_calls(monkeypatch)
-        passes = []
-        for max_size in (d, d + 1, 40):
-            calls[0] = 0
-            assert len(riskscore._l1_feature_order(m.X, y, sw, max_size)) == d
-            passes.append(calls[0])
-        assert passes[0] == passes[1] == passes[2]
 
 
 def fresh_temporaries_solve_block(scores, y, sample_weight, b, finished=None):
@@ -593,13 +513,8 @@ class TestSolverBuffers:
 
 
 class TestDistinctStarts:
-    def test_a_duplicated_start_is_searched_once(self, monkeypatch):
-        # Weak signal: the empty model, the best single-feature model and the
-        # rounded refit at scale 1 are all zero, the scaled refit is not.
-        rng = np.random.default_rng(0)
-        X = rng.normal(0.0, 1.0, (300, 3))
-        y = (rng.uniform(size=300) < 0.3 + 0.05 * (X[:, 0] > 0)).astype(int)
-        m = binary_matrix(X, y)
+    @staticmethod
+    def recorded_starts(monkeypatch, m, **params):
         starts = []
         search = riskscore._local_search
 
@@ -608,11 +523,33 @@ class TestDistinctStarts:
             return search(X, y, sw, w0, *args)
 
         monkeypatch.setattr(riskscore, "_local_search", recording)
-        fit_riskscore(m, max_coef=3, max_size=2)
+        fit_riskscore(m, **params)
+        return starts
+
+    def test_equal_starts_are_searched_once(self, monkeypatch):
+        # Weak signal: the empty model, the best single-feature model and the
+        # rounded refit are all zero.
+        rng = np.random.default_rng(0)
+        X = rng.normal(0.0, 1.0, (300, 3))
+        y = (rng.uniform(size=300) < 0.3 + 0.05 * (X[:, 0] > 0)).astype(int)
+        m = binary_matrix(X, y)
         single_w, _, _ = best_single_feature_model(X, y.astype(float), np.ones(300), 3)
         assert not single_w.any()
-        assert len(starts) == 2
-        assert not starts[0].any() and starts[1].any()
+        starts = self.recorded_starts(monkeypatch, m, max_coef=3, max_size=2)
+        assert len(starts) == 1 and not starts[0].any()
+
+    def test_three_starts(self, monkeypatch):
+        # The empty model, the best single-feature model, then the refit on
+        # every column, clipped to max_coef, rounded and trimmed to the
+        # max_size largest weights; the trim drops the rounded 1 of column 4.
+        m = synthetic_binary(2)
+        y = m.y.astype(float)
+        starts = self.recorded_starts(monkeypatch, m, max_coef=3, max_size=2)
+        cont = riskscore._continuous_refit(m.X, y, np.ones_like(y))
+        assert np.rint(cont).tolist() == [2, 0, -2, 0, 1, 0]
+        assert [w.tolist() for w in starts] == [
+            [0] * 6, [2, 0, 0, 0, 0, 0], [2, 0, -2, 0, 0, 0]
+        ]
 
 
 def tiny_problem(seed):
@@ -655,10 +592,10 @@ def exhaustive_loss(X, y, sample_weight, max_coef, max_size):
     return float((sample_weight @ np.logaddexp(0.0, -sign * (b + S))).min() / sample_weight.sum())
 
 
-# Problems of TestExhaustiveOracle whose optimum the fit reached with the
-# plain proximal L1 path (``ista_l1_order``), before restarted FISTA steps:
-# 55 of 60. A change to the search may not reach fewer.
-OPTIMAL_BEFORE_FISTA = 55
+# Problems of TestExhaustiveOracle whose optimum the fit reaches: all 60 since
+# the search runs over every column (55 with the L1 path's pool). A change to
+# the search may not reach fewer.
+OPTIMAL_REACHED = 60
 
 
 class TestExhaustiveOracle:
@@ -673,7 +610,7 @@ class TestExhaustiveOracle:
             loss = weighted_logloss(model.intercept + m.X @ model.weights, y, sw)
             assert loss >= best - 1e-9, seed  # the oracle is the minimum
             reached += loss <= best + 1e-9
-        assert reached >= OPTIMAL_BEFORE_FISTA
+        assert reached >= OPTIMAL_REACHED
 
 
 def generator_matrices():
@@ -697,29 +634,27 @@ def generator_matrices():
 
 
 # (cohort, state, (max_coef, max_size, pos_weight), weights, intercept) as
-# fitted with the plain proximal L1 path, before restarted FISTA steps, the
-# settled exit, distinct starts and solver buffers. The numpy sigmoid moved
-# four intercepts by 1-3 ulps (the intercept solve stops at steps of 1e-12);
-# the weights are as fitted then. `current` has d = 4 and
-# `window1` d = 12 columns: max_size 6 and 12 let every column of `current`
-# enter the path, 12 every column of `window1`, and 1 and 3 stop it early.
+# fitted by the search over every column from three starts. Against the L1
+# path's pool search, four fits moved to a lower loss, all of `window1`
+# (CHANGES.md lists them), and one to equivalent weights of equal loss.
+# `current` has d = 4 and `window1` d = 12 columns: max_size 6 and 12 leave
+# every column of `current` free, 12 every column of `window1`, and 1 and 3
+# bind.
 GOLDEN_FITS = [
     (0, "current", (4, 6, 2.0), [0, -2, 0, 0], "-0x1.16c1b205f5d55p-2"),
     (0, "current", (4, 3, 3.0), [0, -2, 0, 0], "0x1.30a8512757f4ep-3"),
     (0, "current", (2, 12, 1.0), [0, -2, 0, 0], "-0x1.f8803b0adcc9ap-1"),
     (0, "current", (5, 1, 1.5), [0, -2, 0, 0], "-0x1.236a24ad120aap-1"),
-    (0, "window1", (4, 6, 2.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 2, 0, 0], "0x1.6675c4a8f7549p+1"),
-    (0, "window1", (4, 3, 3.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 0, 0, 0], "0x1.a2eacb14520fdp+1"),
-    (0, "window1", (2, 12, 1.0), [0, -1, 0, 0, 0, 0, 0, 0, -2, 2, -1, 1],
-     "0x1.2eb01046186fbp+0"),
+    (0, "window1", (4, 6, 2.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 1, -2, 0], "0x1.333d866546506p+2"),
+    (0, "window1", (4, 3, 3.0), [0, -1, 0, 0, 0, 0, 0, 0, -4, 2, 0, 0], "0x1.98e94796af73ap+1"),
+    (0, "window1", (2, 12, 1.0), [0, -1, 0, 0, 0, 0, 0, 0, -2, 2, -2, 0], "0x1.175808230c37ep+1"),
     (0, "window1", (5, 1, 1.5), [0, 0, 0, 0, 0, 0, 0, 0, -5, 0, 0, 0], "0x1.c59e6bf7d1710p+1"),
     (1, "current", (4, 6, 2.0), [0, -1, -1, 0], "-0x1.efd7c639bb9b1p-2"),
     (1, "current", (4, 3, 3.0), [0, -2, -1, 0], "-0x1.0e327b43f9ae6p-2"),
     (1, "current", (2, 12, 1.0), [0, -1, -1, 0], "-0x1.24f36d4889fc1p+0"),
     (1, "current", (5, 1, 1.5), [0, -1, 0, 0], "-0x1.3c37ae1bf59b5p-1"),
-    (1, "window1", (4, 6, 2.0), [0, -1, -1, 0, 0, -1, 0, 0, -4, 1, 0, 0],
-     "0x1.fa035b42d5a56p+0"),
-    (1, "window1", (4, 3, 3.0), [0, 0, 0, 0, 0, -2, -1, 0, -4, 0, 0, 0], "0x1.3591c771cf0d4p+1"),
+    (1, "window1", (4, 6, 2.0), [0, -1, -1, 0, 0, -1, 0, 0, -4, 1, -1, 0], "0x1.763ed4e928d94p+1"),
+    (1, "window1", (4, 3, 3.0), [0, 0, -1, 0, 0, -1, 0, 0, -4, 0, 0, 0], "0x1.687324bf490d2p+1"),
     (1, "window1", (2, 12, 1.0), [1, -1, -1, -1, -1, -1, 0, 1, -2, 2, -1, 1],
      "0x1.29b3725f3894dp-4"),
     (1, "window1", (5, 1, 1.5), [0, 0, 0, 0, 0, 0, 0, 0, -5, 0, 0, 0], "0x1.b9e6c3c58cbfcp+1"),
