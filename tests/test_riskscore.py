@@ -551,6 +551,103 @@ class TestDistinctStarts:
             [0] * 6, [2, 0, 0, 0, 0, 0], [2, 0, -2, 0, 0, 0]
         ]
 
+    @pytest.mark.parametrize("max_size, want", [
+        (1, [0, -3, 0, 0, 0, 0]),
+        (2, [0, -3, 0, 0, -3, 0]),
+        (3, [0, -3, 0, 0, -3, 3]),
+        (4, [2, -3, 0, 0, -3, 3]),
+        (6, [2, -3, 2, 0, -3, 3]),
+    ])
+    def test_refit_start_is_clipped_rounded_and_trimmed_stably(
+        self, max_size, want, monkeypatch
+    ):
+        # Clipped to +-3, then rounded half to even (2.5 -> 2); the trim keeps
+        # the first of equal |w|, so the three 3s enter in column order and
+        # the 2 of column 0 before the 2 of column 2.
+        m = synthetic_binary(0)
+        monkeypatch.setattr(riskscore, "_continuous_refit",
+                            lambda X, y, sw: np.array([2.5, -2.6, 2.2, 0.4, -3.0, 7.0]))
+        starts = self.recorded_starts(monkeypatch, m, max_coef=3, max_size=max_size)
+        assert starts[-1].tolist() == want
+
+
+class TestKeptSearch:
+    # The searches run in the order of their starts; a later one replaces the
+    # kept one only if its loss is lower by more than 1e-12.
+    @pytest.mark.parametrize("losses, kept", [
+        ((0.5, 0.5, 0.5), 0),
+        ((0.5, 0.5 - 5e-13, 0.5), 0),
+        ((0.5, 0.5 - 2e-12, 0.5), 1),
+        ((0.5, 0.4, 0.4 - 5e-13), 1),
+        ((0.5, 0.6, 0.3), 2),
+    ])
+    def test_a_later_search_must_be_lower_by_more_than_rounding(
+        self, losses, kept, monkeypatch
+    ):
+        m = synthetic_binary(2)  # three distinct starts at max_coef 3, max_size 2
+        results = iter(losses)
+
+        def scripted(X, y, sw, w0, max_coef, max_size):
+            return w0.copy(), next(results), float(len(w0) - np.count_nonzero(w0))
+
+        monkeypatch.setattr(riskscore, "_local_search", scripted)
+        model = fit_riskscore(m, max_coef=3, max_size=2)
+        starts = [[0] * 6, [2, 0, 0, 0, 0, 0], [2, 0, -2, 0, 0, 0]]
+        assert model.weights.tolist() == starts[kept]
+        assert model.intercept == 6 - np.count_nonzero(starts[kept])
+
+
+class TestLocalSearch:
+    @pytest.mark.parametrize("gap, taken", [(5e-13, 0), (2e-12, 1)])
+    def test_takes_the_first_move_within_rounding_of_the_lowest(
+        self, gap, taken, monkeypatch
+    ):
+        # Moves are listed by column and then step (-1 before +1); the first
+        # whose loss is within 1e-12 of the lowest is taken, not the lowest.
+        m = synthetic_binary(0)
+        y = m.y.astype(float)
+        sw = np.ones_like(y)
+        move_losses = riskscore._move_losses
+        sweeps = []
+
+        def scripted(X, y, sw, base, cols, steps, start):
+            losses, intercepts = move_losses(X, y, sw, base, cols, steps, start)
+            if not sweeps:
+                losses = np.full(len(cols), 0.9)
+                losses[[3, 5]] = 0.1 + gap, 0.1  # column 1 +1, then column 2 +1
+            sweeps.append(len(cols))
+            return losses, intercepts
+
+        monkeypatch.setattr(riskscore, "_move_losses", scripted)
+        w, _, _ = riskscore._local_search(m.X, y, sw, np.zeros(6, dtype=int), 3, 1)
+        assert len(sweeps) == 2
+        assert np.flatnonzero(w).tolist() == [[1, 2][taken]]
+
+    @pytest.mark.parametrize("make", [synthetic_binary, collinear_binary, continuous_binary])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_fit_is_a_local_optimum_of_its_moves(self, make, seed):
+        # No +-1 step on any column that keeps the weights within max_coef
+        # and max_size lowers the loss by more than 1e-12, each move scored
+        # on its own with its own intercept.
+        m = make(seed)
+        y = m.y.astype(float)
+        for max_coef, max_size, pos_weight in [(3, 2, 1.0), (5, 3, 2.5), (2, 8, 1.0)]:
+            sw = np.where(y == 1, pos_weight, 1.0)
+            model = fit_riskscore(m, max_coef=max_coef, max_size=max_size, pos_weight=pos_weight)
+            w = model.weights
+            assert np.abs(w).max() <= max_coef and np.count_nonzero(w) <= max_size
+            loss = weighted_logloss(model.intercept + m.X @ w, y, sw)
+            for j, delta in itertools.product(range(len(w)), (-1, 1)):
+                moved = w.copy()
+                moved[j] += delta
+                if abs(moved[j]) > max_coef or np.count_nonzero(moved) > max_size:
+                    continue
+                scores = m.X @ moved
+                moved_loss = weighted_logloss(
+                    optimal_intercept(scores, y, sw) + scores, y, sw
+                )
+                assert moved_loss >= loss - 1e-12, (max_coef, max_size, pos_weight, j, delta)
+
 
 def tiny_problem(seed):
     """A problem small enough to search exhaustively: d <= 4, max_coef <= 2."""
