@@ -142,7 +142,11 @@ def _cmd_ope(args) -> int:
     if args.max_stage < 1:  # before the cohort is loaded and scored
         raise ConfigError(f"--max-stage must be >= 1, got {args.max_stage}")
     bundle = read(Bundle, read_json(args.model, DataError), args.model)
-    model, schema, spec = model_from_dict(bundle.model), bundle.schema, bundle.state_spec
+    try:
+        model = model_from_dict(bundle.model)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.model}: {exc}") from None
+    schema, spec = bundle.schema, bundle.state_spec
     bundle.check_model(model, args.model)
     if args.spec is not None:
         given = load(StateSpec, args.spec)

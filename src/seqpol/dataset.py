@@ -35,8 +35,7 @@ variable is one raw column over all stages, and the carried observation is a
 forward fill of row indices that restarts at each patient. The encoded form
 is one ``EncodedCohort``: the raw cohort's patient offsets, action indices and
 severity, with a float matrix of stages by encoded features in place of the
-raw columns. Anything already of that type counts as encoded, so applying a
-preprocessor to it returns it unchanged.
+raw columns.
 """
 
 from __future__ import annotations
@@ -343,8 +342,7 @@ class _CategoricalState:
 class Preprocessor:
     """Per-variable statistics fitted on training episodes.
 
-    Immutable once fitted; applying it is deterministic, and applying it to an
-    ``EncodedCohort`` returns that cohort unchanged.
+    Immutable once fitted; applying it is deterministic.
     """
 
     schema: CohortSchema
@@ -403,20 +401,19 @@ def _log_domain(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x + LOG_EPS, LOG_EPS))
 
 
-def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
-    """Fit imputation and transform statistics on training episodes only.
+def fit_preprocessor(train: EpisodeSet) -> Preprocessor:
+    """Fit imputation and transform statistics on training episodes only,
+    for the variables of their schema.
 
     Quintile cut points are the 20/40/60/80 linear-interpolation percentiles
     of the imputed training values; standardization statistics are likewise
     computed after imputation. A zero-variance numeric variable gets its
     standard deviation clamped to 1 with a recorded warning.
     """
-    if isinstance(train, EncodedCohort):
-        raise ConfigError("fit_preprocessor expects raw (non-encoded) episodes")
     if len(train) == 0:
         raise DataError("no episodes")
-    prep = Preprocessor(schema=schema)
-    for var in schema.variables:
+    prep = Preprocessor(schema=train.schema)
+    for var in train.schema.variables:
         if var.kind == "numeric":
             carried, observed = _carried_numbers(train, var.name)
             if observed.any():
@@ -478,19 +475,13 @@ def fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
     return prep
 
 
-def apply_preprocessor(
-    episodes: EpisodeSet | EncodedCohort, prep: Preprocessor
-) -> EncodedCohort:
-    """Impute, transform and one-hot encode episodes into one numeric matrix.
+def apply_preprocessor(episodes: EpisodeSet, prep: Preprocessor) -> EncodedCohort:
+    """Impute, transform and one-hot encode raw episodes into one numeric matrix.
 
     Each variable is one column operation over all stages: the last
     observation carried forward within each patient, the fill value before
-    the first one, then the variable's transform. An ``EncodedCohort`` is
-    already encoded and is returned unchanged, which makes application
-    idempotent.
+    the first one, then the variable's transform.
     """
-    if isinstance(episodes, EncodedCohort):
-        return episodes
     schema = prep.schema
     features = prep.encoded_features()
     rows = np.arange(episodes.n_stages)

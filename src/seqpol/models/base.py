@@ -2,7 +2,7 @@
 
 Every fitted model knows the feature names and action labels it was trained
 on, returns a probability vector over all K actions that sums to one, and
-refuses inputs whose feature names do not match training.
+reads only a ``StateMatrix`` whose feature names match training.
 """
 
 from __future__ import annotations
@@ -30,24 +30,16 @@ class PolicyModel(ABC):
         self.feature_names = list(feature_names)
         self.class_labels = list(class_labels)
 
-    def _validate_input(
-        self, X, feature_names: list[str] | None
-    ) -> np.ndarray:
-        if isinstance(X, StateMatrix):
-            feature_names = X.feature_names
-            X = X.X
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if feature_names is None:
-            if X.shape[1] != len(self.feature_names):
-                raise ContractError(
-                    f"{self.kind}: expected {len(self.feature_names)} features, "
-                    f"got {X.shape[1]}"
-                )
-        elif list(feature_names) != self.feature_names:
-            got, want = list(feature_names), self.feature_names
+    def predict_proba(self, matrix: StateMatrix) -> np.ndarray:
+        """Per-action probabilities, one simplex row per row of ``matrix``.
+
+        A ``ContractError`` unless ``matrix`` is a ``StateMatrix`` with the
+        training feature names in training order; it names the first mismatch.
+        """
+        if not isinstance(matrix, StateMatrix):
+            raise ContractError(f"{self.kind}: expected a StateMatrix, got {type(matrix).__name__}")
+        got, want = list(matrix.feature_names), self.feature_names
+        if got != want:
             i = next(
                 (j for j, (a, b) in enumerate(zip(got, want)) if a != b),
                 min(len(got), len(want)),
@@ -59,19 +51,7 @@ class PolicyModel(ABC):
                 f"{i} got {got_i}, expected {want_i} ({len(got)} features, "
                 f"{len(want)} in training)"
             )
-        return X
-
-    def predict_proba(self, X, feature_names: list[str] | None = None) -> np.ndarray:
-        """Per-class probabilities, one simplex row per input state.
-
-        ``X`` may be a StateMatrix (names taken from it), a 2-D array or a
-        single feature vector; a single vector yields a 1-D result.
-        """
-        arr = self._validate_input(X, feature_names)
-        probs = self._predict_proba_impl(arr)
-        if isinstance(X, np.ndarray) and X.ndim == 1:
-            return probs[0]
-        return probs
+        return self._predict_proba_impl(matrix.X)
 
     @abstractmethod
     def _predict_proba_impl(self, X: np.ndarray) -> np.ndarray:

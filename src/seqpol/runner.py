@@ -102,6 +102,8 @@ class ExperimentConfig:
         check_split_fractions(self.test_frac, self.val_frac)
         if self.states is not None and not self.states:
             raise ConfigError("states is empty; omit it for the 7 standard specs")
+        if self.ope_states is not None and not self.ope_states:
+            raise ConfigError("ope_states is empty; omit it for the default trio")
         get_profile(self.profile)  # an unknown profile fails before any data is read
         if self.selection_metric not in (None, "auroc", "accuracy"):
             raise ConfigError("selection metric must be 'auroc' or 'accuracy'")
@@ -110,11 +112,15 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model kind {kind!r}")
         if not self.model_kinds:
             raise ConfigError("at least one model kind is required")
+        if len(set(self.model_kinds)) != len(self.model_kinds):
+            raise ConfigError(f"duplicate model kinds: the model kinds are {self.model_kinds}")
         if self.data_path is None and self.generator is None:
             raise ConfigError("config needs either data_path or generator")
         states = [s.name for s in self.resolved_states()]
         if len(set(states)) != len(states):
             raise ConfigError(f"duplicate state specs: the states are {states}")
+        if len(set(self.ope_states or ())) != len(self.ope_states or ()):
+            raise ConfigError(f"duplicate ope_states: the ope_states are {self.ope_states}")
         for name in self.ope_states or ():
             if name not in states or self.ope_model not in self.model_kinds:
                 raise ConfigError(f"ope_states names {name!r}, but ({name!r}, {self.ope_model!r}) "
@@ -189,7 +195,7 @@ def _split(cfg: ExperimentConfig, raw: EpisodeSet, index: int) -> _Split:
     folds = split_dataset(
         raw, derive_seed(cfg.seed, "split", index), cfg.test_frac, cfg.val_frac
     )
-    prep = fit_preprocessor(folds[0], raw.schema)
+    prep = fit_preprocessor(folds[0])
     return _Split(index, prep, *(apply_preprocessor(fold, prep) for fold in folds))
 
 

@@ -119,6 +119,14 @@ def state_matrix(X, y, K=2, *, names=None, labels=None, row_ids=None, stages=Non
     )
 
 
+def probe(model, rows):
+    """The feature vectors ``rows`` (2-D) as a StateMatrix under ``model``'s
+    feature names and actions, the only input ``predict_proba`` reads."""
+    rows = np.asarray(rows, dtype=float)
+    return state_matrix(rows, np.zeros(len(rows)), len(model.class_labels),
+                        names=model.feature_names, labels=model.class_labels)
+
+
 def row_ids(matrix) -> list[str]:
     """Each row's patient id, from a matrix's patients and offsets."""
     return np.repeat(matrix.patient_ids, np.diff(matrix.offsets)).tolist()

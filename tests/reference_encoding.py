@@ -55,7 +55,8 @@ def _log_domain(x):
     return np.log(np.maximum(x + LOG_EPS, LOG_EPS))
 
 
-def reference_fit_preprocessor(train: EpisodeSet, schema: CohortSchema) -> Preprocessor:
+def reference_fit_preprocessor(train: EpisodeSet) -> Preprocessor:
+    schema = train.schema
     prep = Preprocessor(schema=schema)
     patients = episode_stages(train)
     for var in schema.variables:

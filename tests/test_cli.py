@@ -68,6 +68,11 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
 
 @pytest.mark.parametrize("options, message", [
     ({"states": []}, "states is empty"),
+    ({"ope_states": []}, "ope_states is empty; omit it for the default trio"),
+    ({"ope_states": ["window1", "window1"]},
+     "duplicate ope_states: the ope_states are ['window1', 'window1']"),
+    ({"model_kinds": ["logreg", "logreg"]},
+     "duplicate model kinds: the model kinds are ['logreg', 'logreg']"),
     ({"bootstrap_B": 0}, "bootstrap_B must be >= 1, got 0"),
     ({"bootstrap_B": -3}, "bootstrap_B must be >= 1, got -3"),
     ({"n_candidates": "2"}, "n_candidates must be an integer, got '2'"),
@@ -444,26 +449,28 @@ def _lacking(case):
     ("logreg", ("schema", "variables"), "{bundle}: schema lacks ['variables']"),
     ("logreg", ("preprocessor", "schema", "variables"),
      "{bundle}: preprocessor.schema lacks ['variables']"),
-    ("logreg", ("model", "feature_names"), "model: lacks ['feature_names']"),
-    ("logreg", ("model", "class_labels"), "model: lacks ['class_labels']"),
-    ("logreg", ("model", "params"), "model: lacks ['params']"),
-    ("logreg", ("model", "params", "W"), "model: params lacks ['W']"),
-    ("logreg", ("model", "params", "b"), "model: params lacks ['b']"),
-    ("riskscore", ("model", "params", "weights"), "model: params lacks ['weights']"),
-    ("riskscore", ("model", "params", "intercept"), "model: params lacks ['intercept']"),
-    ("mlp", ("model", "params", "layers"), "model: params lacks ['layers']"),
-    ("mlp", ("model", "params", "layers", 0, "W"), "model: params.layers[0] lacks ['W']"),
-    ("mlp", ("model", "params", "layers", -1, "b"), "model: params.layers[1] lacks ['b']"),
-    ("tree", ("model", "params", "root"), "model: params lacks ['root']"),
-    ("tree", ("model", "params", "root", "counts"), "model: params.root lacks ['counts']"),
+    ("logreg", ("model", "feature_names"), "{bundle}: model: lacks ['feature_names']"),
+    ("logreg", ("model", "class_labels"), "{bundle}: model: lacks ['class_labels']"),
+    ("logreg", ("model", "params"), "{bundle}: model: lacks ['params']"),
+    ("logreg", ("model", "params", "W"), "{bundle}: model: params lacks ['W']"),
+    ("logreg", ("model", "params", "b"), "{bundle}: model: params lacks ['b']"),
+    ("riskscore", ("model", "params", "weights"), "{bundle}: model: params lacks ['weights']"),
+    ("riskscore", ("model", "params", "intercept"), "{bundle}: model: params lacks ['intercept']"),
+    ("mlp", ("model", "params", "layers"), "{bundle}: model: params lacks ['layers']"),
+    ("mlp", ("model", "params", "layers", 0, "W"), "{bundle}: model: params.layers[0] lacks ['W']"),
+    ("mlp", ("model", "params", "layers", -1, "b"),
+     "{bundle}: model: params.layers[1] lacks ['b']"),
+    ("tree", ("model", "params", "root"), "{bundle}: model: params lacks ['root']"),
+    ("tree", ("model", "params", "root", "counts"),
+     "{bundle}: model: params.root lacks ['counts']"),
     ("tree", ("model", "params", "root", "threshold"),
-     "model: params.root: a node with a feature lacks ['threshold']"),
+     "{bundle}: model: params.root: a node with a feature lacks ['threshold']"),
     ("tree", ("model", "params", "root", "left"),
-     "model: params.root: a node with a feature lacks ['left']"),
+     "{bundle}: model: params.root: a node with a feature lacks ['left']"),
     ("tree", ("model", "params", "root", "right"),
-     "model: params.root: a node with a feature lacks ['right']"),
+     "{bundle}: model: params.root: a node with a feature lacks ['right']"),
     ("tree", ("model", "params", "root", "right", "counts"),
-     "model: params.root.right lacks ['counts']"),
+     "{bundle}: model: params.root.right lacks ['counts']"),
 ]])
 def test_ope_names_the_key_a_bundle_section_lacks(
     fitted_bundles, tmp_path, capsys, stem, path, error
@@ -493,7 +500,7 @@ def logreg_bundle(tmp_path_factory):
 
 @pytest.mark.parametrize("edit, error", [
     (lambda b: b["model"]["params"].update(b=[0.5]),
-     "model: params.b must have 3 entries, one per class label, got 1"),
+     "{bundle}: model: params.b must have 3 entries, one per class label, got 1"),
     (lambda b: b["model"].update(class_labels=["a2", "a1", "a0"]),
      "{bundle}: model.class_labels ['a2', 'a1', 'a0'] differ from schema.action_labels "
      "['a0', 'a1', 'a2']"),
@@ -811,8 +818,7 @@ def test_report_refuses_a_bundle_that_ope_refuses(tmp_path, capsys, edit, error)
     capsys.readouterr()
     assert main(["ope", "--model", str(path), "--data", str(tmp_path / "missing.jsonl"),
                  "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.endswith(f"{error}\n")
+    assert capsys.readouterr().err == f"config error: {path}: {error}\n"
     assert main(["report", "--in", str(d), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: {path}: {error}\n"
     assert not out.exists()

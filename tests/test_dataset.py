@@ -495,7 +495,7 @@ def test_a_file_out_of_id_order_names_the_line_of_its_first_problem(
 def test_cohorts_refuse_patient_ids_that_do_not_strictly_ascend(ids):
     schema = make_schema()
     eps = raw_episode_set(schema, [(pid, [({"hr": 1.0}, "fluids", None)]) for pid in "ab"])
-    encoded = apply_preprocessor(eps, fit_preprocessor(eps, schema))
+    encoded = apply_preprocessor(eps, fit_preprocessor(eps))
     message = f"patient ids must strictly ascend, but {ids[1]!r} follows {ids[0]!r}"
     for cohort in (eps, encoded):
         with pytest.raises(DataError, match=message):
@@ -594,14 +594,14 @@ class TestFitPreprocessor:
     def test_quintile_cuts_linear_interpolation(self):
         # independent oracle: sort and interpolate percentile positions by hand
         values = list(range(1, 11))
-        eps, schema = numeric_set({"p": values}, transform="discretize-quintiles")
-        prep = fit_preprocessor(eps, schema)
+        eps, _ = numeric_set({"p": values}, transform="discretize-quintiles")
+        prep = fit_preprocessor(eps)
         cuts = prep.numeric["v"].quintile_cuts
         assert cuts == pytest.approx((2.8, 4.6, 6.4, 8.2))
 
     def test_constant_variable_clamps_stddev(self):
-        eps, schema = numeric_set({"p": [5.0, 5.0, 5.0]})
-        prep = fit_preprocessor(eps, schema)
+        eps, _ = numeric_set({"p": [5.0, 5.0, 5.0]})
+        prep = fit_preprocessor(eps)
         assert prep.numeric["v"].mean == 5.0
         assert prep.numeric["v"].std == 1.0
         assert any("zero variance" in w for w in prep.warnings)
@@ -613,16 +613,16 @@ class TestFitPreprocessor:
             default_action="x",
         )
         eps = raw_episode_set(schema, [("p", [({"c": "a"}, "x", None), ({"c": "b"}, "x", None)])])
-        prep = fit_preprocessor(eps, schema)
+        prep = fit_preprocessor(eps)
         assert prep.categorical["c"].vocabulary == ("a", "b", "other")
 
     def test_digest_stable_and_sensitive(self):
-        eps, schema = numeric_set({"p": [1.0, 2.0], "q": [3.0, 4.0]})
-        d1 = fit_preprocessor(eps, schema).digest()
-        d2 = fit_preprocessor(eps, schema).digest()
+        eps, _ = numeric_set({"p": [1.0, 2.0], "q": [3.0, 4.0]})
+        d1 = fit_preprocessor(eps).digest()
+        d2 = fit_preprocessor(eps).digest()
         assert d1 == d2
         eps2, _ = numeric_set({"p": [1.0, 2.0], "q": [3.0, 5.0]})
-        assert fit_preprocessor(eps2, schema).digest() != d1
+        assert fit_preprocessor(eps2).digest() != d1
 
 
 class TestApplyPreprocessor:
@@ -630,7 +630,7 @@ class TestApplyPreprocessor:
         eps, schema = numeric_set(
             {"train": [1.0, 3.0]}, transform="none"
         )
-        prep = fit_preprocessor(eps, schema)
+        prep = fit_preprocessor(eps)
         assert prep.numeric["v"].mean == 2.0
         target = raw_episode_set(
             schema, [("p", [({"v": v}, "x", None) for v in (None, 3.0, None, 5.0)])]
@@ -647,7 +647,7 @@ class TestApplyPreprocessor:
         train = raw_episode_set(
             schema, [("p", [({"c": "a"}, "x", None), ({"c": "b"}, "x", None)])]
         )
-        prep = fit_preprocessor(train, schema)
+        prep = fit_preprocessor(train)
         target = raw_episode_set(schema, [("q", [({"c": "c"}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert (column(out, "c=a")[0], column(out, "c=b")[0],
@@ -655,7 +655,7 @@ class TestApplyPreprocessor:
 
     def test_standardize_arithmetic(self):
         eps, schema = numeric_set({"a": [3.0, 7.0]})  # mean 5, std 2
-        prep = fit_preprocessor(eps, schema)
+        prep = fit_preprocessor(eps)
         target = raw_episode_set(schema, [("p", [({"v": 7.0}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert column(out, "v")[0] == pytest.approx(1.0)
@@ -673,23 +673,16 @@ class TestApplyPreprocessor:
             ("p", [({"v": 1.0, "c": "a"}, "x", None), ({"v": None, "c": None}, "y", None)]),
             ("q", [({"v": None, "c": "b"}, "x", None)]),
         ])
-        prep = fit_preprocessor(train, schema)
+        prep = fit_preprocessor(train)
         out = apply_preprocessor(train, prep)
         assert out.X.shape == (3, 1 + 3)  # v, then c=a, c=b, c=other
         assert np.isfinite(out.X).all()
         onehot = [f.name.startswith("c=") for f in out.features]
         assert out.X[:, onehot].sum(axis=1).tolist() == [1.0, 1.0, 1.0]
 
-    def test_apply_is_idempotent_on_encoded_output(self):
-        eps, schema = numeric_set({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        prep = fit_preprocessor(eps, schema)
-        once = apply_preprocessor(eps, prep)
-        twice = apply_preprocessor(once, prep)
-        assert twice is once
-
     def test_log_standardize_handles_nonpositive(self):
         eps, schema = numeric_set({"a": [1.0, np.e]}, transform="log-standardize")
-        prep = fit_preprocessor(eps, schema)
+        prep = fit_preprocessor(eps)
         target = raw_episode_set(schema, [("p", [({"v": -5.0}, "x", None)])])
         out = apply_preprocessor(target, prep)
         assert np.isfinite(column(out, "v")[0])
@@ -701,8 +694,8 @@ class TestApplyPreprocessor:
         train = data.draw(raw_cohorts(schema, tokens=("a", "b", "c")))
         # unseen tokens, and one spelled like the reserved bucket
         target = data.draw(raw_cohorts(schema, tokens=("a", "b", "c", "d", "other")))
-        prep = fit_preprocessor(train, schema)
-        reference = reference_fit_preprocessor(train, schema)
+        prep = fit_preprocessor(train)
+        reference = reference_fit_preprocessor(train)
         assert write(prep) == write(reference)
         assert prep.digest() == reference.digest()
 

@@ -6,7 +6,7 @@ from seqpol.errors import FitError
 from seqpol.models import PROFILES, grid
 from seqpol.models.logreg import _log_softmax, fit_logreg, penalized_objective, softmax
 
-from conftest import random_matrix, state_matrix
+from conftest import probe, random_matrix, state_matrix
 from reference_models import (
     reference_log_softmax,
     reference_penalized_objective,
@@ -40,14 +40,15 @@ class TestFitLogreg:
         theta_hat = np.concatenate([model.W.ravel(), model.b])
         fitted_loss, _ = penalized_objective(theta_hat, Xd, Y, C)
         assert fitted_loss <= best + 1e-6
-        assert model.predict_proba(np.array([1.0]), ["x"])[1] > 0.9
+        assert model.predict_proba(probe(model, [[1.0]]))[0, 1] > 0.9
 
     def test_extreme_penalty_recovers_class_priors(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((90, 1))
         y = np.array([0] * 60 + [1] * 30)
-        model = fit_logreg(binary_matrix(X, y), C=1e-9)
-        probs = model.predict_proba(X, ["x"])
+        m = binary_matrix(X, y)
+        model = fit_logreg(m, C=1e-9)
+        probs = model.predict_proba(m)
         assert np.allclose(probs[:, 0], 2 / 3, atol=0.01)
         assert np.allclose(probs[:, 1], 1 / 3, atol=0.01)
 
@@ -78,7 +79,7 @@ class TestFitLogreg:
         model = fit_logreg(m, C=1.0)
         z = model.b - model.b.max()
         expected = np.exp(z) / np.exp(z).sum()
-        got = model.predict_proba(np.zeros(2), m.feature_names)
+        got = model.predict_proba(probe(model, np.zeros((1, 2))))[0]
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -126,11 +127,12 @@ class TestNewtonSolver:
         m = random_matrix(seed=4, n=300, d=4, K=3)
         X = m.X.copy()
         X[:, 1] += 1e4
-        model = fit_logreg(state_matrix(X, m.y, 3), C=1e3)
+        offset = state_matrix(X, m.y, 3)
+        model = fit_logreg(offset, C=1e3)
         plain = fit_logreg(m, C=1e3)
         assert np.allclose(model.W, plain.W, rtol=0.0, atol=1e-9)
-        got = model.predict_proba(X, m.feature_names)
-        assert np.allclose(got, plain.predict_proba(m.X, m.feature_names), rtol=0.0, atol=1e-9)
+        got = model.predict_proba(offset)
+        assert np.allclose(got, plain.predict_proba(m), rtol=0.0, atol=1e-9)
         theta = np.concatenate([model.W.ravel(), model.b])
         assert np.abs(penalized_objective(theta, X, np.eye(3)[m.y], 1e3)[1]).max() <= 1e-6
 

@@ -96,7 +96,7 @@ class TestFitMlp:
             m, m, hidden_dims=(16,), lr=1e-2, batch_size=32,
             max_epochs=500, patience=500, seed=0,
         )
-        preds = np.argmax(model.predict_proba(m.X, m.feature_names), axis=1)
+        preds = np.argmax(model.predict_proba(m), axis=1)
         assert np.mean(preds == m.y) == 1.0
 
     def test_patience_counter_semantics(self):
@@ -238,12 +238,12 @@ def test_fitted_mlp_comes_near_the_oracle(seed):
         GeneratorConfig(n_patients=300, n_actions=3, t_fixed=6, seed=seed)
     )
     folds = split_dataset(episodes, seed, 0.25, 0.2)
-    prep = fit_preprocessor(folds[0], episodes.schema)
+    prep = fit_preprocessor(folds[0])
     spec = StateSpec(window_k=0, aggregate_op="sum")
     train, val, test = (assemble_state(apply_preprocessor(f, prep), spec) for f in folds)
     model = fit_mlp(train, val, hidden_dims=(32,), lr=1e-2, batch_size=64,
                     max_epochs=50, patience=5, seed=0)
-    probs = model.predict_proba(test.X, test.feature_names)
+    probs = model.predict_proba(test)
     truth = oracle.aligned_with(test)
     gap = auroc_multiclass(truth, test.y) - auroc_multiclass(probs, test.y)
     assert gap < ORACLE_MAX_AUROC_GAP

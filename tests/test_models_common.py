@@ -23,7 +23,7 @@ from seqpol.models import (
 )
 from seqpol.reader import write
 
-from conftest import random_matrix, state_matrix
+from conftest import probe, random_matrix, state_matrix
 
 
 def pure_matrix(K=2, n=30, d=3, label=1):
@@ -71,45 +71,50 @@ class TestSimplexContract:
             assert probs[2:, 1].mean() > 0.9, name
 
 
+@pytest.fixture(scope="module")
+def binary_models():
+    return fit_all(random_matrix(seed=22, n=80, d=3, K=2))
+
+
 class TestInputValidation:
     def test_feature_name_mismatch_rejected(self):
         train = random_matrix(seed=21, n=80, d=3, K=2)
+        renamed = state_matrix(train.X, train.y, names=["wrong", "names", "here"])
         for name, model in fit_all(train).items():
             with pytest.raises(ContractError):
-                model.predict_proba(train.X, ["wrong", "names", "here"])
+                model.predict_proba(renamed)
 
     def test_feature_name_mismatch_names_first_difference(self):
         train = random_matrix(seed=21, n=80, d=3, K=2)
         model = fit_logreg(train, C=1.0)
         with pytest.raises(ContractError, match="at position 2 got 'f9', expected 'f2'"):
-            model.predict_proba(train.X, ["f0", "f1", "f9"])
+            model.predict_proba(state_matrix(train.X, train.y, names=["f0", "f1", "f9"]))
         with pytest.raises(
             ContractError,
             match=r"at position 2 got no feature, expected 'f2' \(2 features, 3 in",
         ):
-            model.predict_proba(train.X, ["f0", "f1"])
+            model.predict_proba(state_matrix(train.X[:, :2], train.y, names=["f0", "f1"]))
 
-    def test_wrong_width_rejected(self):
-        train = random_matrix(seed=22, n=80, d=3, K=2)
-        for name, model in fit_all(train).items():
-            with pytest.raises(ContractError):
-                model.predict_proba(np.zeros((4, 5)))
+    def test_wrong_width_rejected(self, binary_models):
+        wide = state_matrix(np.zeros((4, 5)), np.zeros(4))
+        for name, model in binary_models.items():
+            with pytest.raises(ContractError, match="at position 3 got 'f3', expected no"):
+                model.predict_proba(wide)
 
-    def test_single_vector_gives_single_row(self):
-        train = random_matrix(seed=23, n=80, d=3, K=3)
-        model = fit_logreg(train, C=1.0)
-        out = model.predict_proba(np.zeros(3), train.feature_names)
-        assert out.shape == (3,)
+    @pytest.mark.parametrize("kind", ["logreg", "tree", "mlp", "riskscore"])
+    def test_bare_array_rejected(self, binary_models, kind):
+        with pytest.raises(ContractError, match=f"{kind}: expected a StateMatrix, got ndarray"):
+            binary_models[kind].predict_proba(np.zeros((4, 3)))
 
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self):
         train = random_matrix(seed=24, n=120, d=4, K=2)
-        probe = np.random.default_rng(1).standard_normal((7, 4))
+        rows = np.random.default_rng(1).standard_normal((7, 4))
         for name, model in fit_all(train).items():
             clone = model_from_dict(write(model_record(model)))
-            a = model.predict_proba(probe, train.feature_names)
-            b = clone.predict_proba(probe, train.feature_names)
+            a = model.predict_proba(probe(model, rows))
+            b = clone.predict_proba(probe(clone, rows))
             assert np.allclose(a, b, atol=1e-12), name
             assert clone.kind == model.kind
             assert clone.feature_names == model.feature_names

@@ -20,7 +20,7 @@ from seqpol.models.riskscore import (
 )
 from seqpol.reader import write
 
-from conftest import random_matrix, state_matrix
+from conftest import probe, random_matrix, state_matrix
 
 
 def binary_matrix(X, y):
@@ -104,7 +104,7 @@ class TestRiskScoreContract:
         model = RiskScorePolicy(
             ["f0", "f1"], ["neg", "pos"], np.array([2, -1]), -1.0
         )
-        probs = model.predict_proba(np.array([1.0, 1.0]), ["f0", "f1"])
+        probs = model.predict_proba(probe(model, [[1.0, 1.0]]))[0]
         assert probs[1] == pytest.approx(0.5)
 
     def test_integer_bounds_and_sparsity(self):
@@ -725,7 +725,7 @@ def generator_matrices():
              "window1": StateSpec(window_k=1)}
     for index, cfg in enumerate(cohorts):
         episodes, _ = generate_cohort(cfg)
-        encoded = apply_preprocessor(episodes, fit_preprocessor(episodes, episodes.schema))
+        encoded = apply_preprocessor(episodes, fit_preprocessor(episodes))
         for name, spec in specs.items():
             yield index, name, assemble_state(encoded, spec)
 

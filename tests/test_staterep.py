@@ -391,7 +391,7 @@ class TestAssembleMatchesPerPatientReference:
         schema = data.draw(schemas())
         train = data.draw(raw_cohorts(schema, tokens=("a", "b", "c")))
         target = data.draw(raw_cohorts(schema, tokens=("a", "b", "d")))
-        prep = fit_preprocessor(train, schema)
+        prep = fit_preprocessor(train)
         cohort = apply_preprocessor(target, prep)
         per_stage = reference_apply_preprocessor(target, prep)
         for spec in self.SPECS:

@@ -126,7 +126,7 @@ def test_first_patients_do_not_depend_on_cohort_size(lengths):
 def test_oracle_rows_align_with_a_switch_state_subset():
     # The matrix of every third patient; its switch states are a row mask.
     episodes, oracle = generate_cohort(_config(3, 2, "geometric", 0.5, n_patients=40))
-    cohort = apply_preprocessor(episodes, fit_preprocessor(episodes, episodes.schema))
+    cohort = apply_preprocessor(episodes, fit_preprocessor(episodes))
     matrix = assemble_state(cohort.take(np.arange(0, len(cohort), 3)), StateSpec(window_k=1))
     switch = filter_switch_states(matrix)
     assert 0 < switch.sum() < matrix.n_rows

@@ -10,7 +10,7 @@ from seqpol.models import model_from_dict, model_record
 from seqpol.models.tree import _sum_classes, fit_tree
 from seqpol.reader import write
 
-from conftest import random_matrix, state_matrix
+from conftest import probe, random_matrix, state_matrix
 
 
 def matrix(X, y, K=2, names=None):
@@ -28,7 +28,7 @@ class TestFitTree:
         model = fit_tree(m, max_depth=1)
         assert model.n_leaves == 2
         assert model.depth == 1
-        preds = np.argmax(model.predict_proba(m.X, m.feature_names), axis=1)
+        preds = np.argmax(model.predict_proba(m), axis=1)
         assert np.array_equal(preds, m.y)
 
     def test_threshold_between_adjacent_floats_separates_them(self):
@@ -37,7 +37,7 @@ class TestFitTree:
         a, b = 1 + 2**-52, 1 + 2**-51
         model = fit_tree(matrix([a, b, a, b], [0, 1, 0, 1]))
         assert (model.n_leaves, model.depth, model.threshold[0]) == (2, 1, a)
-        assert model.predict_proba(np.array([[2.0]])).tolist() == [[0.0, 1.0]]
+        assert model.predict_proba(probe(model, [[2.0]])).tolist() == [[0.0, 1.0]]
 
     def test_min_samples_split_binds(self):
         rng = np.random.default_rng(0)
@@ -56,17 +56,17 @@ class TestFitTree:
         X = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
         y = np.array([0, 0, 1, 1, 1])
         model = fit_tree(matrix(X, y), max_depth=1)
-        left = model.predict_proba(np.array([0.0]), model.feature_names)
+        left = model.predict_proba(probe(model, [[0.0]]))[0]
         assert left[0] == float(Fraction(2, 3)) and left[1] == float(Fraction(1, 3))
-        right = model.predict_proba(np.array([1.0]), model.feature_names)
+        right = model.predict_proba(probe(model, [[1.0]]))[0]
         assert right[0] == 0.0 and right[1] == 1.0
 
     def test_single_class_gives_depth_zero_certainty(self):
         m = matrix([1.0, 2.0, 3.0], [1, 1, 1])
         model = fit_tree(m)
         assert model.n_leaves == 1
-        probs = model.predict_proba(np.array([9.0]), m.feature_names)
-        assert probs[1] == 1.0
+        probs = model.predict_proba(probe(model, [[9.0]]))
+        assert probs[0, 1] == 1.0
 
     def test_threshold_is_midpoint(self):
         m = matrix([1.0, 3.0], [0, 1])
@@ -81,8 +81,8 @@ class TestFitTree:
     def test_depth_zero_tree_predicts_class_frequencies(self):
         m = matrix([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 1])
         model = fit_tree(m, max_depth=0)
-        probs = model.predict_proba(np.array([2.5]), m.feature_names)
-        assert probs == pytest.approx([0.75, 0.25])
+        probs = model.predict_proba(probe(model, [[2.5]]))
+        assert probs[0] == pytest.approx([0.75, 0.25])
 
     def test_deterministic_across_fits(self):
         m = random_matrix(seed=5, n=200, d=5, K=3)
@@ -100,8 +100,8 @@ class TestFitTree:
         m = random_matrix(seed=6, n=120, d=4, K=3)
         model = fit_tree(m, max_depth=4)
         again = model_from_dict(json.loads(json.dumps(saved(model))))
-        probs_a = model.predict_proba(m.X[:10], m.feature_names)
-        probs_b = again.predict_proba(m.X[:10], m.feature_names)
+        probs_a = model.predict_proba(m)[:10]
+        probs_b = again.predict_proba(m)[:10]
         assert np.array_equal(probs_a, probs_b)
         assert again.n_leaves == model.n_leaves
 
@@ -355,33 +355,26 @@ class TestVectorizedPredict:
         model = fit_tree(m, max_depth=8)
         rng = np.random.default_rng(1)
         X = np.vstack([m.X, rng.integers(-1, 7, size=(200, 6)).astype(float)])
-        assert np.array_equal(model.predict_proba(X), reference_predict(model, X))
+        assert np.array_equal(model.predict_proba(probe(model, X)), reference_predict(model, X))
 
     def test_rows_at_a_threshold_go_left(self):
         model = fit_tree(matrix([1.0, 1.0, 3.0, 3.0], [0, 0, 1, 1]), max_depth=1)
         assert model.threshold[0] == 2.0
-        probs = model.predict_proba(np.array([[2.0], [np.nextafter(2.0, 3.0)]]))
+        X = [[2.0], [np.nextafter(2.0, 3.0)]]
+        probs = model.predict_proba(probe(model, X))
         assert np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(probs, reference_predict(model, [[2.0], [np.nextafter(2.0, 3.0)]]))
+        assert np.array_equal(probs, reference_predict(model, X))
 
     def test_depth_zero_tree(self):
         m = matrix([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]], [0, 1, 1])
         model = fit_tree(m, max_depth=0)
-        probs = model.predict_proba(m.X)
+        probs = model.predict_proba(m)
         assert probs.shape == (3, 2)
         assert np.array_equal(probs, reference_predict(model, m.X))
-
-    def test_single_1d_input_gives_1d_result(self):
-        m = continuous_matrix(seed=4, n=120, d=3, K=3)
-        model = fit_tree(m, max_depth=5)
-        x = m.X[7]
-        probs = model.predict_proba(x)
-        assert probs.shape == (3,)
-        assert np.array_equal(probs, reference_predict(model, x)[0])
 
     def test_model_from_dict_round_trip_writes_same_bytes(self):
         m = tied_matrix(seed=6, n=300, d=5, K=3)
         model = fit_tree(m, criterion="entropy", max_depth=6)
         again = model_from_dict(saved(model))
         assert json.dumps(saved(again)) == json.dumps(saved(model))
-        assert np.array_equal(again.predict_proba(m.X), model.predict_proba(m.X))
+        assert np.array_equal(again.predict_proba(m), model.predict_proba(m))
