@@ -3,14 +3,9 @@
 Subcommands:
   generate     sample a synthetic cohort (episodes.jsonl + oracle.csv)
   experiment   run the full protocol and render the report tables
-  sweep-trees  tree-complexity sweep on split 0 (complexity.csv + .svg only)
-  ope          inverse-probability product diagnostics for a saved model bundle,
-               scored in blocks of consecutive patients, which load in id
-               order (at most ``ope._BLOCK_ROWS`` rows a block, a longer
-               patient alone), so that it holds one block's state matrix at a
-               time besides the cohort and one product a row; it writes
-               ope_curve.csv through ``report.write_table``, the writer of
-               every report table, with LF line ends
+  sweep-trees  the experiment's tree-complexity sweep alone: the config's
+               tree_sweep_n trees per state on split 0 (complexity.csv + .svg)
+  ope          inverse-probability product diagnostics of a saved bundle (``seqpol.ope``)
   report       re-render tables, figures and model bundles from a saved
                report.json and the models/ files it lists; each bundle is
                read back as a record and refused as ``ope`` refuses it
@@ -22,7 +17,6 @@ docstring of ``seqpol.reader`` states which input faults are which.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,18 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a synthetic cohort")
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("experiment", help="run the full experimental protocol")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("sweep-trees", help="tree-complexity sweep on one split")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=500, help="models per state")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser(
         "ope",
@@ -100,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     gen = load(GeneratorConfig, args.config)
-    if args.seed is not None:
-        gen = dataclasses.replace(gen, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     episodes, oracle = generate_cohort(gen)
@@ -117,10 +105,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = load(ExperimentConfig, args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    report = run_experiment(cfg)
+    report = run_experiment(load(ExperimentConfig, args.config))
     written = render_report(report, args.out)
     print(f"wrote {len(written)} files -> {args.out}")
     return 0
@@ -128,11 +113,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep_trees(args) -> int:
     cfg = load(ExperimentConfig, args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
-    cfg.tree_sweep_n = args.n
+    if cfg.tree_sweep_n < 1:  # before the cohort is read
+        raise ConfigError(
+            f"{args.config}: sweep-trees needs tree_sweep_n >= 1, got {cfg.tree_sweep_n}")
     written = render_complexity(tree_sweep(cfg, resolve_episodes(cfg)), args.out)
     print(f"wrote {len(written)} files -> {args.out}")
     return 0

@@ -413,6 +413,15 @@ def fit_preprocessor(train: EpisodeSet) -> Preprocessor:
     if len(train) == 0:
         raise DataError("no episodes")
     prep = Preprocessor(schema=train.schema)
+
+    def clamped_std(values: np.ndarray, name: str, domain: str = "") -> float:
+        std = float(values.std())
+        if std == 0.0:
+            prep.warnings.append(
+                f"variable {name!r}: zero variance{domain}, stddev clamped to 1")
+            return 1.0
+        return std
+
     for var in train.schema.variables:
         if var.kind == "numeric":
             carried, observed = _carried_numbers(train, var.name)
@@ -427,24 +436,11 @@ def fit_preprocessor(train: EpisodeSet) -> Preprocessor:
             values = np.where(observed, carried, float(fill))
             state = _NumericState(mean=mean)
             if var.transform == "standardize":
-                std = float(values.std())
-                if std == 0.0:
-                    std = 1.0
-                    prep.warnings.append(
-                        f"variable {var.name!r}: zero variance, stddev clamped to 1"
-                    )
-                state.std = std
+                state.std = clamped_std(values, var.name)
             elif var.transform == "log-standardize":
                 logged = _log_domain(values)
                 state.log_mean = float(logged.mean())
-                log_std = float(logged.std())
-                if log_std == 0.0:
-                    log_std = 1.0
-                    prep.warnings.append(
-                        f"variable {var.name!r}: zero variance in log domain, "
-                        "stddev clamped to 1"
-                    )
-                state.log_std = log_std
+                state.log_std = clamped_std(logged, var.name, " in log domain")
             elif var.transform == "discretize-quintiles":
                 cuts = np.percentile(values, [20, 40, 60, 80], method="linear")
                 state.quintile_cuts = tuple(float(c) for c in cuts)

@@ -20,12 +20,12 @@ subtracts m W from the intercepts it finds. A column with a large offset
 would otherwise make the logits cancel, and leave the objective too noisy
 for the line search to compare points near the minimum.
 
-The softmax rows take their max and sum as a fold over the K columns: on
+The softmax rows take their max and sum as folds over the K columns: on
 thousands of rows and a few columns that is several times cheaper than
-numpy's reduction along the short axis. The max is exact in any order.
-numpy's row sum of fewer than 8 columns adds them left to right, so the fold
-matches it bit for bit; from 8 columns numpy sums pairwise, so the sum is
-left to numpy there. tests/test_logreg.py checks both sides against numpy.
+numpy's reduction along the short axis. The max is exact in any order; the
+sum, ``_sum_classes``, adds the columns in numpy's own order, so it matches
+numpy's row sum bit for bit. The tree's impurities sum over classes with it
+too; tests/test_logreg.py and tests/test_tree.py check it against numpy.
 """
 
 from __future__ import annotations
@@ -47,26 +47,41 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return m[:, None]
 
 
-def _row_sum(e: np.ndarray) -> np.ndarray:
-    """``e.sum(axis=1, keepdims=True)``, bit for bit (see the module docstring)."""
-    if e.shape[1] >= 8:
-        return e.sum(axis=1, keepdims=True)
-    s = e[:, 0].copy()
-    for k in range(1, e.shape[1]):
-        s += e[:, k]
-    return s[:, None]
+def _sum_classes(terms: np.ndarray) -> np.ndarray:
+    """Sum over the class axis (axis 0) in numpy's pairwise order.
+
+    numpy adds the K entries of a row one by one when K < 8, in eight
+    interleaved partial sums when K <= 128, and by halves beyond. Adding
+    whole class columns in that order gives, bit for bit, what a row-wise
+    ``sum(axis=-1)`` over (..., K) values gives, at a fraction of its cost.
+    """
+    K = len(terms)
+    if K > 128:
+        h = K // 2 - (K // 2) % 8
+        return _sum_classes(terms[:h]) + _sum_classes(terms[h:])
+    if K < 8:
+        head, tail = terms[0], terms[1:]
+    else:
+        r = list(terms[:8])
+        for i in range(8, K - K % 8, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = terms[K - K % 8 :]
+    for t in tail:
+        head = head + t
+    return head
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     e = z - _row_max(z)
     np.exp(e, out=e)
-    e /= _row_sum(e)
+    e /= _sum_classes(e.T)[:, None]
     return e
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - _row_max(z)
-    return z - np.log(_row_sum(np.exp(z)))
+    return z - np.log(_sum_classes(np.exp(z).T)[:, None])
 
 
 def penalized_objective(

@@ -41,35 +41,11 @@ from ..errors import ConfigError, FitError
 from ..reader import OMIT_NONE
 from ..staterep import StateMatrix
 from .base import PolicyModel, check_width
+from .logreg import _sum_classes
 
 _MIN_GAIN = 1e-12
 # Rows x features scored at once in the split search; bounds its temporaries.
 _BLOCK_POSITIONS = 1 << 13
-
-
-def _sum_classes(terms: np.ndarray) -> np.ndarray:
-    """Sum over the class axis (axis 0) in numpy's pairwise order.
-
-    numpy adds the K entries of a row one by one when K < 8, in eight
-    interleaved partial sums when K <= 128, and by halves beyond. Adding
-    whole class columns in that order gives, bit for bit, what a row-wise
-    ``sum(axis=-1)`` over (..., K) counts gives, at a fraction of its cost.
-    """
-    K = len(terms)
-    if K > 128:
-        h = K // 2 - (K // 2) % 8
-        return _sum_classes(terms[:h]) + _sum_classes(terms[h:])
-    if K < 8:
-        head, tail = terms[0], terms[1:]
-    else:
-        r = list(terms[:8])
-        for i in range(8, K - K % 8, 8):
-            r = [r[j] + terms[i + j] for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = terms[K - K % 8 :]
-    for t in tail:
-        head = head + t
-    return head
 
 
 def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:

@@ -77,7 +77,6 @@ class ExperimentConfig:
     states: list[StateSpec] | None = None  # None -> the 7 standard specs
     model_kinds: list[str] = field(default_factory=lambda: ["logreg", "tree"])
     profile: str = "sepsis-like"
-    selection_metric: str | None = None  # None -> the profile's default
     n_candidates: int = 5
     n_splits: int = 5
     seed: int = 0
@@ -105,8 +104,6 @@ class ExperimentConfig:
         if self.ope_states is not None and not self.ope_states:
             raise ConfigError("ope_states is empty; omit it for the default trio")
         get_profile(self.profile)  # an unknown profile fails before any data is read
-        if self.selection_metric not in (None, "auroc", "accuracy"):
-            raise ConfigError("selection metric must be 'auroc' or 'accuracy'")
         for kind in (*self.model_kinds, self.ope_model):
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")
@@ -137,9 +134,6 @@ class ExperimentConfig:
         if self.states is not None:
             return self.states
         return enumerate_standard_states(self.aggregation_op)
-
-    def resolved_selection_metric(self) -> str:
-        return self.selection_metric or get_profile(self.profile).selection_metric
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ def _fit_and_select(cfg, split, kinds, cells, failures, complexity) -> int:
     matrices and its rows go to ``complexity``. A failed sweep growth is one
     ``failures`` entry, and its state gets no rows.
     """
-    metric = cfg.resolved_selection_metric()
+    metric = get_profile(cfg.profile).selection_metric
     attempted = 0
     for spec_index, spec in enumerate(cfg.resolved_states()):
         train, val, test = (
@@ -513,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "n_patients": len(raw),
         "n_rows": raw.n_stages,
         "duration_seconds": round(time.time() - t_start, 3),
-        "selection_metric": cfg.resolved_selection_metric(),
+        "selection_metric": get_profile(cfg.profile).selection_metric,
     }
     if no_confusion is not None:
         report.metadata["switch_confusion_omitted"] = no_confusion

@@ -27,6 +27,7 @@ depend on which other patients are in the cohort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,22 +122,17 @@ class StateMatrix:
     offsets: np.ndarray
     stages: np.ndarray
     prev_actions: np.ndarray
-    _column_order: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @property
+    @cached_property
     def column_order(self) -> np.ndarray:
         """Each feature's rows by ascending value, ties in row order: the
         stable argsort of ``X.T`` as a read-only (features, rows) int32
         array. It is computed on first use and kept, so every tree grown on
         this matrix shares one sort."""
-        if self._column_order is None:
-            order = np.argsort(np.ascontiguousarray(self.X.T), axis=1, kind="stable")
-            order = order.astype(np.int32)
-            order.flags.writeable = False
-            self._column_order = order
-        return self._column_order
+        order = np.argsort(np.ascontiguousarray(self.X.T), axis=1, kind="stable")
+        order = order.astype(np.int32)
+        order.flags.writeable = False
+        return order
 
     @property
     def n_rows(self) -> int:

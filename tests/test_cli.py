@@ -105,6 +105,7 @@ def test_fractions_that_empty_the_test_fold_are_a_config_error(tmp_path, capsys)
     ({"aggregation_op": None}, "aggregation_op must be a string, got None"),
     ({"profile": [1]}, "profile must be a string, got [1]"),
     ({"profile": "nope"}, "unknown dataset profile 'nope'"),
+    ({"selection_metric": "auroc"}, "has unknown keys ['selection_metric']"),
     ({"ope_model": 1}, "ope_model must be a string, got 1"),
     ({"schema_path": 5}, "schema_path must be a string or null, got 5"),
     ({"generator": None, "data_path": 7, "schema_path": "schema.json"},
@@ -322,19 +323,39 @@ def test_sweep_trees_writes_only_the_experiments_complexity_table(tmp_path):
     config = _write_experiment(tmp_path, n_splits=2, tree_sweep_n=4)
     full, sweep = tmp_path / "full", tmp_path / "sweep"
     assert main(["experiment", "--config", str(config), "--out", str(full)]) == 0
-    assert main(["sweep-trees", "--config", str(config), "--n", "4",
-                 "--out", str(sweep)]) == 0
+    assert main(["sweep-trees", "--config", str(config), "--out", str(sweep)]) == 0
     assert sorted(p.name for p in sweep.iterdir()) == ["complexity.csv", "complexity.svg"]
     for name in ("complexity.csv", "complexity.svg"):
         assert (sweep / name).read_bytes() == (full / name).read_bytes()
 
 
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_sweep_trees_needs_at_least_one_model_per_state(tmp_path, capsys, n):
+@pytest.mark.parametrize("options, message", [
+    ({}, "sweep-trees needs tree_sweep_n >= 1, got 0"),
+    ({"tree_sweep_n": -3}, "tree_sweep_n must be >= 0, got -3"),
+])
+def test_sweep_trees_needs_at_least_one_model_per_state(tmp_path, capsys, options, message):
+    # The data file is missing, which would be a data error (exit 2) had it
+    # been read.
+    config = _write_experiment(tmp_path, generator=None,
+                               data_path=str(tmp_path / "missing.jsonl"), **options)
     out = tmp_path / "out"
-    assert main(["sweep-trees", "--config", str(_write_experiment(tmp_path)),
-                 "--n", n, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: --n must be >= 1, got {n}\n"
+    assert main(["sweep-trees", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {config}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "11"],
+    ["experiment", "--seed", "11"],
+    ["sweep-trees", "--seed", "11"],
+    ["sweep-trees", "--n", "4"],
+], ids=" ".join)
+def test_the_config_alone_sets_the_seed_and_the_sweep_size(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(_write_experiment(tmp_path)), "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -384,10 +405,8 @@ def _write_generator(tmp_path):
 def test_generate_writes_a_generator_config_that_reads_back(tmp_path):
     config = _write_generator(tmp_path)
     out = tmp_path / "cohort"
-    assert main(["generate", "--config", str(config), "--seed", "11",
-                 "--out", str(out)]) == 0
-    written = load(GeneratorConfig, out / "generator.json")
-    assert written == GeneratorConfig(**{**json.loads(config.read_text()), "seed": 11})
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    assert load(GeneratorConfig, out / "generator.json") == load(GeneratorConfig, config)
 
 
 def test_ope_reads_the_state_spec_from_the_bundle(tmp_path, capsys):

@@ -159,8 +159,8 @@ class TestNewtonSolver:
 
 class TestMatchesReference:
     """The column folds of the softmax rows reproduce numpy's short-axis
-    reductions (tests/reference_models.py) bit for bit, on both sides of the
-    K = 8 switch back to numpy's sum."""
+    reductions (tests/reference_models.py) bit for bit, on both sides of
+    K = 8, where numpy's row sum turns from one running sum to eight."""
 
     @pytest.mark.parametrize("n", [1, 7, 128, 2400])
     @pytest.mark.parametrize("K", range(2, 10))

@@ -155,13 +155,6 @@ class TestBadConfig:
         with pytest.raises(ConfigError, match="n_patients"):
             read(ExperimentConfig, {"generator": {"n_patients": 2.5}}, "experiment config")
 
-    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
-        config = tmp_path / "generator.json"
-        config.write_text('{"n_patients": 3}')
-        argv = ["generate", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "-3"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("config error: seed")
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "weights", [{"w_context": 1e308}, {"ar_coef": 1e200}, {"severity_coupling": 1e308}]
